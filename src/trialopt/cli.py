@@ -42,7 +42,7 @@ from .mc_oracle import (
     mc_fwer,
     mc_rejection_probs,
 )
-from .numerics import IntegrationError
+from .numerics import NumericError
 from .optimizer import (
     GridConfig,
     OptimizationOutcome,
@@ -414,7 +414,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 # Beyond 8 standard deviations the normal tail mass is < 1e-15, which is
 # below double-precision resolution of the integrals computed here.
@@ -22,7 +22,11 @@ TAIL_TRUNCATION = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class IntegrationError(RuntimeError):
+class NumericError(RuntimeError):
+    """A numeric computation broke its own contract (exit code 3 in the CLI)."""
+
+
+class IntegrationError(NumericError):
     """Adaptive quadrature ran out of subdivision budget.
 
     Carries the best available estimate and its error bound so callers can
@@ -33,6 +37,10 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+    def __reduce__(self):
+        # Rebuild with all three fields, so the error crosses process pools.
+        return type(self), (self.args[0], self.estimate, self.error_bound)
 
 
 @dataclass(frozen=True)
@@ -90,43 +98,45 @@ def _one_sided_critical(level: float) -> float:
     return float(ndtri(1.0 - level))
 
 
-# Gauss-Legendre half-nodes and weights used by the Genz bivariate routine,
-# selected by |rho|: 6-point for |rho|<0.3, 12-point for |rho|<0.75,
-# 20-point otherwise.
-_GENZ_X = (
-    np.array([-0.9324695142031522, -0.6612093864662647, -0.2386191860831970]),
-    np.array([
-        -0.9815606342467191, -0.9041172563704750, -0.7699026741943050,
-        -0.5873179542866171, -0.3678314989981802, -0.1252334085114692,
-    ]),
-    np.array([
-        -0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
-        -0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
-        -0.5108670019508271, -0.3737060887154196, -0.2277858511416451,
-        -0.07652652113349733,
-    ]),
-)
-_GENZ_W = (
-    np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
-    np.array([
-        0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-        0.2031674267230659, 0.2334925365383547, 0.2491470458134029,
-    ]),
-    np.array([
-        0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-        0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-        0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-        0.1527533871307259,
-    ]),
-)
+def bivariate_normal_cdf(x, y, rho, rho_c):
+    """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
+
+    Elementwise over broadcasting scalars or arrays, with y finite; x may
+    be infinite. The caller passes rho_c = sqrt(1 - rho^2), which it often
+    knows in closed form. Uses Owen's T function (Owen 1956, Ann. Math.
+    Stat. 27:1075; scipy's owens_t follows Patefield & Tandy 2000), with
+    the limits at x = 0, y = 0, infinite x and rho = +-1 taken explicitly.
+    """
+    inf_x = np.isinf(x)
+    zero = (x == 0.0) | (y == 0.0)
+    unit = rho_c == 0.0
+    if not (inf_x | zero | unit).any():
+        return _owen_cdf(x, y, rho, rho_c)
+    x, y, rho, rho_c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)))
+    # finite, nonzero stand-ins where a limit replaces Owen's form below
+    rho_s, rho_cs = np.where(unit, 0.0, rho), np.where(unit, 1.0, rho_c)
+    out = _owen_cdf(np.where(inf_x | zero, 1.0, x), np.where(zero, 1.0, y), rho_s, rho_cs)
+    out = np.where(x == 0.0, 0.5 * ndtr(y) + owens_t(y, rho_s / rho_cs), out)
+    out = np.where(y == 0.0, 0.5 * ndtr(x) + owens_t(x, rho_s / rho_cs), out)
+    out = np.where(unit, np.where(rho > 0.0, ndtr(np.minimum(x, y)),
+                                  np.maximum(0.0, ndtr(x) - ndtr(-y))), out)
+    return np.where(inf_x, np.where(x > 0.0, ndtr(y), 0.0), out)
+
+
+def _owen_cdf(x, y, rho, rho_c):
+    """Owen's form of the bivariate normal CDF for finite nonzero x, y."""
+    return (0.5 * (ndtr(x) + ndtr(y))
+            - owens_t(x, (y - rho * x) / (x * rho_c))
+            - owens_t(y, (x - rho * y) / (y * rho_c))
+            - 0.5 * (x * y < 0.0))
 
 
 def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k) for standard bivariate normal with correlation rho.
 
-    Uses Genz's hybrid of Drezner-Wesolowsky quadrature (|rho| < 0.925) and
-    the transformed-tail expansion near |rho| = 1; documented absolute
-    accuracy is around 5e-16, comfortably below the 1e-10 contract.
+    Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise the
+    Owen's-T form of :func:`bivariate_normal_cdf` (absolute error ~1e-16).
     """
     if math.isnan(rho) or abs(rho) > 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
@@ -144,62 +154,7 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
         return max(0.0, float(ndtr(-k) - ndtr(h)))
     if rho == 0.0:
         return float(ndtr(-h) * ndtr(-k))
-
-    if abs(rho) < 0.3:
-        ng = 0
-    elif abs(rho) < 0.75:
-        ng = 1
-    else:
-        ng = 2
-    x = np.concatenate((_GENZ_X[ng], -_GENZ_X[ng]))
-    w = np.concatenate((_GENZ_W[ng], _GENZ_W[ng]))
-
-    hk = h * k
-    if abs(rho) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = math.asin(rho)
-        sn = np.sin(0.5 * asr * (x + 1.0))
-        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        return bvn * asr / (4.0 * math.pi) + float(ndtr(-h) * ndtr(-k))
-
-    # |rho| >= 0.925: expand around the singular limit.
-    kk = k
-    if rho < 0.0:
-        kk = -kk
-        hk = -hk
-    a_sq = (1.0 - rho) * (1.0 + rho)
-    a = math.sqrt(a_sq)
-    bs = (h - kk) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr = -0.5 * (bs / a_sq + hk)
-    bvn = 0.0
-    if asr > -100.0:
-        bvn = a * math.exp(asr) * (
-            1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-            + c * d * a_sq * a_sq / 5.0
-        )
-    if hk > -100.0:
-        b = math.sqrt(bs)
-        bvn -= (
-            math.exp(-0.5 * hk) * _SQRT_2PI * float(ndtr(-b / a)) * b
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-        )
-    half = 0.5 * a
-    xs = (half * (x + 1.0)) ** 2
-    rs = np.sqrt(1.0 - xs)
-    asr_n = -0.5 * (bs / xs + hk)
-    live = asr_n > -100.0
-    if np.any(live):
-        term = np.exp(asr_n[live]) * (
-            np.exp(-hk * (1.0 - rs[live]) / (2.0 * (1.0 + rs[live]))) / rs[live]
-            - (1.0 + c * xs[live] * (1.0 + d * xs[live]))
-        )
-        bvn += half * float(np.sum(w[live] * term))
-    bvn = -bvn / (2.0 * math.pi)
-    if rho > 0.0:
-        return bvn + float(ndtr(-max(h, kk)))
-    return -bvn + max(0.0, float(ndtr(-h) - ndtr(-kk)))
+    return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
 
 
 def linear_gaussian_segment(c0, c1, iv: Interval):
@@ -334,22 +289,6 @@ def integrate_1d(f, iv: Interval, abs_tol: float = 1e-9, breakpoints=(),
     total, _ = _adaptive_gk(f, iv.lo, iv.hi, abs_tol, breakpoints,
                             max_segments, init_width=2.0)
     return float(total[0])
-
-
-def integrate_multi(f, iv: Interval, abs_tol: float = 1e-9, breakpoints=(),
-                    max_segments: int = 2048) -> np.ndarray:
-    """Like :func:`integrate_1d` for f returning (m, k) component stacks.
-
-    All components share abscissae and subdivision decisions; the error
-    bound is the worst over components.
-    """
-    iv = iv.bounded()
-    if iv.lo == iv.hi:
-        probe = np.asarray(f(np.array([0.0])))
-        return np.zeros(probe.shape[-1] if probe.ndim > 1 else 1)
-    total, _ = _adaptive_gk(f, iv.lo, iv.hi, abs_tol, breakpoints,
-                            max_segments, init_width=2.0)
-    return np.asarray(total)
 
 
 def find_root(g, bracket: Interval, tol: float = 1e-10) -> float:

@@ -30,8 +30,9 @@ from .model import (
     Scenario,
     builtin_prior,
 )
+from .numerics import NumericError
 from .testing import alpha_F_given_alpha_S
-from .utility import EvaluationResult, _ZERO_RESULT, prior_averaged
+from .utility import EvaluationResult, _ZERO_RESULT, prior_averaged, stratified_grid_row
 
 # Exact utility ties resolve towards the cheaper commitment.
 _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
@@ -123,13 +124,20 @@ def no_trial_outcome() -> OptimizationOutcome:
     return OptimizationOutcome(DesignSpec.no_trial(), _ZERO_RESULT)
 
 
-def _family_grid(family: str, scenario: Scenario, config: GridConfig):
+def _grid_scores(family: str, scenario: Scenario, config: GridConfig):
+    """Stage-1 grid points with their prior-averaged expected utilities,
+    n-major and alpha_S-minor. Stratified rows are scored one n at a time
+    in a single batched evaluation over the alpha_S grid."""
     ns = [scenario.n_min] + [n for n in config.n_grid if n > scenario.n_min]
     if family == STRATIFIED:
         alphas = [float(a) for a in np.linspace(0.0, scenario.alpha,
                                                 config.alpha_points)]
-        return [(n, a) for n in ns for a in alphas]
-    return [(n, None) for n in ns]
+        for n in ns:
+            row = stratified_grid_row(n, alphas, scenario)[0]
+            yield from (((n, a), float(eu)) for a, eu in zip(alphas, row))
+    else:
+        for n in ns:
+            yield (n, None), prior_averaged(family, n, None, scenario).expected_utility
 
 
 def optimize_family(family: str, scenario: Scenario,
@@ -144,8 +152,7 @@ def optimize_family(family: str, scenario: Scenario,
 
     trace = [] if config.keep_trace else None
     best_n, best_alpha, best_eu = None, None, -math.inf
-    for n, alpha_S in _family_grid(family, scenario, config):
-        eu = objective(n, alpha_S)
+    for (n, alpha_S), eu in _grid_scores(family, scenario, config):
         if trace is not None:
             trace.append(((float(n),) if alpha_S is None else (float(n), alpha_S), eu))
         if eu > best_eu:
@@ -173,7 +180,8 @@ def optimize_family(family: str, scenario: Scenario,
             if eu > best_eu:
                 best_n, best_alpha, best_eu = n_int, alpha_star, eu
 
-    assert best_eu >= grid_eu, "refinement must never lose to the grid"
+    if best_eu < grid_eu:
+        raise NumericError(f"refinement lost to the grid: {best_eu!r} < {grid_eu!r}")
     design = (DesignSpec.stratified(best_n, best_alpha) if family == STRATIFIED
               else DesignSpec(family, n=best_n))
     result = prior_averaged(family, best_n, best_alpha, scenario)

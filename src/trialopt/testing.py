@@ -26,11 +26,11 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
-from .model import EffectPair, Scenario, pooled_effect
+from .model import EffectPair, Scenario
 from .numerics import (
     Interval,
-    TAIL_TRUNCATION,
     _one_sided_critical,
     bivariate_upper_orthant,
     find_root,
@@ -84,9 +84,11 @@ class RegionSlice:
     intervals: Tuple[Interval, ...]
 
     def __post_init__(self):
-        assert len(self.intervals) <= 3, "region slices use at most 3 intervals"
+        if len(self.intervals) > 3:
+            raise ValueError("region slices use at most 3 intervals")
         for a, b in zip(self.intervals, self.intervals[1:]):
-            assert a.hi <= b.lo, "slice intervals must be disjoint and sorted"
+            if a.hi > b.lo:
+                raise ValueError("slice intervals must be disjoint and sorted")
 
     @property
     def empty(self) -> bool:
@@ -151,6 +153,9 @@ class _Geometry:
     sqrt(1-lambda): L2 (pooled test at level alpha), L4 (pooled test at
     level alpha_F, active only when z_S misses the alpha_S gate) and the
     sponsor floor line for the pooled estimate.
+
+    The fields are floats, or arrays broadcasting against each other when
+    a batch of settings shares lambda_S, n and sigma.
     """
 
     se_S: float
@@ -169,84 +174,102 @@ class _Geometry:
     mu_S_cut: float     # z_S floor from the sponsor mu_S constraint (-inf if none)
     mu_F_line: float    # intercept (mu_F - delta_F)/se_F of the sponsor floor (-inf if none)
 
-    def pooled_line(self, intercept, z_S):
-        """z_Sc lower bound of 'sqrt(lam) z_S + sqrt(lamc) z_Sc >= intercept'."""
-        return (intercept - self.sq_lam * z_S) / self.sq_lamc
+    @property
+    def tau_line(self):
+        """Constant z_Sc bound of the complement consistency condition."""
+        return self.crit_tau_Sc - self.shift_Sc
+
+    @property
+    def pooled_slope(self) -> float:
+        """Slope in z_S of every pooled-statistic line."""
+        return -self.sq_lam / self.sq_lamc
 
 
 def _geometry(params: StratifiedTestParams, effects: EffectPair, n: float,
               sigma: float, mu_S: Optional[float], mu_F: Optional[float]) -> _Geometry:
-    lam = params.lambda_S
+    return _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
+                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, sigma, mu_S, mu_F)
+
+
+def _line_geometry(lam, alpha, alpha_S, alpha_F, tau_S, tau_Sc, delta_S, delta_Sc,
+                   n, sigma, mu_S, mu_F) -> _Geometry:
+    """Geometry from plain values; alpha_S, alpha_F, delta_S and delta_Sc
+    may be arrays, which broadcast elementwise into every field."""
     lamc = 1.0 - lam
     se_S = sigma * math.sqrt(2.0 / (lam * n))
     se_Sc = sigma * math.sqrt(2.0 / (lamc * n))
     se_F = sigma * math.sqrt(2.0 / n)
-    delta_F = pooled_effect(effects, lam)
+    delta_F = lam * delta_S + lamc * delta_Sc
     return _Geometry(
         se_S=se_S, se_Sc=se_Sc, se_F=se_F,
-        shift_S=effects.delta_S / se_S,
-        shift_Sc=effects.delta_Sc / se_Sc,
+        shift_S=delta_S / se_S,
+        shift_Sc=delta_Sc / se_Sc,
         shift_F=delta_F / se_F,
         sq_lam=math.sqrt(lam), sq_lamc=math.sqrt(lamc),
-        crit_alpha=_one_sided_critical(params.alpha),
-        crit_alpha_S=_one_sided_critical(params.alpha_S),
-        crit_alpha_F=_one_sided_critical(params.alpha_F),
-        crit_tau_S=_one_sided_critical(params.tau_S),
-        crit_tau_Sc=_one_sided_critical(params.tau_Sc),
-        mu_S_cut=-math.inf if mu_S is None else (mu_S - effects.delta_S) / se_S,
+        crit_alpha=_one_sided_critical(alpha),
+        # ndtri(1 - level) is +inf at level 0, as _one_sided_critical
+        crit_alpha_S=ndtri(1.0 - alpha_S),
+        crit_alpha_F=ndtri(1.0 - alpha_F),
+        crit_tau_S=_one_sided_critical(tau_S),
+        crit_tau_Sc=_one_sided_critical(tau_Sc),
+        mu_S_cut=-math.inf if mu_S is None else (mu_S - delta_S) / se_S,
         mu_F_line=-math.inf if mu_F is None else (mu_F - delta_F) / se_F,
     )
 
 
-def _af_lower(geom: _Geometry, z_S):
-    """Vectorized A_F slice: (alive mask, z_Sc lower bound).
+def _upper_line(geom: _Geometry, intercept, z_S):
+    """(a, b) of the higher of the consistency line and the pooled line
+    with the given intercept, at abscissae z_S; z_Sc = a + b z_S."""
+    a_pool = intercept / geom.sq_lamc
+    slope = geom.pooled_slope
+    use_tau = geom.tau_line >= a_pool + slope * z_S
+    return np.where(use_tau, geom.tau_line, a_pool), np.where(use_tau, 0.0, slope)
 
-    The slice is [lower, +inf) where alive, empty otherwise; with the
-    sponsor floor the pooled-estimate line is intersected in as well.
+
+def _af_line(geom: _Geometry, z_S):
+    """Vectorized A_F slice: (alive mask, a, b).
+
+    The slice is [a + b z_S, +inf) where alive, empty otherwise. (a, b) is
+    the active one of the known constraint lines at z_S; with the sponsor
+    floor the pooled-estimate line takes part as well.
     """
     z_S = np.asarray(z_S, dtype=float)
     t_S = z_S + geom.shift_S
     alive = t_S >= geom.crit_tau_S
-    lower = np.maximum(
-        geom.crit_tau_Sc - geom.shift_Sc,
-        geom.pooled_line(geom.crit_alpha - geom.shift_F, z_S),
-    )
-    gate_missed = t_S < geom.crit_alpha_S
-    lower = np.where(
-        gate_missed,
-        np.maximum(lower, geom.pooled_line(geom.crit_alpha_F - geom.shift_F, z_S)),
-        lower,
-    )
-    if geom.mu_F_line > -math.inf:
-        lower = np.maximum(lower, geom.pooled_line(geom.mu_F_line, z_S))
-    return alive, lower
+    pooled = geom.crit_alpha - geom.shift_F
+    pooled = np.where(t_S < geom.crit_alpha_S,
+                      np.maximum(pooled, geom.crit_alpha_F - geom.shift_F), pooled)
+    pooled = np.maximum(pooled, geom.mu_F_line)
+    return (alive, *_upper_line(geom, pooled, z_S))
 
 
-def _as_bounds(geom: _Geometry, z_S):
-    """Vectorized A_S slice: (alive mask, lower, upper) in z_Sc.
+def _as_lines(geom: _Geometry, z_S):
+    """Vectorized A_S slice: (alive mask, a_lo, b_lo, a_hi, b_hi).
 
     A_S collects reject-subgroup-only outcomes: psi_S = 1, psi_F = 0, and
     (with the sponsor floor) the subgroup estimate above mu_S, which cuts
-    in z_S only.
+    in z_S only. The slice is [a_lo + b_lo z_S, a_hi + b_hi z_S) in z_Sc;
+    infinite bounds have b = 0.
     """
     z_S = np.asarray(z_S, dtype=float)
     t_S = z_S + geom.shift_S
     alive = (t_S >= geom.crit_alpha) & (z_S > geom.mu_S_cut)
-
     gate_by_z = t_S >= geom.crit_alpha_S
-    consistency_z = t_S >= geom.crit_tau_S
-    line_tau = geom.crit_tau_Sc - geom.shift_Sc
-    line_alpha = geom.pooled_line(geom.crit_alpha - geom.shift_F, z_S)
-    line_alpha_F = geom.pooled_line(geom.crit_alpha_F - geom.shift_F, z_S)
+    pooled_alpha = geom.crit_alpha - geom.shift_F
+    pooled_alpha_F = geom.crit_alpha_F - geom.shift_F
 
     # When the alpha_S gate already holds, psi_S needs nothing from z_Sc
     # and psi_F = 1 iff z_Sc clears both the pooled test and consistency.
-    lower = np.where(gate_by_z, -np.inf, line_alpha_F)
-    psi_f_from = np.maximum(line_tau, line_alpha)
-    psi_f_from = np.where(gate_by_z, psi_f_from, np.maximum(psi_f_from, line_alpha_F))
-    upper = np.where(consistency_z, psi_f_from, np.inf)
-    alive = alive & (lower < upper)
-    return alive, lower, upper
+    a_lo = np.where(gate_by_z, -np.inf, pooled_alpha_F / geom.sq_lamc)
+    b_lo = np.where(gate_by_z, 0.0, geom.pooled_slope)
+    pooled = np.where(gate_by_z, pooled_alpha, np.maximum(pooled_alpha, pooled_alpha_F))
+    a_hi, b_hi = _upper_line(geom, pooled, z_S)
+    consistency_z = t_S >= geom.crit_tau_S
+    a_hi = np.where(consistency_z, a_hi, np.inf)
+    b_hi = np.where(consistency_z, b_hi, 0.0)
+    alive = alive & (a_lo + b_lo * z_S < a_hi + b_hi * z_S)
+    return alive, a_lo, b_lo, a_hi, b_hi
 
 
 def region_slices(region: str, z_S: float, params: StratifiedTestParams,
@@ -263,19 +286,22 @@ def region_slices(region: str, z_S: float, params: StratifiedTestParams,
     """
     if region not in ("A_F", "A_S"):
         raise ValueError(f"region must be 'A_F' or 'A_S', got {region!r}")
-    assert abs(lambda_S - params.lambda_S) < 1e-12, "lambda_S disagrees with params"
+    if abs(lambda_S - params.lambda_S) >= 1e-12:
+        raise ValueError(f"lambda_S={lambda_S} disagrees with params "
+                         f"(lambda_S={params.lambda_S})")
     mu = params.mu_constraint
     if region == "A_F":
         geom = _geometry(params, effects, n, sigma, mu_S=None, mu_F=mu)
-        alive, lower = _af_lower(geom, z_S)
+        alive, a, b = _af_line(geom, z_S)
+        lower = float(a + b * z_S)
         if not alive or lower == math.inf:
             return RegionSlice(())
-        return RegionSlice((Interval(float(lower), math.inf),))
+        return RegionSlice((Interval(lower, math.inf),))
     geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=None)
-    alive, lower, upper = _as_bounds(geom, z_S)
+    alive, a_lo, b_lo, a_hi, b_hi = _as_lines(geom, z_S)
     if not alive:
         return RegionSlice(())
-    return RegionSlice((Interval(float(lower), float(upper)),))
+    return RegionSlice((Interval(float(a_lo + b_lo * z_S), float(a_hi + b_hi * z_S)),))
 
 
 def _decide(t_S, t_Sc, t_F, params: StratifiedTestParams):
@@ -314,24 +340,27 @@ def reject_stratified(z_S, z_Sc, params: StratifiedTestParams,
     return psi_S.astype(int), psi_F.astype(int)
 
 
-def region_breakpoints(geom: _Geometry, limit: float = TAIL_TRUNCATION):
+def region_breakpoints(geom: _Geometry) -> np.ndarray:
     """z_S abscissae where the slice structure of A_F or A_S changes.
 
     These are the z_S-only thresholds plus the crossings of the constant
     complement-consistency line with each pooled-scale line (the pooled
-    lines are mutually parallel, so they never cross each other).
+    lines are mutually parallel, so they never cross each other). Returns
+    the points sorted along a last axis of fixed length 7, with absent
+    points as trailing +inf.
     """
-    points = [
-        geom.crit_tau_S - geom.shift_S,
-        geom.crit_alpha_S - geom.shift_S,
-        geom.crit_alpha - geom.shift_S,
-        geom.mu_S_cut,
-    ]
-    line_tau = geom.crit_tau_Sc - geom.shift_Sc
-    if math.isfinite(line_tau):
+    crossings = []
+    with np.errstate(invalid="ignore"):
         for intercept in (geom.crit_alpha - geom.shift_F,
                           geom.crit_alpha_F - geom.shift_F,
                           geom.mu_F_line):
-            if math.isfinite(intercept):
-                points.append((intercept - geom.sq_lamc * line_tau) / geom.sq_lam)
-    return sorted({p for p in points if -limit < p < limit})
+            crossings.append((intercept - geom.sq_lamc * geom.tau_line) / geom.sq_lam)
+    points = np.concatenate(np.broadcast_arrays(*[
+        np.atleast_1d(np.asarray(p, dtype=float)) for p in (
+            geom.crit_tau_S - geom.shift_S,
+            geom.crit_alpha_S - geom.shift_S,
+            geom.crit_alpha - geom.shift_S,
+            geom.mu_S_cut,
+            *crossings,
+        )]), axis=-1)
+    return np.sort(np.where(np.isfinite(points), points, np.inf), axis=-1)

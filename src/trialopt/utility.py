@@ -1,17 +1,19 @@
 """Expected utility of each design given true effects, and its average
 over a discrete prior.
 
-Enrichment and classical designs use the closed truncated-normal forms;
-the stratified design integrates the region geometry from
-:mod:`trialopt.testing` with an analytic inner step in z_Sc (the
-integrands are linear there) and adaptive quadrature over z_S with
-breakpoints at every structural kink.
+Enrichment and classical designs use the closed truncated-normal forms.
+The stratified design is closed-form as well: between consecutive
+breakpoints of the region geometry from :mod:`trialopt.testing`, every
+region bound in z_Sc is one straight line a + b z_S, so each probability
+and reward integral over z_S is a sum of bivariate-normal and
+normal-density terms. One kernel scores a whole batch of (atom, alpha_S)
+settings at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,20 +31,18 @@ from .model import (
     pooled_effect,
 )
 from .model import _cost_for
-from .numerics import (
-    Interval,
-    TAIL_TRUNCATION,
-    _one_sided_critical,
-    _segment,
-    integrate_multi,
-    std_normal_pdf,
+from .numerics import _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
+from .testing import (
+    _af_line,
+    _as_lines,
+    _line_geometry,
+    alpha_F_given_alpha_S,
+    region_breakpoints,
 )
-from .testing import _af_lower, _as_bounds, _geometry, params_for_scenario, region_breakpoints
 
-# Absolute tolerance of the outer z_S quadrature, on the probability scale.
-# Reward integrals are scaled by at most Nr ~ 1e4 MUSD afterwards, keeping
-# monetary error below ~1e-8 MUSD.
-_QUAD_TOL = 1e-12
+# Field order of EvaluationResult, the leading axis of batched evaluations.
+_FIELDS = ("expected_utility", "prob_reject_S_only", "prob_reject_F", "power_any",
+           "expected_reward_S", "expected_reward_F", "cost")
 
 
 @dataclass(frozen=True)
@@ -155,64 +155,128 @@ def eu_classical(effects: EffectPair, n: float, scenario: Scenario) -> Evaluatio
     )
 
 
+def _pieces(geom):
+    """Pieces [lo, hi] of the z_S line between consecutive region
+    breakpoints, and an interior abscissa of each; last axis = piece.
+
+    The abscissa of a padding piece (lo = hi = +inf) is NaN, which fails
+    every region test, so such a piece is never alive.
+    """
+    points = region_breakpoints(geom)
+    edge = np.full(points.shape[:-1] + (1,), np.inf)
+    lo = np.concatenate((-edge, points), axis=-1)
+    hi = np.concatenate((points, edge), axis=-1)
+    # The alpha-level cut crit_alpha - shift_S is always finite, so no
+    # piece spans the whole line.
+    mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
+    return lo, hi, np.where(lo < hi, mid, np.nan)
+
+
+def _edge(z, a, b):
+    """phi(z) * (1 - Phi(a + b z)), zero at infinite z."""
+    inf_z = np.isinf(z)
+    zf = np.where(inf_z, 0.0, z)
+    return np.where(inf_z, 0.0, std_normal_pdf(zf) * ndtr(-(a + b * zf)))
+
+
+def _line_integrals(a, b, lo, hi, alive, moments: bool):
+    """Integrals over z in [lo, hi] of phi(z) times the upper tail beyond
+    the line z_Sc = a + b z, for every line and piece that is alive (zero
+    elsewhere); a may be +-inf (then b = 0): an empty or a full tail.
+
+    Returns I0 = int phi(z) Phi_bar(a + b z) dz, and with ``moments`` also
+    J1 = int z phi(z) Phi_bar(a + b z) dz and J2 = int phi(z) phi(a + b z) dz.
+    """
+    lo, hi = np.broadcast_to(lo, alive.shape), np.broadcast_to(hi, alive.shape)
+    i0, j1, j2 = np.zeros(alive.shape), np.zeros(alive.shape), np.zeros(alive.shape)
+    full = alive & (a == -np.inf)
+    i0[full] = ndtr(hi[full]) - ndtr(lo[full])
+    j1[full] = std_normal_pdf(lo[full]) - std_normal_pdf(hi[full])
+    sel = alive & np.isfinite(a)
+    a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
+    s = np.sqrt(1.0 + b * b)
+    # (Z, W) independent: P(Z <= z, W > a + b Z) = P(Z <= z, Y <= -a / s)
+    # with Y = (b Z - W) / s, standard normal at correlation b / s with Z.
+    cdf = bivariate_normal_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
+    i0[sel] = cdf[0] - cdf[1]
+    if moments:
+        m = a * b / (s * s)
+        j2_sel = std_normal_pdf(a / s) / s * (ndtr(s * (hi + m)) - ndtr(s * (lo + m)))
+        j2[sel] = j2_sel
+        j1[sel] = _edge(lo, a, b) - _edge(hi, a, b) - b * j2_sel
+    return i0, j1, j2
+
+
+def _stratified_fields(atoms, n: float, alpha_S, scenario: Scenario) -> np.ndarray:
+    """Evaluation fields of the stratified design for every atom and every
+    alpha_S: an array of shape (7, len(atoms), len(alpha_S)) in
+    EvaluationResult field order.
+
+    P(A_F), P(A_S) and the sponsor reward integrals are sums over the
+    pieces between region breakpoints, over the whole z_S line, of the
+    closed forms in :func:`_line_integrals`; on each piece the active
+    constraint line is picked at an interior point.
+    """
+    n = _check_n(n, scenario)
+    lam = scenario.lambda_S
+    rewards = scenario.rewards
+    sponsor = rewards.perspective == SPONSOR
+    alpha_S = np.asarray(alpha_S, dtype=float)
+    alpha_F = np.array([alpha_F_given_alpha_S(float(a), lam, scenario.alpha)
+                        for a in alpha_S])
+    delta_S = np.array([[e.delta_S] for e in atoms])
+    delta_Sc = np.array([[e.delta_Sc] for e in atoms])
+    geom = _line_geometry(
+        lam, scenario.alpha, alpha_S[:, None], alpha_F[:, None],
+        scenario.tau_S, scenario.tau_Sc, delta_S[..., None], delta_Sc[..., None],
+        n, scenario.sigma,
+        rewards.mu_S if sponsor else None, rewards.mu_F if sponsor else None)
+    lo, hi, mid = _pieces(geom)
+    geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf) if sponsor else geom
+
+    # The A_S bounds do not involve the sponsor floors (mu_S only cuts in
+    # z_S, so the sponsor's A_S pieces are a subset of the public ones):
+    # one set of A_S lines serves both.
+    alive_f, a_f, b_f = _af_line(geom_pub, mid)
+    alive_s, a_lo, b_lo, a_hi, b_hi = _as_lines(geom_pub, mid)
+    lines = [(alive_f, a_f, b_f), (alive_s, a_lo, b_lo), (alive_s, a_hi, b_hi)]
+    if sponsor:
+        alive_rf, a_rf, b_rf = _af_line(geom, mid)
+        alive_rs = _as_lines(geom, mid)[0]
+        lines.append((alive_rf, a_rf, b_rf))
+    alive, a, b = (np.stack(v) for v in zip(*lines))
+    i0, j1, j2 = _line_integrals(a, b, lo, hi, alive, sponsor)
+
+    p_f = np.clip(np.sum(i0[0], axis=-1), 0.0, 1.0)
+    p_s = np.clip(np.sum(i0[1] - i0[2], axis=-1), 0.0, 1.0)
+    gain_F = lam * delta_S + (1.0 - lam) * delta_Sc - rewards.mu_F
+    gain_S = delta_S - rewards.mu_S
+    if sponsor:
+        r_f = gain_F[..., None] * i0[3] + geom.se_F * (geom.sq_lam * j1[3] + geom.sq_lamc * j2[3])
+        r_s = gain_S[..., None] * (i0[1] - i0[2]) + geom.se_S * (j1[1] - j1[2])
+        reward_F = rewards.NrF * np.sum(r_f, axis=-1)
+        reward_S = lam * rewards.NrS * np.sum(np.where(alive_rs, r_s, 0.0), axis=-1)
+    else:
+        reward_F = rewards.NrF * gain_F * p_f
+        reward_S = lam * rewards.NrS * gain_S * p_s
+    cost = np.full(p_f.shape, _cost_for(STRATIFIED, n, scenario.costs, lam))
+    return np.stack((reward_S + reward_F - cost, p_s, p_f,
+                     np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
+
+
+def _result(fields) -> EvaluationResult:
+    return EvaluationResult(*(float(f) for f in fields))
+
+
 def eu_stratified(effects: EffectPair, n: float, alpha_S: float,
                   scenario: Scenario) -> EvaluationResult:
     """Expected utility of the stratified design with subgroup weight alpha_S.
 
     Computes P(full approval), P(subgroup-only approval) and, for the
-    sponsor, the reward integrals over the regions A_F and A_S. The inner
-    z_Sc integral is the analytic linear-Gaussian segment; the outer z_S
-    integral is adaptive with breakpoints at the region kinks.
+    sponsor, the reward integrals over the regions A_F and A_S, all in
+    closed form.
     """
-    n = _check_n(n, scenario)
-    if not (0.0 <= alpha_S <= scenario.alpha + 1e-15):
-        raise ValueError(f"alpha_S={alpha_S} outside [0, alpha={scenario.alpha}]")
-    params = params_for_scenario(scenario, alpha_S)
-    rewards = scenario.rewards
-    sponsor = rewards.perspective == SPONSOR
-    geom_pub = _geometry(params, effects, n, scenario.sigma, mu_S=None, mu_F=None)
-    geom_rew = (
-        _geometry(params, effects, n, scenario.sigma,
-                  mu_S=rewards.mu_S, mu_F=rewards.mu_F)
-        if sponsor else geom_pub
-    )
-    delta_F = pooled_effect(effects, scenario.lambda_S)
-    gain_F = delta_F - rewards.mu_F
-    gain_S = effects.delta_S - rewards.mu_S
-
-    def columns(z: np.ndarray) -> np.ndarray:
-        weight = std_normal_pdf(z)
-        alive_f, lo_f = _af_lower(geom_pub, z)
-        p_f = np.where(alive_f, _segment(1.0, 0.0, lo_f, np.inf), 0.0)
-        alive_s, lo_s, hi_s = _as_bounds(geom_pub, z)
-        p_s = np.where(alive_s, _segment(1.0, 0.0, lo_s, hi_s), 0.0)
-        cols = [p_f * weight, p_s * weight]
-        if sponsor:
-            alive_f, lo_f = _af_lower(geom_rew, z)
-            c0 = gain_F + geom_rew.se_F * geom_rew.sq_lam * z
-            c1 = geom_rew.se_F * geom_rew.sq_lamc
-            r_f = np.where(alive_f, _segment(c0, c1, lo_f, np.inf), 0.0)
-            alive_s, lo_s, hi_s = _as_bounds(geom_rew, z)
-            r_s = np.where(
-                alive_s,
-                (gain_S + geom_rew.se_S * z) * _segment(1.0, 0.0, lo_s, hi_s),
-                0.0,
-            )
-            cols += [r_f * weight, r_s * weight]
-        return np.stack(cols, axis=-1)
-
-    breaks = sorted(set(region_breakpoints(geom_pub)) | set(region_breakpoints(geom_rew)))
-    values = integrate_multi(columns, Interval(-TAIL_TRUNCATION, TAIL_TRUNCATION),
-                             abs_tol=_QUAD_TOL, breakpoints=breaks)
-    p_f, p_s_only = float(values[0]), float(values[1])
-    cost = _cost_for(STRATIFIED, n, scenario.costs, scenario.lambda_S)
-    if sponsor:
-        reward_F = rewards.NrF * float(values[2])
-        reward_S = scenario.lambda_S * rewards.NrS * float(values[3])
-    else:
-        reward_F = rewards.NrF * gain_F * _clamp01(p_f)
-        reward_S = scenario.lambda_S * rewards.NrS * gain_S * _clamp01(p_s_only)
-    return _assemble(reward_S, reward_F, cost, p_s_only, p_f)
+    return _result(_stratified_fields((effects,), n, (alpha_S,), scenario)[:, 0, 0])
 
 
 def evaluate_design(kind: str, n: Optional[float], alpha_S: Optional[float],
@@ -237,6 +301,37 @@ def _atom_key(kind: str, effects: EffectPair) -> Tuple[float, ...]:
     return (effects.delta_S, effects.delta_Sc, effects.prognostic_offset)
 
 
+def _merged_atoms(kind: str, scenario: Scenario):
+    """Atoms distinct to the design family, with exactly rounded weights."""
+    groups: dict = {}
+    for effects, weight in scenario.prior:
+        key = _atom_key(kind, effects)
+        if key in groups:
+            groups[key][1].append(weight)
+        else:
+            groups[key] = (effects, [weight])
+    return [(effects, math.fsum(weights)) for effects, weights in groups.values()]
+
+
+def _weighted_total(weighted_fields):
+    """Sum of weight * fields over (weight, fields) pairs, in prior order."""
+    total = 0.0
+    for weight, fields in weighted_fields:
+        total = total + weight * fields
+    return total
+
+
+def stratified_grid_row(n: float, alphas, scenario: Scenario) -> np.ndarray:
+    """Prior-averaged evaluation of the stratified design at size n for
+    every alpha_S in ``alphas``, in one batched call: an array of shape
+    (7, len(alphas)) in EvaluationResult field order, probabilities not
+    yet clamped. Row 0 holds the expected utilities.
+    """
+    merged = _merged_atoms(STRATIFIED, scenario)
+    fields = _stratified_fields([e for e, _ in merged], n, alphas, scenario)
+    return _weighted_total(zip([w for _, w in merged], np.moveaxis(fields, 1, 0)))
+
+
 def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
                    scenario: Scenario) -> EvaluationResult:
     """Prior-weighted expected utility and approval probabilities.
@@ -247,29 +342,15 @@ def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
     """
     if kind == NO_TRIAL:
         return _ZERO_RESULT
-    groups: dict = {}
-    for effects, weight in scenario.prior:
-        key = _atom_key(kind, effects)
-        if key in groups:
-            groups[key][1].append(weight)
-        else:
-            groups[key] = (effects, [weight])
-    totals = [0.0] * 7
-    for effects, weights in groups.values():
-        w = math.fsum(weights)
-        r = evaluate_design(kind, n, alpha_S, effects, scenario)
-        parts = (r.expected_utility, r.prob_reject_S_only, r.prob_reject_F,
-                 r.power_any, r.expected_reward_S, r.expected_reward_F, r.cost)
-        totals = [t + w * p for t, p in zip(totals, parts)]
-    return EvaluationResult(
-        expected_utility=totals[0],
-        prob_reject_S_only=_clamp01(totals[1]),
-        prob_reject_F=_clamp01(totals[2]),
-        power_any=_clamp01(totals[3]),
-        expected_reward_S=totals[4],
-        expected_reward_F=totals[5],
-        cost=totals[6],
-    )
+    if kind == STRATIFIED:
+        totals = stratified_grid_row(n, (alpha_S,), scenario)[:, 0]
+    else:
+        totals = _weighted_total(
+            (weight, np.array([getattr(evaluate_design(kind, n, alpha_S, effects, scenario), f)
+                               for f in _FIELDS]))
+            for effects, weight in _merged_atoms(kind, scenario))
+    totals[1:4] = np.clip(totals[1:4], 0.0, 1.0)
+    return _result(totals)
 
 
 def eu_prior_averaged(design: DesignSpec, scenario: Scenario) -> EvaluationResult:

@@ -1,0 +1,246 @@
+"""Reference implementations the closed-form kernels are pinned against.
+
+- :func:`genz_upper_orthant` is Genz's hybrid Drezner-Wesolowsky
+  quadrature for the bivariate normal orthant (Genz 2004, Stat. Comput.
+  14:251), the routine the library used before the Owen's-T form.
+- :func:`adaptive_stratified` is the stratified expected utility by
+  adaptive Gauss-Kronrod quadrature over z_S, with the analytic
+  linear-Gaussian step in z_Sc, breakpoints at every region kink and
+  infinite limits truncated at 8 SDs. Its region slices are taken pointwise
+  as the maximum of the constraint lines, independently of the active-line
+  selection the closed form makes per piece.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import ndtr
+
+from trialopt.model import SPONSOR, STRATIFIED, pooled_effect
+from trialopt.model import _cost_for
+from trialopt.numerics import _adaptive_gk, _segment, std_normal_pdf
+from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
+from trialopt.utility import _assemble, _check_n, _clamp01
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Gauss-Legendre half-nodes and weights, selected by |rho|: 6-point for
+# |rho|<0.3, 12-point for |rho|<0.75, 20-point otherwise.
+_GENZ_X = (
+    np.array([-0.9324695142031522, -0.6612093864662647, -0.2386191860831970]),
+    np.array([
+        -0.9815606342467191, -0.9041172563704750, -0.7699026741943050,
+        -0.5873179542866171, -0.3678314989981802, -0.1252334085114692,
+    ]),
+    np.array([
+        -0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
+        -0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
+        -0.5108670019508271, -0.3737060887154196, -0.2277858511416451,
+        -0.07652652113349733,
+    ]),
+)
+_GENZ_W = (
+    np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
+    np.array([
+        0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
+        0.2031674267230659, 0.2334925365383547, 0.2491470458134029,
+    ]),
+    np.array([
+        0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+        0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+        0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+        0.1527533871307259,
+    ]),
+)
+
+
+def genz_upper_orthant(h: float, k: float, rho: float) -> float:
+    """P(Z1 > h, Z2 > k) by Genz's method; absolute accuracy about 5e-16."""
+    if h == math.inf or k == math.inf:
+        return 0.0
+    if h == -math.inf:
+        return float(ndtr(-k))
+    if k == -math.inf:
+        return float(ndtr(-h))
+    if rho == 1.0:
+        return float(ndtr(-max(h, k)))
+    if rho == -1.0:
+        return max(0.0, float(ndtr(-k) - ndtr(h)))
+    if rho == 0.0:
+        return float(ndtr(-h) * ndtr(-k))
+
+    if abs(rho) < 0.3:
+        ng = 0
+    elif abs(rho) < 0.75:
+        ng = 1
+    else:
+        ng = 2
+    x = np.concatenate((_GENZ_X[ng], -_GENZ_X[ng]))
+    w = np.concatenate((_GENZ_W[ng], _GENZ_W[ng]))
+
+    hk = h * k
+    if abs(rho) < 0.925:
+        hs = 0.5 * (h * h + k * k)
+        asr = math.asin(rho)
+        sn = np.sin(0.5 * asr * (x + 1.0))
+        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
+        return bvn * asr / (4.0 * math.pi) + float(ndtr(-h) * ndtr(-k))
+
+    # |rho| >= 0.925: expand around the singular limit.
+    kk = k
+    if rho < 0.0:
+        kk = -kk
+        hk = -hk
+    a_sq = (1.0 - rho) * (1.0 + rho)
+    a = math.sqrt(a_sq)
+    bs = (h - kk) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr = -0.5 * (bs / a_sq + hk)
+    bvn = 0.0
+    if asr > -100.0:
+        bvn = a * math.exp(asr) * (
+            1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
+            + c * d * a_sq * a_sq / 5.0
+        )
+    if hk > -100.0:
+        b = math.sqrt(bs)
+        bvn -= (
+            math.exp(-0.5 * hk) * _SQRT_2PI * float(ndtr(-b / a)) * b
+            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        )
+    half = 0.5 * a
+    xs = (half * (x + 1.0)) ** 2
+    rs = np.sqrt(1.0 - xs)
+    asr_n = -0.5 * (bs / xs + hk)
+    live = asr_n > -100.0
+    if np.any(live):
+        term = np.exp(asr_n[live]) * (
+            np.exp(-hk * (1.0 - rs[live]) / (2.0 * (1.0 + rs[live]))) / rs[live]
+            - (1.0 + c * xs[live] * (1.0 + d * xs[live]))
+        )
+        bvn += half * float(np.sum(w[live] * term))
+    bvn = -bvn / (2.0 * math.pi)
+    if rho > 0.0:
+        return bvn + float(ndtr(-max(h, kk)))
+    return -bvn + max(0.0, float(ndtr(-h) - ndtr(-kk)))
+
+
+# Accuracy contract of the closed form against the quadrature oracle.
+PROB_TOL = 1e-10
+MUSD_TOL = 1e-8
+
+
+def assert_matches_oracle(got, want):
+    """Probabilities within 1e-10, MUSD fields finite and within 1e-8."""
+    for name in ("prob_reject_S_only", "prob_reject_F", "power_any"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= PROB_TOL, name
+    for name in ("expected_utility", "expected_reward_S", "expected_reward_F", "cost"):
+        assert math.isfinite(getattr(got, name)), name
+        assert abs(getattr(got, name) - getattr(want, name)) <= MUSD_TOL, name
+
+
+TAIL_TRUNCATION = 8.0
+_QUAD_TOL = 1e-12
+
+
+def _pooled_line(geom, intercept, z_S):
+    """z_Sc lower bound of 'sqrt(lam) z_S + sqrt(lamc) z_Sc >= intercept'."""
+    return (intercept - geom.sq_lam * z_S) / geom.sq_lamc
+
+
+def _af_lower(geom, z_S):
+    """A_F slice at z_S: (alive mask, z_Sc lower bound), the slice being
+    [lower, +inf) where alive."""
+    z_S = np.asarray(z_S, dtype=float)
+    t_S = z_S + geom.shift_S
+    alive = t_S >= geom.crit_tau_S
+    lower = np.maximum(
+        geom.crit_tau_Sc - geom.shift_Sc,
+        _pooled_line(geom, geom.crit_alpha - geom.shift_F, z_S),
+    )
+    gate_missed = t_S < geom.crit_alpha_S
+    lower = np.where(
+        gate_missed,
+        np.maximum(lower, _pooled_line(geom, geom.crit_alpha_F - geom.shift_F, z_S)),
+        lower,
+    )
+    if geom.mu_F_line > -math.inf:
+        lower = np.maximum(lower, _pooled_line(geom, geom.mu_F_line, z_S))
+    return alive, lower
+
+
+def _as_bounds(geom, z_S):
+    """A_S slice at z_S: (alive mask, lower, upper) in z_Sc."""
+    z_S = np.asarray(z_S, dtype=float)
+    t_S = z_S + geom.shift_S
+    alive = (t_S >= geom.crit_alpha) & (z_S > geom.mu_S_cut)
+    gate_by_z = t_S >= geom.crit_alpha_S
+    consistency_z = t_S >= geom.crit_tau_S
+    line_tau = geom.crit_tau_Sc - geom.shift_Sc
+    line_alpha = _pooled_line(geom, geom.crit_alpha - geom.shift_F, z_S)
+    line_alpha_F = _pooled_line(geom, geom.crit_alpha_F - geom.shift_F, z_S)
+    lower = np.where(gate_by_z, -np.inf, line_alpha_F)
+    psi_f_from = np.maximum(line_tau, line_alpha)
+    psi_f_from = np.where(gate_by_z, psi_f_from, np.maximum(psi_f_from, line_alpha_F))
+    upper = np.where(consistency_z, psi_f_from, np.inf)
+    alive = alive & (lower < upper)
+    return alive, lower, upper
+
+
+def _integrate_multi(f, breakpoints):
+    """Adaptive G7/K15 integral of the column stack f over +-8 SDs."""
+    total, _ = _adaptive_gk(f, -TAIL_TRUNCATION, TAIL_TRUNCATION, _QUAD_TOL,
+                            [float(b) for b in breakpoints if math.isfinite(b)],
+                            max_segments=2048, init_width=2.0)
+    return np.asarray(total)
+
+
+def adaptive_stratified(effects, n, alpha_S, scenario):
+    """Stratified expected utility by adaptive quadrature over z_S."""
+    n = _check_n(n, scenario)
+    params = params_for_scenario(scenario, alpha_S)
+    rewards = scenario.rewards
+    sponsor = rewards.perspective == SPONSOR
+    geom_pub = _geometry(params, effects, n, scenario.sigma, mu_S=None, mu_F=None)
+    geom_rew = (
+        _geometry(params, effects, n, scenario.sigma,
+                  mu_S=rewards.mu_S, mu_F=rewards.mu_F)
+        if sponsor else geom_pub
+    )
+    delta_F = pooled_effect(effects, scenario.lambda_S)
+    gain_F = delta_F - rewards.mu_F
+    gain_S = effects.delta_S - rewards.mu_S
+
+    def columns(z):
+        weight = std_normal_pdf(z)
+        alive_f, lo_f = _af_lower(geom_pub, z)
+        p_f = np.where(alive_f, _segment(1.0, 0.0, lo_f, np.inf), 0.0)
+        alive_s, lo_s, hi_s = _as_bounds(geom_pub, z)
+        p_s = np.where(alive_s, _segment(1.0, 0.0, lo_s, hi_s), 0.0)
+        cols = [p_f * weight, p_s * weight]
+        if sponsor:
+            alive_f, lo_f = _af_lower(geom_rew, z)
+            c0 = gain_F + geom_rew.se_F * geom_rew.sq_lam * z
+            c1 = geom_rew.se_F * geom_rew.sq_lamc
+            r_f = np.where(alive_f, _segment(c0, c1, lo_f, np.inf), 0.0)
+            alive_s, lo_s, hi_s = _as_bounds(geom_rew, z)
+            r_s = np.where(
+                alive_s,
+                (gain_S + geom_rew.se_S * z) * _segment(1.0, 0.0, lo_s, hi_s),
+                0.0,
+            )
+            cols += [r_f * weight, r_s * weight]
+        return np.stack(cols, axis=-1)
+
+    breaks = set(region_breakpoints(geom_pub)) | set(region_breakpoints(geom_rew))
+    values = _integrate_multi(columns, breaks)
+    p_f, p_s_only = float(values[0]), float(values[1])
+    cost = _cost_for(STRATIFIED, n, scenario.costs, scenario.lambda_S)
+    if sponsor:
+        reward_F = rewards.NrF * float(values[2])
+        reward_S = scenario.lambda_S * rewards.NrS * float(values[3])
+    else:
+        reward_F = rewards.NrF * gain_F * _clamp01(p_f)
+        reward_S = scenario.lambda_S * rewards.NrS * gain_S * _clamp01(p_s_only)
+    return _assemble(reward_S, reward_F, cost, p_s_only, p_f)

@@ -195,3 +195,16 @@ class TestErrorHandling:
         monkeypatch.setattr(cli, "optimize_family", boom)
         assert main(["optimize", "--config", config_path,
                      "--out", str(tmp_path)]) == 3
+
+    def test_numeric_failure_in_pool_worker_exit_code(self, config_path, tmp_path,
+                                                      monkeypatch):
+        # Patched before the pool forks, so every worker cell raises; the
+        # error must come back through pickling and map to exit code 3.
+        import trialopt.optimizer as optimizer
+
+        def boom(*args, **kwargs):
+            raise IntegrationError("forced", estimate=0.0, error_bound=1.0)
+
+        monkeypatch.setattr(optimizer, "optimize_family", boom)
+        assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
+                     "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3

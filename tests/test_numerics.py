@@ -1,12 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import genz_upper_orthant
 from trialopt.numerics import (
     IntegrationError,
     Interval,
+    bivariate_normal_cdf,
     bivariate_upper_orthant,
     find_root,
     integrate_1d,
@@ -139,6 +142,42 @@ class TestOrthant:
         assert bivariate_upper_orthant(-math.inf, 0.7, 0.5) == pytest.approx(
             1.0 - std_normal_cdf(0.7), abs=1e-15)
 
+    def test_against_genz_oracle_random(self):
+        rng = np.random.default_rng(20261018)
+        for h, k, rho in zip(rng.uniform(-6.0, 6.0, 4000), rng.uniform(-6.0, 6.0, 4000),
+                             rng.uniform(-0.9999, 0.9999, 4000)):
+            h, k, rho = float(h), float(k), float(rho)
+            assert abs(bivariate_upper_orthant(h, k, rho)
+                       - genz_upper_orthant(h, k, rho)) <= 1e-10
+
+    def test_against_genz_oracle_level_regime(self):
+        # the level condition queries h, k in [1.9, 5] at rho = sqrt(lambda_S)
+        rng = np.random.default_rng(7)
+        for h, k, lam in zip(rng.uniform(1.9, 5.0, 1000), rng.uniform(1.9, 5.0, 1000),
+                             rng.uniform(0.01, 0.99, 1000)):
+            rho = math.sqrt(float(lam))
+            assert abs(bivariate_upper_orthant(float(h), float(k), rho)
+                       - genz_upper_orthant(float(h), float(k), rho)) <= 1e-10
+
+
+class TestBivariateCdf:
+    def test_vectorized_against_genz_at_limits(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-5.0, 5.0, 600)
+        y = rng.uniform(-5.0, 5.0, 600)
+        rho = rng.uniform(-0.99, 0.99, 600)
+        x[:40] = 0.0
+        y[20:60] = 0.0
+        x[60:80] = math.inf
+        x[80:100] = -math.inf
+        rho[100:110] = 1.0
+        rho[110:120] = -1.0
+        rho[115] = rho[105] = 0.0
+        got = bivariate_normal_cdf(x, y, rho, np.sqrt((1.0 - rho) * (1.0 + rho)))
+        # P(X <= x, Y <= y) is the upper orthant of (-X, -Y) beyond (-x, -y)
+        want = [genz_upper_orthant(-a, -b, r) for a, b, r in zip(x, y, rho)]
+        assert np.max(np.abs(got - want)) <= 1e-10
+
 
 class TestSegment:
     def test_normalization(self):
@@ -195,6 +234,13 @@ class TestIntegrate1D:
             integrate_1d(f, Interval(0.0, 6.0), abs_tol=1e-14, max_segments=4)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 1e-14
+
+    def test_error_survives_pickling(self):
+        # process pools send worker exceptions back pickled
+        err = IntegrationError("forced", estimate=0.5, error_bound=1e-3)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is IntegrationError
+        assert (str(back), back.estimate, back.error_bound) == ("forced", 0.5, 1e-3)
 
     def test_infinite_interval_truncates(self):
         got = integrate_1d(std_normal_pdf, Interval(-math.inf, math.inf), abs_tol=1e-9)

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trialopt.model import EffectPair, pooled_effect
-from trialopt.numerics import bivariate_upper_orthant, std_normal_quantile
+from trialopt.numerics import Interval, bivariate_upper_orthant, std_normal_quantile
 from trialopt.testing import (
     RegionSlice,
     StratifiedTestParams,
@@ -212,3 +215,30 @@ class TestRegionSlices:
                                     EffectPair(0.3, 0.0), 120, scenario.lambda_S, 1.0)
                 assert isinstance(slc, RegionSlice)
                 assert len(slc.intervals) <= 3
+
+    def test_lambda_mismatch_rejected_under_optimize_flag(self):
+        # python -O strips assert statements; the check must still fire
+        code = (
+            "from trialopt.model import EffectPair\n"
+            "from trialopt.testing import params_for_scenario, region_slices\n"
+            "from conftest import make_scenario\n"
+            "s = make_scenario()\n"
+            "try:\n"
+            "    region_slices('A_F', 0.0, params_for_scenario(s, 0.01),\n"
+            "                  EffectPair(0.0, 0.0), 100, 0.6, 1.0)\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "rejected"
+
+    def test_slice_invariants_are_checked(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            RegionSlice((Interval(0.0, 2.0), Interval(1.0, 3.0)))
+        with pytest.raises(ValueError, match="at most 3"):
+            RegionSlice(tuple(Interval(float(i), i + 0.5) for i in range(4)))

@@ -1,6 +1,8 @@
+import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from trialopt.mc_oracle import SimConfig, mc_expected_utility
@@ -12,9 +14,11 @@ from trialopt.utility import (
     eu_prior_averaged,
     eu_stratified,
     prior_averaged,
+    stratified_grid_row,
 )
 from trialopt.model import builtin_prior, DiscretePrior
-from conftest import CASE1, make_scenario
+from conftest import CASE1, CASE3, make_scenario
+from oracles import adaptive_stratified, assert_matches_oracle
 
 
 def with_rewards(scenario, **kw):
@@ -151,6 +155,35 @@ class TestStratified:
     def test_alpha_S_domain(self, scenario):
         with pytest.raises(ValueError):
             eu_stratified(EffectPair(0.3, 0.0), 100, 0.03, scenario)
+
+
+class TestStratifiedClosedForm:
+    # Domain edges: extreme prevalences, n up to 1e6, alpha_S at 0, at a
+    # vanishing weight, mid and full alpha, consistency thresholds that
+    # disable (0), default (0.3) or drop (1) the checks, effect pairs from
+    # null to strongly predictive, both perspectives.
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    @pytest.mark.parametrize("lam", [0.001, 0.02, 0.5, 0.98, 0.999])
+    def test_edge_set_matches_quadrature_oracle(self, lam, perspective):
+        effects = [EffectPair(0.3, 0.1), EffectPair(0.0, 0.0),
+                   EffectPair(0.5, -0.2), EffectPair(0.2, 0.2)]
+        for tau in (0.0, 0.3, 1.0):
+            scenario = make_scenario(lambda_S=lam, perspective=perspective,
+                                     case=CASE1, tau_S=tau, tau_Sc=tau)
+            alphas = (0.0, 1e-9, scenario.alpha / 2, scenario.alpha)
+            for n, alpha_S, atom in itertools.product((50, 1e3, 1e6), alphas, effects):
+                assert_matches_oracle(eu_stratified(atom, n, alpha_S, scenario),
+                                      adaptive_stratified(atom, n, alpha_S, scenario))
+
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    def test_batched_row_equals_pointwise(self, perspective):
+        scenario = make_scenario(lambda_S=0.35, perspective=perspective, case=CASE3)
+        alphas = [float(a) for a in np.linspace(0.0, scenario.alpha, 21)]
+        for n in (50, 230.5, 3000):
+            row = stratified_grid_row(n, alphas, scenario)[0]
+            want = [prior_averaged("stratified", n, a, scenario).expected_utility
+                    for a in alphas]
+            assert np.max(np.abs(row - want)) <= 1e-12
 
 
 class TestSponsorMonotonicity:
