@@ -20,8 +20,8 @@ from typing import Optional
 
 from . import __version__
 from .model import (
-    NO_TRIAL,
     STRATIFIED,
+    TRIAL_KINDS,
     ConfigError,
     DesignSpec,
     EffectPair,
@@ -46,15 +46,12 @@ from .numerics import NumericError
 from .optimizer import (
     GridConfig,
     OptimizationOutcome,
-    no_trial_outcome,
-    optimize_family,
+    decide,
     sweep_contour,
     sweep_prevalence,
-    _select,
 )
-from .model import TRIAL_KINDS
 from .testing import alpha_F_given_alpha_S
-from .utility import eu_prior_averaged
+from .utility import _FIELDS, eu_prior_averaged
 
 _SCHEMA_PREFIX = "trialopt"
 _SCHEMA_VERSION = 1
@@ -176,12 +173,7 @@ def _manifest(command: str, scenario, grid, seed, started, t0) -> RunManifest:
     return RunManifest(
         command=command,
         scenario=scenario_to_mapping(scenario),
-        grid={
-            "n_grid": list(grid.n_grid),
-            "alpha_points": grid.alpha_points,
-            "refine": grid.refine,
-            "refine_tol": grid.refine_tol,
-        } if grid else None,
+        grid=asdict(grid) if grid else None,
         seed=seed,
         version=__version__,
         started_utc=started,
@@ -208,10 +200,6 @@ def _emit(out_dir, command: str, manifest: RunManifest, header, rows,
     print(f"wrote {', '.join(manifest.outputs)} and {manifest_path}")
 
 
-_RESULT_FIELDS = ("expected_utility", "prob_reject_S_only", "prob_reject_F",
-                  "power_any", "expected_reward_S", "expected_reward_F", "cost")
-
-
 def _outcome_cells(outcome: OptimizationOutcome) -> list:
     design = outcome.best_design
     return [design.n, design.alpha_S, outcome.derived_alpha_F,
@@ -223,11 +211,11 @@ def _cmd_evaluate(args) -> None:
     scenario, grid, _ = _load_run_inputs(args)
     design = _design_from_args(args, scenario)
     result = eu_prior_averaged(design, scenario)
-    header = ["design", "n", "alpha_S", "alpha_F", *_RESULT_FIELDS]
+    header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
     alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
                if design.kind == STRATIFIED else None)
     rows = [[design.label, design.n, design.alpha_S, alpha_F,
-             *[getattr(result, f) for f in _RESULT_FIELDS]]]
+             *[getattr(result, f) for f in _FIELDS]]]
     _emit(args.out, "evaluate", _manifest("evaluate", scenario, None, None, started, t0),
           header, rows)
 
@@ -235,19 +223,13 @@ def _cmd_evaluate(args) -> None:
 def _cmd_optimize(args) -> None:
     t0, started = time.monotonic(), _utc_now()
     scenario, grid, _ = _load_run_inputs(args)
-    outcomes = {family: optimize_family(family, scenario, grid)
-                for family in TRIAL_KINDS}
-    selected = _select(outcomes)
-    header = ["family", "selected", "n", "alpha_S", "alpha_F", *_RESULT_FIELDS]
+    outcomes, selected = decide(scenario, grid)
+    header = ["family", "selected", "n", "alpha_S", "alpha_F", *_FIELDS]
     rows = []
-    for family in (NO_TRIAL, *TRIAL_KINDS):
-        outcome = no_trial_outcome() if family == NO_TRIAL else outcomes[family]
-        rows.append([
-            outcome.best_design.label, int(family == selected),
-            outcome.best_design.n, outcome.best_design.alpha_S,
-            outcome.derived_alpha_F,
-            *[getattr(outcome.result, f) for f in _RESULT_FIELDS],
-        ])
+    for family, outcome in outcomes.items():
+        design = outcome.best_design
+        rows.append([design.label, int(family == selected), design.n, design.alpha_S,
+                     outcome.derived_alpha_F, *[getattr(outcome.result, f) for f in _FIELDS]])
     _emit(args.out, "optimize", _manifest("optimize", scenario, grid, None, started, t0),
           header, rows)
 
@@ -268,14 +250,10 @@ def _cmd_sweep(args) -> None:
     for row in rows_data:
         cells = [row.lambda_S]
         for family in TRIAL_KINDS:
-            cells += _outcome_cells(row.outcomes[family])
-        cells.append(row.outcomes[row.selected].best_design.label
-                     if row.selected != NO_TRIAL else "NoTrial")
-        rows.append(cells)
-        for family in TRIAL_KINDS:
-            for metric, value in zip(_SWEEP_METRICS,
-                                     _outcome_cells(row.outcomes[family])):
-                long_rows.append([row.lambda_S, family, metric, value])
+            values = _outcome_cells(row.outcomes[family])
+            cells += values
+            long_rows += [[row.lambda_S, family, m, v] for m, v in zip(_SWEEP_METRICS, values)]
+        rows.append(cells + [row.outcomes[row.selected].best_design.label])
     _emit(args.out, "sweep", _manifest("sweep", scenario, grid, None, started, t0),
           header, rows,
           long_rows=long_rows if args.figures else None,
@@ -358,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable; wins over the file)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep/contour cells")
+                       help="worker processes for sweep/contour cells (at least 1; "
+                            "never more than the cells)")
 
     def design_flags(p):
         p.add_argument("--design", required=True,

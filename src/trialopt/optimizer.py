@@ -32,7 +32,7 @@ from .model import (
 )
 from .numerics import NumericError
 from .testing import alpha_F_given_alpha_S
-from .utility import EvaluationResult, _ZERO_RESULT, prior_averaged, stratified_grid_row
+from .utility import EvaluationResult, _ZERO_RESULT, grid_row, prior_averaged
 
 # Exact utility ties resolve towards the cheaper commitment.
 _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
@@ -56,7 +56,6 @@ class GridConfig:
     alpha_points: int = 21
     refine: bool = True
     refine_tol: float = 1e-6
-    keep_trace: bool = False
 
     def __post_init__(self):
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -113,7 +112,6 @@ class OptimizationOutcome:
     best_design: DesignSpec
     result: EvaluationResult
     derived_alpha_F: Optional[float] = None
-    trace: Optional[Tuple[Tuple[Tuple[float, ...], float], ...]] = None
 
     @property
     def expected_utility(self) -> float:
@@ -126,18 +124,15 @@ def no_trial_outcome() -> OptimizationOutcome:
 
 def _grid_scores(family: str, scenario: Scenario, config: GridConfig):
     """Stage-1 grid points with their prior-averaged expected utilities,
-    n-major and alpha_S-minor. Stratified rows are scored one n at a time
-    in a single batched evaluation over the alpha_S grid."""
+    n-major and alpha_S-minor. Each n row is scored in a single batched
+    evaluation over the alpha_S grid (``[None]`` for the one-test
+    families)."""
     ns = [scenario.n_min] + [n for n in config.n_grid if n > scenario.n_min]
-    if family == STRATIFIED:
-        alphas = [float(a) for a in np.linspace(0.0, scenario.alpha,
-                                                config.alpha_points)]
-        for n in ns:
-            row = stratified_grid_row(n, alphas, scenario)[0]
-            yield from (((n, a), float(eu)) for a, eu in zip(alphas, row))
-    else:
-        for n in ns:
-            yield (n, None), prior_averaged(family, n, None, scenario).expected_utility
+    alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
+              if family == STRATIFIED else [None])
+    for n in ns:
+        row = grid_row(family, n, alphas, scenario)[0]
+        yield from (((n, a), float(eu)) for a, eu in zip(alphas, row))
 
 
 def optimize_family(family: str, scenario: Scenario,
@@ -147,33 +142,25 @@ def optimize_family(family: str, scenario: Scenario,
         raise ValueError(f"family must be one of {TRIAL_KINDS}, got {family!r}")
     config = grid_config or GridConfig()
 
-    def objective(n: float, alpha_S: Optional[float]) -> float:
+    def objective(n: float, alpha_S: Optional[float] = None) -> float:
         return prior_averaged(family, n, alpha_S, scenario).expected_utility
 
-    trace = [] if config.keep_trace else None
     best_n, best_alpha, best_eu = None, None, -math.inf
     for (n, alpha_S), eu in _grid_scores(family, scenario, config):
-        if trace is not None:
-            trace.append(((float(n),) if alpha_S is None else (float(n), alpha_S), eu))
         if eu > best_eu:
             best_n, best_alpha, best_eu = n, alpha_S, eu
     grid_eu = best_eu
 
     if config.refine:
-        n_cap = 2.0 * max(config.n_grid)
-        if family == STRATIFIED:
-            x0 = np.array([float(best_n), best_alpha])
-            bounds = [(float(scenario.n_min), n_cap), (0.0, scenario.alpha)]
-            fun = lambda x: -objective(x[0], x[1])
-        else:
-            x0 = np.array([float(best_n)])
-            bounds = [(float(scenario.n_min), n_cap)]
-            fun = lambda x: -objective(x[0], None)
-        res = minimize(fun, x0, method="Nelder-Mead", bounds=bounds,
+        # Nelder-Mead over n, and over alpha_S too where the grid has one.
+        x0 = [float(best_n)] if best_alpha is None else [float(best_n), best_alpha]
+        bounds = [(float(scenario.n_min), 2.0 * max(config.n_grid)), (0.0, scenario.alpha)]
+        res = minimize(lambda x: -objective(*x), np.array(x0), method="Nelder-Mead",
+                       bounds=bounds[:len(x0)],
                        options={"fatol": config.refine_tol, "xatol": 1e-3,
                                 "maxiter": 400, "maxfev": 600})
         n_star = float(res.x[0])
-        alpha_star = float(res.x[1]) if family == STRATIFIED else None
+        alpha_star = None if best_alpha is None else float(res.x[1])
         for n_int in sorted({max(scenario.n_min, math.floor(n_star)),
                              max(scenario.n_min, math.ceil(n_star))}):
             eu = objective(n_int, alpha_star)
@@ -182,50 +169,44 @@ def optimize_family(family: str, scenario: Scenario,
 
     if best_eu < grid_eu:
         raise NumericError(f"refinement lost to the grid: {best_eu!r} < {grid_eu!r}")
-    design = (DesignSpec.stratified(best_n, best_alpha) if family == STRATIFIED
-              else DesignSpec(family, n=best_n))
+    design = DesignSpec(family, n=best_n, alpha_S=best_alpha)
     result = prior_averaged(family, best_n, best_alpha, scenario)
     derived = (alpha_F_given_alpha_S(best_alpha, scenario.lambda_S, scenario.alpha)
                if family == STRATIFIED else None)
-    return OptimizationOutcome(design, result, derived,
-                               tuple(trace) if trace is not None else None)
+    return OptimizationOutcome(design, result, derived)
 
 
 def _select(outcomes: dict) -> str:
-    """Pick the best candidate, breaking exact ties towards simplicity."""
-    selected = NO_TRIAL
-    best = 0.0
-    for kind in _PREFERENCE[1:]:
-        eu = outcomes[kind].expected_utility
-        if eu > best:
-            selected, best = kind, eu
-    return selected
+    """Kind of the best outcome; max keeps the first of tied kinds."""
+    return max(_PREFERENCE, key=lambda kind: outcomes[kind].expected_utility)
+
+
+def decide(scenario: Scenario,
+           grid_config: Optional[GridConfig] = None) -> Tuple[dict, str]:
+    """The design decision: the optimal outcome of every family, keyed by
+    kind in the order no trial (utility 0), then TRIAL_KINDS, and the kind
+    selected among them."""
+    outcomes = {NO_TRIAL: no_trial_outcome()}
+    for family in TRIAL_KINDS:
+        outcomes[family] = optimize_family(family, scenario, grid_config)
+    return outcomes, _select(outcomes)
 
 
 def select_design(scenario: Scenario,
                   grid_config: Optional[GridConfig] = None) -> OptimizationOutcome:
     """Best design overall, including the no-trial baseline at utility 0."""
-    outcomes = {family: optimize_family(family, scenario, grid_config)
-                for family in TRIAL_KINDS}
-    selected = _select(outcomes)
-    if selected == NO_TRIAL:
-        return no_trial_outcome()
+    outcomes, selected = decide(scenario, grid_config)
     return outcomes[selected]
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Per-prevalence optimization summary across all families."""
+    """Per-prevalence decision: every family's optimum (no trial included)
+    and the selected kind."""
 
     lambda_S: float
     outcomes: dict
     selected: str
-
-    @property
-    def selected_outcome(self) -> OptimizationOutcome:
-        if self.selected == NO_TRIAL:
-            return no_trial_outcome()
-        return self.outcomes[self.selected]
 
 
 @dataclass(frozen=True)
@@ -244,11 +225,21 @@ def _clamp_lambda(values) -> list:
     return [float(min(hi, max(lo, v))) for v in values]
 
 
+def _map_cells(cell, tasks: list, jobs: int) -> list:
+    """``cell`` applied to every task in order: serially, or in a process
+    pool with at most one worker per task."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [cell(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(cell, tasks))
+
+
 def _sweep_cell(args) -> SweepRow:
     scenario, grid_config = args
-    outcomes = {family: optimize_family(family, scenario, grid_config)
-                for family in TRIAL_KINDS}
-    return SweepRow(scenario.lambda_S, outcomes, _select(outcomes))
+    return SweepRow(scenario.lambda_S, *decide(scenario, grid_config))
 
 
 def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],
@@ -257,20 +248,13 @@ def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],
     """Optimize every family at each prevalence (clamped to [0.05, 0.95])."""
     tasks = [(scenario_template.with_lambda(lam), grid_config)
              for lam in _clamp_lambda(lambda_grid)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, tasks))
-    return [_sweep_cell(t) for t in tasks]
+    return _map_cells(_sweep_cell, tasks, jobs)
 
 
 def _contour_cell(args) -> ContourCell:
     scenario, delta, prior_kind, grid_config = args
     scenario = scenario.with_prior(builtin_prior(prior_kind, delta))
-    outcomes = {family: optimize_family(family, scenario, grid_config)
-                for family in TRIAL_KINDS}
-    selected = _select(outcomes)
-    if selected == NO_TRIAL:
-        return ContourCell(scenario.lambda_S, delta, NO_TRIAL, None, 0.0)
+    outcomes, selected = decide(scenario, grid_config)
     best = outcomes[selected]
     return ContourCell(scenario.lambda_S, delta, selected,
                        best.best_design.n, best.expected_utility)
@@ -287,10 +271,6 @@ def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
         raise ValueError("effect-size grid must be nonnegative")
     tasks = [(scenario_template.with_lambda(lam), delta, prior_kind, grid_config)
              for delta in deltas for lam in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_contour_cell, tasks))
-    else:
-        cells = [_contour_cell(t) for t in tasks]
+    cells = _map_cells(_contour_cell, tasks, jobs)
     width = len(lams)
     return [cells[i * width:(i + 1) * width] for i in range(len(deltas))]

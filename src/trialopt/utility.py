@@ -6,8 +6,9 @@ The stratified design is closed-form as well: between consecutive
 breakpoints of the region geometry from :mod:`trialopt.testing`, every
 region bound in z_Sc is one straight line a + b z_S, so each probability
 and reward integral over z_S is a sum of bivariate-normal and
-normal-density terms. One kernel scores a whole batch of (atom, alpha_S)
-settings at a time.
+normal-density terms. Each family has one array kernel that scores a
+whole batch of (atom, alpha_S) settings at a time; :func:`grid_row`
+averages it over the prior.
 """
 
 from __future__ import annotations
@@ -67,25 +68,6 @@ class EvaluationResult:
             raise ValueError("disjoint approval probabilities exceed 1")
 
 
-def _clamp01(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
-def _assemble(reward_S: float, reward_F: float, cost: float,
-              p_s_only: float, p_f: float) -> EvaluationResult:
-    p_s_only = _clamp01(p_s_only)
-    p_f = _clamp01(p_f)
-    return EvaluationResult(
-        expected_utility=reward_S + reward_F - cost,
-        prob_reject_S_only=p_s_only,
-        prob_reject_F=p_f,
-        power_any=_clamp01(p_s_only + p_f),
-        expected_reward_S=reward_S,
-        expected_reward_F=reward_F,
-        cost=cost,
-    )
-
-
 _ZERO_RESULT = EvaluationResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -110,49 +92,55 @@ def _check_n(n: float, scenario: Scenario) -> float:
     return n
 
 
-def _single_test_result(delta: float, mu: float, scale: float, variance: float,
-                        scenario: Scenario, cost: float, branch: str) -> EvaluationResult:
-    """Shared closed form for the one-hypothesis designs.
+def _result(fields) -> EvaluationResult:
+    return EvaluationResult(*(float(f) for f in fields))
 
-    branch is 'S' (enrichment: only the subgroup approval exists) or 'F'
-    (classical: only the full-population approval exists).
+
+def _single_test_fields(kind: str, atoms, n: float, scenario: Scenario) -> np.ndarray:
+    """Evaluation fields of the enrichment (subgroup test, subgroup
+    approval) or the classical design (pooled test, full approval) for
+    every atom: an array of shape (7, len(atoms), 1) in EvaluationResult
+    field order, from the truncated-normal closed form of the z-test.
     """
-    se = math.sqrt(variance)
+    n = _check_n(n, scenario)
+    lam = scenario.lambda_S
+    rewards = scenario.rewards
+    if kind == ENRICHMENT:
+        delta = [e.delta_S for e in atoms]
+        variance = [2.0 * scenario.sigma ** 2 / n] * len(atoms)
+        mu, scale = rewards.mu_S, lam * rewards.NrS
+    else:
+        delta = [pooled_effect(e, lam) for e in atoms]
+        variance = [classical_variance(e, lam, scenario.sigma, n) for e in atoms]
+        mu, scale = rewards.mu_F, rewards.NrF
+    delta = np.array(delta)[:, None]
+    se = np.sqrt(variance)[:, None]
     crit = _one_sided_critical(scenario.alpha)
-    p_reject = float(ndtr(delta / se - crit))
-    if scenario.rewards.perspective == SPONSOR:
-        kappa = (max(crit * se, mu) - delta) / se
-        reward = scale * ((1.0 - float(ndtr(kappa))) * (delta - mu)
-                          + se * float(std_normal_pdf(kappa)))
+    p_reject = ndtr(delta / se - crit)
+    if rewards.perspective == SPONSOR:
+        kappa = (np.maximum(crit * se, mu) - delta) / se
+        reward = scale * ((1.0 - ndtr(kappa)) * (delta - mu) + se * std_normal_pdf(kappa))
     else:
         reward = scale * (delta - mu) * p_reject
-    if branch == "S":
-        return _assemble(reward, 0.0, cost, p_reject, 0.0)
-    return _assemble(0.0, reward, cost, 0.0, p_reject)
+    p_reject = np.clip(p_reject, 0.0, 1.0)
+    zero = np.zeros(p_reject.shape)
+    if kind == ENRICHMENT:
+        p_s, p_f, reward_S, reward_F = p_reject, zero, reward, zero
+    else:
+        p_s, p_f, reward_S, reward_F = zero, p_reject, zero, reward
+    cost = np.full(p_reject.shape, _cost_for(kind, n, scenario.costs, lam))
+    return np.stack((reward_S + reward_F - cost, p_s, p_f,
+                     np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
 
 def eu_enrichment(effects: EffectPair, n: float, scenario: Scenario) -> EvaluationResult:
     """Expected utility of the enrichment design given true effects."""
-    n = _check_n(n, scenario)
-    cost = _cost_for(ENRICHMENT, n, scenario.costs, scenario.lambda_S)
-    return _single_test_result(
-        delta=effects.delta_S, mu=scenario.rewards.mu_S,
-        scale=scenario.lambda_S * scenario.rewards.NrS,
-        variance=2.0 * scenario.sigma ** 2 / n,
-        scenario=scenario, cost=cost, branch="S",
-    )
+    return _result(_single_test_fields(ENRICHMENT, (effects,), n, scenario)[:, 0, 0])
 
 
 def eu_classical(effects: EffectPair, n: float, scenario: Scenario) -> EvaluationResult:
     """Expected utility of the classical full-population design."""
-    n = _check_n(n, scenario)
-    cost = _cost_for(CLASSICAL, n, scenario.costs, scenario.lambda_S)
-    return _single_test_result(
-        delta=pooled_effect(effects, scenario.lambda_S), mu=scenario.rewards.mu_F,
-        scale=scenario.rewards.NrF,
-        variance=classical_variance(effects, scenario.lambda_S, scenario.sigma, n),
-        scenario=scenario, cost=cost, branch="F",
-    )
+    return _result(_single_test_fields(CLASSICAL, (effects,), n, scenario)[:, 0, 0])
 
 
 def _pieces(geom):
@@ -264,10 +252,6 @@ def _stratified_fields(atoms, n: float, alpha_S, scenario: Scenario) -> np.ndarr
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
 
-def _result(fields) -> EvaluationResult:
-    return EvaluationResult(*(float(f) for f in fields))
-
-
 def eu_stratified(effects: EffectPair, n: float, alpha_S: float,
                   scenario: Scenario) -> EvaluationResult:
     """Expected utility of the stratified design with subgroup weight alpha_S.
@@ -277,20 +261,6 @@ def eu_stratified(effects: EffectPair, n: float, alpha_S: float,
     closed form.
     """
     return _result(_stratified_fields((effects,), n, (alpha_S,), scenario)[:, 0, 0])
-
-
-def evaluate_design(kind: str, n: Optional[float], alpha_S: Optional[float],
-                    effects: EffectPair, scenario: Scenario) -> EvaluationResult:
-    """Per-effects evaluation of any design family (n may be fractional)."""
-    if kind == NO_TRIAL:
-        return _ZERO_RESULT
-    if kind == ENRICHMENT:
-        return eu_enrichment(effects, n, scenario)
-    if kind == CLASSICAL:
-        return eu_classical(effects, n, scenario)
-    if kind == STRATIFIED:
-        return eu_stratified(effects, n, alpha_S, scenario)
-    raise ValueError(f"unknown design kind {kind!r}")
 
 
 def _atom_key(kind: str, effects: EffectPair) -> Tuple[float, ...]:
@@ -313,23 +283,25 @@ def _merged_atoms(kind: str, scenario: Scenario):
     return [(effects, math.fsum(weights)) for effects, weights in groups.values()]
 
 
-def _weighted_total(weighted_fields):
-    """Sum of weight * fields over (weight, fields) pairs, in prior order."""
-    total = 0.0
-    for weight, fields in weighted_fields:
-        total = total + weight * fields
-    return total
-
-
-def stratified_grid_row(n: float, alphas, scenario: Scenario) -> np.ndarray:
-    """Prior-averaged evaluation of the stratified design at size n for
-    every alpha_S in ``alphas``, in one batched call: an array of shape
-    (7, len(alphas)) in EvaluationResult field order, probabilities not
-    yet clamped. Row 0 holds the expected utilities.
+def grid_row(kind: str, n: float, alphas, scenario: Scenario) -> np.ndarray:
+    """Prior-averaged evaluation of a trial design at size n for every
+    alpha_S in ``alphas`` (``[None]`` for the one-test families), in one
+    batched call: an array of shape (7, len(alphas)) in EvaluationResult
+    field order, probabilities not yet clamped. Row 0 holds the expected
+    utilities.
     """
-    merged = _merged_atoms(STRATIFIED, scenario)
-    fields = _stratified_fields([e for e, _ in merged], n, alphas, scenario)
-    return _weighted_total(zip([w for _, w in merged], np.moveaxis(fields, 1, 0)))
+    merged = _merged_atoms(kind, scenario)
+    atoms = [e for e, _ in merged]
+    if kind == STRATIFIED:
+        fields = _stratified_fields(atoms, n, alphas, scenario)
+    elif kind in (CLASSICAL, ENRICHMENT):
+        fields = _single_test_fields(kind, atoms, n, scenario)
+    else:
+        raise ValueError(f"unknown design kind {kind!r}")
+    total = 0.0
+    for (_, weight), atom_fields in zip(merged, np.moveaxis(fields, 1, 0)):
+        total = total + weight * atom_fields
+    return total
 
 
 def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
@@ -342,13 +314,7 @@ def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
     """
     if kind == NO_TRIAL:
         return _ZERO_RESULT
-    if kind == STRATIFIED:
-        totals = stratified_grid_row(n, (alpha_S,), scenario)[:, 0]
-    else:
-        totals = _weighted_total(
-            (weight, np.array([getattr(evaluate_design(kind, n, alpha_S, effects, scenario), f)
-                               for f in _FIELDS]))
-            for effects, weight in _merged_atoms(kind, scenario))
+    totals = grid_row(kind, n, (alpha_S,), scenario)[:, 0]
     totals[1:4] = np.clip(totals[1:4], 0.0, 1.0)
     return _result(totals)
 

@@ -9,6 +9,10 @@
   infinite limits truncated at 8 SDs. Its region slices are taken pointwise
   as the maximum of the constraint lines, independently of the active-line
   selection the closed form makes per piece.
+- :func:`scalar_single_test` is the classical or enrichment expected
+  utility for one atom in scalar arithmetic, one validated result per
+  call: the form the library used before the array kernel, which must
+  reproduce it bit for bit.
 """
 
 import math
@@ -16,11 +20,11 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from trialopt.model import SPONSOR, STRATIFIED, pooled_effect
+from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, pooled_effect
 from trialopt.model import _cost_for
-from trialopt.numerics import _adaptive_gk, _segment, std_normal_pdf
+from trialopt.numerics import _adaptive_gk, _one_sided_critical, _segment, std_normal_pdf
 from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
-from trialopt.utility import _assemble, _check_n, _clamp01
+from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -124,6 +128,43 @@ def genz_upper_orthant(h: float, k: float, rho: float) -> float:
     if rho > 0.0:
         return bvn + float(ndtr(-max(h, kk)))
     return -bvn + max(0.0, float(ndtr(-h) - ndtr(-kk)))
+
+
+def _clamp01(p: float) -> float:
+    return min(1.0, max(0.0, p))
+
+
+def _assemble(reward_S, reward_F, cost, p_s_only, p_f) -> EvaluationResult:
+    p_s_only, p_f = _clamp01(p_s_only), _clamp01(p_f)
+    return EvaluationResult(reward_S + reward_F - cost, p_s_only, p_f,
+                            _clamp01(p_s_only + p_f), reward_S, reward_F, cost)
+
+
+def scalar_single_test(kind, effects, n, scenario):
+    """Classical or enrichment expected utility of one atom, scalar form."""
+    n = _check_n(n, scenario)
+    rewards = scenario.rewards
+    if kind == ENRICHMENT:
+        delta, mu = effects.delta_S, rewards.mu_S
+        scale = scenario.lambda_S * rewards.NrS
+        variance = 2.0 * scenario.sigma ** 2 / n
+    else:
+        delta, mu = pooled_effect(effects, scenario.lambda_S), rewards.mu_F
+        scale = rewards.NrF
+        variance = classical_variance(effects, scenario.lambda_S, scenario.sigma, n)
+    cost = _cost_for(kind, n, scenario.costs, scenario.lambda_S)
+    se = math.sqrt(variance)
+    crit = _one_sided_critical(scenario.alpha)
+    p_reject = float(ndtr(delta / se - crit))
+    if rewards.perspective == SPONSOR:
+        kappa = (max(crit * se, mu) - delta) / se
+        reward = scale * ((1.0 - float(ndtr(kappa))) * (delta - mu)
+                          + se * float(std_normal_pdf(kappa)))
+    else:
+        reward = scale * (delta - mu) * p_reject
+    if kind == ENRICHMENT:
+        return _assemble(reward, 0.0, cost, p_reject, 0.0)
+    return _assemble(0.0, reward, cost, 0.0, p_reject)
 
 
 # Accuracy contract of the closed form against the quadrature oracle.

@@ -56,6 +56,14 @@ class TestOptimizeCommand:
             assert os.path.exists(output)
         assert manifest.scenario["lambda_S"] == 0.5
 
+    def test_zero_rewards_select_no_trial(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", config_path, "--out", str(out),
+                     "--set", "reward.NrS=0", "--set", "reward.NrF=0"]) == 0
+        header, rows = read_rows(out / "optimize.csv")
+        assert {r[0]: r[1] for r in rows} == {
+            "NoTrial": "1", "Classical": "0", "Stratified": "0", "Enrichment": "0"}
+
 
 class TestEvaluateCommand:
     def test_single_row_with_full_precision(self, config_path, tmp_path):
@@ -91,6 +99,19 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert header[0] == "lambda_S"
         assert rows[0][-1] == "Stratified"
+
+    def test_zero_rewards_select_no_trial(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "--lambda-grid", "0.5:0.5:1",
+                     "--set", "reward.NrS=0", "--set", "reward.NrF=0"]) == 0
+        header, rows = read_rows(out / "sweep.csv")
+        assert rows[0][header.index("selected")] == "NoTrial"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, config_path, tmp_path, jobs):
+        assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
+                     "--lambda-grid", "0.3,0.6", "--jobs", jobs]) == 2
 
     def test_figures_flag_writes_long_format(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -187,12 +208,12 @@ class TestErrorHandling:
         assert eu == pytest.approx(-6.0, abs=1e-12)
 
     def test_numeric_failure_exit_code(self, config_path, tmp_path, monkeypatch):
-        import trialopt.cli as cli
+        import trialopt.optimizer as optimizer
 
         def boom(*args, **kwargs):
             raise IntegrationError("forced", estimate=0.0, error_bound=1.0)
 
-        monkeypatch.setattr(cli, "optimize_family", boom)
+        monkeypatch.setattr(optimizer, "optimize_family", boom)
         assert main(["optimize", "--config", config_path,
                      "--out", str(tmp_path)]) == 3
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from trialopt import optimizer
 from trialopt.model import ConfigError, DesignSpec
 from trialopt.optimizer import (
     ContourCell,
@@ -80,10 +81,9 @@ class TestOptimizeFamily:
 
     def test_refinement_never_loses(self):
         scenario = make_scenario(lambda_S=0.35)
-        config = replace(FAST, keep_trace=True)
-        outcome = optimize_family("stratified", scenario, config)
-        grid_best = max(eu for _, eu in outcome.trace)
-        assert outcome.result.expected_utility >= grid_best
+        grid_only = optimize_family("stratified", scenario, replace(FAST, refine=False))
+        refined = optimize_family("stratified", scenario, FAST)
+        assert refined.expected_utility >= grid_only.expected_utility
 
     def test_deterministic(self):
         scenario = make_scenario(lambda_S=0.6, case=CASE1)
@@ -155,6 +155,13 @@ class TestSweeps:
         direct = select_design(scenario.with_lambda(0.5), FAST)
         assert cell.selected == direct.best_design.kind
 
+    def test_contour_zero_rewards_cell_is_no_trial(self):
+        scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
+        cell = sweep_contour(scenario, [0.5], [0.3], "weak", FAST)[0][0]
+        assert cell.selected == "no_trial"
+        assert cell.n_opt is None
+        assert cell.expected_utility == 0.0
+
     def test_contour_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             sweep_contour(make_scenario(), [0.5], [-0.1], "weak", FAST)
@@ -169,6 +176,51 @@ class TestSweeps:
                 assert a.outcomes[family].best_design == b.outcomes[family].best_design
                 assert (a.outcomes[family].result.expected_utility
                         == b.outcomes[family].result.expected_utility)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of the process pool, replaced by a serial
+    stand-in so that no test starts a pool of that size."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestCellPool:
+    TINY = GridConfig(n_grid=(50, 200), alpha_points=2, refine=False)
+
+    def test_workers_capped_at_cell_count(self, pool_sizes):
+        rows = sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=500)
+        assert pool_sizes == [2]
+        assert [r.lambda_S for r in rows] == [0.3, 0.6]
+        sweep_contour(make_scenario(), [0.3, 0.6], [0.0, 0.3], "weak", self.TINY, jobs=3)
+        assert pool_sizes == [2, 3]
+
+    def test_single_cell_runs_serially(self, pool_sizes):
+        sweep_prevalence(make_scenario(), [0.5], self.TINY, jobs=500)
+        sweep_contour(make_scenario(), [0.5], [0.3], "weak", self.TINY, jobs=8)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, pool_sizes, jobs):
+        with pytest.raises(ConfigError):
+            sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=jobs)
+        assert pool_sizes == []
 
 
 class TestNoTrialOutcome:

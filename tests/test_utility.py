@@ -13,12 +13,13 @@ from trialopt.utility import (
     eu_enrichment,
     eu_prior_averaged,
     eu_stratified,
+    grid_row,
     prior_averaged,
-    stratified_grid_row,
 )
+from trialopt.utility import _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
 from conftest import CASE1, CASE3, make_scenario
-from oracles import adaptive_stratified, assert_matches_oracle
+from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
 
 
 def with_rewards(scenario, **kw):
@@ -180,10 +181,39 @@ class TestStratifiedClosedForm:
         scenario = make_scenario(lambda_S=0.35, perspective=perspective, case=CASE3)
         alphas = [float(a) for a in np.linspace(0.0, scenario.alpha, 21)]
         for n in (50, 230.5, 3000):
-            row = stratified_grid_row(n, alphas, scenario)[0]
+            row = grid_row("stratified", n, alphas, scenario)[0]
             want = [prior_averaged("stratified", n, a, scenario).expected_utility
                     for a in alphas]
             assert np.max(np.abs(row - want)) <= 1e-12
+
+
+class TestSingleTestArrayKernel:
+    # The array kernel must reproduce the scalar closed form bit for bit,
+    # per atom and prior-averaged, over the n range the optimizer searches.
+    @pytest.mark.parametrize("kind", ["classical", "enrichment"])
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    @pytest.mark.parametrize("prior", ["weak", "strong", "prognostic"])
+    def test_equals_scalar_oracle(self, kind, perspective, prior):
+        scenario = make_scenario(lambda_S=0.35, perspective=perspective, case=CASE3)
+        if prior == "prognostic":
+            scenario = scenario.with_prior(DiscretePrior((
+                (EffectPair(0.3, 0.1, prognostic_offset=0.2), 0.3),
+                (EffectPair(0.0, 0.0, prognostic_offset=-0.15), 0.3),
+                (EffectPair(0.45, -0.1, prognostic_offset=0.05), 0.4))))
+        else:
+            scenario = scenario.with_prior(builtin_prior(prior, 0.3))
+        evaluate = eu_classical if kind == "classical" else eu_enrichment
+        ns = [*np.linspace(scenario.n_min, 3000, 40), 61.5, 3000]
+        for n in ns:
+            for effects, _ in scenario.prior:
+                assert evaluate(effects, n, scenario) == \
+                    scalar_single_test(kind, effects, n, scenario)
+            # Prior average: merged atoms summed in prior order, as before.
+            want = 0.0
+            for effects, weight in _merged_atoms(kind, scenario):
+                fields = vars(scalar_single_test(kind, effects, n, scenario))
+                want = want + weight * np.array(list(fields.values()))
+            assert grid_row(kind, n, [None], scenario)[:, 0].tolist() == want.tolist()
 
 
 class TestSponsorMonotonicity:
@@ -236,6 +266,10 @@ class TestPriorAveraged:
         want = sum(w * eu_enrichment(e, 150, scenario).power_any
                    for e, w in scenario.prior)
         assert r.power_any == pytest.approx(want, abs=1e-12)
+
+    def test_unknown_kind_rejected(self, scenario):
+        with pytest.raises(ValueError):
+            prior_averaged("bayesian", 100, None, scenario)
 
     def test_fractional_n_supported(self, scenario):
         r = prior_averaged("stratified", 123.4, 0.01, scenario)
