@@ -25,22 +25,16 @@ from .model import (
     trial_cost,
 )
 from .numerics import (
-    IntegrationError,
-    Interval,
     bivariate_upper_orthant,
     find_root,
-    integrate_1d,
-    linear_gaussian_segment,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
 from .testing import (
-    RegionSlice,
     StratifiedTestParams,
     alpha_F_given_alpha_S,
     params_for_scenario,
-    region_slices,
     reject_stratified,
 )
 from .utility import (
@@ -67,5 +61,4 @@ from .mc_oracle import (
     SimConfig,
     mc_expected_utility,
     mc_fwer,
-    simulate_trial,
 )

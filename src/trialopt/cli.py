@@ -335,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable; wins over the file)")
         p.add_argument("--out", default=".", help="output directory")
+
+    def jobs_flag(p):
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep/contour cells (at least 1; "
+                       help="worker processes for the cells (at least 1; "
                             "never more than the cells)")
 
     def design_flags(p):
@@ -357,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="per-family optima across prevalences")
     common(p)
+    jobs_flag(p)
     p.add_argument("--lambda-grid", default="0.05:0.95:19",
                    help="'lo:hi:count' or comma list (default 19 points)")
     p.add_argument("--figures", action="store_true",
@@ -365,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="selected design over (prevalence, delta)")
     common(p)
+    jobs_flag(p)
     p.add_argument("--lambda-grid", default="0.05:0.95:19")
     p.add_argument("--delta-grid", default="0:1:11")
     p.add_argument("--figures", action="store_true")

@@ -171,16 +171,6 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
     return utility, psi_S, psi_F
 
 
-def simulate_trial(design: DesignSpec, effects: EffectPair, scenario: Scenario,
-                   rng: np.random.Generator,
-                   strata_mode: str = FIXED_PROPORTIONAL):
-    """One replicate: (realized utility, psi_S, psi_F)."""
-    design.check_against(scenario)
-    utility, psi_S, psi_F = _simulate_batch(design, effects, scenario,
-                                            strata_mode, rng, 1)
-    return float(utility[0]), int(psi_S[0]), int(psi_F[0])
-
-
 def _accumulate(design, effects_or_prior, scenario, config, value_of):
     """Chunked mean/SE of value_of(utility, psi_S, psi_F, effects)."""
     single_atom = None

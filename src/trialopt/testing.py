@@ -23,32 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from .model import EffectPair, Scenario
-from .numerics import (
-    Interval,
-    _one_sided_critical,
-    bivariate_upper_orthant,
-    find_root,
-)
+from .numerics import NumericError, _one_sided_critical, bivariate_upper_orthant, find_root
 
 # Above this correlation the subgroup and pooled statistics are treated as
 # perfectly dependent (nested rejection regions); protects the root finder.
 _RHO_DEGENERATE = 1.0 - 1e-9
 
+# Rounding floor of the union probability: h comes from 1 - alpha_S, which
+# carries an absolute error of about 1e-16 into each tail probability.
+_UNION_ROUNDING = 1e-15
+
 
 @dataclass(frozen=True)
 class StratifiedTestParams:
-    """Resolved parameters of the consistency-modified closed test.
-
-    mu_constraint, when set, adds the sponsor's estimate floor to the
-    region queried through :func:`region_slices` (mu_F for A_F, mu_S for
-    A_S); it never changes the rejection indicators themselves.
-    """
+    """Resolved parameters of the consistency-modified closed test."""
 
     alpha: float
     alpha_S: float
@@ -56,7 +50,6 @@ class StratifiedTestParams:
     tau_S: float
     tau_Sc: float
     lambda_S: float
-    mu_constraint: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):
@@ -75,27 +68,6 @@ class StratifiedTestParams:
         for name in ("tau_S", "tau_Sc"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RegionSlice:
-    """Disjoint z_Sc intervals forming one vertical slice of a region."""
-
-    intervals: Tuple[Interval, ...]
-
-    def __post_init__(self):
-        if len(self.intervals) > 3:
-            raise ValueError("region slices use at most 3 intervals")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.hi > b.lo:
-                raise ValueError("slice intervals must be disjoint and sorted")
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, z: float) -> bool:
-        return any(iv.lo <= z < iv.hi or (z == iv.hi == math.inf) for iv in self.intervals)
 
 
 @lru_cache(maxsize=4096)
@@ -130,17 +102,25 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
         k = _one_sided_critical(alpha_F)
         return alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha
 
-    return find_root(union_excess, Interval(0.0, alpha), tol=1e-10)
+    try:
+        return find_root(union_excess, 0.0, alpha, tol=1e-10)
+    except NumericError:
+        # Exactly, union_excess(alpha) = P(Z_S >= h, Z_F < z_{1-alpha}) >= 0.
+        # Where the subgroup event lies inside the pooled one to double
+        # precision, rounding can leave it a few 1e-17 below zero; alpha_F =
+        # alpha then keeps the level.
+        if union_excess(alpha) >= -_UNION_ROUNDING:
+            return alpha
+        raise
 
 
-def params_for_scenario(scenario: Scenario, alpha_S: float,
-                        mu_constraint: Optional[float] = None) -> StratifiedTestParams:
+def params_for_scenario(scenario: Scenario, alpha_S: float) -> StratifiedTestParams:
     """Solve the level condition and bundle the test parameters."""
     alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
     return StratifiedTestParams(
         alpha=scenario.alpha, alpha_S=alpha_S, alpha_F=alpha_F,
         tau_S=scenario.tau_S, tau_Sc=scenario.tau_Sc,
-        lambda_S=scenario.lambda_S, mu_constraint=mu_constraint,
+        lambda_S=scenario.lambda_S,
     )
 
 
@@ -270,38 +250,6 @@ def _as_lines(geom: _Geometry, z_S):
     b_hi = np.where(consistency_z, b_hi, 0.0)
     alive = alive & (a_lo + b_lo * z_S < a_hi + b_hi * z_S)
     return alive, a_lo, b_lo, a_hi, b_hi
-
-
-def region_slices(region: str, z_S: float, params: StratifiedTestParams,
-                  effects: EffectPair, n: float, lambda_S: float,
-                  sigma: float) -> RegionSlice:
-    """Vertical slice of region A_F or A_S at abscissa z_S.
-
-    A_F is where the full-population approval pays (psi_F = 1, plus the
-    pooled-estimate floor when params.mu_constraint is set); A_S is where
-    only the subgroup approval pays (psi_S = 1, psi_F = 0, plus the
-    subgroup-estimate floor under the same flag). Each slice is a union of
-    at most 3 disjoint intervals; the current test structure yields at
-    most one.
-    """
-    if region not in ("A_F", "A_S"):
-        raise ValueError(f"region must be 'A_F' or 'A_S', got {region!r}")
-    if abs(lambda_S - params.lambda_S) >= 1e-12:
-        raise ValueError(f"lambda_S={lambda_S} disagrees with params "
-                         f"(lambda_S={params.lambda_S})")
-    mu = params.mu_constraint
-    if region == "A_F":
-        geom = _geometry(params, effects, n, sigma, mu_S=None, mu_F=mu)
-        alive, a, b = _af_line(geom, z_S)
-        lower = float(a + b * z_S)
-        if not alive or lower == math.inf:
-            return RegionSlice(())
-        return RegionSlice((Interval(lower, math.inf),))
-    geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=None)
-    alive, a_lo, b_lo, a_hi, b_hi = _as_lines(geom, z_S)
-    if not alive:
-        return RegionSlice(())
-    return RegionSlice((Interval(float(a_lo + b_lo * z_S), float(a_hi + b_hi * z_S)),))
 
 
 def _decide(t_S, t_Sc, t_F, params: StratifiedTestParams):

@@ -32,7 +32,7 @@ from .model import (
     pooled_effect,
 )
 from .model import _cost_for
-from .numerics import _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
+from .numerics import NumericError, _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
 from .testing import (
     _af_line,
     _as_lines,
@@ -63,9 +63,9 @@ class EvaluationResult:
         for name in ("prob_reject_S_only", "prob_reject_F", "power_any"):
             p = getattr(self, name)
             if not (-1e-9 <= p <= 1.0 + 1e-9):
-                raise ValueError(f"{name}={p} is not a probability")
+                raise NumericError(f"{name}={p} is not a probability")
         if self.prob_reject_S_only + self.prob_reject_F > 1.0 + 1e-9:
-            raise ValueError("disjoint approval probabilities exceed 1")
+            raise NumericError("disjoint approval probabilities exceed 1")
 
 
 _ZERO_RESULT = EvaluationResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

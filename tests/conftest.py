@@ -30,3 +30,16 @@ def make_scenario(lambda_S=0.5, perspective="sponsor", case=CASE2,
 @pytest.fixture
 def scenario():
     return make_scenario()
+
+
+@pytest.fixture
+def broken_orthant(monkeypatch):
+    """The level condition with an orthant that always returns 1.0, so its
+    root bracket never changes sign; alpha_F's cache is cleared on both
+    sides so no solved value leaks in or out."""
+    import trialopt.testing as testing
+
+    monkeypatch.setattr(testing, "bivariate_upper_orthant", lambda h, k, rho: 1.0)
+    testing.alpha_F_given_alpha_S.cache_clear()
+    yield
+    testing.alpha_F_given_alpha_S.cache_clear()

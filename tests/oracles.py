@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, pooled_effect
 from trialopt.model import _cost_for
-from trialopt.numerics import _adaptive_gk, _one_sided_critical, _segment, std_normal_pdf
+from trialopt.numerics import NumericError, _one_sided_critical, std_normal_pdf
 from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
 from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
@@ -183,6 +183,109 @@ def assert_matches_oracle(got, want):
 
 TAIL_TRUNCATION = 8.0
 _QUAD_TOL = 1e-12
+
+
+def _segment(c0, c1, lo, hi):
+    """Integral of (c0 + c1 z) phi(z) dz over [lo, hi], elementwise:
+    c0 (Phi(hi) - Phi(lo)) + c1 (phi(lo) - phi(hi))."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    # phi(+-inf) = 0 without warnings
+    pdf_lo = np.where(np.isinf(lo), 0.0, np.exp(-0.5 * np.minimum(np.abs(lo), 40.0) ** 2) / _SQRT_2PI)
+    pdf_hi = np.where(np.isinf(hi), 0.0, np.exp(-0.5 * np.minimum(np.abs(hi), 40.0) ** 2) / _SQRT_2PI)
+    out = c0 * (ndtr(hi) - ndtr(lo)) + c1 * (pdf_lo - pdf_hi)
+    return float(out) if out.ndim == 0 else out
+
+
+# 15-point Kronrod nodes with embedded 7-point Gauss weights (QUADPACK).
+_GK_NODES = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691,
+    0.741531185599394, 0.864864423359769, 0.949107912342759,
+    0.991455371120813,
+])
+_GK_WK = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267,
+    0.140653259715525, 0.104790010322250, 0.063092092629979,
+    0.022935322010529,
+])
+_GK_WG = np.array([
+    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
+    0.381830050505119, 0.0, 0.417959183673469, 0.0,
+    0.381830050505119, 0.0, 0.279705391489277, 0.0,
+    0.129484966168870, 0.0,
+])
+
+
+def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
+    """Apply G7/K15 to a batch of segments in one vectorized call of f.
+
+    f maps an (m,) array to an (m,) or (m, k) array. Returns per-segment
+    Kronrod estimates and error bounds, shapes (s, k) and (s,).
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    pts = (mid[:, None] + half[:, None] * _GK_NODES[None, :]).ravel()
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    vals = vals.reshape(lo.size, _GK_NODES.size, -1)
+    k15 = np.einsum("j,sjk->sk", _GK_WK, vals) * half[:, None]
+    g7 = np.einsum("j,sjk->sk", _GK_WG, vals) * half[:, None]
+    diff = np.max(np.abs(k15 - g7), axis=1)
+    err = np.minimum(diff, (200.0 * diff) ** 1.5)
+    return k15, err
+
+
+def _adaptive_gk(f, lo, hi, abs_tol, breakpoints, max_segments, init_width):
+    edges = [lo]
+    for b in sorted(set(float(b) for b in breakpoints)):
+        if lo < b < hi:
+            edges.append(b)
+    edges.append(hi)
+    seg_lo, seg_hi = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        pieces = max(1, int(math.ceil((b - a) / init_width)))
+        cuts = np.linspace(a, b, pieces + 1)
+        seg_lo.extend(cuts[:-1])
+        seg_hi.extend(cuts[1:])
+    seg_lo = np.array(seg_lo)
+    seg_hi = np.array(seg_hi)
+    vals, errs = _gk_eval(f, seg_lo, seg_hi)
+    seg_lo, seg_hi = list(seg_lo), list(seg_hi)
+    vals, errs = list(vals), list(errs)
+
+    while True:
+        total_err = math.fsum(errs)
+        if total_err <= abs_tol:
+            break
+        if len(errs) >= max_segments:
+            est = np.sum(np.asarray(vals), axis=0)
+            raise NumericError(
+                f"quadrature did not reach abs_tol={abs_tol:g} within "
+                f"{max_segments} segments (estimate {est}, error bound {total_err:g})"
+            )
+        worst = int(np.argmax(errs))
+        a, b = seg_lo[worst], seg_hi[worst]
+        m = 0.5 * (a + b)
+        if not (a < m < b):
+            # segment is at floating-point resolution; accept its estimate
+            errs[worst] = 0.0
+            continue
+        new_vals, new_errs = _gk_eval(f, np.array([a, m]), np.array([m, b]))
+        seg_lo[worst], seg_hi[worst] = a, m
+        vals[worst], errs[worst] = new_vals[0], new_errs[0]
+        seg_lo.append(m)
+        seg_hi.append(b)
+        vals.append(new_vals[1])
+        errs.append(new_errs[1])
+
+    return np.sum(np.asarray(vals), axis=0), math.fsum(errs)
 
 
 def _pooled_line(geom, intercept, z_S):

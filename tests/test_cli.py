@@ -1,7 +1,7 @@
 import pytest
 
 from trialopt.cli import RunManifest, main
-from trialopt.numerics import IntegrationError
+from trialopt.numerics import NumericError
 
 CONFIG_CASE1 = """\
 # weak prior, large market, no biomarker costs
@@ -83,6 +83,19 @@ class TestEvaluateCommand:
         GridConfig.consume_mapping(mapping)
         want = eu_prior_averaged(DesignSpec.stratified(300, 0.0125), scenario)
         assert eu == want.expected_utility
+
+    def test_jobs_flag_rejected(self, config_path, tmp_path):
+        # --jobs belongs to sweep and contour, the commands with cells
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", config_path, "--design", "classical",
+                  "--n", "100", "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_level_condition_failure_exits_3(self, config_path, tmp_path, capsys,
+                                             broken_orthant):
+        assert main(["evaluate", "--config", config_path, "--design", "stratified",
+                     "--n", "100", "--alpha-s", "0.0125", "--out", str(tmp_path)]) == 3
+        assert "no sign change" in capsys.readouterr().err
 
     def test_missing_n_is_config_error(self, config_path, tmp_path):
         code = main(["evaluate", "--config", config_path, "--design", "classical",
@@ -211,7 +224,7 @@ class TestErrorHandling:
         import trialopt.optimizer as optimizer
 
         def boom(*args, **kwargs):
-            raise IntegrationError("forced", estimate=0.0, error_bound=1.0)
+            raise NumericError("forced")
 
         monkeypatch.setattr(optimizer, "optimize_family", boom)
         assert main(["optimize", "--config", config_path,
@@ -224,7 +237,7 @@ class TestErrorHandling:
         import trialopt.optimizer as optimizer
 
         def boom(*args, **kwargs):
-            raise IntegrationError("forced", estimate=0.0, error_bound=1.0)
+            raise NumericError("forced")
 
         monkeypatch.setattr(optimizer, "optimize_family", boom)
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path),

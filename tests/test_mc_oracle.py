@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from trialopt.mc_oracle import (
@@ -11,7 +10,6 @@ from trialopt.mc_oracle import (
     mc_expected_utility,
     mc_fwer,
     mc_rejection_probs,
-    simulate_trial,
 )
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_classical, eu_enrichment
@@ -33,15 +31,16 @@ class TestSimConfig:
 
 
 class TestSimulateTrial:
+    """Whole-trial replicates, read through the public estimators."""
+
     def test_zero_rewards_pay_minus_cost(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
         design = DesignSpec.stratified(80, 0.0125)
         cost = trial_cost(design, scenario.costs, scenario.lambda_S)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            utility, _, _ = simulate_trial(design, EffectPair(0.3, 0.0),
-                                           scenario, rng)
-            assert utility == pytest.approx(-cost, abs=1e-12)
+        est = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario,
+                                  SimConfig(replicates=20, seed=0))
+        assert est.mean == -cost
+        assert est.std_error == 0.0
 
     def test_overwhelming_effect_rejects(self):
         scenario = make_scenario()
@@ -51,11 +50,11 @@ class TestSimulateTrial:
         assert probs["any"].mean >= 0.9999
 
     def test_fixed_seed_reproducible(self, scenario):
+        # the one-atom path; test_estimates_bit_reproducible draws from a prior
         design = DesignSpec.enrichment(100)
-        out1 = simulate_trial(design, EffectPair(0.3, 0.0), scenario,
-                              np.random.default_rng(99))
-        out2 = simulate_trial(design, EffectPair(0.3, 0.0), scenario,
-                              np.random.default_rng(99))
+        config = SimConfig(replicates=1000, seed=99)
+        out1 = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario, config)
+        out2 = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario, config)
         assert out1 == out2
 
 

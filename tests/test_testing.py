@@ -1,20 +1,18 @@
+import itertools
 import math
-import os
-import subprocess
-import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trialopt.model import EffectPair, pooled_effect
-from trialopt.numerics import Interval, bivariate_upper_orthant, std_normal_quantile
+from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
 from trialopt.testing import (
-    RegionSlice,
     StratifiedTestParams,
+    _af_line,
+    _as_lines,
+    _geometry,
     alpha_F_given_alpha_S,
     params_for_scenario,
-    region_slices,
     reject_stratified,
 )
 from conftest import make_scenario
@@ -80,6 +78,20 @@ class TestLevelCondition:
         with pytest.raises(ValueError):
             alpha_F_given_alpha_S(0.01, 0.0)
 
+    def test_nested_subgroup_event_gives_alpha(self):
+        # at lambda 0.96875 the tiny subgroup event sits inside the pooled
+        # one; the union at alpha_F = alpha rounds to 4e-17 below alpha
+        alpha_S = 0.0078125 * 0.025
+        assert alpha_F_given_alpha_S(alpha_S, 0.96875) == 0.025
+        h = std_normal_quantile(1.0 - alpha_S)
+        k = std_normal_quantile(1.0 - 0.025)
+        union = alpha_S + 0.025 - bivariate_upper_orthant(h, k, math.sqrt(0.96875))
+        assert abs(union - 0.025) <= 1e-15
+
+    def test_unbracketed_root_is_numeric_error(self, broken_orthant):
+        with pytest.raises(NumericError, match="sign change"):
+            alpha_F_given_alpha_S(0.0125, 0.5)
+
 
 class TestParamsValidation:
     def test_bonferroni_floor(self):
@@ -92,24 +104,33 @@ class TestParamsValidation:
         assert params.alpha_S + params.alpha_F >= 0.025 - 1e-9
 
 
-def _params(scenario, alpha_S, mu=None):
-    return params_for_scenario(scenario, alpha_S, mu_constraint=mu)
+def in_region(region, z_S, z_Sc, params, effects, n, sigma, mu=None):
+    """Membership of the points (z_S, z_Sc) in A_F or A_S, read off the
+    line-form slices the closed form integrates. mu adds the sponsor's
+    estimate floor: mu_F for A_F, mu_S for A_S."""
+    if region == "A_F":
+        geom = _geometry(params, effects, n, sigma, mu_S=None, mu_F=mu)
+        alive, a, b = _af_line(geom, z_S)
+        return alive & (z_Sc >= a + b * z_S)
+    geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=None)
+    alive, a_lo, b_lo, a_hi, b_hi = _as_lines(geom, z_S)
+    return alive & (a_lo + b_lo * z_S <= z_Sc) & (z_Sc < a_hi + b_hi * z_S)
 
 
 class TestRejectStratified:
     def test_overwhelming_effect(self, scenario):
-        params = _params(scenario, 0.0125)
+        params = params_for_scenario(scenario, 0.0125)
         psi = reject_stratified(10.0, 10.0, params, EffectPair(0.0, 0.0), 200, 1.0)
         assert psi == (1, 1)
 
     def test_consistency_blocks_full_approval(self, scenario):
-        params = _params(scenario, 0.0125)
+        params = params_for_scenario(scenario, 0.0125)
         psi_S, psi_F = reject_stratified(10.0, -10.0, params,
                                          EffectPair(0.0, 0.0), 200, 1.0)
         assert psi_F == 0
 
     def test_boundary_flip_at_alpha_S_threshold(self, scenario):
-        params = _params(scenario, 0.0125)
+        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         threshold = std_normal_quantile(1.0 - params.alpha_S)
         below = reject_stratified(threshold - 1e-9, -10.0, params, effects, 200, 1.0)
@@ -120,125 +141,91 @@ class TestRejectStratified:
 
 class TestRegionSlices:
     def test_consistency_failure_empties_A_F(self, scenario):
-        params = _params(scenario, 0.0125)
+        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         # z_S far below the tau_S threshold: no z_Sc can rescue psi_F
-        slc = region_slices("A_F", -3.0, params, effects, 200,
-                            scenario.lambda_S, 1.0)
-        assert slc.empty
+        z_Sc = np.linspace(-50.0, 50.0, 201)
+        assert not in_region("A_F", -3.0, z_Sc, params, effects, 200, 1.0).any()
 
     def test_half_line_from_explicit_half_planes(self):
         # lambda = 0.5, z_S clears every subgroup-side threshold; the slice
         # lower end is the max of the two remaining z_Sc constraints,
         # intersected by hand here.
         scenario = make_scenario(lambda_S=0.5)
-        params = _params(scenario, 0.0125)
+        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         n, sigma, z_S = 200.0, 1.0, 4.0
-        slc = region_slices("A_F", z_S, params, effects, n, 0.5, sigma)
-        assert len(slc.intervals) == 1
+        alive, a, b = _af_line(_geometry(params, effects, n, sigma, None, None), z_S)
+        assert alive
         lam_sq = math.sqrt(0.5)
         line_tau = std_normal_quantile(1.0 - params.tau_Sc)
         line_alpha = (std_normal_quantile(1.0 - params.alpha) - lam_sq * z_S) / lam_sq
         want = max(line_tau, line_alpha)
-        assert slc.intervals[0].lo == pytest.approx(want, abs=1e-12)
-        assert slc.intervals[0].hi == math.inf
+        assert a + b * z_S == pytest.approx(want, abs=1e-12)
 
     def test_A_S_complement_structure_matches_indicators(self):
         # alpha_S = alpha forces alpha_F = 0; A_S must equal the set where
         # the test returns (1, 0), checked pointwise on a grid.
         scenario = make_scenario(lambda_S=0.4)
-        params = _params(scenario, scenario.alpha)
+        params = params_for_scenario(scenario, scenario.alpha)
         assert params.alpha_F == 0.0
         effects = EffectPair(0.3, 0.1)
         n, sigma, z_S = 150.0, 1.0, 5.0
-        slc = region_slices("A_S", z_S, params, effects, n, 0.4, sigma)
         grid = np.linspace(-6.0, 6.0, 200) + 1.3e-4
         psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
                                          params, effects, n, sigma)
         want = (psi_S == 1) & (psi_F == 0)
-        got = np.array([slc.contains(z) for z in grid])
+        got = in_region("A_S", z_S, grid, params, effects, n, sigma)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("alpha_S", [0.0, 0.004, 0.0125, 0.02, 0.025])
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_region_indicator_coherence(self, alpha_S, lam):
         scenario = make_scenario(lambda_S=lam)
-        params = _params(scenario, alpha_S)
+        params = params_for_scenario(scenario, alpha_S)
         effects = EffectPair(0.3, 0.1)
         n, sigma = 180.0, 1.0
         grid = np.linspace(-4.2, 4.2, 101) + 1.7e-4
         for z_S in grid[::10]:
-            slc_f = region_slices("A_F", float(z_S), params, effects, n, lam, sigma)
-            slc_s = region_slices("A_S", float(z_S), params, effects, n, lam, sigma)
             psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
                                              params, effects, n, sigma)
-            in_f = np.array([slc_f.contains(z) for z in grid])
-            in_s = np.array([slc_s.contains(z) for z in grid])
+            in_f = in_region("A_F", z_S, grid, params, effects, n, sigma)
+            in_s = in_region("A_S", z_S, grid, params, effects, n, sigma)
             assert np.array_equal(in_f, psi_F == 1)
             assert np.array_equal(in_s, (psi_S == 1) & (psi_F == 0))
             assert not np.any(in_f & in_s)
 
     def test_sponsor_floor_coherence(self):
         scenario = make_scenario(lambda_S=0.35)
-        params = _params(scenario, 0.0125)
-        with_mu = replace(params, mu_constraint=0.1)
+        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.3, 0.1)
         n, sigma = 180.0, 1.0
         se_S = sigma * math.sqrt(2.0 / (0.35 * n))
         se_F = sigma * math.sqrt(2.0 / n)
         delta_F = pooled_effect(effects, 0.35)
         grid = np.linspace(-4.2, 4.2, 101) + 1.3e-4
-        for z_S in grid[::10]:
-            slc_f = region_slices("A_F", float(z_S), with_mu, effects, n, 0.35, sigma)
-            slc_s = region_slices("A_S", float(z_S), with_mu, effects, n, 0.35, sigma)
+        # the tests alone already force estimates above 0.1; a floor of 0.5
+        # cuts into both regions
+        for mu, z_S in itertools.product((0.1, 0.5), grid[::10]):
             psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
                                              params, effects, n, sigma)
             est_f = delta_F + se_F * (math.sqrt(0.35) * z_S
                                       + math.sqrt(0.65) * grid)
             est_s = effects.delta_S + se_S * z_S
-            want_f = (psi_F == 1) & (est_f > 0.1)
-            want_s = (psi_S == 1) & (psi_F == 0) & (est_s > 0.1)
-            assert np.array_equal(np.array([slc_f.contains(z) for z in grid]), want_f)
-            assert np.array_equal(np.array([slc_s.contains(z) for z in grid]), want_s)
-
-    def test_unknown_region_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            region_slices("A_X", 0.0, _params(scenario, 0.01),
-                          EffectPair(0.0, 0.0), 100, scenario.lambda_S, 1.0)
+            want_f = (psi_F == 1) & (est_f > mu)
+            want_s = (psi_S == 1) & (psi_F == 0) & (est_s > mu)
+            got_f = in_region("A_F", z_S, grid, params, effects, n, sigma, mu=mu)
+            got_s = in_region("A_S", z_S, grid, params, effects, n, sigma, mu=mu)
+            assert np.array_equal(got_f, want_f)
+            assert np.array_equal(got_s, want_s)
 
     def test_slice_bound(self, scenario):
-        params = _params(scenario, 0.0125)
+        # every slice is one interval in z_Sc, and A_F's reaches +inf
+        params = params_for_scenario(scenario, 0.0125)
+        effects = EffectPair(0.3, 0.0)
+        grid = np.linspace(-8.0, 8.0, 801)
         for z in np.linspace(-5, 5, 30):
-            for region in ("A_F", "A_S"):
-                slc = region_slices(region, float(z), params,
-                                    EffectPair(0.3, 0.0), 120, scenario.lambda_S, 1.0)
-                assert isinstance(slc, RegionSlice)
-                assert len(slc.intervals) <= 3
-
-    def test_lambda_mismatch_rejected_under_optimize_flag(self):
-        # python -O strips assert statements; the check must still fire
-        code = (
-            "from trialopt.model import EffectPair\n"
-            "from trialopt.testing import params_for_scenario, region_slices\n"
-            "from conftest import make_scenario\n"
-            "s = make_scenario()\n"
-            "try:\n"
-            "    region_slices('A_F', 0.0, params_for_scenario(s, 0.01),\n"
-            "                  EffectPair(0.0, 0.0), 100, 0.6, 1.0)\n"
-            "except ValueError:\n"
-            "    print('rejected')\n"
-        )
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(here), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "rejected"
-
-    def test_slice_invariants_are_checked(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            RegionSlice((Interval(0.0, 2.0), Interval(1.0, 3.0)))
-        with pytest.raises(ValueError, match="at most 3"):
-            RegionSlice(tuple(Interval(float(i), i + 0.5) for i in range(4)))
+            in_f = in_region("A_F", z, grid, params, effects, 120, 1.0).astype(int)
+            in_s = in_region("A_S", z, grid, params, effects, 120, 1.0).astype(int)
+            assert np.all(np.diff(in_f) >= 0)
+            assert np.count_nonzero(np.diff(in_s)) <= 2

@@ -7,7 +7,9 @@ import pytest
 
 from trialopt.mc_oracle import SimConfig, mc_expected_utility
 from trialopt.model import DesignSpec, EffectPair, trial_cost
+from trialopt.numerics import NumericError
 from trialopt.utility import (
+    EvaluationResult,
     classical_variance,
     eu_classical,
     eu_enrichment,
@@ -24,6 +26,16 @@ from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_te
 
 def with_rewards(scenario, **kw):
     return replace(scenario, rewards=replace(scenario.rewards, **kw))
+
+
+class TestEvaluationResult:
+    def test_probability_out_of_range_is_numeric_error(self):
+        with pytest.raises(NumericError, match="not a probability"):
+            EvaluationResult(0.0, 0.0, 1.5, 1.5, 0.0, 0.0, 0.0)
+
+    def test_disjoint_probabilities_over_one_is_numeric_error(self):
+        with pytest.raises(NumericError, match="exceed 1"):
+            EvaluationResult(0.0, 0.6, 0.6, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestClassicalVariance:
