@@ -1,5 +1,5 @@
-"""Scalar and bivariate normal probability functions and bracketed root
-finding.
+"""Scalar and bivariate normal probability functions and a Newton root
+finder for increasing convex functions.
 
 All functions are pure and deterministic. Nothing here integrates
 numerically: the expected utilities are closed forms in these functions.
@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Newton's method stops once a step moves its point by at most this share.
+_NEWTON_RTOL = 1e-14
+_NEWTON_MAX_ITER = 50
 
 
 class NumericError(RuntimeError):
@@ -48,7 +51,9 @@ def _one_sided_critical(level: float) -> float:
         return math.inf
     if level >= 1.0:
         return -math.inf
-    return float(ndtri(1.0 - level))
+    # -ndtri(level), not ndtri(1 - level): 1 - level would round away the
+    # low bits of a small tail level
+    return float(-ndtri(level))
 
 
 def bivariate_normal_cdf(x, y, rho, rho_c):
@@ -59,22 +64,36 @@ def bivariate_normal_cdf(x, y, rho, rho_c):
     knows in closed form. Uses Owen's T function (Owen 1956, Ann. Math.
     Stat. 27:1075; scipy's owens_t follows Patefield & Tandy 2000), with
     the limits at x = 0, y = 0, infinite x and rho = +-1 taken explicitly.
+    Each limit is evaluated on its own elements only, and Owen's form on
+    the rest.
     """
     inf_x = np.isinf(x)
-    zero = (x == 0.0) | (y == 0.0)
+    zero_x, zero_y = x == 0.0, y == 0.0
     unit = rho_c == 0.0
-    if not (inf_x | zero | unit).any():
+    if not (inf_x | zero_x | zero_y | unit).any():
         return _owen_cdf(x, y, rho, rho_c)
-    x, y, rho, rho_c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)))
-    # finite, nonzero stand-ins where a limit replaces Owen's form below
-    rho_s, rho_cs = np.where(unit, 0.0, rho), np.where(unit, 1.0, rho_c)
-    out = _owen_cdf(np.where(inf_x | zero, 1.0, x), np.where(zero, 1.0, y), rho_s, rho_cs)
-    out = np.where(x == 0.0, 0.5 * ndtr(y) + owens_t(y, rho_s / rho_cs), out)
-    out = np.where(y == 0.0, 0.5 * ndtr(x) + owens_t(x, rho_s / rho_cs), out)
-    out = np.where(unit, np.where(rho > 0.0, ndtr(np.minimum(x, y)),
-                                  np.maximum(0.0, ndtr(x) - ndtr(-y))), out)
-    return np.where(inf_x, np.where(x > 0.0, ndtr(y), 0.0), out)
+    x, y, rho, rho_c, inf_x, zero_x, zero_y, unit = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)),
+        inf_x, zero_x, zero_y, unit)
+    out = np.empty(x.shape)
+    # Where several limits meet, the first of infinite x, rho = +-1, y = 0
+    # and x = 0 decides.
+    sel = inf_x
+    out[sel] = np.where(x[sel] > 0.0, ndtr(y[sel]), 0.0)
+    rest = ~inf_x
+    sel = rest & unit
+    x_u, y_u = x[sel], y[sel]
+    out[sel] = np.where(rho[sel] > 0.0, ndtr(np.minimum(x_u, y_u)),
+                        np.maximum(0.0, ndtr(x_u) - ndtr(-y_u)))
+    rest &= ~unit
+    sel = rest & zero_y
+    out[sel] = 0.5 * ndtr(x[sel]) + owens_t(x[sel], rho[sel] / rho_c[sel])
+    rest &= ~zero_y
+    sel = rest & zero_x
+    out[sel] = 0.5 * ndtr(y[sel]) + owens_t(y[sel], rho[sel] / rho_c[sel])
+    rest &= ~zero_x
+    out[rest] = _owen_cdf(x[rest], y[rest], rho[rest], rho_c[rest])
+    return out
 
 
 def _owen_cdf(x, y, rho, rho_c):
@@ -110,21 +129,33 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
 
 
-def find_root(g, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Root of g inside the sign-changing bracket [lo, hi] (Brent's method).
+def find_root(g, x0: float, tol: float = 0.0) -> float:
+    """Root of an increasing convex g by Newton's method started at x0.
 
-    The returned x satisfies |g(x)| <= tol or lies in a bracket of width
-    <= tol. Raises NumericError when g does not change sign on the bracket.
+    ``g(x)`` returns the pair (g(x), g'(x)), with g accurate to about
+    ``tol``. From a start at or right of the root, the tangent of a convex
+    g meets zero between the root and the current point, so the iterates
+    descend monotonically onto the root: no bracket is needed. The solve
+    returns the first point where |g| <= tol, or the end of a step shorter
+    than _NEWTON_RTOL times its point. A step that rounding in g carries
+    past the root brackets it with the point before; the one of the two
+    with the smaller |g| is returned. A start where g < -tol lies left of
+    the root and raises NumericError, as does an exhausted iteration cap.
     """
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
-        raise NumericError(
-            f"no sign change on bracket [{lo}, {hi}]: g(lo)={g_lo:g}, g(hi)={g_hi:g}"
-        )
-    x = brentq(g, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-    return float(x)
+    x, before = x0, None
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = g(x)
+        if value < -tol:
+            if before is None:
+                raise NumericError(f"g({x!r}) = {value:g} < 0: the start lies left of "
+                                   "the root, or g is not increasing")
+            return x if -value < before[1] else before[0]
+        if value <= tol:
+            return x
+        before = (x, value)
+        step = value / slope
+        x -= step
+        if step <= _NEWTON_RTOL * x:
+            return x
+    raise NumericError(f"Newton's method did not converge in {_NEWTON_MAX_ITER} "
+                       f"iterations from {x0!r}; last point {x!r}")

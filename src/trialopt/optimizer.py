@@ -3,9 +3,14 @@ selection against the no-trial baseline, and the prevalence / effect-size
 sweep drivers.
 
 Stage 1 scans a size-coarsening n grid (crossed with an alpha_S grid for
-the stratified family); stage 2 refines the best grid point with a
-Nelder-Mead simplex on continuous parameters and rounds n by evaluating
-the neighboring integers. Refinement can only improve on the grid.
+the stratified family). Stage 2 refines the best grid point: a Fibonacci
+search (Kiefer 1953, Proc. AMS 4:502) over the integers between its grid
+neighbours scores each probe n as one batched row over a 9-point alpha_S
+bracket of +-one grid step; the stratified family then narrows that
+bracket 4x per round at the best n and its two neighbours until the
+utility varies by less than ``refine.tol`` across it. Refinement keeps a
+point only when it beats the best so far, so it can only improve on the
+grid.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     CLASSICAL,
@@ -30,12 +34,14 @@ from .model import (
     Scenario,
     builtin_prior,
 )
-from .numerics import NumericError
 from .testing import alpha_F_given_alpha_S
 from .utility import EvaluationResult, _ZERO_RESULT, grid_row, prior_averaged
 
 # Exact utility ties resolve towards the cheaper commitment.
 _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
+
+# alpha_S points per refinement row.
+_BRACKET_POINTS = 9
 
 
 def default_n_grid() -> Tuple[int, ...]:
@@ -122,17 +128,103 @@ def no_trial_outcome() -> OptimizationOutcome:
     return OptimizationOutcome(DesignSpec.no_trial(), _ZERO_RESULT)
 
 
+def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
+    """Stage-1 sizes: n_min, then every grid size above it."""
+    return [scenario.n_min] + [n for n in config.n_grid if n > scenario.n_min]
+
+
 def _grid_scores(family: str, scenario: Scenario, config: GridConfig):
     """Stage-1 grid points with their prior-averaged expected utilities,
     n-major and alpha_S-minor. Each n row is scored in a single batched
     evaluation over the alpha_S grid (``[None]`` for the one-test
     families)."""
-    ns = [scenario.n_min] + [n for n in config.n_grid if n > scenario.n_min]
     alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
               if family == STRATIFIED else [None])
-    for n in ns:
+    for n in _grid_sizes(scenario, config):
         row = grid_row(family, n, alphas, scenario)[0]
         yield from (((n, a), float(eu)) for a, eu in zip(alphas, row))
+
+
+def _fibonacci_max(score, lo: int, hi: int):
+    """(n, score(n)) for the integer n in [lo, hi] maximizing a score that
+    is unimodal there, where a score is a tuple led by the value.
+
+    Fibonacci search (Kiefer 1953) on [lo, lo + F_k] with F_k >= hi - lo:
+    each step drops the side of the poorer of two probes and reuses the
+    other probe; probes above hi score -inf, and ties keep the smaller n.
+    """
+    fib = [1, 1]
+    while fib[-1] < hi - lo:
+        fib.append(fib[-1] + fib[-2])
+    k = len(fib) - 1
+    scores = {}
+
+    def f(n):
+        if n > hi:
+            return (-math.inf,)
+        if n not in scores:
+            scores[n] = score(n)
+        return scores[n]
+
+    a = lo
+    while k > 2:
+        left, right = a + fib[k - 2], a + fib[k - 1]
+        if f(left)[0] < f(right)[0]:
+            a = left
+        k -= 1
+    n = max(range(a, min(a + fib[k], hi) + 1), key=lambda m: f(m)[0])
+    return n, f(n)
+
+
+def _row_best(family: str, n: int, alphas, scenario: Scenario):
+    """(expected utility, alpha_S) of the first best point of one row, and
+    the spread of the row's utilities."""
+    row = grid_row(family, n, alphas, scenario)[0]
+    i = int(np.argmax(row))
+    return float(row[i]), alphas[i], float(np.ptp(row))
+
+
+def _bracket(center: float, half_width: float, alpha: float) -> list:
+    """The alpha_S row of a refinement probe: center +- half_width,
+    clipped to [0, alpha]."""
+    return [float(a) for a in np.linspace(max(0.0, center - half_width),
+                                          min(alpha, center + half_width),
+                                          _BRACKET_POINTS)]
+
+
+def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) -> tuple:
+    """Stage 2 from the best grid point ``best`` = (eu, n, alpha_S): the
+    best (eu, n, alpha_S) found, which is ``best`` unless a point beats it."""
+    _, grid_n, grid_alpha = best
+    sizes = _grid_sizes(scenario, config)
+    top = max(2 * max(config.n_grid), sizes[-1])
+    i = sizes.index(grid_n)
+    hi = sizes[i + 1] if i + 1 < len(sizes) else top
+    step = scenario.alpha / (config.alpha_points - 1)
+    alphas = _bracket(grid_alpha, step, scenario.alpha) if family == STRATIFIED else [None]
+    n, (eu, alpha_S, _) = _fibonacci_max(
+        lambda m: _row_best(family, m, alphas, scenario), sizes[max(i - 1, 0)], hi)
+    best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+    if family != STRATIFIED:
+        return best
+
+    # Narrow the alpha_S bracket 4x per round around the best point, at
+    # its n and both neighbours, until the utility varies by less than
+    # refine_tol over the bracket at the centre n: a smooth utility varies
+    # at least that much between the bracket's best point and the optimum.
+    half_width = step
+    while True:
+        half_width /= 4.0
+        _, center_n, center_alpha = best
+        alphas = _bracket(center_alpha, half_width, scenario.alpha)
+        for n in (center_n - 1, center_n, center_n + 1):
+            if scenario.n_min <= n <= top:
+                eu, alpha_S, row_spread = _row_best(family, n, alphas, scenario)
+                best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+                if n == center_n:
+                    spread = row_spread
+        if spread < config.refine_tol:
+            return best
 
 
 def optimize_family(family: str, scenario: Scenario,
@@ -142,33 +234,14 @@ def optimize_family(family: str, scenario: Scenario,
         raise ValueError(f"family must be one of {TRIAL_KINDS}, got {family!r}")
     config = grid_config or GridConfig()
 
-    def objective(n: float, alpha_S: Optional[float] = None) -> float:
-        return prior_averaged(family, n, alpha_S, scenario).expected_utility
-
-    best_n, best_alpha, best_eu = None, None, -math.inf
+    best = (-math.inf, None, None)
     for (n, alpha_S), eu in _grid_scores(family, scenario, config):
-        if eu > best_eu:
-            best_n, best_alpha, best_eu = n, alpha_S, eu
-    grid_eu = best_eu
-
+        if eu > best[0]:
+            best = (eu, n, alpha_S)
     if config.refine:
-        # Nelder-Mead over n, and over alpha_S too where the grid has one.
-        x0 = [float(best_n)] if best_alpha is None else [float(best_n), best_alpha]
-        bounds = [(float(scenario.n_min), 2.0 * max(config.n_grid)), (0.0, scenario.alpha)]
-        res = minimize(lambda x: -objective(*x), np.array(x0), method="Nelder-Mead",
-                       bounds=bounds[:len(x0)],
-                       options={"fatol": config.refine_tol, "xatol": 1e-3,
-                                "maxiter": 400, "maxfev": 600})
-        n_star = float(res.x[0])
-        alpha_star = None if best_alpha is None else float(res.x[1])
-        for n_int in sorted({max(scenario.n_min, math.floor(n_star)),
-                             max(scenario.n_min, math.ceil(n_star))}):
-            eu = objective(n_int, alpha_star)
-            if eu > best_eu:
-                best_n, best_alpha, best_eu = n_int, alpha_star, eu
+        best = _refine(family, scenario, config, best)
+    _, best_n, best_alpha = best
 
-    if best_eu < grid_eu:
-        raise NumericError(f"refinement lost to the grid: {best_eu!r} < {grid_eu!r}")
     design = DesignSpec(family, n=best_n, alpha_S=best_alpha)
     result = prior_averaged(family, best_n, best_alpha, scenario)
     derived = (alpha_F_given_alpha_S(best_alpha, scenario.lambda_S, scenario.alpha)

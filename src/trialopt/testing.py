@@ -26,18 +26,20 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .model import EffectPair, Scenario
-from .numerics import NumericError, _one_sided_critical, bivariate_upper_orthant, find_root
+from .numerics import _one_sided_critical, bivariate_upper_orthant, find_root
 
 # Above this correlation the subgroup and pooled statistics are treated as
 # perfectly dependent (nested rejection regions); protects the root finder.
 _RHO_DEGENERATE = 1.0 - 1e-9
 
-# Rounding floor of the union probability: h comes from 1 - alpha_S, which
-# carries an absolute error of about 1e-16 into each tail probability.
-_UNION_ROUNDING = 1e-15
+# Accuracy of the union probability in units in the last place of alpha:
+# its terms are at most alpha each. The level solve stops once the union is
+# this close to alpha, and a union this far below alpha at alpha_F = alpha
+# is rounding.
+_UNION_ULPS = 32
 
 
 @dataclass(frozen=True)
@@ -95,23 +97,20 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
         return 0.0
 
     h = _one_sided_critical(alpha_S)
+    spread = math.sqrt(1.0 - lambda_S)
 
-    def union_excess(alpha_F: float) -> float:
-        if alpha_F <= 0.0:
-            return alpha_S - alpha
+    def union_excess(alpha_F: float):
+        # The excess is increasing and convex in alpha_F, with slope
+        # 1 - P(Z_S > h | Z_F = k) = Phi((h - rho k) / sqrt(1 - rho^2)).
         k = _one_sided_critical(alpha_F)
-        return alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha
+        return (alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha,
+                float(ndtr((h - rho * k) / spread)))
 
-    try:
-        return find_root(union_excess, 0.0, alpha, tol=1e-10)
-    except NumericError:
-        # Exactly, union_excess(alpha) = P(Z_S >= h, Z_F < z_{1-alpha}) >= 0.
-        # Where the subgroup event lies inside the pooled one to double
-        # precision, rounding can leave it a few 1e-17 below zero; alpha_F =
-        # alpha then keeps the level.
-        if union_excess(alpha) >= -_UNION_ROUNDING:
-            return alpha
-        raise
+    # Exactly, union_excess(alpha) = P(Z_S >= h, Z_F < z_{1-alpha}) >= 0, so
+    # Newton starts right of the root. Where the subgroup event lies inside
+    # the pooled one to double precision, that excess can round a few 1e-18
+    # below zero; alpha_F = alpha then keeps the level.
+    return find_root(union_excess, alpha, tol=_UNION_ULPS * math.ulp(alpha))
 
 
 def params_for_scenario(scenario: Scenario, alpha_S: float) -> StratifiedTestParams:
@@ -188,9 +187,9 @@ def _line_geometry(lam, alpha, alpha_S, alpha_F, tau_S, tau_Sc, delta_S, delta_S
         shift_F=delta_F / se_F,
         sq_lam=math.sqrt(lam), sq_lamc=math.sqrt(lamc),
         crit_alpha=_one_sided_critical(alpha),
-        # ndtri(1 - level) is +inf at level 0, as _one_sided_critical
-        crit_alpha_S=ndtri(1.0 - alpha_S),
-        crit_alpha_F=ndtri(1.0 - alpha_F),
+        # -ndtri(level) is +inf at level 0, as _one_sided_critical
+        crit_alpha_S=-ndtri(alpha_S),
+        crit_alpha_F=-ndtri(alpha_F),
         crit_tau_S=_one_sided_critical(tau_S),
         crit_tau_Sc=_one_sided_critical(tau_Sc),
         mu_S_cut=-math.inf if mu_S is None else (mu_S - delta_S) / se_S,

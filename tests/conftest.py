@@ -35,8 +35,8 @@ def scenario():
 @pytest.fixture
 def broken_orthant(monkeypatch):
     """The level condition with an orthant that always returns 1.0, so its
-    root bracket never changes sign; alpha_F's cache is cleared on both
-    sides so no solved value leaks in or out."""
+    Newton solve starts left of any root; alpha_F's cache is cleared on
+    both sides so no solved value leaks in or out."""
     import trialopt.testing as testing
 
     monkeypatch.setattr(testing, "bivariate_upper_orthant", lambda h, k, rho: 1.0)

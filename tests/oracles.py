@@ -13,18 +13,36 @@
   utility for one atom in scalar arithmetic, one validated result per
   call: the form the library used before the array kernel, which must
   reproduce it bit for bit.
+- :func:`whole_array_limit_cdf` is the bivariate normal CDF that evaluates
+  Owen's form and every limit on the whole array whenever any element is
+  a limit case; the masked library form must reproduce it bit for bit.
+- :func:`brentq_alpha_F` is the level condition solved by Brent's method
+  on the bracket [0, alpha], with thresholds taken as ndtri(1 - level):
+  the solve the library used before Newton's method.
+- :func:`nelder_mead_family` is a family's optimum refined from the best
+  grid point by a bounded Nelder-Mead simplex over continuous (n,
+  alpha_S), with n rounded to the better neighbouring integer: the search
+  the library used before the integer search.
 """
 
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.optimize import brentq, minimize
+from scipy.special import ndtr, ndtri, owens_t
 
 from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, pooled_effect
 from trialopt.model import _cost_for
-from trialopt.numerics import NumericError, _one_sided_critical, std_normal_pdf
+from trialopt.numerics import (
+    NumericError,
+    _one_sided_critical,
+    _owen_cdf,
+    bivariate_upper_orthant,
+    std_normal_pdf,
+)
+from trialopt.optimizer import _grid_scores
 from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
-from trialopt.utility import EvaluationResult, _check_n, classical_variance
+from trialopt.utility import EvaluationResult, _check_n, classical_variance, prior_averaged
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -388,3 +406,67 @@ def adaptive_stratified(effects, n, alpha_S, scenario):
         reward_F = rewards.NrF * gain_F * _clamp01(p_f)
         reward_S = scenario.lambda_S * rewards.NrS * gain_S * _clamp01(p_s_only)
     return _assemble(reward_S, reward_F, cost, p_s_only, p_f)
+
+
+def whole_array_limit_cdf(x, y, rho, rho_c):
+    """Bivariate normal CDF with one whole-array pass per limit kind."""
+    inf_x = np.isinf(x)
+    zero = (x == 0.0) | (y == 0.0)
+    unit = rho_c == 0.0
+    if not (inf_x | zero | unit).any():
+        return _owen_cdf(x, y, rho, rho_c)
+    x, y, rho, rho_c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)))
+    rho_s, rho_cs = np.where(unit, 0.0, rho), np.where(unit, 1.0, rho_c)
+    out = _owen_cdf(np.where(inf_x | zero, 1.0, x), np.where(zero, 1.0, y), rho_s, rho_cs)
+    out = np.where(x == 0.0, 0.5 * ndtr(y) + owens_t(y, rho_s / rho_cs), out)
+    out = np.where(y == 0.0, 0.5 * ndtr(x) + owens_t(x, rho_s / rho_cs), out)
+    out = np.where(unit, np.where(rho > 0.0, ndtr(np.minimum(x, y)),
+                                  np.maximum(0.0, ndtr(x) - ndtr(-y))), out)
+    return np.where(inf_x, np.where(x > 0.0, ndtr(y), 0.0), out)
+
+
+def brentq_alpha_F(alpha_S, lambda_S, alpha=0.025):
+    """Level-condition alpha_F by Brent's method, for 0 < alpha_S < alpha."""
+    rho = math.sqrt(lambda_S)
+    h = float(ndtri(1.0 - alpha_S))
+
+    def union_excess(alpha_F):
+        if alpha_F <= 0.0:
+            return alpha_S - alpha
+        k = float(ndtri(1.0 - alpha_F))
+        return alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha
+
+    if union_excess(alpha) <= 0.0:
+        # the rounding floor of the union: the subgroup event is nested
+        if union_excess(alpha) >= -1e-15:
+            return alpha
+        raise NumericError("no sign change on the level-condition bracket")
+    return float(brentq(union_excess, 0.0, alpha, xtol=1e-10,
+                        rtol=4.0 * np.finfo(float).eps, maxiter=200))
+
+
+def nelder_mead_family(family, scenario, config):
+    """(n, alpha_S, expected utility) of a family's Nelder-Mead optimum."""
+
+    def objective(n, alpha_S=None):
+        return prior_averaged(family, n, alpha_S, scenario).expected_utility
+
+    best_n, best_alpha, best_eu = None, None, -math.inf
+    for (n, alpha_S), eu in _grid_scores(family, scenario, config):
+        if eu > best_eu:
+            best_n, best_alpha, best_eu = n, alpha_S, eu
+    x0 = [float(best_n)] if best_alpha is None else [float(best_n), best_alpha]
+    bounds = [(float(scenario.n_min), 2.0 * max(config.n_grid)), (0.0, scenario.alpha)]
+    res = minimize(lambda x: -objective(*x), np.array(x0), method="Nelder-Mead",
+                   bounds=bounds[:len(x0)],
+                   options={"fatol": config.refine_tol, "xatol": 1e-3,
+                            "maxiter": 400, "maxfev": 600})
+    n_star = float(res.x[0])
+    alpha_star = None if best_alpha is None else float(res.x[1])
+    for n_int in sorted({max(scenario.n_min, math.floor(n_star)),
+                         max(scenario.n_min, math.ceil(n_star))}):
+        eu = objective(n_int, alpha_star)
+        if eu > best_eu:
+            best_n, best_alpha, best_eu = n_int, alpha_star, eu
+    return best_n, best_alpha, best_eu

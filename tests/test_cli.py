@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from trialopt.cli import RunManifest, main
@@ -95,7 +99,7 @@ class TestEvaluateCommand:
                                              broken_orthant):
         assert main(["evaluate", "--config", config_path, "--design", "stratified",
                      "--n", "100", "--alpha-s", "0.0125", "--out", str(tmp_path)]) == 3
-        assert "no sign change" in capsys.readouterr().err
+        assert "left of the root" in capsys.readouterr().err
 
     def test_missing_n_is_config_error(self, config_path, tmp_path):
         code = main(["evaluate", "--config", config_path, "--design", "classical",
@@ -242,3 +246,14 @@ class TestErrorHandling:
         monkeypatch.setattr(optimizer, "optimize_family", boom)
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                      "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 0.35 s and 23 MB of every cold start
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys, trialopt, trialopt.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"

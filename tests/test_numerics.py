@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import _adaptive_gk, _integrate_multi, _segment, genz_upper_orthant
+from oracles import (
+    _adaptive_gk,
+    _integrate_multi,
+    _segment,
+    genz_upper_orthant,
+    whole_array_limit_cdf,
+)
 from trialopt.numerics import (
     NumericError,
     bivariate_normal_cdf,
@@ -174,6 +180,30 @@ class TestBivariateCdf:
         want = [genz_upper_orthant(-a, -b, r) for a, b, r in zip(x, y, rho)]
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_masked_limits_equal_whole_array_form(self):
+        # every limit kind and every overlap of two kinds, amid regular elements
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-5.0, 5.0, 900)
+        y = rng.uniform(-5.0, 5.0, 900)
+        rho = rng.uniform(-0.99, 0.99, 900)
+        x[::7] = 0.0
+        y[::11] = 0.0
+        x[3::13] = math.inf
+        x[5::17] = -math.inf
+        rho[::19] = 1.0
+        rho[2::23] = -1.0
+        rho_c = np.sqrt((1.0 - rho) * (1.0 + rho))
+        got = bivariate_normal_cdf(x, y, rho, rho_c)
+        assert np.array_equal(got, whole_array_limit_cdf(x, y, rho, rho_c))
+        # a broadcast column of bounds against a row of lines, as a grid row
+        x2, y2 = np.stack((x[:60], x[60:120])), y[:60]
+        assert np.array_equal(bivariate_normal_cdf(x2, y2, rho[:60], rho_c[:60]),
+                              whole_array_limit_cdf(x2, y2, rho[:60], rho_c[:60]))
+        # scalars
+        for args in [(0.0, 0.4, 0.3, math.sqrt(0.91)), (math.inf, 0.4, 0.3, math.sqrt(0.91)),
+                     (0.2, 0.4, 1.0, 0.0), (0.2, 0.4, 0.3, math.sqrt(0.91))]:
+            assert bivariate_normal_cdf(*args) == whole_array_limit_cdf(*args)
+
 
 def gk_integral(f, lo, hi, abs_tol, breakpoints=(), max_segments=2048):
     """The oracle's adaptive G7/K15 rule over [lo, hi], scalar result."""
@@ -242,19 +272,41 @@ class TestIntegrate1D:
 
 
 class TestFindRoot:
+    """Newton's method for an increasing convex g, started right of the root."""
+
     def test_linear(self):
-        assert find_root(lambda x: x - 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert find_root(lambda x: (x - 0.5, 1.0), 1.0) == 0.5
 
     def test_matches_quantile(self):
-        got = find_root(lambda x: std_normal_cdf(x) - 0.975, 0.0, 4.0, tol=1e-12)
-        assert got == pytest.approx(QUANTILE_975, abs=1e-8)
+        # Phi is increasing and convex left of 0
+        got = find_root(lambda x: (std_normal_cdf(x) - 0.025, std_normal_pdf(x)), 0.0)
+        assert got == pytest.approx(-QUANTILE_975, abs=1e-12)
 
-    def test_unbracketed_rejected(self):
-        with pytest.raises(NumericError, match="sign change"):
-            find_root(lambda x: x * x, 1.0, 2.0)
+    def test_start_left_of_root_rejected(self):
+        with pytest.raises(NumericError, match="left of the root"):
+            find_root(lambda x: (x - 0.5, 1.0), 0.0)
+
+    def test_values_within_tol_are_roots(self):
+        assert find_root(lambda x: (-1e-17, 1.0), 0.3, tol=1e-16) == 0.3
+        start = math.nextafter(0.5, 1.0)
+        assert find_root(lambda x: (x - 0.5, 1.0), start, tol=1e-15) == start
+        with pytest.raises(NumericError, match="left of the root"):
+            find_root(lambda x: (-1e-17, 1.0), 0.3)
+
+    def test_overshoot_returns_closer_end(self):
+        # a slope read slightly low, as rounding can, carries the step past
+        # the root; the end of the step is the closer of the two points
+        got = find_root(lambda x: (x - 0.5, 0.999), 1.0)
+        assert got == pytest.approx(0.4995, abs=1e-6)
+        assert got < 0.5
+
+    def test_iteration_cap_raises(self):
+        # x^4 has a quadruple root: each step only removes a quarter of x
+        with pytest.raises(NumericError, match="did not converge in 50 iterations"):
+            find_root(lambda x: (x ** 4, 4.0 * x ** 3), 1.0)
 
     def test_deterministic(self):
-        g = lambda x: math.cos(x) - x
-        first = find_root(g, 0.0, 1.0, tol=1e-13)
-        second = find_root(g, 0.0, 1.0, tol=1e-13)
-        assert first == second
+        g = lambda x: (x - math.cos(x), 1.0 + math.sin(x))
+        first = find_root(g, 1.0)
+        assert first == find_root(g, 1.0)
+        assert first == pytest.approx(0.7390851332151607, abs=1e-15)

@@ -17,7 +17,8 @@ from trialopt.optimizer import (
     sweep_prevalence,
 )
 from trialopt.utility import prior_averaged
-from conftest import CASE1, make_scenario
+from conftest import CASE1, CASE3, make_scenario
+from oracles import nelder_mead_family
 
 # Coarse grid keeps optimizer tests quick; refinement recovers precision.
 FAST = GridConfig(
@@ -84,6 +85,21 @@ class TestOptimizeFamily:
         grid_only = optimize_family("stratified", scenario, replace(FAST, refine=False))
         refined = optimize_family("stratified", scenario, FAST)
         assert refined.expected_utility >= grid_only.expected_utility
+
+    @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
+    @pytest.mark.parametrize("lambda_S,perspective,case,prior_kind", [
+        (0.35, "sponsor", CASE1, "weak"),
+        (0.6, "public", CASE3, "strong"),
+        (0.8, "sponsor", CASE3, "strong"),
+    ])
+    def test_matches_nelder_mead_oracle(self, family, lambda_S, perspective, case,
+                                        prior_kind):
+        scenario = make_scenario(lambda_S=lambda_S, perspective=perspective, case=case,
+                                 prior_kind=prior_kind)
+        n, _, eu = nelder_mead_family(family, scenario, FAST)
+        outcome = optimize_family(family, scenario, FAST)
+        assert outcome.best_design.n == n
+        assert outcome.expected_utility >= eu - FAST.refine_tol
 
     def test_deterministic(self):
         scenario = make_scenario(lambda_S=0.6, case=CASE1)

@@ -16,9 +16,16 @@ from trialopt.testing import (
     reject_stratified,
 )
 from conftest import make_scenario
+from oracles import brentq_alpha_F
 
 # Frozen from an independent brentq-on-dblquad oracle (xtol 1e-13).
 ALPHA_F_HALF = 0.016788350676614376
+
+
+def union_probability(alpha_S, alpha_F, lambda_S):
+    """P(p_S <= alpha_S or p_F <= alpha_F) under the global null."""
+    h, k = -std_normal_quantile(alpha_S), -std_normal_quantile(alpha_F)
+    return alpha_S + alpha_F - bivariate_upper_orthant(h, k, math.sqrt(lambda_S))
 
 
 class TestLevelCondition:
@@ -80,16 +87,47 @@ class TestLevelCondition:
 
     def test_nested_subgroup_event_gives_alpha(self):
         # at lambda 0.96875 the tiny subgroup event sits inside the pooled
-        # one; the union at alpha_F = alpha rounds to 4e-17 below alpha
+        # one, so the root lies within rounding of alpha
         alpha_S = 0.0078125 * 0.025
-        assert alpha_F_given_alpha_S(alpha_S, 0.96875) == 0.025
-        h = std_normal_quantile(1.0 - alpha_S)
-        k = std_normal_quantile(1.0 - 0.025)
-        union = alpha_S + 0.025 - bivariate_upper_orthant(h, k, math.sqrt(0.96875))
-        assert abs(union - 0.025) <= 1e-15
+        alpha_F = alpha_F_given_alpha_S(alpha_S, 0.96875)
+        assert abs(union_probability(alpha_S, alpha_F, 0.96875) - 0.025) <= 1e-15
+        assert abs(alpha_F - 0.025) <= 1e-15
+
+    def test_newton_against_brentq_oracle(self):
+        # 99 lambda in [0.01, 0.99] x 200 log-spaced alpha_S in [1e-9, alpha];
+        # alpha_S = alpha itself is the exact endpoint alpha_F = 0
+        worst_gap = worst_level = 0.0
+        for lam in np.linspace(0.01, 0.99, 99).tolist():
+            for alpha_S in np.geomspace(1e-9, 0.025, 200)[:-1].tolist():
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
+                worst_gap = max(worst_gap, abs(alpha_F - brentq_alpha_F(alpha_S, lam)))
+                worst_level = max(worst_level,
+                                  abs(union_probability(alpha_S, alpha_F, lam) - 0.025))
+        assert worst_gap <= 1e-10
+        assert worst_level <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.025, 0.45])
+    def test_alpha_S_ulps_below_alpha(self, alpha):
+        # as alpha_S nears alpha the root alpha_F nears 0, where the slope
+        # vanishes and Newton's steps magnify the rounding in the union
+        for lam in (0.21, 0.5, 0.95, 0.99):
+            for ulps in (1, 4, 33, 5355, 62605165, 10 ** 10):
+                alpha_S = alpha - ulps * math.ulp(alpha)
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam, alpha)
+                union = union_probability(alpha_S, alpha_F, lam)
+                assert abs(union - alpha) <= 32 * math.ulp(alpha)
+
+    @pytest.mark.parametrize("lam", [0.9999994759516683, 0.9999999507937277])
+    def test_near_singular_prevalence(self, lam):
+        # the orthant's rounding here exceeds the solve's floor, so the last
+        # Newton step can land a few 1e-16 past the root
+        for ulps in (119377664171, 492388263170, 10 ** 12):
+            alpha_S = 0.025 - ulps * math.ulp(0.025)
+            alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
+            assert abs(union_probability(alpha_S, alpha_F, lam) - 0.025) <= 1e-13
 
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
-        with pytest.raises(NumericError, match="sign change"):
+        with pytest.raises(NumericError, match="left of the root"):
             alpha_F_given_alpha_S(0.0125, 0.5)
 
 
