@@ -198,8 +198,9 @@ class CostStructure:
                 raise ValueError(f"cost.{name} must be nonnegative")
 
 
-def _cost_for(kind: str, n: float, costs: CostStructure, lambda_S: float) -> float:
-    """Cost core accepting fractional n (used by continuous optimization)."""
+def _cost_for(kind: str, n, costs: CostStructure, lambda_S: float):
+    """Cost core of :func:`trial_cost`, accepting fractional n or an array
+    of sizes, over which it broadcasts (used by the evaluation kernels)."""
     if kind == NO_TRIAL:
         return 0.0
     if not (0.0 < lambda_S < 1.0):

@@ -134,7 +134,7 @@ class _Geometry:
     sponsor floor line for the pooled estimate.
 
     The fields are floats, or arrays broadcasting against each other when
-    a batch of settings shares lambda_S, n and sigma.
+    a batch of settings shares lambda_S and sigma.
     """
 
     se_S: float
@@ -173,12 +173,12 @@ def _geometry(params: StratifiedTestParams, effects: EffectPair, n: float,
 
 def _line_geometry(lam, alpha, alpha_S, alpha_F, tau_S, tau_Sc, delta_S, delta_Sc,
                    n, sigma, mu_S, mu_F) -> _Geometry:
-    """Geometry from plain values; alpha_S, alpha_F, delta_S and delta_Sc
-    may be arrays, which broadcast elementwise into every field."""
+    """Geometry from plain values; alpha_S, alpha_F, delta_S, delta_Sc and
+    n may be arrays, which broadcast elementwise into every field."""
     lamc = 1.0 - lam
-    se_S = sigma * math.sqrt(2.0 / (lam * n))
-    se_Sc = sigma * math.sqrt(2.0 / (lamc * n))
-    se_F = sigma * math.sqrt(2.0 / n)
+    se_S = sigma * np.sqrt(2.0 / (lam * n))
+    se_Sc = sigma * np.sqrt(2.0 / (lamc * n))
+    se_F = sigma * np.sqrt(2.0 / n)
     delta_F = lam * delta_S + lamc * delta_Sc
     return _Geometry(
         se_S=se_S, se_Sc=se_Sc, se_F=se_F,

@@ -7,8 +7,12 @@ breakpoints of the region geometry from :mod:`trialopt.testing`, every
 region bound in z_Sc is one straight line a + b z_S, so each probability
 and reward integral over z_S is a sum of bivariate-normal and
 normal-density terms. Each family has one array kernel that scores a
-whole batch of (atom, alpha_S) settings at a time; :func:`grid_row`
-averages it over the prior.
+whole batch of (atom, n, alpha_S) settings at a time, with the per-group
+size n on an array axis of its own; :func:`grid_row` averages it over the
+prior. Every element is computed as it would be alone, so a block of
+sizes scores exactly as its rows one by one. The kernels' temporaries
+grow with the block, so the optimizer caps the settings per call to keep
+peak memory flat.
 """
 
 from __future__ import annotations
@@ -85,36 +89,41 @@ def classical_variance(effects: EffectPair, lambda_S: float, sigma: float,
     return (2.0 * sigma ** 2 + mix) / n
 
 
-def _check_n(n: float, scenario: Scenario) -> float:
-    n = float(n)
-    if not n >= scenario.n_min - 1e-9:
-        raise ValueError(f"n={n} below the minimal per-group size {scenario.n_min}")
-    return n
+def _check_n(n, scenario: Scenario):
+    """n as a float, or a block of sizes as a float array; raises
+    ValueError naming the smallest size below the scenario's n_min."""
+    sizes = np.asarray(n, dtype=float)
+    low = sizes[~(sizes >= scenario.n_min - 1e-9)]
+    if low.size:
+        raise ValueError(f"n={float(np.min(low))} below the minimal per-group size "
+                         f"{scenario.n_min}")
+    return float(sizes) if sizes.ndim == 0 else sizes
 
 
 def _result(fields) -> EvaluationResult:
     return EvaluationResult(*(float(f) for f in fields))
 
 
-def _single_test_fields(kind: str, atoms, n: float, scenario: Scenario) -> np.ndarray:
+def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
     """Evaluation fields of the enrichment (subgroup test, subgroup
     approval) or the classical design (pooled test, full approval) for
-    every atom: an array of shape (7, len(atoms), 1) in EvaluationResult
+    every atom and every size in ``n`` (a float or an array of sizes): an
+    array of shape (7, len(atoms)) + np.shape(n) + (1,) in EvaluationResult
     field order, from the truncated-normal closed form of the z-test.
     """
-    n = _check_n(n, scenario)
+    n = np.asarray(_check_n(n, scenario))[..., None]
     lam = scenario.lambda_S
     rewards = scenario.rewards
+    per_atom = (len(atoms),) + (1,) * n.ndim
     if kind == ENRICHMENT:
         delta = [e.delta_S for e in atoms]
-        variance = [2.0 * scenario.sigma ** 2 / n] * len(atoms)
+        se = np.sqrt(2.0 * scenario.sigma ** 2 / n)
         mu, scale = rewards.mu_S, lam * rewards.NrS
     else:
         delta = [pooled_effect(e, lam) for e in atoms]
-        variance = [classical_variance(e, lam, scenario.sigma, n) for e in atoms]
+        se = np.sqrt([classical_variance(e, lam, scenario.sigma, n) for e in atoms])
         mu, scale = rewards.mu_F, rewards.NrF
-    delta = np.array(delta)[:, None]
-    se = np.sqrt(variance)[:, None]
+    delta = np.array(delta).reshape(per_atom)
     crit = _one_sided_critical(scenario.alpha)
     p_reject = ndtr(delta / se - crit)
     if rewards.perspective == SPONSOR:
@@ -195,9 +204,10 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     return i0, j1, j2
 
 
-def _stratified_fields(atoms, n: float, alpha_S, scenario: Scenario) -> np.ndarray:
-    """Evaluation fields of the stratified design for every atom and every
-    alpha_S: an array of shape (7, len(atoms), len(alpha_S)) in
+def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
+    """Evaluation fields of the stratified design for every atom, every
+    size in ``n`` (a float or an array of sizes) and every alpha_S: an
+    array of shape (7, len(atoms)) + np.shape(n) + (len(alpha_S),) in
     EvaluationResult field order.
 
     P(A_F), P(A_S) and the sponsor reward integrals are sums over the
@@ -205,19 +215,21 @@ def _stratified_fields(atoms, n: float, alpha_S, scenario: Scenario) -> np.ndarr
     closed forms in :func:`_line_integrals`; on each piece the active
     constraint line is picked at an interior point.
     """
-    n = _check_n(n, scenario)
+    n = np.asarray(_check_n(n, scenario))
     lam = scenario.lambda_S
     rewards = scenario.rewards
     sponsor = rewards.perspective == SPONSOR
     alpha_S = np.asarray(alpha_S, dtype=float)
     alpha_F = np.array([alpha_F_given_alpha_S(float(a), lam, scenario.alpha)
                         for a in alpha_S])
-    delta_S = np.array([[e.delta_S] for e in atoms])
-    delta_Sc = np.array([[e.delta_Sc] for e in atoms])
+    # Axes: atom, then the axes of n, then alpha_S, then the z_S piece.
+    per_atom = (len(atoms),) + (1,) * (n.ndim + 2)
+    delta_S = np.array([e.delta_S for e in atoms]).reshape(per_atom)
+    delta_Sc = np.array([e.delta_Sc for e in atoms]).reshape(per_atom)
     geom = _line_geometry(
         lam, scenario.alpha, alpha_S[:, None], alpha_F[:, None],
-        scenario.tau_S, scenario.tau_Sc, delta_S[..., None], delta_Sc[..., None],
-        n, scenario.sigma,
+        scenario.tau_S, scenario.tau_Sc, delta_S, delta_Sc,
+        n[..., None, None], scenario.sigma,
         rewards.mu_S if sponsor else None, rewards.mu_F if sponsor else None)
     lo, hi, mid = _pieces(geom)
     geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf) if sponsor else geom
@@ -240,14 +252,14 @@ def _stratified_fields(atoms, n: float, alpha_S, scenario: Scenario) -> np.ndarr
     gain_F = lam * delta_S + (1.0 - lam) * delta_Sc - rewards.mu_F
     gain_S = delta_S - rewards.mu_S
     if sponsor:
-        r_f = gain_F[..., None] * i0[3] + geom.se_F * (geom.sq_lam * j1[3] + geom.sq_lamc * j2[3])
-        r_s = gain_S[..., None] * (i0[1] - i0[2]) + geom.se_S * (j1[1] - j1[2])
+        r_f = gain_F * i0[3] + geom.se_F * (geom.sq_lam * j1[3] + geom.sq_lamc * j2[3])
+        r_s = gain_S * (i0[1] - i0[2]) + geom.se_S * (j1[1] - j1[2])
         reward_F = rewards.NrF * np.sum(r_f, axis=-1)
         reward_S = lam * rewards.NrS * np.sum(np.where(alive_rs, r_s, 0.0), axis=-1)
     else:
-        reward_F = rewards.NrF * gain_F * p_f
-        reward_S = lam * rewards.NrS * gain_S * p_s
-    cost = np.full(p_f.shape, _cost_for(STRATIFIED, n, scenario.costs, lam))
+        reward_F = rewards.NrF * gain_F[..., 0] * p_f
+        reward_S = lam * rewards.NrS * gain_S[..., 0] * p_s
+    cost = np.full(p_f.shape, _cost_for(STRATIFIED, n[..., None], scenario.costs, lam))
     return np.stack((reward_S + reward_F - cost, p_s, p_f,
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
@@ -283,12 +295,13 @@ def _merged_atoms(kind: str, scenario: Scenario):
     return [(effects, math.fsum(weights)) for effects, weights in groups.values()]
 
 
-def grid_row(kind: str, n: float, alphas, scenario: Scenario) -> np.ndarray:
-    """Prior-averaged evaluation of a trial design at size n for every
-    alpha_S in ``alphas`` (``[None]`` for the one-test families), in one
-    batched call: an array of shape (7, len(alphas)) in EvaluationResult
-    field order, probabilities not yet clamped. Row 0 holds the expected
-    utilities.
+def grid_row(kind: str, n, alphas, scenario: Scenario) -> np.ndarray:
+    """Prior-averaged evaluation of a trial design at every size in ``n``
+    (a float, or an array of sizes) for every alpha_S in ``alphas``
+    (``[None]`` for the one-test families), in one batched call: an array
+    of shape (7,) + np.shape(n) + (len(alphas),) in EvaluationResult field
+    order, probabilities not yet clamped. Row 0 holds the expected
+    utilities. Each element equals the one a scalar-n call computes.
     """
     merged = _merged_atoms(kind, scenario)
     atoms = [e for e, _ in merged]

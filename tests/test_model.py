@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from trialopt.model import (
@@ -17,6 +18,7 @@ from trialopt.model import (
     scenario_to_mapping,
     trial_cost,
 )
+from trialopt.model import _cost_for
 
 CASE3_COSTS = CostStructure(setup=1.0, per_patient=0.05, biomarker=10.0,
                             screening=0.005)
@@ -58,6 +60,14 @@ class TestTrialCost:
                      lambda n: DesignSpec.stratified(n, 0.01)):
             values = [trial_cost(make(n), CASE3_COSTS, 0.3) for n in (50, 80, 200, 900)]
             assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_cost_core_broadcasts_over_sizes(self):
+        sizes = np.array([[50.0, 61.5], [3000.0, 6000.0]])
+        for kind in ("classical", "stratified", "enrichment"):
+            got = _cost_for(kind, sizes, CASE3_COSTS, 0.3)
+            assert got.shape == sizes.shape
+            assert got.tolist() == [[_cost_for(kind, float(n), CASE3_COSTS, 0.3) for n in row]
+                                    for row in sizes]
 
     def test_family_ordering_at_equal_n(self):
         for lam in (0.1, 0.4, 0.9):

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from trialopt import optimizer
+from trialopt import optimizer, utility
 from trialopt.model import ConfigError, DesignSpec
 from trialopt.optimizer import (
     ContourCell,
@@ -123,6 +124,36 @@ class TestOptimizeFamily:
     def test_unknown_family(self, scenario):
         with pytest.raises(ValueError):
             optimize_family("bayesian", scenario)
+
+
+class TestSizeBlocks:
+    # The block cap bounds memory only: one size per call and the whole
+    # grid in one call must decide exactly alike.
+    @pytest.mark.parametrize("settings", [1, 10 ** 9])
+    def test_block_cap_never_shows(self, monkeypatch, settings):
+        scenarios = [make_scenario(lambda_S=0.35, case=CASE1),
+                     make_scenario(lambda_S=0.6, perspective="public", case=CASE3,
+                                   prior_kind="strong")]
+        want = [optimizer.decide(s) for s in scenarios]
+        monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", settings)
+        assert [optimizer.decide(s) for s in scenarios] == want
+
+    def test_stage_one_scores_blocks_of_sizes(self, monkeypatch):
+        calls = []
+        kernel = utility._stratified_fields
+
+        def counted(atoms, n, alpha_S, scenario):
+            calls.append((np.shape(n), len(alpha_S)))
+            return kernel(atoms, n, alpha_S, scenario)
+
+        monkeypatch.setattr(utility, "_stratified_fields", counted)
+        optimize_family("stratified", make_scenario())
+        # Stage-1 rows span the 21-point alpha_S grid, refinement rows a
+        # 9-point bracket.
+        stage_one = [shape for shape, alphas in calls if alphas == 21]
+        assert len(stage_one) <= 10
+        assert sum(math.prod(shape) for shape in stage_one) == len(default_n_grid())
+        assert ((3,), 9) in calls
 
 
 class TestSelectDesign:

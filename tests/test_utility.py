@@ -18,7 +18,7 @@ from trialopt.utility import (
     grid_row,
     prior_averaged,
 )
-from trialopt.utility import _merged_atoms
+from trialopt.utility import _check_n, _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
 from conftest import CASE1, CASE3, make_scenario
 from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
@@ -197,6 +197,41 @@ class TestStratifiedClosedForm:
             want = [prior_averaged("stratified", n, a, scenario).expected_utility
                     for a in alphas]
             assert np.max(np.abs(row - want)) <= 1e-12
+
+
+class TestSizeBlocks:
+    # n is an array axis of the kernels: a block of sizes must score
+    # exactly as its rows one at a time, up to the top of refinement.
+    @pytest.mark.parametrize("kind", ["classical", "stratified", "enrichment"])
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    @pytest.mark.parametrize("prior", ["weak", "strong", "prognostic"])
+    def test_block_equals_stacked_rows(self, kind, perspective, prior):
+        scenario = make_scenario(lambda_S=0.35, perspective=perspective, case=CASE3)
+        if prior == "prognostic":
+            scenario = scenario.with_prior(DiscretePrior((
+                (EffectPair(0.3, 0.1, prognostic_offset=0.2), 0.3),
+                (EffectPair(0.0, 0.0, prognostic_offset=-0.15), 0.3),
+                (EffectPair(0.45, -0.1, prognostic_offset=0.05), 0.4))))
+        else:
+            scenario = scenario.with_prior(builtin_prior(prior, 0.3))
+        alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, 21)]
+                  if kind == "stratified" else [None])
+        sizes = [scenario.n_min, 230.5, 3000, 6000]
+        want = np.stack([grid_row(kind, n, alphas, scenario) for n in sizes], axis=1)
+        block = grid_row(kind, np.array(sizes), alphas, scenario)
+        assert block.shape == (7, 4, len(alphas))
+        assert block.tolist() == want.tolist()
+        square = grid_row(kind, np.reshape(sizes, (2, 2)), alphas, scenario)
+        assert square.tolist() == want.reshape(7, 2, 2, len(alphas)).tolist()
+
+    def test_check_n_names_smallest_offending_size(self, scenario):
+        assert _check_n(60, scenario) == 60.0
+        assert _check_n(np.array([50, 61.5]), scenario).tolist() == [50.0, 61.5]
+        with pytest.raises(ValueError, match=r"n=30\.0 below the minimal per-group size 50"):
+            _check_n(np.array([100, 40, 30, 60]), scenario)
+        for kind, alphas in (("stratified", [0.01]), ("classical", [None])):
+            with pytest.raises(ValueError, match=r"n=49\.0 below"):
+                grid_row(kind, np.array([50.0, 49.0]), alphas, scenario)
 
 
 class TestSingleTestArrayKernel:
