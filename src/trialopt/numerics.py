@@ -108,7 +108,12 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k) for standard bivariate normal with correlation rho.
 
     Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise the
-    Owen's-T form of :func:`bivariate_normal_cdf` (absolute error ~1e-16).
+    Owen's-T form of :func:`bivariate_normal_cdf`. Its absolute error is
+    ~1e-16 for rho^2 up to about 0.99999. Closer to rho = 1 the ratios
+    (y - rho x) / (x rho_c) in Owen's T grow like 1 / rho_c and the
+    rounding grows with them: at rho^2 in [0.99999, 1 - 2e-9], the level
+    condition's union misses alpha by up to 3.6e-14 (alpha_S near alpha,
+    alpha = 0.45), and about 2e-15 at alpha = 0.025.
     """
     if math.isnan(rho) or abs(rho) > 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")

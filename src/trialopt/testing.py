@@ -230,6 +230,13 @@ def _as_lines(geom: _Geometry, z_S):
     (with the sponsor floor) the subgroup estimate above mu_S, which cuts
     in z_S only. The slice is [a_lo + b_lo z_S, a_hi + b_hi z_S) in z_Sc;
     infinite bounds have b = 0.
+
+    The upper bound is where psi_F turns on, so without the sponsor floors
+    it is A_F's: wherever A_S is alive, (a_hi, b_hi) is the line of
+    :func:`_af_line` if A_F is alive there, and a_hi = +inf if not. Both
+    functions pick the pooled intercept (pooled_alpha on the alpha_S gate,
+    the larger of pooled_alpha and pooled_alpha_F off it) and the upper
+    line by the same expressions, so the match is exact.
     """
     z_S = np.asarray(z_S, dtype=float)
     t_S = z_S + geom.shift_S

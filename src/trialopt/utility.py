@@ -6,7 +6,12 @@ The stratified design is closed-form as well: between consecutive
 breakpoints of the region geometry from :mod:`trialopt.testing`, every
 region bound in z_Sc is one straight line a + b z_S, so each probability
 and reward integral over z_S is a sum of bivariate-normal and
-normal-density terms. Each family has one array kernel that scores a
+normal-density terms. The bivariate-normal CDF is evaluated once per
+distinct (line, breakpoint), in one call per kernel call: adjacent pieces
+on the same line share their common end, the infinite ends are closed
+forms, A_S's upper bound is read from the A_F line it equals, and the
+sponsor's floor line is integrated only where it differs from A_F's.
+Each family has one array kernel that scores a
 whole batch of (atom, n, alpha_S) settings at a time, with the per-group
 size n on an array axis of its own; :func:`grid_row` averages it over the
 prior. Every element is computed as it would be alone, so a block of
@@ -180,9 +185,20 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     """Integrals over z in [lo, hi] of phi(z) times the upper tail beyond
     the line z_Sc = a + b z, for every line and piece that is alive (zero
     elsewhere); a may be +-inf (then b = 0): an empty or a full tail.
+    Pieces run along the last axis, each starting where the one before
+    ends; an alive piece has lo < +inf and hi > -inf.
 
     Returns I0 = int phi(z) Phi_bar(a + b z) dz, and with ``moments`` also
     J1 = int z phi(z) Phi_bar(a + b z) dz and J2 = int phi(z) phi(a + b z) dz.
+
+    I0 is a difference of bivariate-normal CDF values at the piece's ends,
+    and each distinct (line, breakpoint) value is computed once, all in
+    one CDF call: the upper end of every piece, and a lower end only where
+    the piece below is not alive on the same (a, b). The infinite ends are
+    closed forms (0 at -inf, Phi(-a / s) at +inf), so the CDF sees no
+    limit in x. Each piece's difference is taken from the same values as
+    when every end is evaluated on its own, so the results are the same
+    bit for bit.
     """
     lo, hi = np.broadcast_to(lo, alive.shape), np.broadcast_to(hi, alive.shape)
     i0, j1, j2 = np.zeros(alive.shape), np.zeros(alive.shape), np.zeros(alive.shape)
@@ -190,12 +206,29 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     i0[full] = ndtr(hi[full]) - ndtr(lo[full])
     j1[full] = std_normal_pdf(lo[full]) - std_normal_pdf(hi[full])
     sel = alive & np.isfinite(a)
+    # A piece's lower end is the upper end of the piece below. Where that
+    # piece is selected on the same (a, b), it is the selected piece just
+    # before in order, and its CDF value serves both.
+    shared = np.zeros(sel.shape, dtype=bool)
+    shared[..., 1:] = sel[..., :-1] & (a[..., 1:] == a[..., :-1]) & (b[..., 1:] == b[..., :-1])
+    shared = np.flatnonzero(shared[sel])
     a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
     s = np.sqrt(1.0 + b * b)
     # (Z, W) independent: P(Z <= z, W > a + b Z) = P(Z <= z, Y <= -a / s)
     # with Y = (b Z - W) / s, standard normal at correlation b / s with Z.
-    cdf = bivariate_normal_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
-    i0[sel] = cdf[0] - cdf[1]
+    y, rho, rho_c = -a / s, b / s, 1.0 / s
+    finite_hi, own_lo = np.isfinite(hi), np.isfinite(lo)
+    own_lo[shared] = False
+    cdf = bivariate_normal_cdf(
+        np.concatenate((hi[finite_hi], lo[own_lo])),
+        *(np.concatenate((v[finite_hi], v[own_lo])) for v in (y, rho, rho_c)))
+    uppers = np.count_nonzero(finite_hi)
+    cdf_hi, cdf_lo = np.empty(hi.shape), np.zeros(lo.shape)
+    cdf_hi[finite_hi] = cdf[:uppers]
+    cdf_hi[~finite_hi] = ndtr(y[~finite_hi])
+    cdf_lo[own_lo] = cdf[uppers:]
+    cdf_lo[shared] = cdf_hi[shared - 1]
+    i0[sel] = cdf_hi - cdf_lo
     if moments:
         m = a * b / (s * s)
         j2_sel = std_normal_pdf(a / s) / s * (ndtr(s * (hi + m)) - ndtr(s * (lo + m)))
@@ -238,22 +271,29 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
     # z_S, so the sponsor's A_S pieces are a subset of the public ones):
     # one set of A_S lines serves both.
     alive_f, a_f, b_f = _af_line(geom_pub, mid)
-    alive_s, a_lo, b_lo, a_hi, b_hi = _as_lines(geom_pub, mid)
-    lines = [(alive_f, a_f, b_f), (alive_s, a_lo, b_lo), (alive_s, a_hi, b_hi)]
+    alive_s, a_lo, b_lo = _as_lines(geom_pub, mid)[:3]
+    lines = [(alive_f, a_f, b_f), (alive_s, a_lo, b_lo)]
     if sponsor:
         alive_rf, a_rf, b_rf = _af_line(geom, mid)
         alive_rs = _as_lines(geom, mid)[0]
-        lines.append((alive_rf, a_rf, b_rf))
+        # The sponsor's A_F is alive where the public one is; its line
+        # differs only where the floor line is the highest.
+        floor = alive_rf & ((a_rf != a_f) | (b_rf != b_f))
+        lines.append((floor, a_rf, b_rf))
     alive, a, b = (np.stack(v) for v in zip(*lines))
     i0, j1, j2 = _line_integrals(a, b, lo, hi, alive, sponsor)
+    # Where A_S is alive, its upper bound is the A_F line, or +inf where
+    # A_F is dead (see _as_lines): either way line 0 integrates it.
+    i0_s = i0[1] - np.where(alive_s, i0[0], 0.0)
 
     p_f = np.clip(np.sum(i0[0], axis=-1), 0.0, 1.0)
-    p_s = np.clip(np.sum(i0[1] - i0[2], axis=-1), 0.0, 1.0)
+    p_s = np.clip(np.sum(i0_s, axis=-1), 0.0, 1.0)
     gain_F = lam * delta_S + (1.0 - lam) * delta_Sc - rewards.mu_F
     gain_S = delta_S - rewards.mu_S
     if sponsor:
-        r_f = gain_F * i0[3] + geom.se_F * (geom.sq_lam * j1[3] + geom.sq_lamc * j2[3])
-        r_s = gain_S * (i0[1] - i0[2]) + geom.se_S * (j1[1] - j1[2])
+        i0_rf, j1_rf, j2_rf = (np.where(floor, v[2], v[0]) for v in (i0, j1, j2))
+        r_f = gain_F * i0_rf + geom.se_F * (geom.sq_lam * j1_rf + geom.sq_lamc * j2_rf)
+        r_s = gain_S * i0_s + geom.se_S * (j1[1] - np.where(alive_s, j1[0], 0.0))
         reward_F = rewards.NrF * np.sum(r_f, axis=-1)
         reward_S = lam * rewards.NrS * np.sum(np.where(alive_rs, r_s, 0.0), axis=-1)
     else:

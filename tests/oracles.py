@@ -16,6 +16,11 @@
 - :func:`whole_array_limit_cdf` is the bivariate normal CDF that evaluates
   Owen's form and every limit on the whole array whenever any element is
   a limit case; the masked library form must reproduce it bit for bit.
+- :func:`per_piece_line_integrals` is the stratified kernel's line
+  integral that evaluates the bivariate normal CDF at both ends of every
+  alive piece, infinite ends included, as the library did before each
+  (line, breakpoint) value was computed once; the library form must
+  reproduce it bit for bit.
 - :func:`brentq_alpha_F` is the level condition solved by Brent's method
   on the bracket [0, alpha], with thresholds taken as ndtri(1 - level):
   the solve the library used before Newton's method.
@@ -37,6 +42,7 @@ from trialopt.numerics import (
     NumericError,
     _one_sided_critical,
     _owen_cdf,
+    bivariate_normal_cdf,
     bivariate_upper_orthant,
     std_normal_pdf,
 )
@@ -424,6 +430,34 @@ def whole_array_limit_cdf(x, y, rho, rho_c):
     out = np.where(unit, np.where(rho > 0.0, ndtr(np.minimum(x, y)),
                                   np.maximum(0.0, ndtr(x) - ndtr(-y))), out)
     return np.where(inf_x, np.where(x > 0.0, ndtr(y), 0.0), out)
+
+
+def _edge(z, a, b):
+    """phi(z) * (1 - Phi(a + b z)), zero at infinite z."""
+    inf_z = np.isinf(z)
+    zf = np.where(inf_z, 0.0, z)
+    return np.where(inf_z, 0.0, std_normal_pdf(zf) * ndtr(-(a + b * zf)))
+
+
+def per_piece_line_integrals(a, b, lo, hi, alive, moments):
+    """I0, J1 and J2 of every alive (line, piece), with the CDF evaluated
+    at both ends of each piece in one call."""
+    lo, hi = np.broadcast_to(lo, alive.shape), np.broadcast_to(hi, alive.shape)
+    i0, j1, j2 = np.zeros(alive.shape), np.zeros(alive.shape), np.zeros(alive.shape)
+    full = alive & (a == -np.inf)
+    i0[full] = ndtr(hi[full]) - ndtr(lo[full])
+    j1[full] = std_normal_pdf(lo[full]) - std_normal_pdf(hi[full])
+    sel = alive & np.isfinite(a)
+    a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
+    s = np.sqrt(1.0 + b * b)
+    cdf = bivariate_normal_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
+    i0[sel] = cdf[0] - cdf[1]
+    if moments:
+        m = a * b / (s * s)
+        j2_sel = std_normal_pdf(a / s) / s * (ndtr(s * (hi + m)) - ndtr(s * (lo + m)))
+        j2[sel] = j2_sel
+        j1[sel] = _edge(lo, a, b) - _edge(hi, a, b) - b * j2_sel
+    return i0, j1, j2
 
 
 def brentq_alpha_F(alpha_S, lambda_S, alpha=0.025):

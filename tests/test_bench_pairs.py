@@ -1,0 +1,60 @@
+"""The summary step of tools/bench_pairs.py on canned benchmark rows."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+from bench_pairs import parse_seeds, summarize  # noqa: E402
+
+BETTER = {"ops_per_s": "higher", "op_s_p50": "lower"}
+
+
+def row(workload, seed, side, ops, p50, attempted=8, failed=0):
+    return {"workload": workload, "seed": seed, "side": side, "attempted": attempted,
+            "failed": failed, "metrics": {"ops_per_s": ops, "op_s_p50": p50}}
+
+
+CANNED = [
+    row("optimize", 1, "parent", 10.0, 0.1), row("optimize", 1, "change", 14.0, 0.05),
+    row("optimize", 2, "change", 10.5, 0.1), row("optimize", 2, "parent", 11.0, 0.1),
+    row("optimize", 3, "parent", 12.0, 0.2), row("optimize", 3, "change", 15.0, 0.3),
+    row("optimize", 4, "parent", 13.0, 0.2), row("optimize", 4, "change", 16.0, 0.1,
+                                                  failed=1),
+    # a run whose partner never finished: counted, but not paired
+    row("optimize", 5, "parent", 99.0, 9.9),
+    row("frontier", 7, "parent", 100.0, 1e-4), row("frontier", 7, "change", 90.0, 2e-4),
+]
+
+
+def test_medians_quartiles_and_wins():
+    summary = summarize(CANNED, BETTER)
+    assert sorted(summary) == ["frontier", "optimize"]
+    opt = summary["optimize"]
+    assert opt["seeds"] == [1, 2, 3, 4, 5] and opt["pairs"] == 4
+    assert opt["attempted"] == {"parent": 40, "change": 32}
+    assert opt["failed"] == {"parent": 0, "change": 1}
+    ops = opt["metrics"]["ops_per_s"]
+    assert ops["better"] == "higher"
+    assert ops["parent"] == pytest.approx({"median": 11.5, "q1": 10.75, "q3": 12.25,
+                                           "iqr": 1.5})
+    assert ops["change"]["median"] == pytest.approx(14.5)
+    assert ops["wins"] == 3                     # seed 2 loses
+    assert ops["median_gap"] == pytest.approx(3.0)
+    p50 = opt["metrics"]["op_s_p50"]
+    assert p50["wins"] == 2                     # a tie (seed 2) is no win
+    assert p50["median_gap"] == pytest.approx(0.05)   # lower is better: positive gap
+
+
+def test_single_pair_and_regression():
+    front = summarize(CANNED, BETTER)["frontier"]
+    ops = front["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0, "iqr": 0.0}
+    assert ops["wins"] == 0 and ops["median_gap"] == -10.0
+    assert front["metrics"]["op_s_p50"]["median_gap"] == pytest.approx(-1e-4)
+
+
+def test_parse_seeds():
+    assert parse_seeds("601-603") == [601, 602, 603]
+    assert parse_seeds("5,7,9-10") == [5, 7, 9, 10]

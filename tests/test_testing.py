@@ -11,11 +11,13 @@ from trialopt.testing import (
     _af_line,
     _as_lines,
     _geometry,
+    _line_geometry,
     alpha_F_given_alpha_S,
     params_for_scenario,
     reject_stratified,
 )
 from conftest import make_scenario
+from trialopt.utility import _pieces
 from oracles import brentq_alpha_F
 
 # Frozen from an independent brentq-on-dblquad oracle (xtol 1e-13).
@@ -125,6 +127,17 @@ class TestLevelCondition:
             alpha_S = 0.025 - ulps * math.ulp(0.025)
             alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
             assert abs(union_probability(alpha_S, alpha_F, lam) - 0.025) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.025, 0.2, 0.45])
+    def test_union_near_unit_prevalence(self, alpha):
+        # as rho -> 1 the orthant's rounding grows far above the solve's
+        # 32-ulp floor: the worst miss on this scan is 3.6e-14 (alpha 0.45)
+        worst = 0.0
+        for lam in np.linspace(0.99999, 1.0 - 2e-9, 40).tolist():
+            for alpha_S in (alpha * (1.0 - np.geomspace(1e-9, 1e-2, 40))).tolist():
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam, alpha)
+                worst = max(worst, abs(union_probability(alpha_S, alpha_F, lam) - alpha))
+        assert worst <= 5e-14
 
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
         with pytest.raises(NumericError, match="left of the root"):
@@ -256,6 +269,35 @@ class TestRegionSlices:
             got_s = in_region("A_S", z_S, grid, params, effects, n, sigma, mu=mu)
             assert np.array_equal(got_f, want_f)
             assert np.array_equal(got_s, want_s)
+
+    @pytest.mark.parametrize("tau_S", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("tau_Sc", [0.0, 0.5, 1.0])
+    def test_A_S_upper_bound_is_the_A_F_line(self, tau_S, tau_Sc):
+        # The stratified kernel reads A_S's upper bound from the A_F line:
+        # without sponsor floors, wherever A_S is alive its upper bound is
+        # the A_F line if A_F is alive and +inf if not.
+        rng = np.random.default_rng(int(20 * tau_S + 3 * tau_Sc))
+        compared = 0
+        for _ in range(8):
+            lam = float(rng.uniform(0.01, 0.99))
+            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
+                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
+                n = rng.uniform(50.0, 3000.0, (6, 1))
+                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
+                                      delta_S, delta_Sc, n, 1.0, None, None)
+                # the kernel's piece abscissae and random points
+                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))), axis=-1)
+                alive_f, a_f, b_f = _af_line(geom, z_S)
+                alive_s, _, _, a_hi, b_hi = _as_lines(geom, z_S)
+                both = alive_s & alive_f
+                assert np.array_equal(a_hi[both], a_f[both])
+                assert np.array_equal(b_hi[both], b_f[both])
+                assert np.all(a_hi[alive_s & ~alive_f] == np.inf)
+                assert np.all(alive_f[alive_s & np.isfinite(a_hi)])
+                compared += np.count_nonzero(both)
+        # a zero tau_S empties A_F
+        assert (compared == 0) == (tau_S == 0.0)
 
     def test_slice_bound(self, scenario):
         # every slice is one interval in z_Sc, and A_F's reaches +inf

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trialopt import utility
 from trialopt.mc_oracle import SimConfig, mc_expected_utility
 from trialopt.model import DesignSpec, EffectPair, trial_cost
 from trialopt.numerics import NumericError
+from trialopt.optimizer import optimize_family
 from trialopt.utility import (
     EvaluationResult,
     classical_variance,
@@ -18,10 +20,15 @@ from trialopt.utility import (
     grid_row,
     prior_averaged,
 )
-from trialopt.utility import _check_n, _merged_atoms
+from trialopt.utility import _check_n, _line_integrals, _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
 from conftest import CASE1, CASE3, make_scenario
-from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
+from oracles import (
+    adaptive_stratified,
+    assert_matches_oracle,
+    per_piece_line_integrals,
+    scalar_single_test,
+)
 
 
 def with_rewards(scenario, **kw):
@@ -197,6 +204,89 @@ class TestStratifiedClosedForm:
             want = [prior_averaged("stratified", n, a, scenario).expected_utility
                     for a in alphas]
             assert np.max(np.abs(row - want)) <= 1e-12
+
+
+def random_lines(seed, shape=(3, 4, 2, 5), pieces=8):
+    """Random (line, atom, n, alpha_S, piece) arrays in the layout of the
+    stratified kernel: sorted breakpoints shared by every line, some
+    exactly 0, some trailing +inf padding; lines of random (a, b), some
+    with a = +-inf and b = 0, some repeating the piece below's (a, b) or
+    its a alone; alive pieces
+    random among those of positive length."""
+    rng = np.random.default_rng(seed)
+    points = np.sort(rng.normal(0.0, 2.0, shape[1:] + (pieces - 1,)), axis=-1)
+    points[rng.random(points.shape) < 0.1] = 0.0
+    points = np.sort(points, axis=-1)
+    padding = np.arange(pieces - 1) >= pieces - 1 - rng.integers(0, 3, shape[1:] + (1,))
+    points[padding] = np.inf
+    edge = np.full(shape[1:] + (1,), np.inf)
+    lo = np.concatenate((-edge, points), axis=-1)
+    hi = np.concatenate((points, edge), axis=-1)
+    full = shape + (pieces,)
+    a = rng.normal(0.0, 2.0, full)
+    b = rng.choice([-1.7, -0.6, 0.0, 0.4, 2.5], full)
+    limit = rng.random(full) < 0.1
+    a[limit] = rng.choice([-np.inf, np.inf], np.count_nonzero(limit))
+    b[limit] = 0.0
+    for p in range(1, pieces):
+        draw = rng.random(shape)
+        a[..., p][draw < 0.6] = a[..., p - 1][draw < 0.6]
+        b[..., p][draw < 0.45] = b[..., p - 1][draw < 0.45]
+    alive = (rng.random(full) < 0.75) & (lo < hi)
+    return a, b, lo, hi, alive
+
+
+class TestLineIntegrals:
+    # Each (line, breakpoint) CDF value is computed once; the integrals
+    # must equal those of the per-piece form bit for bit.
+    @pytest.mark.parametrize("moments", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_piece_oracle(self, moments, seed):
+        a, b, lo, hi, alive = random_lines(seed)
+        got = _line_integrals(a, b, lo, hi, alive, moments)
+        want = per_piece_line_integrals(a, b, lo, hi, alive, moments)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+        # the draw covers every case the sharing tells apart
+        finite = alive & np.isfinite(a)
+        same_a = a[..., 1:] == a[..., :-1]
+        same_b = b[..., 1:] == b[..., :-1]
+        pairs = finite[..., 1:] & finite[..., :-1]
+        assert np.any(pairs & same_a & same_b) and np.any(pairs & ~same_a)
+        assert np.any(pairs & same_a & ~same_b)
+        assert np.any(finite[..., 2:] & ~alive[..., 1:-1] & finite[..., :-2])
+        assert np.any(alive & (a == -np.inf)) and np.any(alive & (a == np.inf))
+        assert np.any(finite & (b == 0.0)) and np.any(finite & (lo == 0.0))
+        assert np.any(np.isinf(np.broadcast_to(lo, a.shape)[..., 1:]))
+        assert np.any(finite & (hi == np.inf))
+
+
+class TestCdfSharing:
+    # A default-grid stratified optimize_family; the per-piece kernel this
+    # replaced passed the CDF 133,200 elements (12,412 with infinite x) on
+    # the sponsor scenario and 63,296 (8,472) on the public one.
+    @pytest.mark.parametrize("perspective, per_piece", [("sponsor", 133_200),
+                                                        ("public", 63_296)])
+    def test_one_cdf_call_per_kernel_call(self, monkeypatch, perspective, per_piece):
+        cdf_calls, kernel_calls = [], []
+        cdf, kernel = utility.bivariate_normal_cdf, utility._stratified_fields
+
+        def counted_cdf(x, y, rho, rho_c):
+            cdf_calls.append((np.broadcast(x, y, rho, rho_c).size,
+                              int(np.count_nonzero(np.isinf(x)))))
+            return cdf(x, y, rho, rho_c)
+
+        def counted_kernel(*args):
+            kernel_calls.append(len(cdf_calls))
+            return kernel(*args)
+
+        monkeypatch.setattr(utility, "bivariate_normal_cdf", counted_cdf)
+        monkeypatch.setattr(utility, "_stratified_fields", counted_kernel)
+        optimize_family("stratified", make_scenario(perspective=perspective))
+        kernel_calls.append(len(cdf_calls))
+        assert set(np.diff(kernel_calls)) == {1}
+        assert sum(infinite for _, infinite in cdf_calls) == 0
+        assert sum(size for size, _ in cdf_calls) < per_piece / 2
 
 
 class TestSizeBlocks:
