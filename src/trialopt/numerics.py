@@ -59,33 +59,28 @@ def _one_sided_critical(level: float) -> float:
 def bivariate_normal_cdf(x, y, rho, rho_c):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 
-    Elementwise over broadcasting scalars or arrays, with y finite; x may
-    be infinite. The caller passes rho_c = sqrt(1 - rho^2), which it often
-    knows in closed form. Uses Owen's T function (Owen 1956, Ann. Math.
-    Stat. 27:1075; scipy's owens_t follows Patefield & Tandy 2000), with
-    the limits at x = 0, y = 0, infinite x and rho = +-1 taken explicitly.
-    Each limit is evaluated on its own elements only, and Owen's form on
-    the rest.
+    Elementwise over broadcasting scalars or arrays, with x and y finite.
+    The caller passes rho_c = sqrt(1 - rho^2), which it often knows in
+    closed form. Uses Owen's T function (Owen 1956, Ann. Math. Stat.
+    27:1075; scipy's owens_t follows Patefield & Tandy 2000), with the
+    limits at x = 0, y = 0 and rho = +-1 taken explicitly. Each limit is
+    evaluated on its own elements only, and Owen's form on the rest.
     """
-    inf_x = np.isinf(x)
     zero_x, zero_y = x == 0.0, y == 0.0
     unit = rho_c == 0.0
-    if not (inf_x | zero_x | zero_y | unit).any():
+    if not np.any(zero_x | zero_y | unit):
         return _owen_cdf(x, y, rho, rho_c)
-    x, y, rho, rho_c, inf_x, zero_x, zero_y, unit = np.broadcast_arrays(
+    x, y, rho, rho_c, zero_x, zero_y, unit = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)),
-        inf_x, zero_x, zero_y, unit)
+        zero_x, zero_y, unit)
     out = np.empty(x.shape)
-    # Where several limits meet, the first of infinite x, rho = +-1, y = 0
-    # and x = 0 decides.
-    sel = inf_x
-    out[sel] = np.where(x[sel] > 0.0, ndtr(y[sel]), 0.0)
-    rest = ~inf_x
-    sel = rest & unit
+    # Where several limits meet, the first of rho = +-1, y = 0 and x = 0
+    # decides.
+    sel = unit
     x_u, y_u = x[sel], y[sel]
     out[sel] = np.where(rho[sel] > 0.0, ndtr(np.minimum(x_u, y_u)),
                         np.maximum(0.0, ndtr(x_u) - ndtr(-y_u)))
-    rest &= ~unit
+    rest = ~unit
     sel = rest & zero_y
     out[sel] = 0.5 * ndtr(x[sel]) + owens_t(x[sel], rho[sel] / rho_c[sel])
     rest &= ~zero_y

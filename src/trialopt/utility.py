@@ -276,8 +276,10 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
     if sponsor:
         alive_rf, a_rf, b_rf = _af_line(geom, mid)
         alive_rs = _as_lines(geom, mid)[0]
-        # The sponsor's A_F is alive where the public one is; its line
-        # differs only where the floor line is the highest.
+        # The sponsor's A_F is alive exactly where the public one is (the
+        # mask of _af_line does not involve mu_F_line), so line 0 stands
+        # in for it wherever its line is the same: all but where the
+        # floor line is the highest.
         floor = alive_rf & ((a_rf != a_f) | (b_rf != b_f))
         lines.append((floor, a_rf, b_rf))
     alive, a, b = (np.stack(v) for v in zip(*lines))

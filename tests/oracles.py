@@ -15,10 +15,12 @@
   reproduce it bit for bit.
 - :func:`whole_array_limit_cdf` is the bivariate normal CDF that evaluates
   Owen's form and every limit on the whole array whenever any element is
-  a limit case; the masked library form must reproduce it bit for bit.
+  a limit case, infinite x included; the masked library form, which takes
+  finite x only, must reproduce it bit for bit there.
 - :func:`per_piece_line_integrals` is the stratified kernel's line
   integral that evaluates the bivariate normal CDF at both ends of every
-  alive piece, infinite ends included, as the library did before each
+  alive piece, infinite ends included (through
+  :func:`whole_array_limit_cdf`), as the library did before each
   (line, breakpoint) value was computed once; the library form must
   reproduce it bit for bit.
 - :func:`brentq_alpha_F` is the level condition solved by Brent's method
@@ -42,7 +44,6 @@ from trialopt.numerics import (
     NumericError,
     _one_sided_critical,
     _owen_cdf,
-    bivariate_normal_cdf,
     bivariate_upper_orthant,
     std_normal_pdf,
 )
@@ -450,7 +451,7 @@ def per_piece_line_integrals(a, b, lo, hi, alive, moments):
     sel = alive & np.isfinite(a)
     a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
     s = np.sqrt(1.0 + b * b)
-    cdf = bivariate_normal_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
+    cdf = whole_array_limit_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
     i0[sel] = cdf[0] - cdf[1]
     if moments:
         m = a * b / (s * s)

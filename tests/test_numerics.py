@@ -170,8 +170,6 @@ class TestBivariateCdf:
         rho = rng.uniform(-0.99, 0.99, 600)
         x[:40] = 0.0
         y[20:60] = 0.0
-        x[60:80] = math.inf
-        x[80:100] = -math.inf
         rho[100:110] = 1.0
         rho[110:120] = -1.0
         rho[115] = rho[105] = 0.0
@@ -188,8 +186,6 @@ class TestBivariateCdf:
         rho = rng.uniform(-0.99, 0.99, 900)
         x[::7] = 0.0
         y[::11] = 0.0
-        x[3::13] = math.inf
-        x[5::17] = -math.inf
         rho[::19] = 1.0
         rho[2::23] = -1.0
         rho_c = np.sqrt((1.0 - rho) * (1.0 + rho))
@@ -200,7 +196,7 @@ class TestBivariateCdf:
         assert np.array_equal(bivariate_normal_cdf(x2, y2, rho[:60], rho_c[:60]),
                               whole_array_limit_cdf(x2, y2, rho[:60], rho_c[:60]))
         # scalars
-        for args in [(0.0, 0.4, 0.3, math.sqrt(0.91)), (math.inf, 0.4, 0.3, math.sqrt(0.91)),
+        for args in [(0.0, 0.4, 0.3, math.sqrt(0.91)),
                      (0.2, 0.4, 1.0, 0.0), (0.2, 0.4, 0.3, math.sqrt(0.91))]:
             assert bivariate_normal_cdf(*args) == whole_array_limit_cdf(*args)
 

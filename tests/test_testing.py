@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,31 @@ class TestRegionSlices:
                 compared += np.count_nonzero(both)
         # a zero tau_S empties A_F
         assert (compared == 0) == (tau_S == 0.0)
+
+    def test_sponsor_A_F_mask_is_the_public_one(self):
+        # The stratified kernel stands the public A_F line in for the
+        # sponsor's wherever their lines agree, which needs the two alive
+        # masks to be equal: the sponsor floors must not cut A_F's mask.
+        rng = np.random.default_rng(41)
+        cut = 0
+        for tau_S, tau_Sc in itertools.product((0.0, 0.5, 1.0), repeat=2):
+            lam = float(rng.uniform(0.01, 0.99))
+            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
+                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
+                n = rng.uniform(50.0, 3000.0, (6, 1))
+                mu_S, mu_F = rng.uniform(-0.2, 0.5, 2)
+                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
+                                      delta_S, delta_Sc, n, 1.0, mu_S, mu_F)
+                geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf)
+                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))),
+                                     axis=-1)
+                alive_rf, a_rf, _ = _af_line(geom, z_S)
+                alive_f, a_f, _ = _af_line(geom_pub, z_S)
+                assert np.array_equal(alive_rf, alive_f)
+                cut += np.count_nonzero(alive_f & (a_rf != a_f))
+        # the floor line is the highest somewhere
+        assert cut > 0
 
     def test_slice_bound(self, scenario):
         # every slice is one interval in z_Sc, and A_F's reaches +inf

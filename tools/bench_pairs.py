@@ -5,8 +5,8 @@
 
 The parent revision is extracted with ``git archive`` into a temporary
 directory. For every seed of every ``--run WORKLOAD=SEEDS`` the
-benchmark's own entry point (``perfbench/run.py --trace 0``) runs once in
-that copy and once in the working tree, the two sides taking turns to go
+benchmark's own entry point (``perfbench/run.py --trace 0``, at its
+default run length) runs once in that copy and once in the working tree, the two sides taking turns to go
 first. The output file holds every run's end-to-end metrics and, per
 workload and metric, both sides' medians and quartiles, the change's win
 count over the pairs and the median gap; plus failed/attempted counts and
@@ -99,11 +99,11 @@ def extract(revision, into):
         archive.extractall(into)
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """One benchmark run in ``checkout``: (result, run note)."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-1]), json.loads(lines[-2])["run_note"]
@@ -114,7 +114,6 @@ def main(argv=None):
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS",
                         help="a workload and its seeds, e.g. optimize=601-610 (repeatable)")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -126,8 +125,7 @@ def main(argv=None):
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
     change = {"base": head, "uncommitted_changes": bool(dirty.strip())}
-    doc = {"parent": parent_rev, "change": change, "seconds": args.seconds,
-           "machine": None, "src_lines": {}, "workloads": {}, "rows": []}
+    doc = {"parent": parent_rev, "change": change, "machine": None, "src_lines": {}, "workloads": {}, "rows": []}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
         extract(parent_rev, parent_dir)
         checkouts = {"parent": parent_dir, "change": ROOT}
@@ -135,7 +133,7 @@ def main(argv=None):
             workload, _, seeds = spec.partition("=")
             for i, seed in enumerate(parse_seeds(seeds)):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    result, note = run_once(checkouts[side], workload, seed, args.seconds)
+                    result, note = run_once(checkouts[side], workload, seed)
                     doc["rows"].append({
                         "workload": workload, "seed": seed, "side": side,
                         "attempted": result["attempted"], "failed": result["failed"],
