@@ -5,7 +5,11 @@ familywise error rates.
 Streams are derived per chunk of replicates as
 ``SeedSequence(seed, spawn_key=(chunk_index,))``, so estimates are
 bit-reproducible for a given (seed, replicates, mode) and chunks could be
-simulated in parallel without changing the result.
+simulated in parallel without changing the result. Each call simulates
+its replicates once and reads every estimate it returns from that one
+simulation: the three approval probabilities of
+:func:`mc_rejection_probs` come from the same trials, which are the
+trials :func:`mc_expected_utility` simulates for the same inputs.
 """
 
 from __future__ import annotations
@@ -84,9 +88,9 @@ def _rewards(scenario: Scenario, psi_S, psi_F, est_S, est_F, effects: EffectPair
         paid_S = lam * r.NrS * np.maximum(est_S - r.mu_S, 0.0)
     else:
         delta_F = pooled_effect(effects, lam)
-        paid_F = np.full_like(np.asarray(est_F, dtype=float), r.NrF * (delta_F - r.mu_F))
-        paid_S = np.full_like(paid_F, lam * r.NrS * (effects.delta_S - r.mu_S))
-    return np.where(psi_F == 1, paid_F, np.where(psi_S == 1, paid_S, 0.0))
+        paid_F = r.NrF * (delta_F - r.mu_F)
+        paid_S = lam * r.NrS * (effects.delta_S - r.mu_S)
+    return np.where(psi_F, paid_F, np.where(psi_S, paid_S, 0.0))
 
 
 def _redraw_zero_strata(rng, n, lam, m):
@@ -104,10 +108,10 @@ def _redraw_zero_strata(rng, n, lam, m):
 
 def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
                     strata_mode: str, rng: np.random.Generator, m: int):
-    """m replicates of the trial: (utility, psi_S, psi_F) arrays."""
+    """m replicates of the trial: (utility, psi_S, psi_F) arrays, the
+    indicators boolean."""
     if design.kind == NO_TRIAL:
-        zeros = np.zeros(m)
-        return zeros, zeros.astype(int), zeros.astype(int)
+        return np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
 
     n = design.n
     sigma = scenario.sigma
@@ -118,8 +122,8 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
     if design.kind == ENRICHMENT:
         se = sigma * math.sqrt(2.0 / n)
         est = effects.delta_S + se * rng.standard_normal(m)
-        psi_S = (est >= crit * se).astype(int)
-        psi_F = np.zeros(m, dtype=int)
+        psi_S = est >= crit * se
+        psi_F = np.zeros(m, dtype=bool)
         utility = _rewards(scenario, psi_S, psi_F, est, np.zeros(m), effects) - cost
         return utility, psi_S, psi_F
 
@@ -141,8 +145,8 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
             est = (mean_t - mean_c
                    + noise * rng.standard_normal(m)
                    - noise * rng.standard_normal(m))
-        psi_F = (est >= crit * math.sqrt(variance)).astype(int)
-        psi_S = np.zeros(m, dtype=int)
+        psi_F = est >= crit * math.sqrt(variance)
+        psi_S = np.zeros(m, dtype=bool)
         utility = _rewards(scenario, psi_S, psi_F, np.zeros(m), est, effects) - cost
         return utility, psi_S, psi_F
 
@@ -165,14 +169,14 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
     var_F = lam ** 2 * var_S + lamc ** 2 * var_Sc
     t_F = est_F / np.sqrt(var_F)
     psi_S, psi_F = _decide(t_S, t_Sc, t_F, params)
-    psi_S = psi_S.astype(int)
-    psi_F = psi_F.astype(int)
     utility = _rewards(scenario, psi_S, psi_F, est_S, est_F, effects) - cost
     return utility, psi_S, psi_F
 
 
-def _accumulate(design, effects_or_prior, scenario, config, value_of):
-    """Chunked mean/SE of value_of(utility, psi_S, psi_F, effects)."""
+def _accumulate(design, effects_or_prior, scenario, config, value_fns):
+    """Chunked mean/SE of each value_fn(utility, psi_S, psi_F): one
+    McEstimate per function, all read from one simulation per chunk (and
+    per atom, with a prior)."""
     single_atom = None
     atoms = None
     if isinstance(effects_or_prior, EffectPair):
@@ -187,32 +191,36 @@ def _accumulate(design, effects_or_prior, scenario, config, value_of):
         weights = weights / weights.sum()
 
     total = config.replicates
-    s1 = 0.0
-    s2 = 0.0
+    s1 = [0.0] * len(value_fns)
+    s2 = [0.0] * len(value_fns)
     done = 0
     index = 0
     while done < total:
         m = min(_CHUNK, total - done)
         rng = _chunk_rng(config.seed, index)
         if single_atom is not None:
-            u, ps, pf = _simulate_batch(design, single_atom, scenario,
-                                        config.strata_mode, rng, m)
-            values = value_of(u, ps, pf, single_atom)
+            batch = _simulate_batch(design, single_atom, scenario, config.strata_mode, rng, m)
+            values = [fn(*batch) for fn in value_fns]
         else:
             idx = rng.choice(len(atoms), size=m, p=weights)
-            values = np.empty(m)
+            values = [np.empty(m) for _ in value_fns]
             for j, (atom, _) in enumerate(atoms):
                 sel = idx == j
                 count = int(sel.sum())
                 if count == 0:
                     continue
-                u, ps, pf = _simulate_batch(design, atom, scenario,
-                                            config.strata_mode, rng, count)
-                values[sel] = value_of(u, ps, pf, atom)
-        s1 += float(values.sum())
-        s2 += float((values * values).sum())
+                batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, count)
+                for v, fn in zip(values, value_fns):
+                    v[sel] = fn(*batch)
+        for i, v in enumerate(values):
+            s1[i] += float(v.sum())
+            s2[i] += float((v * v).sum())
         done += m
         index += 1
+    return [_estimate(a, b, total) for a, b in zip(s1, s2)]
+
+
+def _estimate(s1, s2, total):
     mean = s1 / total
     if total > 1:
         variance = max(0.0, (s2 - s1 * s1 / total) / (total - 1))
@@ -220,6 +228,10 @@ def _accumulate(design, effects_or_prior, scenario, config, value_of):
     else:
         se = 0.0
     return McEstimate(mean=mean, std_error=se, replicates=total)
+
+
+def _approved(u, ps, pf):
+    return (ps | pf).astype(float)
 
 
 def mc_expected_utility(design: DesignSpec, effects_or_prior, scenario: Scenario,
@@ -233,24 +245,26 @@ def mc_expected_utility(design: DesignSpec, effects_or_prior, scenario: Scenario
     design.check_against(scenario)
     if design.kind == NO_TRIAL:
         return McEstimate(0.0, 0.0, config.replicates)
-    return _accumulate(design, effects_or_prior, scenario, config,
-                       lambda u, ps, pf, atom: u)
+    return _accumulate(design, effects_or_prior, scenario, config, (lambda u, ps, pf: u,))[0]
 
 
 def mc_rejection_probs(design: DesignSpec, effects_or_prior, scenario: Scenario,
                        config: SimConfig) -> dict:
-    """Simulated approval probabilities: any, full-population, subgroup-only."""
+    """Simulated approval probabilities: any, full-population, subgroup-only.
+
+    The three estimates are read from one simulation of the replicates,
+    the same trials :func:`mc_expected_utility` simulates for this design,
+    input and config.
+    """
     design.check_against(scenario)
     if design.kind == NO_TRIAL:
         zero = McEstimate(0.0, 0.0, config.replicates)
         return {"any": zero, "F": zero, "S_only": zero}
-    picks = {
-        "any": lambda u, ps, pf, atom: ((ps | pf) == 1).astype(float),
-        "F": lambda u, ps, pf, atom: (pf == 1).astype(float),
-        "S_only": lambda u, ps, pf, atom: ((ps == 1) & (pf == 0)).astype(float),
-    }
-    return {name: _accumulate(design, effects_or_prior, scenario, config, fn)
-            for name, fn in picks.items()}
+    estimates = _accumulate(design, effects_or_prior, scenario, config, (
+        _approved,
+        lambda u, ps, pf: pf.astype(float),
+        lambda u, ps, pf: (ps & ~pf).astype(float)))
+    return dict(zip(("any", "F", "S_only"), estimates))
 
 
 def mc_fwer(design: DesignSpec, scenario: Scenario, null_effects: EffectPair,
@@ -263,5 +277,4 @@ def mc_fwer(design: DesignSpec, scenario: Scenario, null_effects: EffectPair,
         raise ValueError("null effects require the pooled effect <= 0")
     if design.kind == NO_TRIAL:
         return McEstimate(0.0, 0.0, config.replicates)
-    return _accumulate(design, null_effects, scenario, config,
-                       lambda u, ps, pf, atom: ((ps | pf) == 1).astype(float))
+    return _accumulate(design, null_effects, scenario, config, (_approved,))[0]

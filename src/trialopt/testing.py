@@ -237,6 +237,10 @@ def _as_lines(geom: _Geometry, z_S):
     functions pick the pooled intercept (pooled_alpha on the alpha_S gate,
     the larger of pooled_alpha and pooled_alpha_F off it) and the upper
     line by the same expressions, so the match is exact.
+
+    The sponsor floors enter only through the cut z_S > mu_S_cut on the
+    alive mask (mu_F_line takes no part): with the floors the mask is the
+    one without them, and z_S > mu_S_cut; the lines are the same.
     """
     z_S = np.asarray(z_S, dtype=float)
     t_S = z_S + geom.shift_S

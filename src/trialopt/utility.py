@@ -174,13 +174,6 @@ def _pieces(geom):
     return lo, hi, np.where(lo < hi, mid, np.nan)
 
 
-def _edge(z, a, b):
-    """phi(z) * (1 - Phi(a + b z)), zero at infinite z."""
-    inf_z = np.isinf(z)
-    zf = np.where(inf_z, 0.0, z)
-    return np.where(inf_z, 0.0, std_normal_pdf(zf) * ndtr(-(a + b * zf)))
-
-
 def _line_integrals(a, b, lo, hi, alive, moments: bool):
     """Integrals over z in [lo, hi] of phi(z) times the upper tail beyond
     the line z_Sc = a + b z, for every line and piece that is alive (zero
@@ -191,11 +184,14 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     Returns I0 = int phi(z) Phi_bar(a + b z) dz, and with ``moments`` also
     J1 = int z phi(z) Phi_bar(a + b z) dz and J2 = int phi(z) phi(a + b z) dz.
 
-    I0 is a difference of bivariate-normal CDF values at the piece's ends,
-    and each distinct (line, breakpoint) value is computed once, all in
-    one CDF call: the upper end of every piece, and a lower end only where
-    the piece below is not alive on the same (a, b). The infinite ends are
-    closed forms (0 at -inf, Phi(-a / s) at +inf), so the CDF sees no
+    Each integral is a difference of terms at the piece's ends: a
+    bivariate-normal CDF value for I0, Phi(s (z + m)) for J2 (with
+    s^2 = 1 + b^2 and m = a b / s^2) and the edge phi(z) Phi_bar(a + b z)
+    for J1. Every term is computed once per distinct (line, breakpoint),
+    the CDF in one call: at the upper end of every piece, and at a lower
+    end only where the piece below is not alive on the same (a, b). The
+    infinite ends are closed forms (the CDF is 0 at -inf and Phi(-a / s)
+    at +inf, Phi(s (z + m)) is 0 and 1, the edge 0), so the CDF sees no
     limit in x. Each piece's difference is taken from the same values as
     when every end is evaluated on its own, so the results are the same
     bit for bit.
@@ -208,7 +204,7 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     sel = alive & np.isfinite(a)
     # A piece's lower end is the upper end of the piece below. Where that
     # piece is selected on the same (a, b), it is the selected piece just
-    # before in order, and its CDF value serves both.
+    # before in order, and its end terms serve both.
     shared = np.zeros(sel.shape, dtype=bool)
     shared[..., 1:] = sel[..., :-1] & (a[..., 1:] == a[..., :-1]) & (b[..., 1:] == b[..., :-1])
     shared = np.flatnonzero(shared[sel])
@@ -219,21 +215,36 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     y, rho, rho_c = -a / s, b / s, 1.0 / s
     finite_hi, own_lo = np.isfinite(hi), np.isfinite(lo)
     own_lo[shared] = False
-    cdf = bivariate_normal_cdf(
-        np.concatenate((hi[finite_hi], lo[own_lo])),
-        *(np.concatenate((v[finite_hi], v[own_lo])) for v in (y, rho, rho_c)))
-    uppers = np.count_nonzero(finite_hi)
-    cdf_hi, cdf_lo = np.empty(hi.shape), np.zeros(lo.shape)
-    cdf_hi[finite_hi] = cdf[:uppers]
-    cdf_hi[~finite_hi] = ndtr(y[~finite_hi])
-    cdf_lo[own_lo] = cdf[uppers:]
-    cdf_lo[shared] = cdf_hi[shared - 1]
+    # Each end term is evaluated at the finite upper ends, then the own
+    # lower ends, and read back through k_hi and k_lo, which point past
+    # those values to the closed forms: the +inf upper ends' in order, then
+    # the -inf lower ends'. A shared lower end reads the upper end below.
+    ends = np.concatenate((np.flatnonzero(finite_hi), np.flatnonzero(own_lo)))
+    z = np.concatenate((hi[finite_hi], lo[own_lo]))
+    uppers, tops = np.count_nonzero(finite_hi), np.count_nonzero(~finite_hi)
+    k_hi = np.empty(hi.shape, dtype=np.intp)
+    k_hi[finite_hi] = np.arange(uppers)
+    k_hi[~finite_hi] = z.size + np.arange(tops)
+    k_lo = np.full(lo.shape, z.size + tops)
+    k_lo[own_lo] = np.arange(uppers, z.size)
+    k_lo[shared] = k_hi[shared - 1]
+
+    def spread(values, top, bottom):
+        """Per-piece (upper, lower) end terms from their values at z, with
+        the closed forms top at +inf and bottom at -inf."""
+        values = np.concatenate((values, np.broadcast_to(top, (tops,)), (bottom,)))
+        return values[k_hi], values[k_lo]
+
+    cdf_hi, cdf_lo = spread(bivariate_normal_cdf(z, y[ends], rho[ends], rho_c[ends]),
+                            ndtr(y[~finite_hi]), 0.0)
     i0[sel] = cdf_hi - cdf_lo
     if moments:
         m = a * b / (s * s)
-        j2_sel = std_normal_pdf(a / s) / s * (ndtr(s * (hi + m)) - ndtr(s * (lo + m)))
+        nd_hi, nd_lo = spread(ndtr(s[ends] * (z + m[ends])), 1.0, 0.0)
+        edge_hi, edge_lo = spread(std_normal_pdf(z) * ndtr(-(a[ends] + b[ends] * z)), 0.0, 0.0)
+        j2_sel = std_normal_pdf(a / s) / s * (nd_hi - nd_lo)
         j2[sel] = j2_sel
-        j1[sel] = _edge(lo, a, b) - _edge(hi, a, b) - b * j2_sel
+        j1[sel] = edge_lo - edge_hi - b * j2_sel
     return i0, j1, j2
 
 
@@ -275,7 +286,8 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
     lines = [(alive_f, a_f, b_f), (alive_s, a_lo, b_lo)]
     if sponsor:
         alive_rf, a_rf, b_rf = _af_line(geom, mid)
-        alive_rs = _as_lines(geom, mid)[0]
+        # The floors enter _as_lines only through mu_S_cut.
+        alive_rs = alive_s & (mid > geom.mu_S_cut)
         # The sponsor's A_F is alive exactly where the public one is (the
         # mask of _af_line does not involve mu_F_line), so line 0 stands
         # in for it wherever its line is the same: all but where the

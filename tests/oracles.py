@@ -23,6 +23,10 @@
   :func:`whole_array_limit_cdf`), as the library did before each
   (line, breakpoint) value was computed once; the library form must
   reproduce it bit for bit.
+- :func:`three_pass_rejection_probs` is the Monte Carlo approval
+  probabilities estimated one at a time, each from its own simulation of
+  the same replicate streams, as the library did before one simulation
+  served all three; the library form must reproduce it bit for bit.
 - :func:`brentq_alpha_F` is the level condition solved by Brent's method
   on the bracket [0, alpha], with thresholds taken as ndtri(1 - level):
   the solve the library used before Newton's method.
@@ -38,7 +42,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import ndtr, ndtri, owens_t
 
-from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, pooled_effect
+from trialopt.mc_oracle import _CHUNK, McEstimate, _chunk_rng, _simulate_batch
+from trialopt.model import ENRICHMENT, NO_TRIAL, SPONSOR, STRATIFIED, EffectPair, pooled_effect
 from trialopt.model import _cost_for
 from trialopt.numerics import (
     NumericError,
@@ -459,6 +464,73 @@ def per_piece_line_integrals(a, b, lo, hi, alive, moments):
         j2[sel] = j2_sel
         j1[sel] = _edge(lo, a, b) - _edge(hi, a, b) - b * j2_sel
     return i0, j1, j2
+
+
+def _accumulate_one(design, effects_or_prior, scenario, config, value_of):
+    """Chunked mean/SE of value_of(utility, psi_S, psi_F, effects)."""
+    single_atom = None
+    atoms = None
+    if isinstance(effects_or_prior, EffectPair):
+        single_atom = effects_or_prior
+    else:
+        atoms = list(effects_or_prior)
+        if len(atoms) == 1:
+            single_atom = atoms[0][0]
+    weights = None
+    if single_atom is None:
+        weights = np.array([w for _, w in atoms])
+        weights = weights / weights.sum()
+
+    total = config.replicates
+    s1 = 0.0
+    s2 = 0.0
+    done = 0
+    index = 0
+    while done < total:
+        m = min(_CHUNK, total - done)
+        rng = _chunk_rng(config.seed, index)
+        if single_atom is not None:
+            u, ps, pf = _simulate_batch(design, single_atom, scenario,
+                                        config.strata_mode, rng, m)
+            values = value_of(u, ps, pf, single_atom)
+        else:
+            idx = rng.choice(len(atoms), size=m, p=weights)
+            values = np.empty(m)
+            for j, (atom, _) in enumerate(atoms):
+                sel = idx == j
+                count = int(sel.sum())
+                if count == 0:
+                    continue
+                u, ps, pf = _simulate_batch(design, atom, scenario,
+                                            config.strata_mode, rng, count)
+                values[sel] = value_of(u, ps, pf, atom)
+        s1 += float(values.sum())
+        s2 += float((values * values).sum())
+        done += m
+        index += 1
+    mean = s1 / total
+    if total > 1:
+        variance = max(0.0, (s2 - s1 * s1 / total) / (total - 1))
+        se = math.sqrt(variance / total)
+    else:
+        se = 0.0
+    return McEstimate(mean=mean, std_error=se, replicates=total)
+
+
+def three_pass_rejection_probs(design, effects_or_prior, scenario, config):
+    """Simulated approval probabilities (any, F, S_only), one simulation
+    of the replicates per probability."""
+    design.check_against(scenario)
+    if design.kind == NO_TRIAL:
+        zero = McEstimate(0.0, 0.0, config.replicates)
+        return {"any": zero, "F": zero, "S_only": zero}
+    picks = {
+        "any": lambda u, ps, pf, atom: ((ps | pf) == 1).astype(float),
+        "F": lambda u, ps, pf, atom: (pf == 1).astype(float),
+        "S_only": lambda u, ps, pf, atom: ((ps == 1) & (pf == 0)).astype(float),
+    }
+    return {name: _accumulate_one(design, effects_or_prior, scenario, config, fn)
+            for name, fn in picks.items()}
 
 
 def brentq_alpha_F(alpha_S, lambda_S, alpha=0.025):

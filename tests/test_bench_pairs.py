@@ -1,4 +1,5 @@
-"""The summary step of tools/bench_pairs.py on canned benchmark rows."""
+"""The summary steps of tools/bench_pairs.py on canned benchmark rows and
+pytest summary lines."""
 
 import os
 import sys
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
-from bench_pairs import parse_seeds, summarize  # noqa: E402
+from bench_pairs import parse_pytest_summary, parse_seeds, summarize  # noqa: E402
 
 BETTER = {"ops_per_s": "higher", "op_s_p50": "lower"}
 
@@ -58,3 +59,16 @@ def test_single_pair_and_regression():
 def test_parse_seeds():
     assert parse_seeds("601-603") == [601, 602, 603]
     assert parse_seeds("5,7,9-10") == [5, 7, 9, 10]
+
+
+@pytest.mark.parametrize("line, counts", [
+    ("334 passed in 26.57s", (334, 0)),
+    ("1 failed, 333 passed in 30.12s", (333, 1)),
+    ("332 passed, 1 skipped, 2 warnings in 29.01s", (332, 0)),
+    ("2 failed, 330 passed, 1 error in 75.40s (0:01:15)", (330, 3)),
+    ("======= 3 errors in 0.52s =======", (0, 3)),
+    ("no tests ran in 0.01s", (0, 0)),
+    ("", (0, 0)),
+])
+def test_parse_pytest_summary(line, counts):
+    assert parse_pytest_summary(line) == counts

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import pytest
 
+import trialopt.mc_oracle as mc_oracle
 from trialopt.mc_oracle import (
+    _CHUNK,
     BINOMIAL_RANDOM,
+    FIXED_PROPORTIONAL,
     McEstimate,
     SimConfig,
     mc_expected_utility,
@@ -14,6 +17,7 @@ from trialopt.mc_oracle import (
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_classical, eu_enrichment
 from conftest import make_scenario
+from oracles import three_pass_rejection_probs
 
 
 def with_rewards(scenario, **kw):
@@ -159,3 +163,45 @@ class TestFwer:
         est = mc_fwer(DesignSpec.stratified(200, 0.0125), scenario,
                       EffectPair(0.0, 0.0), SimConfig(200_000, 43))
         assert abs(est.mean - 0.025) <= 3.0 * est.std_error
+
+
+class TestOneSimulation:
+    """mc_rejection_probs reads its three estimates from one simulation of
+    the replicates, and must give exactly what estimating each from its
+    own simulation of the same streams gives."""
+
+    DESIGNS = [DesignSpec.classical(120), DesignSpec.enrichment(90),
+               DesignSpec.stratified(150, 0.01), DesignSpec.no_trial()]
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("mode", [FIXED_PROPORTIONAL, BINOMIAL_RANDOM])
+    @pytest.mark.parametrize("prior", [False, True], ids=["atom", "prior"])
+    def test_equals_three_pass_oracle(self, design, mode, prior):
+        scenario = make_scenario(lambda_S=0.35)
+        effects = scenario.prior if prior else EffectPair(0.3, 0.1)
+        # two chunks, the second a partial one
+        config = SimConfig(_CHUNK + 3001, 53, strata_mode=mode)
+        got = mc_rejection_probs(design, effects, scenario, config)
+        assert got == three_pass_rejection_probs(design, effects, scenario, config)
+        if design.kind != "no_trial":
+            assert 0.0 < got["any"].mean < 1.0
+
+    def test_one_simulation_per_chunk_and_atom(self, monkeypatch, scenario):
+        calls = []
+        simulate = mc_oracle._simulate_batch
+
+        def counted(*args):
+            calls.append(args[-1])
+            return simulate(*args)
+
+        monkeypatch.setattr(mc_oracle, "_simulate_batch", counted)
+        design = DesignSpec.stratified(150, 0.01)
+        config = SimConfig(_CHUNK + 3001, 59)
+        counts = {}
+        for estimator in (mc_expected_utility, mc_rejection_probs):
+            calls.clear()
+            estimator(design, scenario.prior, scenario, config)
+            counts[estimator.__name__] = (len(calls), sum(calls))
+        assert counts["mc_rejection_probs"] == counts["mc_expected_utility"]
+        # every replicate simulated once
+        assert counts["mc_expected_utility"][1] == config.replicates

@@ -325,6 +325,30 @@ class TestRegionSlices:
         # the floor line is the highest somewhere
         assert cut > 0
 
+    def test_sponsor_A_S_mask_is_the_public_one_cut_at_mu_S(self):
+        # The stratified kernel takes the sponsor's A_S mask as the public
+        # one cut at z_S > mu_S_cut, without a second _as_lines call.
+        rng = np.random.default_rng(43)
+        cut = 0
+        for tau_S, tau_Sc in itertools.product((0.0, 0.5, 1.0), repeat=2):
+            lam = float(rng.uniform(0.01, 0.99))
+            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
+                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
+                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
+                n = rng.uniform(50.0, 3000.0, (6, 1))
+                mu_S, mu_F = rng.uniform(-0.2, 0.5, 2)
+                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
+                                      delta_S, delta_Sc, n, 1.0, mu_S, mu_F)
+                geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf)
+                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))),
+                                     axis=-1)
+                alive_rs = _as_lines(geom, z_S)[0]
+                alive_s = _as_lines(geom_pub, z_S)[0]
+                assert np.array_equal(alive_rs, alive_s & (z_S > geom.mu_S_cut))
+                cut += np.count_nonzero(alive_s & ~alive_rs)
+        # the floor cuts A_S somewhere
+        assert cut > 0
+
     def test_slice_bound(self, scenario):
         # every slice is one interval in z_Sc, and A_F's reaches +inf
         params = params_for_scenario(scenario, 0.0125)

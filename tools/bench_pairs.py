@@ -11,6 +11,10 @@ first. The output file holds every run's end-to-end metrics and, per
 workload and metric, both sides' medians and quartiles, the change's win
 count over the pairs and the median gap; plus failed/attempted counts and
 the machine (nproc, library versions). It is rewritten after every run.
+After the pairs, the Tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on the path) runs once in
+each checkout, and its wall time and passed/failed counts go into the file
+under ``tier1``.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -91,6 +97,35 @@ def summarize(rows, better):
     return out
 
 
+def parse_pytest_summary(line):
+    """(passed, failed) from pytest's closing summary line, e.g.
+    '1 failed, 333 passed, 2 warnings in 30.12s'; errors count as failed."""
+    counts = {word: int(num) for num, word in
+              re.findall(r"(\d+) ([a-z]+)", line.partition(" in ")[0])}
+    failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+    return counts.get("passed", 0), failed
+
+
+def run_tier1(checkout):
+    """The Tier-1 suite run once in ``checkout``: {wall_s, passed, failed}."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    passed, failed = parse_pytest_summary(lines[-1] if lines else "")
+    return {"wall_s": wall, "passed": passed, "failed": failed}
+
+
+def write(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def extract(revision, into):
     """The files of ``revision`` under the directory ``into``."""
     tar = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
@@ -125,7 +160,8 @@ def main(argv=None):
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
     change = {"base": head, "uncommitted_changes": bool(dirty.strip())}
-    doc = {"parent": parent_rev, "change": change, "machine": None, "src_lines": {}, "workloads": {}, "rows": []}
+    doc = {"parent": parent_rev, "change": change, "machine": None, "src_lines": {},
+           "workloads": {}, "rows": [], "tier1": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
         extract(parent_rev, parent_dir)
         checkouts = {"parent": parent_dir, "change": ROOT}
@@ -142,12 +178,14 @@ def main(argv=None):
                     doc["machine"] = {k: note[k] for k in
                                       ("nproc", "python", "numpy", "scipy", "start_method")}
                     doc["workloads"] = summarize(doc["rows"], better)
-                    with open(args.out, "w") as fh:
-                        json.dump(doc, fh, indent=1, sort_keys=True)
-                        fh.write("\n")
+                    write(doc, args.out)
                     print(f"{workload} seed {seed} {side}: "
                           f"{result['metrics']['ops_per_s']['value']:.4g} ops/s, "
                           f"failed {result['failed']}", flush=True)
+        for side in SIDES:
+            doc["tier1"][side] = run_tier1(checkouts[side])
+            write(doc, args.out)
+            print(f"tier1 {side}: {doc['tier1'][side]}", flush=True)
     return 0
 
 
