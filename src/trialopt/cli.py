@@ -13,6 +13,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -99,7 +100,8 @@ def _write_csv(path, command: str, header: list, rows: list) -> None:
 
 
 def _parse_grid_spec(raw: str) -> list:
-    """Grid values from 'lo:hi:count' or a comma-separated list."""
+    """Grid values from 'lo:hi:count' or a comma-separated list; at least
+    one value, every one finite."""
     try:
         if ":" in raw:
             lo, hi, count = raw.split(":")
@@ -107,13 +109,20 @@ def _parse_grid_spec(raw: str) -> list:
             if count < 1:
                 raise ValueError
             if count == 1:
-                return [lo]
-            step = (hi - lo) / (count - 1)
-            return [lo + i * step for i in range(count)]
-        return [float(p) for p in raw.split(",") if p.strip()]
+                values = [lo]
+            else:
+                step = (hi - lo) / (count - 1)
+                values = [lo + i * step for i in range(count)]
+        else:
+            values = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"bad grid specification {raw!r}; "
                           "expected 'lo:hi:count' or a comma list") from None
+    if not values:
+        raise ConfigError(f"grid specification {raw!r} has no values")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"grid specification {raw!r} has a non-finite value")
+    return values
 
 
 def _parse_atom(raw: str) -> EffectPair:

@@ -102,8 +102,12 @@ def _owen_cdf(x, y, rho, rho_c):
 def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k) for standard bivariate normal with correlation rho.
 
-    Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise the
-    Owen's-T form of :func:`bivariate_normal_cdf`. Its absolute error is
+    Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise
+    Owen's-T form. Nonzero h and k take it directly on the Python floats,
+    with no array dispatch; only the h = 0 and k = 0 limits go through
+    :func:`bivariate_normal_cdf`, whose limit gate serves the kernels'
+    arrays. Both routes evaluate the same expressions on the same doubles,
+    so every value is the same. Its absolute error is
     ~1e-16 for rho^2 up to about 0.99999. Closer to rho = 1 the ratios
     (y - rho x) / (x rho_c) in Owen's T grow like 1 / rho_c and the
     rounding grows with them: at rho^2 in [0.99999, 1 - 2e-9], the level
@@ -126,7 +130,10 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
         return max(0.0, float(ndtr(-k) - ndtr(h)))
     if rho == 0.0:
         return float(ndtr(-h) * ndtr(-k))
-    return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
+    rho_c = math.sqrt((1.0 - rho) * (1.0 + rho))
+    if h == 0.0 or k == 0.0:
+        return float(bivariate_normal_cdf(-h, -k, rho, rho_c))
+    return float(_owen_cdf(-h, -k, rho, rho_c))
 
 
 def find_root(g, x0: float, tol: float = 0.0) -> float:

@@ -27,6 +27,11 @@
   probabilities estimated one at a time, each from its own simulation of
   the same replicate streams, as the library did before one simulation
   served all three; the library form must reproduce it bit for bit.
+- :func:`array_route_orthant` is the bivariate normal upper orthant that
+  hands every case past the scalar limits to the array CDF
+  :func:`bivariate_normal_cdf`, through its limit gate, as the library
+  did before nonzero bounds took Owen's form directly; the library form
+  must reproduce it bit for bit.
 - :func:`brentq_alpha_F` is the level condition solved by Brent's method
   on the bracket [0, alpha], with thresholds taken as ndtri(1 - level):
   the solve the library used before Newton's method.
@@ -49,6 +54,7 @@ from trialopt.numerics import (
     NumericError,
     _one_sided_critical,
     _owen_cdf,
+    bivariate_normal_cdf,
     bivariate_upper_orthant,
     std_normal_pdf,
 )
@@ -531,6 +537,27 @@ def three_pass_rejection_probs(design, effects_or_prior, scenario, config):
     }
     return {name: _accumulate_one(design, effects_or_prior, scenario, config, fn)
             for name, fn in picks.items()}
+
+
+def array_route_orthant(h: float, k: float, rho: float) -> float:
+    """P(Z1 > h, Z2 > k): the scalar limits, then the array CDF."""
+    if math.isnan(rho) or abs(rho) > 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    if math.isnan(h) or math.isnan(k):
+        raise ValueError("orthant limits must not be NaN")
+    if h == math.inf or k == math.inf:
+        return 0.0
+    if h == -math.inf:
+        return float(ndtr(-k))
+    if k == -math.inf:
+        return float(ndtr(-h))
+    if rho == 1.0:
+        return float(ndtr(-max(h, k)))
+    if rho == -1.0:
+        return max(0.0, float(ndtr(-k) - ndtr(h)))
+    if rho == 0.0:
+        return float(ndtr(-h) * ndtr(-k))
+    return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
 
 
 def brentq_alpha_F(alpha_S, lambda_S, alpha=0.025):

@@ -7,7 +7,13 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
-from bench_pairs import parse_pytest_summary, parse_seeds, summarize  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    metric_values,
+    parse_pytest_summary,
+    parse_run,
+    parse_seeds,
+    summarize,
+)
 
 BETTER = {"ops_per_s": "higher", "op_s_p50": "lower"}
 
@@ -72,3 +78,25 @@ def test_parse_seeds():
 ])
 def test_parse_pytest_summary(line, counts):
     assert parse_pytest_summary(line) == counts
+
+
+# The output of a traced frontier run, cut to three metrics: a stray line,
+# the run note, then the result.
+TRACED_RUN = """\
+perfbench: warming up
+{"run_note": {"largest_self": "bivariate_upper_orthant", "nproc": 2, "spans": 5107, \
+"src_lines": 2472, "workload": "frontier"}}
+{"correct": true, "attempted": 2304, "failed": 0, "metrics": {\
+"numerics.orthant_calls": {"value": 3571.0, "unit": "count"}, \
+"numerics.orthant_s": {"value": 0.0261, "unit": "s"}, \
+"numerics.root_calls": {"value": 768.0, "unit": "count"}}}
+"""
+
+
+def test_per_layer_metrics_from_a_traced_run():
+    result, note = parse_run(TRACED_RUN)
+    assert note["workload"] == "frontier" and note["src_lines"] == 2472
+    assert result["correct"] and result["attempted"] == 2304
+    assert metric_values(result) == {"numerics.orthant_calls": 3571.0,
+                                     "numerics.orthant_s": 0.0261,
+                                     "numerics.root_calls": 768.0}

@@ -150,6 +150,31 @@ class TestSweepCommand:
                 float(cell)
 
 
+class TestGridSpecs:
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("contour", "--lambda-grid", ""),
+        ("contour", "--delta-grid", ","),
+        ("sweep", "--lambda-grid", ","),
+        ("sweep", "--lambda-grid", "nan,inf"),
+        ("sweep", "--lambda-grid", "0.3,-inf"),
+        ("sweep", "--lambda-grid", "0.2:nan:3"),
+        ("contour", "--delta-grid", "0:inf:2"),
+    ])
+    def test_empty_or_non_finite_grid_is_config_error(self, config_path, tmp_path, capsys,
+                                                      command, flag, spec):
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path, "--out", str(out), flag, spec]) == 2
+        assert "grid specification" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_lambdas_still_clamped(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "--lambda-grid", "0.0,0.99", "--set", "refine.enabled=false"]) == 0
+        _, rows = read_rows(out / "sweep.csv")
+        assert [float(r[0]) for r in rows] == [0.05, 0.95]
+
+
 class TestContourCommand:
     def test_matrix_shape(self, config_path, tmp_path):
         out = tmp_path / "run"

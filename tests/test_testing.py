@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,12 @@ from trialopt.testing import (
 )
 from conftest import make_scenario
 from trialopt.utility import _pieces
-from oracles import brentq_alpha_F
+from oracles import array_route_orthant, brentq_alpha_F
+import trialopt.numerics as numerics
+import trialopt.testing as testing
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from workloads import frontier_inputs  # noqa: E402
 
 # Frozen from an independent brentq-on-dblquad oracle (xtol 1e-13).
 ALPHA_F_HALF = 0.016788350676614376
@@ -139,6 +146,38 @@ class TestLevelCondition:
                 alpha_F = alpha_F_given_alpha_S(alpha_S, lam, alpha)
                 worst = max(worst, abs(union_probability(alpha_S, alpha_F, lam) - alpha))
         assert worst <= 5e-14
+
+    def test_frontier_grids_equal_array_route(self, monkeypatch):
+        # the benchmark's dense (lambda_S, alpha_S) grids, solved with the
+        # orthant that takes every nonzero bound through the array CDF
+        grid = [(a, lam) for seed in (1, 2, 3) for inputs in [frontier_inputs(seed)]
+                for lam in inputs["lambdas"] for a in inputs["alphas"]]
+        with monkeypatch.context() as patched:
+            patched.setattr(testing, "bivariate_upper_orthant", array_route_orthant)
+            alpha_F_given_alpha_S.cache_clear()
+            want = [alpha_F_given_alpha_S(a, lam) for a, lam in grid]
+        alpha_F_given_alpha_S.cache_clear()
+        got = [alpha_F_given_alpha_S(a, lam) for a, lam in grid]
+        assert len(got) == 3 * 16 * 48
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_cold_solve_makes_no_array_cdf_call(self, monkeypatch):
+        calls = []
+        array_cdf = numerics.bivariate_normal_cdf
+
+        def counted(*args):
+            calls.append(args)
+            return array_cdf(*args)
+
+        monkeypatch.setattr(numerics, "bivariate_normal_cdf", counted)
+        alpha_F_given_alpha_S.cache_clear()
+        try:
+            for lam in (0.1, 0.5, 0.9):
+                for alpha_S in (1e-9, 0.0125, 0.0249):
+                    alpha_F_given_alpha_S(alpha_S, lam)
+        finally:
+            alpha_F_given_alpha_S.cache_clear()
+        assert calls == []
 
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
         with pytest.raises(NumericError, match="left of the root"):

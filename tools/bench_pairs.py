@@ -11,7 +11,10 @@ first. The output file holds every run's end-to-end metrics and, per
 workload and metric, both sides' medians and quartiles, the change's win
 count over the pairs and the median gap; plus failed/attempted counts and
 the machine (nproc, library versions). It is rewritten after every run.
-After the pairs, the Tier-1 suite (``python -m pytest -q
+After each workload's pairs, one traced run (``--trace 1``) per side at
+that workload's first seed gives its per-layer metrics, written under
+``per_layer`` as {workload: {side: {metric: value}}}. After the pairs, the
+Tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on the path) runs once in
 each checkout, and its wall time and passed/failed counts go into the file
 under ``tier1``.
@@ -134,14 +137,25 @@ def extract(revision, into):
         archive.extractall(into)
 
 
-def run_once(checkout, workload, seed):
+def parse_run(stdout):
+    """(result, run note) from the output of ``perfbench/run.py``, whose
+    last line is the result and the line before it the run note."""
+    lines = stdout.strip().splitlines()
+    return json.loads(lines[-1]), json.loads(lines[-2])["run_note"]
+
+
+def metric_values(result):
+    """{metric: value} of one run's result, units dropped."""
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def run_once(checkout, workload, seed, trace=0):
     """One benchmark run in ``checkout``: (result, run note)."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    lines = proc.stdout.strip().splitlines()
-    return json.loads(lines[-1]), json.loads(lines[-2])["run_note"]
+    return parse_run(proc.stdout)
 
 
 def main(argv=None):
@@ -161,19 +175,20 @@ def main(argv=None):
                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
     change = {"base": head, "uncommitted_changes": bool(dirty.strip())}
     doc = {"parent": parent_rev, "change": change, "machine": None, "src_lines": {},
-           "workloads": {}, "rows": [], "tier1": {}}
+           "workloads": {}, "rows": [], "per_layer": {}, "tier1": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
         extract(parent_rev, parent_dir)
         checkouts = {"parent": parent_dir, "change": ROOT}
         for spec in args.run:
             workload, _, seeds = spec.partition("=")
-            for i, seed in enumerate(parse_seeds(seeds)):
+            seeds = parse_seeds(seeds)
+            for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     result, note = run_once(checkouts[side], workload, seed)
                     doc["rows"].append({
                         "workload": workload, "seed": seed, "side": side,
                         "attempted": result["attempted"], "failed": result["failed"],
-                        "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                        "metrics": metric_values(result)})
                     doc["src_lines"][side] = note["src_lines"]
                     doc["machine"] = {k: note[k] for k in
                                       ("nproc", "python", "numpy", "scipy", "start_method")}
@@ -182,6 +197,11 @@ def main(argv=None):
                     print(f"{workload} seed {seed} {side}: "
                           f"{result['metrics']['ops_per_s']['value']:.4g} ops/s, "
                           f"failed {result['failed']}", flush=True)
+            for side in SIDES:
+                result, _ = run_once(checkouts[side], workload, seeds[0], trace=1)
+                doc["per_layer"].setdefault(workload, {})[side] = metric_values(result)
+                write(doc, args.out)
+                print(f"{workload} seed {seeds[0]} {side}: traced", flush=True)
         for side in SIDES:
             doc["tier1"][side] = run_tier1(checkouts[side])
             write(doc, args.out)
