@@ -150,8 +150,10 @@ class TestLevelCondition:
     def test_frontier_grids_equal_array_route(self, monkeypatch):
         # the benchmark's dense (lambda_S, alpha_S) grids, solved with the
         # orthant that takes every nonzero bound through the array CDF
-        grid = [(a, lam) for seed in (1, 2, 3) for inputs in [frontier_inputs(seed)]
-                for lam in inputs["lambdas"] for a in inputs["alphas"]]
+        grid = []
+        for seed in (1, 2, 3):
+            inputs = frontier_inputs(seed)
+            grid += itertools.product(inputs["alphas"], inputs["lambdas"])
         with monkeypatch.context() as patched:
             patched.setattr(testing, "bivariate_upper_orthant", array_route_orthant)
             alpha_F_given_alpha_S.cache_clear()
