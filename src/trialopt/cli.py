@@ -1,9 +1,11 @@
 """Command-line front end: evaluate, optimize, sweep, contour, and
 simulate subcommands driven by a flat key-value configuration document.
 
-Every run writes machine-readable CSV (schema-versioned, locale-free) plus
-a JSON run manifest capturing the exact scenario, grid settings, seed, and
-output paths. Exit codes: 0 success, 2 configuration error, 3 numeric
+Every command runs through one driver, ``_run``: it loads the scenario
+and grid, lets the command compute its tables, and writes them as
+machine-readable CSV (schema-versioned, locale-free) plus a JSON run
+manifest capturing the exact scenario, grid settings, seed, and output
+paths. Exit codes: 0 success, 2 configuration error, 3 numeric
 failure.
 """
 
@@ -14,6 +16,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -178,30 +181,13 @@ def _design_from_args(args, scenario: Scenario) -> DesignSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _manifest(command: str, scenario, grid, seed, started, t0) -> RunManifest:
-    return RunManifest(
-        command=command,
-        scenario=scenario_to_mapping(scenario),
-        grid=asdict(grid) if grid else None,
-        seed=seed,
-        version=__version__,
-        started_utc=started,
-        wall_seconds=time.monotonic() - t0,
-    )
-
-
-def _emit(out_dir, command: str, manifest: RunManifest, header, rows,
-          long_rows=None, long_header=None) -> None:
-    import os
-
+def _emit(out_dir, command: str, manifest: RunManifest, tables: dict) -> None:
+    """Write each table as ``<name>.csv``, then the manifest listing them."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{command}.csv")
-    _write_csv(csv_path, command, header, rows)
-    manifest.outputs.append(csv_path)
-    if long_rows is not None:
-        long_path = os.path.join(out_dir, f"{command}_long.csv")
-        _write_csv(long_path, command, long_header, long_rows)
-        manifest.outputs.append(long_path)
+    for name, (header, rows) in tables.items():
+        csv_path = os.path.join(out_dir, f"{name}.csv")
+        _write_csv(csv_path, command, header, rows)
+        manifest.outputs.append(csv_path)
     manifest_path = os.path.join(out_dir, f"{command}_manifest.json")
     with open(manifest_path, "w") as fh:
         fh.write(manifest.to_json())
@@ -215,9 +201,7 @@ def _outcome_cells(outcome: OptimizationOutcome) -> list:
             outcome.result.expected_utility, outcome.result.power_any]
 
 
-def _cmd_evaluate(args) -> None:
-    t0, started = time.monotonic(), _utc_now()
-    scenario, grid, _ = _load_run_inputs(args)
+def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     design = _design_from_args(args, scenario)
     result = eu_prior_averaged(design, scenario)
     header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
@@ -225,13 +209,10 @@ def _cmd_evaluate(args) -> None:
                if design.kind == STRATIFIED else None)
     rows = [[design.label, design.n, design.alpha_S, alpha_F,
              *[getattr(result, f) for f in _FIELDS]]]
-    _emit(args.out, "evaluate", _manifest("evaluate", scenario, None, None, started, t0),
-          header, rows)
+    return {"evaluate": (header, rows)}
 
 
-def _cmd_optimize(args) -> None:
-    t0, started = time.monotonic(), _utc_now()
-    scenario, grid, _ = _load_run_inputs(args)
+def _cmd_optimize(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     outcomes, selected = decide(scenario, grid)
     header = ["family", "selected", "n", "alpha_S", "alpha_F", *_FIELDS]
     rows = []
@@ -239,16 +220,13 @@ def _cmd_optimize(args) -> None:
         design = outcome.best_design
         rows.append([design.label, int(family == selected), design.n, design.alpha_S,
                      outcome.derived_alpha_F, *[getattr(outcome.result, f) for f in _FIELDS]])
-    _emit(args.out, "optimize", _manifest("optimize", scenario, grid, None, started, t0),
-          header, rows)
+    return {"optimize": (header, rows)}
 
 
 _SWEEP_METRICS = ("n", "alpha_S", "alpha_F", "eu", "power")
 
 
-def _cmd_sweep(args) -> None:
-    t0, started = time.monotonic(), _utc_now()
-    scenario, grid, _ = _load_run_inputs(args)
+def _cmd_sweep(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     lambdas = _parse_grid_spec(args.lambda_grid)
     rows_data = sweep_prevalence(scenario, lambdas, grid, jobs=args.jobs)
     header = ["lambda_S"]
@@ -263,15 +241,13 @@ def _cmd_sweep(args) -> None:
             cells += values
             long_rows += [[row.lambda_S, family, m, v] for m, v in zip(_SWEEP_METRICS, values)]
         rows.append(cells + [row.outcomes[row.selected].best_design.label])
-    _emit(args.out, "sweep", _manifest("sweep", scenario, grid, None, started, t0),
-          header, rows,
-          long_rows=long_rows if args.figures else None,
-          long_header=["lambda_S", "family", "metric", "value"])
+    tables = {"sweep": (header, rows)}
+    if args.figures:
+        tables["sweep_long"] = (["lambda_S", "family", "metric", "value"], long_rows)
+    return tables
 
 
-def _cmd_contour(args) -> None:
-    t0, started = time.monotonic(), _utc_now()
-    scenario, grid, prior_kind = _load_run_inputs(args)
+def _cmd_contour(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     if prior_kind is None:
         raise ConfigError("contour requires prior.kind (the prior is rebuilt "
                           "for every effect size)")
@@ -283,19 +259,18 @@ def _cmd_contour(args) -> None:
     rows = [[row[0].delta, *[cell.selected for cell in row]] for row in matrix]
     long_rows = [[c.lambda_S, c.delta, c.selected, c.n_opt, c.expected_utility]
                  for row in matrix for c in row]
-    _emit(args.out, "contour", _manifest("contour", scenario, grid, None, started, t0),
-          header, rows,
-          long_rows=long_rows if args.figures else None,
-          long_header=["lambda_S", "delta", "selected", "n_opt", "expected_utility"])
+    tables = {"contour": (header, rows)}
+    if args.figures:
+        tables["contour_long"] = (
+            ["lambda_S", "delta", "selected", "n_opt", "expected_utility"], long_rows)
+    return tables
 
 
-def _cmd_simulate(args) -> None:
-    t0, started = time.monotonic(), _utc_now()
-    scenario, grid, _ = _load_run_inputs(args)
+def _cmd_simulate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     design = _design_from_args(args, scenario)
     try:
         config = SimConfig(replicates=args.replicates, seed=args.seed,
-                           strata_mode=args.mode, estimand=args.estimand)
+                           strata_mode=args.mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     atom = _parse_atom(args.atom) if args.atom else None
@@ -321,13 +296,30 @@ def _cmd_simulate(args) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         add("fwer", est)
-    _emit(args.out, "simulate",
-          _manifest("simulate", scenario, None, args.seed, started, t0),
-          header, rows)
+    return {"simulate": (header, rows)}
 
 
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+# The commands that search the grid, the only ones whose manifests record it.
+_GRID_COMMANDS = ("optimize", "sweep", "contour")
+
+
+def _run(args) -> None:
+    """The one path of every command: load the inputs, compute the
+    command's tables, then write them with the run manifest."""
+    t0 = time.monotonic()
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    scenario, grid, prior_kind = _load_run_inputs(args)
+    tables = args.func(args, scenario, grid, prior_kind)
+    manifest = RunManifest(
+        command=args.command,
+        scenario=scenario_to_mapping(scenario),
+        grid=asdict(grid) if args.command in _GRID_COMMANDS else None,
+        seed=getattr(args, "seed", None),
+        version=__version__,
+        started_utc=started,
+        wall_seconds=time.monotonic() - t0,
+    )
+    _emit(args.out, args.command, manifest, tables)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -48,20 +48,17 @@ _CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication count, seed, strata mode, and the quantity estimated."""
+    """Replication count, seed, and strata mode."""
 
     replicates: int
     seed: int
     strata_mode: str = FIXED_PROPORTIONAL
-    estimand: str = UTILITY
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.strata_mode not in (FIXED_PROPORTIONAL, BINOMIAL_RANDOM):
             raise ValueError(f"unknown strata mode {self.strata_mode!r}")
-        if self.estimand not in (UTILITY, REJECTION_PROBS, FWER):
-            raise ValueError(f"unknown estimand {self.estimand!r}")
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,6 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
                     strata_mode: str, rng: np.random.Generator, m: int):
     """m replicates of the trial: (utility, psi_S, psi_F) arrays, the
     indicators boolean."""
-    if design.kind == NO_TRIAL:
-        return np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-
     n = design.n
     sigma = scenario.sigma
     lam = scenario.lambda_S
@@ -176,7 +170,10 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
 def _accumulate(design, effects_or_prior, scenario, config, value_fns):
     """Chunked mean/SE of each value_fn(utility, psi_S, psi_F): one
     McEstimate per function, all read from one simulation per chunk (and
-    per atom, with a prior)."""
+    per atom, with a prior). The no-trial option runs no trial, so its
+    estimates are exactly zero."""
+    if design.kind == NO_TRIAL:
+        return [McEstimate(0.0, 0.0, config.replicates) for _ in value_fns]
     single_atom = None
     atoms = None
     if isinstance(effects_or_prior, EffectPair):
@@ -243,8 +240,6 @@ def mc_expected_utility(design: DesignSpec, effects_or_prior, scenario: Scenario
     replicate for replicate under the same seed.
     """
     design.check_against(scenario)
-    if design.kind == NO_TRIAL:
-        return McEstimate(0.0, 0.0, config.replicates)
     return _accumulate(design, effects_or_prior, scenario, config, (lambda u, ps, pf: u,))[0]
 
 
@@ -257,9 +252,6 @@ def mc_rejection_probs(design: DesignSpec, effects_or_prior, scenario: Scenario,
     input and config.
     """
     design.check_against(scenario)
-    if design.kind == NO_TRIAL:
-        zero = McEstimate(0.0, 0.0, config.replicates)
-        return {"any": zero, "F": zero, "S_only": zero}
     estimates = _accumulate(design, effects_or_prior, scenario, config, (
         _approved,
         lambda u, ps, pf: pf.astype(float),
@@ -275,6 +267,4 @@ def mc_fwer(design: DesignSpec, scenario: Scenario, null_effects: EffectPair,
         raise ValueError("null effects require delta_S <= 0")
     if pooled_effect(null_effects, scenario.lambda_S) > 1e-12:
         raise ValueError("null effects require the pooled effect <= 0")
-    if design.kind == NO_TRIAL:
-        return McEstimate(0.0, 0.0, config.replicates)
     return _accumulate(design, null_effects, scenario, config, (_approved,))[0]

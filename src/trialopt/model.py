@@ -222,8 +222,6 @@ def trial_cost(design: DesignSpec, costs: CostStructure, lambda_S: float) -> flo
     2n biomarker-positive ones, so its screening bill scales with
     1/lambda_S.
     """
-    if design.kind == NO_TRIAL:
-        return 0.0
     return _cost_for(design.kind, design.n, costs, lambda_S)
 
 

@@ -17,8 +17,15 @@ best so far, so it can only improve on the grid.
 A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings:
 the kernels' temporaries grow with the block, and beyond a few default
 stratified rows a bigger block gains little speed for much more peak
-memory. Every element is computed as it would be alone, so the block size
-never shows in a result.
+memory. A row longer than the cap is scored in pieces along alpha_S.
+Every element is computed as it would be alone, so the block size never
+shows in a result.
+
+The sweep drivers share one decision map. ``sweep_prevalence`` and
+``sweep_contour`` build every cell's Scenario in the parent and pass the
+list to ``_decisions``, which applies ``decide`` to each in order,
+serially or in a process pool of ``jobs`` workers; the parent then builds
+the rows and cells from the decisions, so no result depends on ``jobs``.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,8 +92,8 @@ class GridConfig:
             raise ValueError("n_grid must list positive sizes")
         if self.alpha_points < 2:
             raise ValueError("alpha_points must be >= 2")
-        if self.refine_tol <= 0.0:
-            raise ValueError("refine.tol must be positive")
+        if not 0.0 < self.refine_tol < math.inf:
+            raise ValueError("refine.tol must be positive and finite")
 
     @classmethod
     def consume_mapping(cls, mapping: dict, n_min: int = 50) -> "GridConfig":
@@ -152,13 +160,17 @@ def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
 def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
     """(n, expected utilities over ``alphas``) for every n in ``sizes``, in
     order. Consecutive sizes share one batched evaluation, up to
-    _BLOCK_SETTINGS (atom, n, alpha_S) settings per call."""
-    per_size = len(_merged_atoms(family, scenario)) * len(alphas)
-    block = max(1, _BLOCK_SETTINGS // per_size)
+    _BLOCK_SETTINGS (atom, n, alpha_S) settings per call; a row longer
+    than that is scored in pieces of its alpha_S axis and joined."""
+    atoms = len(_merged_atoms(family, scenario))
+    width = max(1, _BLOCK_SETTINGS // atoms)
+    block = max(1, _BLOCK_SETTINGS // (atoms * min(width, len(alphas))))
     for start in range(0, len(sizes), block):
         chunk = sizes[start:start + block]
-        yield from zip(chunk, grid_row(family, np.array(chunk, dtype=float), alphas,
-                                       scenario)[0])
+        n = np.array(chunk, dtype=float)
+        yield from zip(chunk, np.concatenate(
+            [grid_row(family, n, alphas[a:a + width], scenario)[0]
+             for a in range(0, len(alphas), width)], axis=-1))
 
 
 def _grid_scores(family: str, scenario: Scenario, config: GridConfig):
@@ -326,52 +338,42 @@ def _clamp_lambda(values) -> list:
     return [float(min(hi, max(lo, v))) for v in values]
 
 
-def _map_cells(cell, tasks: list, jobs: int) -> list:
-    """``cell`` applied to every task in order: serially, or in a process
-    pool with at most one worker per task."""
+def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) -> list:
+    """``decide`` on every scenario, in order: serially, or in a process
+    pool with at most one worker per scenario."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(tasks))
+    decide_one = partial(decide, grid_config=grid_config)
+    workers = min(jobs, len(scenarios))
     if workers <= 1:
-        return [cell(t) for t in tasks]
+        return list(map(decide_one, scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell, tasks))
-
-
-def _sweep_cell(args) -> SweepRow:
-    scenario, grid_config = args
-    return SweepRow(scenario.lambda_S, *decide(scenario, grid_config))
+        return list(pool.map(decide_one, scenarios))
 
 
 def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],
                      grid_config: Optional[GridConfig] = None,
                      jobs: int = 1) -> list:
     """Optimize every family at each prevalence (clamped to [0.05, 0.95])."""
-    tasks = [(scenario_template.with_lambda(lam), grid_config)
-             for lam in _clamp_lambda(lambda_grid)]
-    return _map_cells(_sweep_cell, tasks, jobs)
-
-
-def _contour_cell(args) -> ContourCell:
-    scenario, delta, prior_kind, grid_config = args
-    scenario = scenario.with_prior(builtin_prior(prior_kind, delta))
-    outcomes, selected = decide(scenario, grid_config)
-    best = outcomes[selected]
-    return ContourCell(scenario.lambda_S, delta, selected,
-                       best.best_design.n, best.expected_utility)
+    scenarios = [scenario_template.with_lambda(lam) for lam in _clamp_lambda(lambda_grid)]
+    return [SweepRow(scenario.lambda_S, *decision) for scenario, decision
+            in zip(scenarios, _decisions(scenarios, grid_config, jobs))]
 
 
 def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
                   delta_grid: Sequence[float], prior_kind: str,
                   grid_config: Optional[GridConfig] = None,
                   jobs: int = 1) -> list:
-    """Selected-design matrix over (lambda_S, delta), rows indexed by delta."""
+    """Selected-design matrix over (lambda_S, delta), rows indexed by delta;
+    a negative delta is rejected by the prior it builds."""
     lams = _clamp_lambda(lambda_grid)
     deltas = [float(d) for d in delta_grid]
-    if any(d < 0.0 for d in deltas):
-        raise ValueError("effect-size grid must be nonnegative")
-    tasks = [(scenario_template.with_lambda(lam), delta, prior_kind, grid_config)
-             for delta in deltas for lam in lams]
-    cells = _map_cells(_contour_cell, tasks, jobs)
+    points = [(delta, lam) for delta in deltas for lam in lams]
+    scenarios = [scenario_template.with_lambda(lam).with_prior(
+                     builtin_prior(prior_kind, delta)) for delta, lam in points]
+    decisions = _decisions(scenarios, grid_config, jobs)
+    cells = [ContourCell(lam, delta, selected, outcomes[selected].best_design.n,
+                         outcomes[selected].expected_utility)
+             for (delta, lam), (outcomes, selected) in zip(points, decisions)]
     width = len(lams)
     return [cells[i * width:(i + 1) * width] for i in range(len(deltas))]

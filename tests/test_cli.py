@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 
@@ -271,6 +272,54 @@ class TestErrorHandling:
         monkeypatch.setattr(optimizer, "optimize_family", boom)
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                      "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 20 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("run did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_refine_tol_is_config_error(config_path, tmp_path, alarm, tol):
+    # A NaN tolerance never ends the alpha_S narrowing loop.
+    assert main(["optimize", "--config", config_path, "--out", str(tmp_path),
+                 "--set", f"refine.tol={tol}"]) == 2
+
+
+TINY_GRID = ["--set", "grid.n_points=50,200,800", "--set", "grid.alpha_points=3",
+             "--lambda-grid", "0.3,0.7", "--figures"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sweep", []),
+    ("contour", ["--delta-grid", "0,0.3"]),
+])
+def test_outputs_identical_in_every_execution_mode(config_path, tmp_path, command, extra):
+    # In-process with one and two workers, and a cold `python -O` process.
+    argv = [command, "--config", config_path, *TINY_GRID, *extra]
+    runs = {}
+    for jobs in ("1", "2"):
+        runs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(argv + ["--jobs", jobs, "--out", str(runs[jobs])]) == 0
+    runs["-O"] = tmp_path / "optimized"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-m", "trialopt.cli", *argv,
+                           "--out", str(runs["-O"])], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in (f"{command}.csv", f"{command}_long.csv"):
+        want = (runs["1"] / name).read_bytes()
+        assert (runs["2"] / name).read_bytes() == want
+        assert (runs["-O"] / name).read_bytes() == want
 
 
 def test_import_leaves_scipy_optimize_out():

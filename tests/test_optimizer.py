@@ -59,6 +59,14 @@ class TestGridConfig:
         with pytest.raises(ConfigError):
             GridConfig.consume_mapping({"grid.n_points": "x"})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+    def test_refine_tol_outside_positive_finite_rejected(self, tol):
+        # A NaN tolerance would never stop the alpha_S narrowing loop.
+        with pytest.raises(ValueError):
+            GridConfig(refine_tol=tol)
+        with pytest.raises(ConfigError):
+            GridConfig.consume_mapping({"refine.tol": repr(tol)})
+
 
 class TestOptimizeFamily:
     def test_zero_rewards_pick_minimal_n(self):
@@ -154,6 +162,27 @@ class TestSizeBlocks:
         assert len(stage_one) <= 10
         assert sum(math.prod(shape) for shape in stage_one) == len(default_n_grid())
         assert ((3,), 9) in calls
+
+    def test_long_alpha_rows_split_at_the_cap(self, monkeypatch):
+        # 4 atoms x 201 alpha_S points is more than the cap in one row: the
+        # row is scored in pieces and decides as one call over it would.
+        scenario, config = make_scenario(), replace(FAST, alpha_points=201)
+        cap = optimizer._BLOCK_SETTINGS
+        monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", 10 ** 9)
+        whole = optimize_family("stratified", scenario, config)
+        monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", cap)
+        settings = []
+        kernel = utility._stratified_fields
+
+        def counted(atoms, n, alpha_S, scenario):
+            settings.append(len(atoms) * np.size(n) * len(alpha_S))
+            return kernel(atoms, n, alpha_S, scenario)
+
+        monkeypatch.setattr(utility, "_stratified_fields", counted)
+        split = optimize_family("stratified", scenario, config)
+        assert max(settings) <= cap
+        assert ((split.best_design.n, split.best_design.alpha_S, split.expected_utility)
+                == (whole.best_design.n, whole.best_design.alpha_S, whole.expected_utility))
 
 
 class TestSelectDesign:
