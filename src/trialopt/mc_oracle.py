@@ -10,6 +10,16 @@ its replicates once and reads every estimate it returns from that one
 simulation: the three approval probabilities of
 :func:`mc_rejection_probs` come from the same trials, which are the
 trials :func:`mc_expected_utility` simulates for the same inputs.
+
+Within a chunk, a prior's per-atom replicate counts are drawn first, as
+one multinomial over the weights, and each atom is then simulated as one
+contiguous block, in prior order. In binomial strata mode, each block
+draws its per-arm subgroup counts as one multinomial histogram over
+0..n, expanded in order, and pairs the arms by a random permutation of
+the control arm. Every estimate depends only on the multiset of
+replicates, so both draws have the distribution of per-replicate atom
+labels and per-replicate binomial counts. A single effect pair, or a
+one-atom prior, draws no split.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .model import (
     CLASSICAL,
@@ -55,8 +66,11 @@ class SimConfig:
     strata_mode: str = FIXED_PROPORTIONAL
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for name, least in (("replicates", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.strata_mode not in (FIXED_PROPORTIONAL, BINOMIAL_RANDOM):
             raise ValueError(f"unknown strata mode {self.strata_mode!r}")
 
@@ -90,17 +104,26 @@ def _rewards(scenario: Scenario, psi_S, psi_F, est_S, est_F, effects: EffectPair
     return np.where(psi_F, paid_F, np.where(psi_S, paid_S, 0.0))
 
 
-def _redraw_zero_strata(rng, n, lam, m):
-    """Per-arm subgroup counts, rejection-sampling away empty strata."""
-    k_t = rng.binomial(n, lam, m)
-    k_c = rng.binomial(n, lam, m)
-    while True:
-        bad = (k_t == 0) | (k_t == n) | (k_c == 0) | (k_c == n)
-        if not bad.any():
-            return k_t, k_c
-        count = int(bad.sum())
-        k_t[bad] = rng.binomial(n, lam, count)
-        k_c[bad] = rng.binomial(n, lam, count)
+def _strata_counts(rng, n, lam, m, interior):
+    """Per-arm subgroup counts of m replicates, each Binomial(n, lam) and,
+    with ``interior``, conditioned on 0 < k < n.
+
+    Each arm's counts are drawn as one multinomial histogram over 0..n and
+    expanded in order; the control arm is then permuted, so the pairs are
+    distributed as m independent draws per arm.
+    """
+    k = np.arange(n + 1)
+    log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n + 1 - k)
+               + k * math.log(lam) + (n - k) * math.log1p(-lam))
+    if interior:
+        if n < 2:
+            raise ValueError(f"both strata of an arm must be non-empty, impossible at n={n}")
+        log_pmf[0] = log_pmf[n] = -np.inf
+    pmf = np.exp(log_pmf - log_pmf.max())
+    pmf /= pmf.sum()
+    k_t = np.repeat(k, rng.multinomial(m, pmf))
+    k_c = rng.permutation(np.repeat(k, rng.multinomial(m, pmf)))
+    return k_t, k_c
 
 
 def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
@@ -131,8 +154,7 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
             theta_t = (effects.prognostic_offset + effects.delta_S,
                        effects.delta_Sc)
             theta_c = (effects.prognostic_offset, 0.0)
-            k_t = rng.binomial(n, lam, m)
-            k_c = rng.binomial(n, lam, m)
+            k_t, k_c = _strata_counts(rng, n, lam, m, interior=False)
             mean_t = (k_t * theta_t[0] + (n - k_t) * theta_t[1]) / n
             mean_c = (k_c * theta_c[0] + (n - k_c) * theta_c[1]) / n
             noise = sigma / math.sqrt(n)
@@ -152,7 +174,7 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
         est_S = effects.delta_S + math.sqrt(var_S) * rng.standard_normal(m)
         est_Sc = effects.delta_Sc + math.sqrt(var_Sc) * rng.standard_normal(m)
     else:
-        k_t, k_c = _redraw_zero_strata(rng, n, lam, m)
+        k_t, k_c = _strata_counts(rng, n, lam, m, interior=True)
         var_S = sigma ** 2 * (1.0 / k_t + 1.0 / k_c)
         var_Sc = sigma ** 2 * (1.0 / (n - k_t) + 1.0 / (n - k_c))
         est_S = effects.delta_S + np.sqrt(var_S) * rng.standard_normal(m)
@@ -169,23 +191,17 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
 
 def _accumulate(design, effects_or_prior, scenario, config, value_fns):
     """Chunked mean/SE of each value_fn(utility, psi_S, psi_F): one
-    McEstimate per function, all read from one simulation per chunk (and
-    per atom, with a prior). The no-trial option runs no trial, so its
-    estimates are exactly zero."""
+    McEstimate per function, all read from one simulation per chunk and
+    atom. With a prior, each chunk draws its per-atom replicate counts as
+    one multinomial and simulates every atom as one block, in prior order.
+    The no-trial option runs no trial, so its estimates are exactly zero."""
     if design.kind == NO_TRIAL:
         return [McEstimate(0.0, 0.0, config.replicates) for _ in value_fns]
-    single_atom = None
-    atoms = None
-    if isinstance(effects_or_prior, EffectPair):
-        single_atom = effects_or_prior
-    else:
-        atoms = list(effects_or_prior)
-        if len(atoms) == 1:
-            single_atom = atoms[0][0]
-    weights = None
-    if single_atom is None:
-        weights = np.array([w for _, w in atoms])
-        weights = weights / weights.sum()
+    pairs = ([(effects_or_prior, 1.0)] if isinstance(effects_or_prior, EffectPair)
+             else list(effects_or_prior))
+    atoms = [atom for atom, _ in pairs]
+    weights = np.array([w for _, w in pairs])
+    weights = weights / weights.sum()
 
     total = config.replicates
     s1 = [0.0] * len(value_fns)
@@ -195,23 +211,15 @@ def _accumulate(design, effects_or_prior, scenario, config, value_fns):
     while done < total:
         m = min(_CHUNK, total - done)
         rng = _chunk_rng(config.seed, index)
-        if single_atom is not None:
-            batch = _simulate_batch(design, single_atom, scenario, config.strata_mode, rng, m)
-            values = [fn(*batch) for fn in value_fns]
-        else:
-            idx = rng.choice(len(atoms), size=m, p=weights)
-            values = [np.empty(m) for _ in value_fns]
-            for j, (atom, _) in enumerate(atoms):
-                sel = idx == j
-                count = int(sel.sum())
-                if count == 0:
-                    continue
-                batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, count)
-                for v, fn in zip(values, value_fns):
-                    v[sel] = fn(*batch)
-        for i, v in enumerate(values):
-            s1[i] += float(v.sum())
-            s2[i] += float((v * v).sum())
+        counts = [m] if len(atoms) == 1 else rng.multinomial(m, weights)
+        for atom, count in zip(atoms, counts):
+            if count == 0:
+                continue
+            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, int(count))
+            for i, fn in enumerate(value_fns):
+                v = fn(*batch)
+                s1[i] += float(v.sum())
+                s2[i] += float((v * v).sum())
         done += m
         index += 1
     return [_estimate(a, b, total) for a, b in zip(s1, s2)]
@@ -235,9 +243,10 @@ def mc_expected_utility(design: DesignSpec, effects_or_prior, scenario: Scenario
                         config: SimConfig) -> McEstimate:
     """Simulated expected utility for a fixed effect pair or a prior.
 
-    With a prior, one atom is drawn per replicate by weight; a single-atom
-    prior takes the direct path so it matches a plain EffectPair run
-    replicate for replicate under the same seed.
+    With a prior, each chunk's replicates are split among the atoms by one
+    multinomial draw over the weights; a single-atom prior draws no split,
+    so it matches a plain EffectPair run replicate for replicate under the
+    same seed.
     """
     design.check_against(scenario)
     return _accumulate(design, effects_or_prior, scenario, config, (lambda u, ps, pf: u,))[0]

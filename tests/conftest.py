@@ -2,6 +2,10 @@
 
 import pytest
 
+# The oracles module holds assert helpers: rewritten like a test module,
+# its asserts still run under python -O.
+pytest.register_assert_rewrite("oracles")
+
 from trialopt import (
     CostStructure,
     RewardStructure,

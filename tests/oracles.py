@@ -27,6 +27,13 @@
   probabilities estimated one at a time, each from its own simulation of
   the same replicate streams, as the library did before one simulation
   served all three; the library form must reproduce it bit for bit.
+- :func:`labelled_estimates` is the Monte Carlo accumulator that draws
+  one atom label per replicate and scatters each atom's replicates back
+  to their positions, and :func:`iid_strata_counts` draws each replicate's
+  binomial subgroup counts on its own, redrawing empty strata, as the
+  library did before atom blocks and strata-count histograms; the library
+  form must agree with them in distribution (within standard errors), since
+  it draws the same replicates in another order.
 - :func:`array_route_orthant` is the bivariate normal upper orthant that
   hands every case past the scalar limits to the array CDF
   :func:`bivariate_normal_cdf`, through its limit gate, as the library
@@ -47,7 +54,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import ndtr, ndtri, owens_t
 
-from trialopt.mc_oracle import _CHUNK, McEstimate, _chunk_rng, _simulate_batch
+from trialopt.mc_oracle import _CHUNK, McEstimate, _chunk_rng, _estimate, _simulate_batch
 from trialopt.model import ENRICHMENT, NO_TRIAL, SPONSOR, STRATIFIED, EffectPair, pooled_effect
 from trialopt.model import _cost_for
 from trialopt.numerics import (
@@ -474,18 +481,11 @@ def per_piece_line_integrals(a, b, lo, hi, alive, moments):
 
 def _accumulate_one(design, effects_or_prior, scenario, config, value_of):
     """Chunked mean/SE of value_of(utility, psi_S, psi_F, effects)."""
-    single_atom = None
-    atoms = None
-    if isinstance(effects_or_prior, EffectPair):
-        single_atom = effects_or_prior
-    else:
-        atoms = list(effects_or_prior)
-        if len(atoms) == 1:
-            single_atom = atoms[0][0]
-    weights = None
-    if single_atom is None:
-        weights = np.array([w for _, w in atoms])
-        weights = weights / weights.sum()
+    pairs = ([(effects_or_prior, 1.0)] if isinstance(effects_or_prior, EffectPair)
+             else list(effects_or_prior))
+    atoms = [atom for atom, _ in pairs]
+    weights = np.array([w for _, w in pairs])
+    weights = weights / weights.sum()
 
     total = config.replicates
     s1 = 0.0
@@ -495,23 +495,15 @@ def _accumulate_one(design, effects_or_prior, scenario, config, value_of):
     while done < total:
         m = min(_CHUNK, total - done)
         rng = _chunk_rng(config.seed, index)
-        if single_atom is not None:
-            u, ps, pf = _simulate_batch(design, single_atom, scenario,
-                                        config.strata_mode, rng, m)
-            values = value_of(u, ps, pf, single_atom)
-        else:
-            idx = rng.choice(len(atoms), size=m, p=weights)
-            values = np.empty(m)
-            for j, (atom, _) in enumerate(atoms):
-                sel = idx == j
-                count = int(sel.sum())
-                if count == 0:
-                    continue
-                u, ps, pf = _simulate_batch(design, atom, scenario,
-                                            config.strata_mode, rng, count)
-                values[sel] = value_of(u, ps, pf, atom)
-        s1 += float(values.sum())
-        s2 += float((values * values).sum())
+        counts = [m] if len(atoms) == 1 else rng.multinomial(m, weights)
+        for atom, count in zip(atoms, counts):
+            if count == 0:
+                continue
+            u, ps, pf = _simulate_batch(design, atom, scenario,
+                                        config.strata_mode, rng, int(count))
+            values = value_of(u, ps, pf, atom)
+            s1 += float(values.sum())
+            s2 += float((values * values).sum())
         done += m
         index += 1
     mean = s1 / total
@@ -521,6 +513,57 @@ def _accumulate_one(design, effects_or_prior, scenario, config, value_of):
     else:
         se = 0.0
     return McEstimate(mean=mean, std_error=se, replicates=total)
+
+
+def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):
+    """Chunked mean/SE of each value_fn(utility, psi_S, psi_F), with one
+    atom label drawn per replicate by weight and each atom's replicates
+    scattered back to their labelled positions."""
+    if isinstance(effects_or_prior, EffectPair):
+        effects_or_prior = [(effects_or_prior, 1.0)]
+    atoms = list(effects_or_prior)
+    weights = np.array([w for _, w in atoms])
+    weights = weights / weights.sum()
+    total = config.replicates
+    s1 = [0.0] * len(value_fns)
+    s2 = [0.0] * len(value_fns)
+    done = 0
+    index = 0
+    while done < total:
+        m = min(_CHUNK, total - done)
+        rng = _chunk_rng(config.seed, index)
+        idx = rng.choice(len(atoms), size=m, p=weights)
+        values = [np.empty(m) for _ in value_fns]
+        for j, (atom, _) in enumerate(atoms):
+            sel = idx == j
+            count = int(sel.sum())
+            if count == 0:
+                continue
+            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, count)
+            for v, fn in zip(values, value_fns):
+                v[sel] = fn(*batch)
+        for i, v in enumerate(values):
+            s1[i] += float(v.sum())
+            s2[i] += float((v * v).sum())
+        done += m
+        index += 1
+    return [_estimate(a, b, total) for a, b in zip(s1, s2)]
+
+
+def iid_strata_counts(rng, n, lam, m, interior):
+    """Per-arm subgroup counts, one Binomial(n, lam) draw per replicate and
+    arm; with ``interior``, replicates with an empty stratum in either arm
+    are redrawn until 0 < k < n in both."""
+    k_t = rng.binomial(n, lam, m)
+    k_c = rng.binomial(n, lam, m)
+    while interior:
+        bad = (k_t == 0) | (k_t == n) | (k_c == 0) | (k_c == n)
+        if not bad.any():
+            break
+        count = int(bad.sum())
+        k_t[bad] = rng.binomial(n, lam, count)
+        k_c[bad] = rng.binomial(n, lam, count)
+    return k_t, k_c
 
 
 def three_pass_rejection_probs(design, effects_or_prior, scenario, config):

@@ -223,6 +223,14 @@ class TestSimulateCommand:
         assert [r[0] for r in rows] == [
             "prob_reject_any", "prob_reject_F", "prob_reject_S_only"]
 
+    @pytest.mark.parametrize("design", [["classical", "--n", "100"], ["none"]])
+    def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys, design):
+        code = main(["simulate", "--config", config_path, "--design", *design,
+                     "--replicates", "1000", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.csv").exists()
+
 
 class TestErrorHandling:
     def test_unknown_key_is_hard_error(self, config_path, tmp_path):

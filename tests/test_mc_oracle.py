@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import trialopt.mc_oracle as mc_oracle
@@ -17,7 +19,7 @@ from trialopt.mc_oracle import (
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_classical, eu_enrichment
 from conftest import make_scenario
-from oracles import three_pass_rejection_probs
+from oracles import iid_strata_counts, labelled_estimates, three_pass_rejection_probs
 
 
 def with_rewards(scenario, **kw):
@@ -32,6 +34,17 @@ class TestSimConfig:
             SimConfig(replicates=10, seed=1, strata_mode="exotic")
         with pytest.raises(ValueError):
             McEstimate(0.0, -1.0, 10)
+
+    @pytest.mark.parametrize("replicates, seed, field", [
+        (1e5, 1, "replicates"), (2.5, 1, "replicates"), (True, 1, "replicates"),
+        (10, -1, "seed"), (10, 1.0, "seed"), (10, False, "seed"), (10, None, "seed")])
+    def test_counts_must_be_integers(self, replicates, seed, field):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(replicates, seed)
+
+    def test_numpy_integers_accepted(self):
+        config = SimConfig(np.int64(10), np.uint32(3))
+        assert (config.replicates, config.seed) == (10, 3)
 
 
 class TestSimulateTrial:
@@ -116,7 +129,7 @@ class TestExpectedUtility:
         assert math.isfinite(random_strata.mean)
 
     def test_binomial_mode_survives_tiny_prevalence(self):
-        # lambda 0.05 at n = 50 forces zero-stratum redraws regularly
+        # lambda 0.05 at n = 50 leaves a stratum empty in 8% of binomial draws
         scenario = make_scenario(lambda_S=0.05)
         est = mc_expected_utility(
             DesignSpec.stratified(50, 0.0125), EffectPair(0.3, 0.0), scenario,
@@ -205,3 +218,111 @@ class TestOneSimulation:
         assert counts["mc_rejection_probs"] == counts["mc_expected_utility"]
         # every replicate simulated once
         assert counts["mc_expected_utility"][1] == config.replicates
+
+
+class TestStrataCounts:
+    """The binomial-mode subgroup counts: one multinomial histogram per arm
+    over 0..n, the control arm permuted."""
+
+    M = 200_000
+
+    @staticmethod
+    def exact_pmf(n, lam, interior):
+        # integer weights comb(n, k) a^k b^(n-k) with lam = a / (a + b)
+        lam = Fraction(str(lam))
+        a, b = lam.numerator, lam.denominator - lam.numerator
+        weights = [math.comb(n, k) * a ** k * b ** (n - k) for k in range(n + 1)]
+        if interior:
+            weights[0] = weights[n] = 0
+        total = sum(weights)
+        return np.array([w / total for w in weights])
+
+    @pytest.mark.parametrize("n, lam", [(50, 0.05), (200, 0.5), (3000, 0.3)])
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_histogram_matches_exact_pmf(self, n, lam, interior):
+        rng = np.random.default_rng(n)
+        k_t, k_c = mc_oracle._strata_counts(rng, n, lam, self.M, interior)
+        pmf = self.exact_pmf(n, lam, interior)
+        expected = self.M * pmf
+        # cells expected below 10 counts are pooled into one, as a
+        # per-cell bound cannot hold there
+        rare = expected < 10.0
+        for k in (k_t, k_c):
+            assert len(k) == self.M
+            seen = np.bincount(k, minlength=n + 1)
+            assert len(seen) == n + 1
+            cells = np.append(seen[~rare], seen[rare].sum())
+            want = np.append(expected[~rare], expected[rare].sum())
+            se = np.sqrt(want * (1.0 - want / self.M))
+            assert np.all(np.abs(cells - want) <= 5.0 * se + 1e-9)
+            if interior:
+                assert k.min() >= 1 and k.max() <= n - 1
+        r = np.corrcoef(k_t, k_c)[0, 1]
+        assert abs(r) <= 5.0 / math.sqrt(self.M)
+
+    def test_interior_needs_two_patients(self):
+        with pytest.raises(ValueError, match="n=1"):
+            mc_oracle._strata_counts(np.random.default_rng(0), 1, 0.5, 10, True)
+        scenario = make_scenario(n_min=1)
+        with pytest.raises(ValueError):
+            mc_expected_utility(DesignSpec.stratified(1, 0.01), EffectPair(0.3, 0.0),
+                                scenario, SimConfig(100, 1, strata_mode=BINOMIAL_RANDOM))
+
+
+class TestAtomBlocks:
+    def test_one_block_per_atom_in_prior_order(self, monkeypatch, scenario):
+        events = []
+        simulate = mc_oracle._simulate_batch
+        chunk_rng = mc_oracle._chunk_rng
+
+        def logged_rng(seed, index):
+            events.append(("chunk", index))
+            return chunk_rng(seed, index)
+
+        def logged_batch(design, atom, *args):
+            events.append((atom, args[-1]))
+            return simulate(design, atom, *args)
+
+        monkeypatch.setattr(mc_oracle, "_chunk_rng", logged_rng)
+        monkeypatch.setattr(mc_oracle, "_simulate_batch", logged_batch)
+        config = SimConfig(_CHUNK + 3001, 61)
+        mc_expected_utility(DesignSpec.stratified(150, 0.01), scenario.prior,
+                            scenario, config)
+        order = [atom for atom, _ in scenario.prior]
+        chunks = []
+        for event in events:
+            if event[0] == "chunk":
+                chunks.append([])
+            else:
+                chunks[-1].append(event)
+        assert [c[1] for c in events if c[0] == "chunk"] == [0, 1]
+        for blocks, size in zip(chunks, (_CHUNK, 3001)):
+            positions = [order.index(atom) for atom, _ in blocks]
+            assert positions == sorted(set(positions))
+            assert all(count > 0 for _, count in blocks)
+            assert sum(count for _, count in blocks) == size
+
+
+class TestSamplersAgree:
+    """Atom blocks and strata-count histograms draw the replicates of
+    per-replicate atom labels and binomial counts in another order: the
+    estimates agree in distribution."""
+
+    REPS = 100_000
+
+    @pytest.mark.parametrize("design", TestOneSimulation.DESIGNS[:3], ids=lambda d: d.kind)
+    @pytest.mark.parametrize("mode", [FIXED_PROPORTIONAL, BINOMIAL_RANDOM])
+    @pytest.mark.parametrize("prior", [False, True], ids=["atom", "prior"])
+    def test_new_and_old_samplers_agree(self, monkeypatch, design, mode, prior):
+        scenario = make_scenario(lambda_S=0.15)
+        effects = scenario.prior if prior else EffectPair(0.25, 0.1)
+        fns = (lambda u, ps, pf: u, lambda u, ps, pf: (ps | pf).astype(float),
+               lambda u, ps, pf: pf.astype(float))
+        new = mc_oracle._accumulate(design, effects, scenario,
+                                    SimConfig(self.REPS, 67, strata_mode=mode), fns)
+        monkeypatch.setattr(mc_oracle, "_strata_counts", iid_strata_counts)
+        old = labelled_estimates(design, effects, scenario,
+                                 SimConfig(self.REPS, 71, strata_mode=mode), fns)
+        assert new[0].std_error > 0.0 and 0.0 < new[1].mean < 1.0
+        for a, b in zip(new, old):
+            assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.std_error, b.std_error)

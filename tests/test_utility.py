@@ -195,6 +195,13 @@ class TestStratifiedClosedForm:
                 assert_matches_oracle(eu_stratified(atom, n, alpha_S, scenario),
                                       adaptive_stratified(atom, n, alpha_S, scenario))
 
+    def test_oracle_helper_rejects_a_mismatch(self):
+        # under python -O this holds only because conftest registers the
+        # oracles module for assert rewriting
+        exact = eu_stratified(EffectPair(0.3, 0.1), 200, 0.01, make_scenario())
+        with pytest.raises(AssertionError, match="power_any"):
+            assert_matches_oracle(replace(exact, power_any=exact.power_any + 1e-6), exact)
+
     @pytest.mark.parametrize("perspective", ["sponsor", "public"])
     def test_batched_row_equals_pointwise(self, perspective):
         scenario = make_scenario(lambda_S=0.35, perspective=perspective, case=CASE3)
