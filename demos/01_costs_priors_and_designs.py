@@ -43,11 +43,11 @@ for design in (DesignSpec.classical(100),
                DesignSpec.stratified(100, alpha_S=0.0125),
                DesignSpec.enrichment(100),
                DesignSpec.no_trial()):
-    print(f"  {design.label:<11} {trial_cost(design, costs, 0.5):6.2f} MUSD")
+    print(f"  {design.label:<11} {trial_cost(design.kind, design.n, costs, 0.5):6.2f} MUSD")
 
 # Enrichment screens 2n/lambda_S patients to enroll 2n positives, so its
 # cost explodes as the subgroup gets rare.
 print("enrichment cost vs prevalence (n = 100):")
 for lam in (0.5, 0.2, 0.1, 0.05):
-    cost = trial_cost(DesignSpec.enrichment(100), costs, lam)
+    cost = trial_cost("enrichment", 100, costs, lam)
     print(f"  lambda_S={lam:4.2f}: {cost:7.2f} MUSD")

@@ -6,7 +6,7 @@ and grid, lets the command compute its tables, and writes them as
 machine-readable CSV (schema-versioned, locale-free) plus a JSON run
 manifest capturing the exact scenario, grid settings, seed, and output
 paths. Exit codes: 0 success, 2 configuration error, 3 numeric
-failure.
+failure (a broken contract or a floating-point overflow).
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ from .utility import _FIELDS, eu_prior_averaged
 _SCHEMA_PREFIX = "trialopt"
 _SCHEMA_VERSION = 1
 
+# Most values a 'lo:hi:count' grid specification may ask for; the list is
+# built in full before the first cell runs.
+MAX_GRID_COUNT = 10_000
+
 
 @dataclass
 class RunManifest:
@@ -104,12 +108,12 @@ def _write_csv(path, command: str, header: list, rows: list) -> None:
 
 def _parse_grid_spec(raw: str) -> list:
     """Grid values from 'lo:hi:count' or a comma-separated list; at least
-    one value, every one finite."""
+    one value, every one finite, and at most MAX_GRID_COUNT from a count."""
     try:
         if ":" in raw:
             lo, hi, count = raw.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            if count < 1:
+            if not 1 <= count <= MAX_GRID_COUNT:
                 raise ValueError
             if count == 1:
                 values = [lo]
@@ -119,8 +123,8 @@ def _parse_grid_spec(raw: str) -> list:
         else:
             values = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"bad grid specification {raw!r}; "
-                          "expected 'lo:hi:count' or a comma list") from None
+        raise ConfigError(f"bad grid specification {raw!r}; expected 'lo:hi:count' "
+                          f"(count 1 to {MAX_GRID_COUNT}) or a comma list") from None
     if not values:
         raise ConfigError(f"grid specification {raw!r} has no values")
     if not all(map(math.isfinite, values)):
@@ -398,7 +402,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

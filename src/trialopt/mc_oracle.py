@@ -134,7 +134,7 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
     sigma = scenario.sigma
     lam = scenario.lambda_S
     crit = _one_sided_critical(scenario.alpha)
-    cost = trial_cost(design, scenario.costs, lam)
+    cost = trial_cost(design.kind, n, scenario.costs, lam)
 
     if design.kind == ENRICHMENT:
         se = sigma * math.sqrt(2.0 / n)

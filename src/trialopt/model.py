@@ -198,9 +198,15 @@ class CostStructure:
                 raise ValueError(f"cost.{name} must be nonnegative")
 
 
-def _cost_for(kind: str, n, costs: CostStructure, lambda_S: float):
-    """Cost core of :func:`trial_cost`, accepting fractional n or an array
-    of sizes, over which it broadcasts (used by the evaluation kernels)."""
+def trial_cost(kind: str, n, costs: CostStructure, lambda_S: float):
+    """Total cost, in MUSD, of a design of the given kind with n patients
+    per group; n may be fractional or an array of sizes, over which the
+    cost broadcasts.
+
+    The enrichment design screens on average 2n/lambda_S patients to find
+    2n biomarker-positive ones, so its screening bill scales with
+    1/lambda_S.
+    """
     if kind == NO_TRIAL:
         return 0.0
     if not (0.0 < lambda_S < 1.0):
@@ -213,16 +219,6 @@ def _cost_for(kind: str, n, costs: CostStructure, lambda_S: float):
     return costs.setup + costs.biomarker + two_n * (
         costs.per_patient + costs.screening / lambda_S
     )
-
-
-def trial_cost(design: DesignSpec, costs: CostStructure, lambda_S: float) -> float:
-    """Total cost of running the design, in MUSD.
-
-    The enrichment design screens on average 2n/lambda_S patients to find
-    2n biomarker-positive ones, so its screening bill scales with
-    1/lambda_S.
-    """
-    return _cost_for(design.kind, design.n, costs, lambda_S)
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ class Scenario:
         for name in ("tau_S", "tau_Sc"):
             if not (0.0 <= _finite(getattr(self, name), name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if int(self.n_min) != self.n_min or self.n_min < 1:
+        if int(_finite(self.n_min, "n_min")) != self.n_min or self.n_min < 1:
             raise ValueError("n_min must be a positive integer")
         object.__setattr__(self, "n_min", int(self.n_min))
 
@@ -409,7 +405,7 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
             alpha=_get_float(work, "alpha"),
             tau_S=_get_float(work, "tau_S"),
             tau_Sc=_get_float(work, "tau_Sc"),
-            n_min=int(_get_float(work, "n_min")),
+            n_min=_get_float(work, "n_min"),
             costs=costs,
             rewards=rewards,
             prior=prior,

@@ -67,6 +67,13 @@ _BRACKET_POINTS = 9
 # RSS from 66.8 to 74.0 MB (+11%).
 _BLOCK_SETTINGS = 336
 
+# Caps on the counts a configuration sets: every grid is built in full
+# before the first kernel call, so an unbounded count only ever allocates
+# its way to a hang. A grid.n_points count spans [n_min, 3000], which
+# holds at most 3,000 distinct integer sizes.
+MAX_ALPHA_POINTS = 1001
+MAX_N_POINTS = 3000
+
 
 def default_n_grid() -> Tuple[int, ...]:
     """Candidate per-group sizes, coarsening as n grows."""
@@ -90,8 +97,8 @@ class GridConfig:
     def __post_init__(self):
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must list positive sizes")
-        if self.alpha_points < 2:
-            raise ValueError("alpha_points must be >= 2")
+        if not 2 <= self.alpha_points <= MAX_ALPHA_POINTS:
+            raise ValueError(f"alpha_points must lie in [2, {MAX_ALPHA_POINTS}]")
         if not 0.0 < self.refine_tol < math.inf:
             raise ValueError("refine.tol must be positive and finite")
 
@@ -106,12 +113,15 @@ class GridConfig:
                     grid = tuple(int(float(p)) for p in raw.split(",") if p.strip())
                 else:
                     count = int(raw)
+                    if count > MAX_N_POINTS:
+                        raise ValueError
                     grid = tuple(sorted({
                         int(round(x)) for x in np.geomspace(n_min, 3000, count)
                     }))
                 kwargs["n_grid"] = grid
-            except ValueError:
-                raise ConfigError(f"grid.n_points: bad value {raw!r}") from None
+            except (ValueError, OverflowError):
+                raise ConfigError(f"grid.n_points: bad value {raw!r} (a list of sizes, "
+                                  f"or a count of at most {MAX_N_POINTS})") from None
         if "grid.alpha_points" in mapping:
             raw = mapping.pop("grid.alpha_points")
             try:

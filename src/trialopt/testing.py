@@ -206,60 +206,46 @@ def _upper_line(geom: _Geometry, intercept, z_S):
     return np.where(use_tau, geom.tau_line, a_pool), np.where(use_tau, 0.0, slope)
 
 
-def _af_line(geom: _Geometry, z_S):
-    """Vectorized A_F slice: (alive mask, a, b).
+def _region_lines(geom: _Geometry, z_S, sponsor: bool):
+    """Every line z_Sc = a + b z_S the closed form integrates, at
+    abscissae z_S: (alive, a, b, alive_S). alive, a and b hold one line
+    per entry of a leading axis; infinite lines have b = 0.
 
-    The slice is [a + b z_S, +inf) where alive, empty otherwise. (a, b) is
-    the active one of the known constraint lines at z_S; with the sponsor
-    floor the pooled-estimate line takes part as well.
+    - Line 0 bounds A_F, the full approvals, from below: A_F's slice is
+      [a + b z_S, +inf) where alive.
+    - Line 1 bounds A_S, the subgroup-only approvals, from below. A_S's
+      upper bound is where psi_F turns on: line 0 where that is alive and
+      +inf elsewhere.
+    - With the ``sponsor`` floors, line 2 is line 0 raised to the floor of
+      the pooled estimate, alive only where it differs from line 0; A_F's
+      mask is the same. The floor of the subgroup estimate cuts A_S in z_S
+      only: alive_S is line 1's mask with z_S > mu_S_cut. Without the
+      floors there is no line 2, and alive_S is line 1's mask.
     """
     z_S = np.asarray(z_S, dtype=float)
     t_S = z_S + geom.shift_S
-    alive = t_S >= geom.crit_tau_S
-    pooled = geom.crit_alpha - geom.shift_F
-    pooled = np.where(t_S < geom.crit_alpha_S,
-                      np.maximum(pooled, geom.crit_alpha_F - geom.shift_F), pooled)
-    pooled = np.maximum(pooled, geom.mu_F_line)
-    return (alive, *_upper_line(geom, pooled, z_S))
-
-
-def _as_lines(geom: _Geometry, z_S):
-    """Vectorized A_S slice: (alive mask, a_lo, b_lo, a_hi, b_hi).
-
-    A_S collects reject-subgroup-only outcomes: psi_S = 1, psi_F = 0, and
-    (with the sponsor floor) the subgroup estimate above mu_S, which cuts
-    in z_S only. The slice is [a_lo + b_lo z_S, a_hi + b_hi z_S) in z_Sc;
-    infinite bounds have b = 0.
-
-    The upper bound is where psi_F turns on, so without the sponsor floors
-    it is A_F's: wherever A_S is alive, (a_hi, b_hi) is the line of
-    :func:`_af_line` if A_F is alive there, and a_hi = +inf if not. Both
-    functions pick the pooled intercept (pooled_alpha on the alpha_S gate,
-    the larger of pooled_alpha and pooled_alpha_F off it) and the upper
-    line by the same expressions, so the match is exact.
-
-    The sponsor floors enter only through the cut z_S > mu_S_cut on the
-    alive mask (mu_F_line takes no part): with the floors the mask is the
-    one without them, and z_S > mu_S_cut; the lines are the same.
-    """
-    z_S = np.asarray(z_S, dtype=float)
-    t_S = z_S + geom.shift_S
-    alive = (t_S >= geom.crit_alpha) & (z_S > geom.mu_S_cut)
     gate_by_z = t_S >= geom.crit_alpha_S
     pooled_alpha = geom.crit_alpha - geom.shift_F
     pooled_alpha_F = geom.crit_alpha_F - geom.shift_F
-
-    # When the alpha_S gate already holds, psi_S needs nothing from z_Sc
-    # and psi_F = 1 iff z_Sc clears both the pooled test and consistency.
-    a_lo = np.where(gate_by_z, -np.inf, pooled_alpha_F / geom.sq_lamc)
-    b_lo = np.where(gate_by_z, 0.0, geom.pooled_slope)
+    # psi_F = 1 iff z_Sc clears consistency and the pooled test, at level
+    # alpha on the alpha_S gate and at both levels off it.
     pooled = np.where(gate_by_z, pooled_alpha, np.maximum(pooled_alpha, pooled_alpha_F))
-    a_hi, b_hi = _upper_line(geom, pooled, z_S)
-    consistency_z = t_S >= geom.crit_tau_S
-    a_hi = np.where(consistency_z, a_hi, np.inf)
-    b_hi = np.where(consistency_z, b_hi, 0.0)
-    alive = alive & (a_lo + b_lo * z_S < a_hi + b_hi * z_S)
-    return alive, a_lo, b_lo, a_hi, b_hi
+    alive_f = t_S >= geom.crit_tau_S
+    a_f, b_f = _upper_line(geom, pooled, z_S)
+    # On the gate psi_S needs nothing from z_Sc; off it, the pooled test
+    # at level alpha_F.
+    a_s = np.where(gate_by_z, -np.inf, pooled_alpha_F / geom.sq_lamc)
+    b_s = np.where(gate_by_z, 0.0, geom.pooled_slope)
+    alive_s = (t_S >= geom.crit_alpha) & (
+        a_s + b_s * z_S < np.where(alive_f, a_f + b_f * z_S, np.inf))
+    lines = [(alive_f, a_f, b_f), (alive_s, a_s, b_s)]
+    alive_S = alive_s
+    if sponsor:
+        a_r, b_r = _upper_line(geom, np.maximum(pooled, geom.mu_F_line), z_S)
+        lines.append((alive_f & ((a_r != a_f) | (b_r != b_f)), a_r, b_r))
+        alive_S = alive_s & (z_S > geom.mu_S_cut)
+    alive, a, b = (np.stack(v) for v in zip(*lines))
+    return alive, a, b, alive_S
 
 
 def _decide(t_S, t_Sc, t_F, params: StratifiedTestParams):
@@ -322,3 +308,21 @@ def region_breakpoints(geom: _Geometry) -> np.ndarray:
             *crossings,
         )]), axis=-1)
     return np.sort(np.where(np.isfinite(points), points, np.inf), axis=-1)
+
+
+def _pieces(geom: _Geometry):
+    """Pieces [lo, hi] of the z_S line between consecutive region
+    breakpoints, and an interior abscissa of each; last axis = piece.
+
+    The abscissa of a padding piece (lo = hi = +inf) is NaN, which fails
+    every region test of :func:`_region_lines`, so such a piece is never
+    alive.
+    """
+    points = region_breakpoints(geom)
+    edge = np.full(points.shape[:-1] + (1,), np.inf)
+    lo = np.concatenate((-edge, points), axis=-1)
+    hi = np.concatenate((points, edge), axis=-1)
+    # The alpha-level cut crit_alpha - shift_S is always finite, so no
+    # piece spans the whole line.
+    mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
+    return lo, hi, np.where(lo < hi, mid, np.nan)

@@ -23,7 +23,7 @@ peak memory flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -39,16 +39,10 @@ from .model import (
     EffectPair,
     Scenario,
     pooled_effect,
+    trial_cost,
 )
-from .model import _cost_for
 from .numerics import NumericError, _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
-from .testing import (
-    _af_line,
-    _as_lines,
-    _line_geometry,
-    alpha_F_given_alpha_S,
-    region_breakpoints,
-)
+from .testing import _line_geometry, _pieces, _region_lines, alpha_F_given_alpha_S
 
 # Field order of EvaluationResult, the leading axis of batched evaluations.
 _FIELDS = ("expected_utility", "prob_reject_S_only", "prob_reject_F", "power_any",
@@ -142,7 +136,7 @@ def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
         p_s, p_f, reward_S, reward_F = p_reject, zero, reward, zero
     else:
         p_s, p_f, reward_S, reward_F = zero, p_reject, zero, reward
-    cost = np.full(p_reject.shape, _cost_for(kind, n, scenario.costs, lam))
+    cost = np.full(p_reject.shape, trial_cost(kind, n, scenario.costs, lam))
     return np.stack((reward_S + reward_F - cost, p_s, p_f,
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
@@ -155,23 +149,6 @@ def eu_enrichment(effects: EffectPair, n: float, scenario: Scenario) -> Evaluati
 def eu_classical(effects: EffectPair, n: float, scenario: Scenario) -> EvaluationResult:
     """Expected utility of the classical full-population design."""
     return _result(_single_test_fields(CLASSICAL, (effects,), n, scenario)[:, 0, 0])
-
-
-def _pieces(geom):
-    """Pieces [lo, hi] of the z_S line between consecutive region
-    breakpoints, and an interior abscissa of each; last axis = piece.
-
-    The abscissa of a padding piece (lo = hi = +inf) is NaN, which fails
-    every region test, so such a piece is never alive.
-    """
-    points = region_breakpoints(geom)
-    edge = np.full(points.shape[:-1] + (1,), np.inf)
-    lo = np.concatenate((-edge, points), axis=-1)
-    hi = np.concatenate((points, edge), axis=-1)
-    # The alpha-level cut crit_alpha - shift_S is always finite, so no
-    # piece spans the whole line.
-    mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
-    return lo, hi, np.where(lo < hi, mid, np.nan)
 
 
 def _line_integrals(a, b, lo, hi, alive, moments: bool):
@@ -276,44 +253,26 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
         n[..., None, None], scenario.sigma,
         rewards.mu_S if sponsor else None, rewards.mu_F if sponsor else None)
     lo, hi, mid = _pieces(geom)
-    geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf) if sponsor else geom
-
-    # The A_S bounds do not involve the sponsor floors (mu_S only cuts in
-    # z_S, so the sponsor's A_S pieces are a subset of the public ones):
-    # one set of A_S lines serves both.
-    alive_f, a_f, b_f = _af_line(geom_pub, mid)
-    alive_s, a_lo, b_lo = _as_lines(geom_pub, mid)[:3]
-    lines = [(alive_f, a_f, b_f), (alive_s, a_lo, b_lo)]
-    if sponsor:
-        alive_rf, a_rf, b_rf = _af_line(geom, mid)
-        # The floors enter _as_lines only through mu_S_cut.
-        alive_rs = alive_s & (mid > geom.mu_S_cut)
-        # The sponsor's A_F is alive exactly where the public one is (the
-        # mask of _af_line does not involve mu_F_line), so line 0 stands
-        # in for it wherever its line is the same: all but where the
-        # floor line is the highest.
-        floor = alive_rf & ((a_rf != a_f) | (b_rf != b_f))
-        lines.append((floor, a_rf, b_rf))
-    alive, a, b = (np.stack(v) for v in zip(*lines))
+    alive, a, b, alive_S = _region_lines(geom, mid, sponsor)
     i0, j1, j2 = _line_integrals(a, b, lo, hi, alive, sponsor)
-    # Where A_S is alive, its upper bound is the A_F line, or +inf where
-    # A_F is dead (see _as_lines): either way line 0 integrates it.
-    i0_s = i0[1] - np.where(alive_s, i0[0], 0.0)
+    # A_S runs from line 1 up to line 0, whose integrals are 0 where it is
+    # dead (+inf).
+    i0_s = i0[1] - np.where(alive[1], i0[0], 0.0)
 
     p_f = np.clip(np.sum(i0[0], axis=-1), 0.0, 1.0)
     p_s = np.clip(np.sum(i0_s, axis=-1), 0.0, 1.0)
     gain_F = lam * delta_S + (1.0 - lam) * delta_Sc - rewards.mu_F
     gain_S = delta_S - rewards.mu_S
     if sponsor:
-        i0_rf, j1_rf, j2_rf = (np.where(floor, v[2], v[0]) for v in (i0, j1, j2))
+        i0_rf, j1_rf, j2_rf = (np.where(alive[2], v[2], v[0]) for v in (i0, j1, j2))
         r_f = gain_F * i0_rf + geom.se_F * (geom.sq_lam * j1_rf + geom.sq_lamc * j2_rf)
-        r_s = gain_S * i0_s + geom.se_S * (j1[1] - np.where(alive_s, j1[0], 0.0))
+        r_s = gain_S * i0_s + geom.se_S * (j1[1] - np.where(alive[1], j1[0], 0.0))
         reward_F = rewards.NrF * np.sum(r_f, axis=-1)
-        reward_S = lam * rewards.NrS * np.sum(np.where(alive_rs, r_s, 0.0), axis=-1)
+        reward_S = lam * rewards.NrS * np.sum(np.where(alive_S, r_s, 0.0), axis=-1)
     else:
         reward_F = rewards.NrF * gain_F[..., 0] * p_f
         reward_S = lam * rewards.NrS * gain_S[..., 0] * p_s
-    cost = np.full(p_f.shape, _cost_for(STRATIFIED, n[..., None], scenario.costs, lam))
+    cost = np.full(p_f.shape, trial_cost(STRATIFIED, n[..., None], scenario.costs, lam))
     return np.stack((reward_S + reward_F - cost, p_s, p_f,
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 

@@ -56,7 +56,7 @@ from scipy.special import ndtr, ndtri, owens_t
 
 from trialopt.mc_oracle import _CHUNK, McEstimate, _chunk_rng, _estimate, _simulate_batch
 from trialopt.model import ENRICHMENT, NO_TRIAL, SPONSOR, STRATIFIED, EffectPair, pooled_effect
-from trialopt.model import _cost_for
+from trialopt.model import trial_cost
 from trialopt.numerics import (
     NumericError,
     _one_sided_critical,
@@ -195,7 +195,7 @@ def scalar_single_test(kind, effects, n, scenario):
         delta, mu = pooled_effect(effects, scenario.lambda_S), rewards.mu_F
         scale = rewards.NrF
         variance = classical_variance(effects, scenario.lambda_S, scenario.sigma, n)
-    cost = _cost_for(kind, n, scenario.costs, scenario.lambda_S)
+    cost = trial_cost(kind, n, scenario.costs, scenario.lambda_S)
     se = math.sqrt(variance)
     crit = _one_sided_critical(scenario.alpha)
     p_reject = float(ndtr(delta / se - crit))
@@ -423,7 +423,7 @@ def adaptive_stratified(effects, n, alpha_S, scenario):
     breaks = set(region_breakpoints(geom_pub)) | set(region_breakpoints(geom_rew))
     values = _integrate_multi(columns, breaks)
     p_f, p_s_only = float(values[0]), float(values[1])
-    cost = _cost_for(STRATIFIED, n, scenario.costs, scenario.lambda_S)
+    cost = trial_cost(STRATIFIED, n, scenario.costs, scenario.lambda_S)
     if sponsor:
         reward_F = rewards.NrF * float(values[2])
         reward_S = scenario.lambda_S * rewards.NrS * float(values[3])

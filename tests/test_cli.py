@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import subprocess
@@ -5,8 +6,10 @@ import sys
 
 import pytest
 
-from trialopt.cli import RunManifest, main
+from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
+from trialopt.model import ConfigError
 from trialopt.numerics import NumericError
+from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_N_POINTS, GridConfig
 
 CONFIG_CASE1 = """\
 # weak prior, large market, no biomarker costs
@@ -282,17 +285,25 @@ class TestErrorHandling:
                      "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3
 
 
-@pytest.fixture
-def alarm():
-    """Fail a test that runs past 20 s instead of letting it hang."""
+@contextlib.contextmanager
+def _deadline(seconds=20):
+    """Fail a run that goes past ``seconds`` instead of letting it hang."""
     def expire(signum, frame):
-        raise TimeoutError("run did not finish within 20 s")
+        raise TimeoutError(f"run did not finish within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def alarm():
+    with _deadline():
+        yield
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -339,3 +350,143 @@ def test_import_leaves_scipy_optimize_out():
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
+
+
+def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
+    # Each count's cap is accepted and cap + 1 rejected before any grid is
+    # built: a giant count would otherwise allocate its way to a hang.
+    assert len(_parse_grid_spec(f"0:1:{MAX_GRID_COUNT}")) == MAX_GRID_COUNT
+    assert GridConfig(alpha_points=MAX_ALPHA_POINTS).alpha_points == MAX_ALPHA_POINTS
+    assert GridConfig.consume_mapping({"grid.n_points": str(MAX_N_POINTS)}).n_grid[-1] == 3000
+    with pytest.raises(ConfigError):
+        _parse_grid_spec(f"0:1:{MAX_GRID_COUNT + 1}")
+    with pytest.raises(ValueError):
+        GridConfig(alpha_points=MAX_ALPHA_POINTS + 1)
+    with pytest.raises(ConfigError):
+        GridConfig.consume_mapping({"grid.n_points": str(MAX_N_POINTS + 1)})
+    for argv in (["--set", f"grid.alpha_points={MAX_ALPHA_POINTS + 1}"],
+                 ["--set", f"grid.n_points={MAX_N_POINTS + 1}"],
+                 ["--lambda-grid", f"0.3:0.7:{MAX_GRID_COUNT + 1}"]):
+        assert main(["sweep", "--config", config_path, "--out", str(tmp_path), *argv]) == 2
+
+
+FUZZ_BASE = """\
+lambda_S = 0.5
+cost.setup = 1.0
+cost.per_patient = 0.05
+reward.perspective = sponsor
+reward.NrS = 1000
+reward.NrF = 1000
+reward.mu_S = 0.1
+reward.mu_F = 0.1
+prior.kind = weak
+grid.n_points = 50,200,800
+grid.alpha_points = 3
+"""
+
+# Pools of valid, edge and garbage values for the CLI fuzz. A count's pool
+# holds its cap, its cap + 1 and a giant value; the last two must be
+# rejected before any grid is built. A lo:hi:count grid at its cap is
+# 10,000 decisions, so the test above accepts that one without running it.
+_EDGES = ["nan", "inf", "-inf", "-0", "0", "", "x", "1e400"]
+_FUZZ_CONFIG = {
+    "lambda_S": ["0.3", "0.95", "1", "1e-300", *_EDGES],
+    "sigma": ["2.0", "1e-300", "1e300", *_EDGES],
+    "alpha": ["0.05", "0.5", *_EDGES],
+    "tau_S": ["0.5", "1", *_EDGES],
+    "tau_Sc": ["0.5", "1", *_EDGES],
+    "n_min": ["60", "1", "3000", "2.5", "1e300", *_EDGES],
+    "cost.setup": ["5", "-1", *_EDGES],
+    "cost.per_patient": ["0.1", *_EDGES],
+    "cost.screening": ["0.005", "1e300", *_EDGES],
+    "reward.perspective": ["public", "sponsor", "x", ""],
+    "reward.NrS": ["1e300", "-5", *_EDGES],
+    "reward.NrF": ["10", *_EDGES],
+    "reward.mu_S": ["-1", "1e300", *_EDGES],
+    "reward.mu_F": ["0.3", *_EDGES],
+    "prior.kind": ["strong", "weak", "x", ""],
+    "prior.delta": ["0.6", "-0.1", "1e300", *_EDGES],
+    "prior.atoms": ["0.3,0,1", "0.3,0,0.5;0,0,0.5", "0,0.3,1", "0.3,0,nan", "0.3,0,0",
+                    "0.3,0,1,0.2", ";", *_EDGES],
+    "grid.n_points": ["3", "50,1e6", "inf,50", "-1", f"{MAX_N_POINTS}", f"{MAX_N_POINTS + 1}",
+                      "100000000", *_EDGES],
+    "grid.alpha_points": ["2", "5", f"{MAX_ALPHA_POINTS}", f"{MAX_ALPHA_POINTS + 1}",
+                          "100000000", *_EDGES],
+    "refine.enabled": ["false", "true", "x"],
+    "refine.tol": ["1e-3", "5e-324", *_EDGES],
+    "unknown.key": ["1"],
+}
+_GRID_SPECS = ["0.3,0.7", "0.5:0.5:1", "0.2:0.8:3", "1:0:2", f"0:1:{MAX_GRID_COUNT + 1}",
+               "0:1:100000000", "0:1:-1", "0.2:nan:3", ",", *_EDGES]
+_FUZZ_FLAGS = {
+    "optimize": {},
+    "sweep": {"--jobs": ["1", "2", "0", "-1", "x"], "--lambda-grid": _GRID_SPECS},
+    "contour": {"--jobs": ["1", "2", "0", "x"], "--lambda-grid": _GRID_SPECS,
+                "--delta-grid": _GRID_SPECS},
+    "evaluate": {"--design": ["stratified", "classical", "enrichment", "none", "x"],
+                 "--n": ["100", "49", "1000000", "0", "-1", "nan", "x"],
+                 "--alpha-s": ["0.0125", "0", "-0", "0.025", "0.026", "nan", "inf", "x"]},
+    "simulate": {"--design": ["stratified", "classical", "enrichment", "none"],
+                 "--n": ["100", "1", "49", "0", "-1", "x"],
+                 "--alpha-s": ["0.0125", "-0", "0.026", "nan"],
+                 "--replicates": ["500", "1", "0", "-1", "1e3", "x"],
+                 "--seed": ["7", "-1", "18446744073709551616", "x"],
+                 "--mode": ["fixed", "binomial", "x"],
+                 "--estimand": ["utility", "rejection_probs", "fwer", "x"],
+                 "--atom": ["0.3,0", "0.3,0,0.1", "0,0.3", "nan,0", "inf,0", "0.3", "x"]},
+}
+
+
+# Flags every fuzz run starts from, so that it stays a few kernel calls;
+# a drawn flag comes later and wins.
+_FUZZ_DEFAULTS = {
+    "optimize": [],
+    "sweep": ["--lambda-grid", "0.3,0.7"],
+    "contour": ["--lambda-grid", "0.3,0.7", "--delta-grid", "0,0.3"],
+    "evaluate": ["--design", "classical", "--n", "100"],
+    "simulate": ["--design", "classical", "--n", "100", "--replicates", "1000"],
+}
+
+
+def _fuzz_case():
+    from hypothesis import strategies as st
+
+    def picks(pools, most):
+        if not pools:
+            return st.just([])
+        return st.lists(st.sampled_from(sorted(pools)).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(pools[key]))),
+            max_size=most, unique_by=lambda kv: kv[0])
+
+    return st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(lambda command: st.tuples(
+        st.just(command), picks(_FUZZ_CONFIG, 3), picks(_FUZZ_FLAGS[command], 4)))
+
+
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path):
+    # Every drawn run ends with exit 0, 2 or 3 within 20 s, whatever its
+    # configuration document and flags hold.
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                         print_blob=True)
+    @hypothesis.given(_fuzz_case())
+    def run(case):
+        command, config, flags = case
+        # both caps at once are 12 million kernel settings per decision
+        hypothesis.assume(not {("grid.n_points", f"{MAX_N_POINTS}"),
+                               ("grid.alpha_points", f"{MAX_ALPHA_POINTS}")} <= set(config))
+        lines = [line for line in FUZZ_BASE.splitlines()
+                 if line.split("=")[0].strip() not in dict(config)]
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in config]) + "\n")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
+                *_FUZZ_DEFAULTS[command], *(token for flag in flags for token in flag)]
+        with _deadline():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag's value
+                code = exc.code
+        assert code in (0, 2, 3), argv
+
+    run()
+

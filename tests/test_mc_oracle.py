@@ -53,7 +53,7 @@ class TestSimulateTrial:
     def test_zero_rewards_pay_minus_cost(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
         design = DesignSpec.stratified(80, 0.0125)
-        cost = trial_cost(design, scenario.costs, scenario.lambda_S)
+        cost = trial_cost(design.kind, design.n, scenario.costs, scenario.lambda_S)
         est = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario,
                                   SimConfig(replicates=20, seed=0))
         assert est.mean == -cost

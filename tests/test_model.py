@@ -18,7 +18,6 @@ from trialopt.model import (
     scenario_to_mapping,
     trial_cost,
 )
-from trialopt.model import _cost_for
 
 CASE3_COSTS = CostStructure(setup=1.0, per_patient=0.05, biomarker=10.0,
                             screening=0.005)
@@ -42,38 +41,37 @@ class TestEffectPair:
 class TestTrialCost:
     def test_classical_case_parameters(self):
         costs = CostStructure(setup=1.0, per_patient=0.05)
-        assert trial_cost(DesignSpec.classical(100), costs, 0.5) == pytest.approx(11.0)
+        assert trial_cost("classical", 100, costs, 0.5) == pytest.approx(11.0)
 
     def test_enrichment_case3(self):
-        got = trial_cost(DesignSpec.enrichment(100), CASE3_COSTS, 0.5)
+        got = trial_cost("enrichment", 100, CASE3_COSTS, 0.5)
         assert got == pytest.approx(23.0)
 
     def test_no_trial_costs_nothing(self):
-        assert trial_cost(DesignSpec.no_trial(), CASE3_COSTS, 0.5) == 0.0
+        assert trial_cost("no_trial", None, CASE3_COSTS, 0.5) == 0.0
 
     def test_enrichment_rejects_zero_prevalence(self):
         with pytest.raises(ValueError):
-            trial_cost(DesignSpec.enrichment(100), CASE3_COSTS, 0.0)
+            trial_cost("enrichment", 100, CASE3_COSTS, 0.0)
 
     def test_strictly_increasing_in_n(self):
-        for make in (DesignSpec.classical, DesignSpec.enrichment,
-                     lambda n: DesignSpec.stratified(n, 0.01)):
-            values = [trial_cost(make(n), CASE3_COSTS, 0.3) for n in (50, 80, 200, 900)]
+        for kind in ("classical", "enrichment", "stratified"):
+            values = [trial_cost(kind, n, CASE3_COSTS, 0.3) for n in (50, 80, 200, 900)]
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_cost_core_broadcasts_over_sizes(self):
         sizes = np.array([[50.0, 61.5], [3000.0, 6000.0]])
         for kind in ("classical", "stratified", "enrichment"):
-            got = _cost_for(kind, sizes, CASE3_COSTS, 0.3)
+            got = trial_cost(kind, sizes, CASE3_COSTS, 0.3)
             assert got.shape == sizes.shape
-            assert got.tolist() == [[_cost_for(kind, float(n), CASE3_COSTS, 0.3) for n in row]
+            assert got.tolist() == [[trial_cost(kind, float(n), CASE3_COSTS, 0.3) for n in row]
                                     for row in sizes]
 
     def test_family_ordering_at_equal_n(self):
         for lam in (0.1, 0.4, 0.9):
-            c = trial_cost(DesignSpec.classical(200), CASE3_COSTS, lam)
-            s = trial_cost(DesignSpec.stratified(200, 0.01), CASE3_COSTS, lam)
-            e = trial_cost(DesignSpec.enrichment(200), CASE3_COSTS, lam)
+            c = trial_cost("classical", 200, CASE3_COSTS, lam)
+            s = trial_cost("stratified", 200, CASE3_COSTS, lam)
+            e = trial_cost("enrichment", 200, CASE3_COSTS, lam)
             assert e >= s >= c
 
 

@@ -2,7 +2,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +10,14 @@ from trialopt.model import EffectPair, pooled_effect
 from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
 from trialopt.testing import (
     StratifiedTestParams,
-    _af_line,
-    _as_lines,
     _geometry,
-    _line_geometry,
+    _pieces,
+    _region_lines,
     alpha_F_given_alpha_S,
     params_for_scenario,
     reject_stratified,
 )
 from conftest import make_scenario
-from trialopt.utility import _pieces
 from oracles import array_route_orthant, brentq_alpha_F
 import trialopt.numerics as numerics
 import trialopt.testing as testing
@@ -197,17 +194,52 @@ class TestParamsValidation:
         assert params.alpha_S + params.alpha_F >= 0.025 - 1e-9
 
 
+def region_members(geom, z_S, z_Sc, sponsor):
+    """Membership of the points (z_S, z_Sc) in A_F and A_S, read off the
+    lines of _region_lines as the stratified kernel integrates them: A_F
+    above line 0, or above the sponsor's floor line where that is alive;
+    A_S as the tail above line 1 less the tail above line 0, so a point
+    counted negatively shows as -1."""
+    alive, a, b, alive_S = _region_lines(geom, z_S, sponsor)
+    above = [alive[i] & (z_Sc >= a[i] + b[i] * z_S) for i in range(len(a))]
+    in_f = np.where(alive[2], above[2], above[0]) if sponsor else above[0]
+    in_s = np.where(alive_S, above[1].astype(int) - above[0], 0)
+    return in_f, in_s
+
+
 def in_region(region, z_S, z_Sc, params, effects, n, sigma, mu=None):
-    """Membership of the points (z_S, z_Sc) in A_F or A_S, read off the
-    line-form slices the closed form integrates. mu adds the sponsor's
-    estimate floor: mu_F for A_F, mu_S for A_S."""
-    if region == "A_F":
-        geom = _geometry(params, effects, n, sigma, mu_S=None, mu_F=mu)
-        alive, a, b = _af_line(geom, z_S)
-        return alive & (z_Sc >= a + b * z_S)
-    geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=None)
-    alive, a_lo, b_lo, a_hi, b_hi = _as_lines(geom, z_S)
-    return alive & (a_lo + b_lo * z_S <= z_Sc) & (z_Sc < a_hi + b_hi * z_S)
+    """Membership of the points (z_S, z_Sc) in A_F or A_S. mu adds the
+    sponsor's estimate floors: mu_F for A_F, mu_S for A_S."""
+    geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=mu)
+    in_f, in_s = region_members(geom, z_S, z_Sc, sponsor=mu is not None)
+    return in_f if region == "A_F" else in_s
+
+
+def region_domain(rng, tau_S, tau_Sc, sponsor):
+    """Random settings of the kernel's domain at one tau pair: a random
+    lambda_S, alpha_S in {0, random, alpha}, six random effect pairs and
+    sizes, and with ``sponsor`` random estimate floors. Yields, per
+    setting, membership of A_F and A_S read off _region_lines, the same
+    from reject_stratified with the floors, and the lines at the kernel's
+    piece abscissae plus random points."""
+    lam = float(rng.uniform(0.01, 0.99))
+    for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
+        params = StratifiedTestParams(0.025, alpha_S, alpha_F_given_alpha_S(alpha_S, lam),
+                                      tau_S, tau_Sc, lam)
+        for pair, n in zip(rng.uniform(-0.3, 0.6, (6, 2)), rng.uniform(50.0, 3000.0, 6)):
+            # EffectPair takes delta_S >= delta_Sc only
+            effects = EffectPair(*sorted(pair.tolist(), reverse=True))
+            mu_S, mu_F = rng.uniform(-0.2, 0.5, 2) if sponsor else (None, None)
+            geom = _geometry(params, effects, n, 1.0, mu_S, mu_F)
+            z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, 200)))[:, None]
+            z_Sc = rng.normal(0.0, 3.0, (z_S.size, 40))
+            psi_S, psi_F = reject_stratified(z_S, z_Sc, params, effects, n, 1.0)
+            want = [psi_F == 1, (psi_S == 1) & (psi_F == 0)]
+            if sponsor:
+                want[0] &= pooled_effect(effects, lam) + geom.se_F * (
+                    geom.sq_lam * z_S + geom.sq_lamc * z_Sc) > mu_F
+                want[1] &= effects.delta_S + geom.se_S * z_S > mu_S
+            yield region_members(geom, z_S, z_Sc, sponsor), want, _region_lines(geom, z_S, sponsor)
 
 
 class TestRejectStratified:
@@ -248,7 +280,8 @@ class TestRegionSlices:
         params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         n, sigma, z_S = 200.0, 1.0, 4.0
-        alive, a, b = _af_line(_geometry(params, effects, n, sigma, None, None), z_S)
+        geom = _geometry(params, effects, n, sigma, None, None)
+        alive, a, b = (v[0] for v in _region_lines(geom, z_S, False)[:3])
         assert alive
         lam_sq = math.sqrt(0.5)
         line_tau = std_normal_quantile(1.0 - params.tau_Sc)
@@ -315,78 +348,46 @@ class TestRegionSlices:
     @pytest.mark.parametrize("tau_S", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("tau_Sc", [0.0, 0.5, 1.0])
     def test_A_S_upper_bound_is_the_A_F_line(self, tau_S, tau_Sc):
-        # The stratified kernel reads A_S's upper bound from the A_F line:
-        # without sponsor floors, wherever A_S is alive its upper bound is
-        # the A_F line if A_F is alive and +inf if not.
+        # Without sponsor floors, A_F and A_S read off the lines (A_S
+        # bounded above by the A_F line where A_F is alive, by +inf where
+        # not) are the test's approvals, at the kernel's piece abscissae
+        # and at random points.
         rng = np.random.default_rng(int(20 * tau_S + 3 * tau_Sc))
-        compared = 0
+        bounded = 0
         for _ in range(8):
-            lam = float(rng.uniform(0.01, 0.99))
-            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
-                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
-                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
-                n = rng.uniform(50.0, 3000.0, (6, 1))
-                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
-                                      delta_S, delta_Sc, n, 1.0, None, None)
-                # the kernel's piece abscissae and random points
-                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))), axis=-1)
-                alive_f, a_f, b_f = _af_line(geom, z_S)
-                alive_s, _, _, a_hi, b_hi = _as_lines(geom, z_S)
-                both = alive_s & alive_f
-                assert np.array_equal(a_hi[both], a_f[both])
-                assert np.array_equal(b_hi[both], b_f[both])
-                assert np.all(a_hi[alive_s & ~alive_f] == np.inf)
-                assert np.all(alive_f[alive_s & np.isfinite(a_hi)])
-                compared += np.count_nonzero(both)
+            for got, want, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, False):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert len(alive) == 2 and np.array_equal(alive_S, alive[1])
+                bounded += np.count_nonzero(got[1] & alive[0])
         # a zero tau_S empties A_F
-        assert (compared == 0) == (tau_S == 0.0)
+        assert (bounded == 0) == (tau_S == 0.0)
 
     def test_sponsor_A_F_mask_is_the_public_one(self):
-        # The stratified kernel stands the public A_F line in for the
-        # sponsor's wherever their lines agree, which needs the two alive
-        # masks to be equal: the sponsor floors must not cut A_F's mask.
+        # With the floors, A_F read off the lines (line 0's mask, the floor
+        # line where it is alive and line 0 elsewhere) is the test's full
+        # approvals with the pooled estimate above mu_F.
         rng = np.random.default_rng(41)
         cut = 0
         for tau_S, tau_Sc in itertools.product((0.0, 0.5, 1.0), repeat=2):
-            lam = float(rng.uniform(0.01, 0.99))
-            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
-                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
-                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
-                n = rng.uniform(50.0, 3000.0, (6, 1))
-                mu_S, mu_F = rng.uniform(-0.2, 0.5, 2)
-                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
-                                      delta_S, delta_Sc, n, 1.0, mu_S, mu_F)
-                geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf)
-                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))),
-                                     axis=-1)
-                alive_rf, a_rf, _ = _af_line(geom, z_S)
-                alive_f, a_f, _ = _af_line(geom_pub, z_S)
-                assert np.array_equal(alive_rf, alive_f)
-                cut += np.count_nonzero(alive_f & (a_rf != a_f))
+            for got, want, (alive, _, _, _) in region_domain(rng, tau_S, tau_Sc, True):
+                assert np.array_equal(got[0], want[0])
+                assert not np.any(alive[2] & ~alive[0])
+                cut += np.count_nonzero(alive[2])
         # the floor line is the highest somewhere
         assert cut > 0
 
     def test_sponsor_A_S_mask_is_the_public_one_cut_at_mu_S(self):
-        # The stratified kernel takes the sponsor's A_S mask as the public
-        # one cut at z_S > mu_S_cut, without a second _as_lines call.
+        # With the floors, A_S read off the lines (the public lines, under
+        # the mask cut at z_S > mu_S_cut) is the test's subgroup-only
+        # approvals with the subgroup estimate above mu_S.
         rng = np.random.default_rng(43)
         cut = 0
         for tau_S, tau_Sc in itertools.product((0.0, 0.5, 1.0), repeat=2):
-            lam = float(rng.uniform(0.01, 0.99))
-            for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
-                alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
-                delta_S, delta_Sc = rng.uniform(-0.3, 0.6, (2, 6, 1))
-                n = rng.uniform(50.0, 3000.0, (6, 1))
-                mu_S, mu_F = rng.uniform(-0.2, 0.5, 2)
-                geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
-                                      delta_S, delta_Sc, n, 1.0, mu_S, mu_F)
-                geom_pub = replace(geom, mu_S_cut=-math.inf, mu_F_line=-math.inf)
-                z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, (6, 200))),
-                                     axis=-1)
-                alive_rs = _as_lines(geom, z_S)[0]
-                alive_s = _as_lines(geom_pub, z_S)[0]
-                assert np.array_equal(alive_rs, alive_s & (z_S > geom.mu_S_cut))
-                cut += np.count_nonzero(alive_s & ~alive_rs)
+            for got, want, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, True):
+                assert np.array_equal(got[1], want[1])
+                assert not np.any(alive_S & ~alive[1])
+                cut += np.count_nonzero(alive[1] & ~alive_S)
         # the floor cuts A_S somewhere
         assert cut > 0
 

@@ -64,13 +64,13 @@ class TestEnrichment:
     def test_zero_reward_scale(self):
         scenario = with_rewards(make_scenario(), NrS=0.0)
         r = eu_enrichment(EffectPair(0.3, 0.0), 100, scenario)
-        cost = trial_cost(DesignSpec.enrichment(100), scenario.costs, 0.5)
+        cost = trial_cost("enrichment", 100, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-12)
 
     def test_public_at_threshold_effect(self):
         scenario = make_scenario(perspective="public")
         r = eu_enrichment(EffectPair(0.1, 0.0), 150, scenario)
-        cost = trial_cost(DesignSpec.enrichment(150), scenario.costs, 0.5)
+        cost = trial_cost("enrichment", 150, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-12)
 
     def test_sponsor_against_oracle(self):
@@ -126,7 +126,7 @@ class TestStratified:
     def test_pure_cost_when_rewards_vanish(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
         r = eu_stratified(EffectPair(0.3, 0.0), 120, 0.0125, scenario)
-        cost = trial_cost(DesignSpec.stratified(120, 0.0125), scenario.costs, 0.5)
+        cost = trial_cost("stratified", 120, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-9)
 
     def test_reduces_to_enrichment_reward(self):
@@ -294,6 +294,28 @@ class TestCdfSharing:
         assert set(np.diff(kernel_calls)) == {1}
         assert sum(infinite for _, infinite in cdf_calls) == 0
         assert sum(size for size, _ in cdf_calls) < per_piece / 2
+
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    def test_one_region_lines_call_per_kernel_call(self, monkeypatch, perspective):
+        # Every line the kernel integrates, the sponsor's included, comes
+        # from one description of the regions per call.
+        line_calls, kernel_calls = [], []
+        region_lines, kernel = utility._region_lines, utility._stratified_fields
+
+        def counted_lines(*args):
+            line_calls.append(args[2])
+            return region_lines(*args)
+
+        def counted_kernel(*args):
+            kernel_calls.append(len(line_calls))
+            return kernel(*args)
+
+        monkeypatch.setattr(utility, "_region_lines", counted_lines)
+        monkeypatch.setattr(utility, "_stratified_fields", counted_kernel)
+        optimize_family("stratified", make_scenario(perspective=perspective))
+        kernel_calls.append(len(line_calls))
+        assert set(np.diff(kernel_calls)) == {1}
+        assert set(line_calls) == {perspective == "sponsor"}
 
 
 class TestSizeBlocks:
