@@ -48,6 +48,8 @@ from .mc_oracle import (
 )
 from .numerics import NumericError
 from .optimizer import (
+    MAX_GRID_COUNT,
+    MAX_JOBS,
     GridConfig,
     OptimizationOutcome,
     decide,
@@ -59,11 +61,6 @@ from .utility import _FIELDS, eu_prior_averaged
 
 _SCHEMA_PREFIX = "trialopt"
 _SCHEMA_VERSION = 1
-
-# Most values a 'lo:hi:count' grid specification may ask for; the list is
-# built in full before the first cell runs.
-MAX_GRID_COUNT = 10_000
-
 
 @dataclass
 class RunManifest:
@@ -343,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def jobs_flag(p):
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the cells (at least 1; "
+                       help=f"worker processes for the cells (1 to {MAX_JOBS}; "
                             "never more than the cells)")
 
     def design_flags(p):

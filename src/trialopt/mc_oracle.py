@@ -56,6 +56,10 @@ FWER = "fwer"
 
 _CHUNK = 1 << 17
 
+# Largest per-group size binomial strata mode simulates: each chunk builds
+# the Binomial(n, lambda_S) pmf over 0..n, about 31 MB per 10^6.
+MAX_BINOMIAL_N = 10 ** 6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -110,8 +114,11 @@ def _strata_counts(rng, n, lam, m, interior):
 
     Each arm's counts are drawn as one multinomial histogram over 0..n and
     expanded in order; the control arm is then permuted, so the pairs are
-    distributed as m independent draws per arm.
+    distributed as m independent draws per arm. An n above MAX_BINOMIAL_N
+    is rejected before the pmf is built.
     """
+    if n > MAX_BINOMIAL_N:
+        raise ValueError(f"binomial strata mode takes n <= {MAX_BINOMIAL_N}, got n={n}")
     k = np.arange(n + 1)
     log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n + 1 - k)
                + k * math.log(lam) + (n - k) * math.log1p(-lam))

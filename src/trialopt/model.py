@@ -149,7 +149,8 @@ class DesignSpec:
         if self.kind == STRATIFIED:
             if self.alpha_S is None or not (0.0 <= self.alpha_S):
                 raise ValueError("stratified design requires alpha_S >= 0")
-            object.__setattr__(self, "alpha_S", float(self.alpha_S))
+            # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
+            object.__setattr__(self, "alpha_S", float(self.alpha_S) + 0.0)
         elif self.alpha_S is not None:
             raise ValueError(f"{self.kind} design does not take alpha_S")
 

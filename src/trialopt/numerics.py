@@ -59,34 +59,25 @@ def _one_sided_critical(level: float) -> float:
 def bivariate_normal_cdf(x, y, rho, rho_c):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 
-    Elementwise over broadcasting scalars or arrays, with x and y finite.
-    The caller passes rho_c = sqrt(1 - rho^2), which it often knows in
-    closed form. Uses Owen's T function (Owen 1956, Ann. Math. Stat.
-    27:1075; scipy's owens_t follows Patefield & Tandy 2000), with the
-    limits at x = 0, y = 0 and rho = +-1 taken explicitly. Each limit is
+    Elementwise over broadcasting scalars or arrays, with x and y finite
+    and |rho| < 1. The caller passes rho_c = sqrt(1 - rho^2) > 0, which it
+    often knows in closed form. Uses Owen's T function (Owen 1956, Ann.
+    Math. Stat. 27:1075; scipy's owens_t follows Patefield & Tandy 2000),
+    with the limits at x = 0 and y = 0 taken explicitly. Each limit is
     evaluated on its own elements only, and Owen's form on the rest.
     """
     zero_x, zero_y = x == 0.0, y == 0.0
-    unit = rho_c == 0.0
-    if not np.any(zero_x | zero_y | unit):
+    if not np.any(zero_x | zero_y):
         return _owen_cdf(x, y, rho, rho_c)
-    x, y, rho, rho_c, zero_x, zero_y, unit = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)),
-        zero_x, zero_y, unit)
+    x, y, rho, rho_c, zero_x, zero_y = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)), zero_x, zero_y)
     out = np.empty(x.shape)
-    # Where several limits meet, the first of rho = +-1, y = 0 and x = 0
-    # decides.
-    sel = unit
-    x_u, y_u = x[sel], y[sel]
-    out[sel] = np.where(rho[sel] > 0.0, ndtr(np.minimum(x_u, y_u)),
-                        np.maximum(0.0, ndtr(x_u) - ndtr(-y_u)))
-    rest = ~unit
-    sel = rest & zero_y
+    # Where both limits meet, y = 0 decides.
+    sel = zero_y
     out[sel] = 0.5 * ndtr(x[sel]) + owens_t(x[sel], rho[sel] / rho_c[sel])
-    rest &= ~zero_y
-    sel = rest & zero_x
+    sel = zero_x & ~zero_y
     out[sel] = 0.5 * ndtr(y[sel]) + owens_t(y[sel], rho[sel] / rho_c[sel])
-    rest &= ~zero_x
+    rest = ~(zero_x | zero_y)
     out[rest] = _owen_cdf(x[rest], y[rest], rho[rest], rho_c[rest])
     return out
 

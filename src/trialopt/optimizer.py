@@ -70,9 +70,15 @@ _BLOCK_SETTINGS = 336
 # Caps on the counts a configuration sets: every grid is built in full
 # before the first kernel call, so an unbounded count only ever allocates
 # its way to a hang. A grid.n_points count spans [n_min, 3000], which
-# holds at most 3,000 distinct integer sizes.
+# holds at most 3,000 distinct integer sizes. MAX_GRID_COUNT caps a
+# 'lo:hi:count' specification's values and a contour's cells, whose
+# scenarios are built in the parent before the first decision.
+# MAX_JOBS caps the pool, which under the fork start method starts all
+# its workers at the first task.
 MAX_ALPHA_POINTS = 1001
 MAX_N_POINTS = 3000
+MAX_GRID_COUNT = 10_000
+MAX_JOBS = 256
 
 
 def default_n_grid() -> Tuple[int, ...]:
@@ -183,16 +189,6 @@ def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
              for a in range(0, len(alphas), width)], axis=-1))
 
 
-def _grid_scores(family: str, scenario: Scenario, config: GridConfig):
-    """Stage-1 grid points with their prior-averaged expected utilities,
-    n-major and alpha_S-minor, scored in blocks of n rows over the alpha_S
-    grid (``[None]`` for the one-test families)."""
-    alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
-              if family == STRATIFIED else [None])
-    for n, row in _scored_rows(family, _grid_sizes(scenario, config), alphas, scenario):
-        yield from (((n, a), float(eu)) for a, eu in zip(alphas, row))
-
-
 def _fibonacci_max(score, lo: int, hi: int):
     """(n, score(n)) for the integer n in [lo, hi] maximizing a score that
     is unimodal there, where a score is a tuple led by the value.
@@ -284,10 +280,12 @@ def optimize_family(family: str, scenario: Scenario,
         raise ValueError(f"family must be one of {TRIAL_KINDS}, got {family!r}")
     config = grid_config or GridConfig()
 
+    alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
+              if family == STRATIFIED else [None])
     best = (-math.inf, None, None)
-    for (n, alpha_S), eu in _grid_scores(family, scenario, config):
-        if eu > best[0]:
-            best = (eu, n, alpha_S)
+    for n, row in _scored_rows(family, _grid_sizes(scenario, config), alphas, scenario):
+        eu, alpha_S, _ = _row_best(row, alphas)
+        best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
     if config.refine:
         best = _refine(family, scenario, config, best)
     _, best_n, best_alpha = best
@@ -350,9 +348,9 @@ def _clamp_lambda(values) -> list:
 
 def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) -> list:
     """``decide`` on every scenario, in order: serially, or in a process
-    pool with at most one worker per scenario."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    pool with at most one worker per scenario and MAX_JOBS in all."""
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ConfigError(f"jobs must lie in [1, {MAX_JOBS}], got {jobs}")
     decide_one = partial(decide, grid_config=grid_config)
     workers = min(jobs, len(scenarios))
     if workers <= 1:
@@ -375,9 +373,13 @@ def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
                   grid_config: Optional[GridConfig] = None,
                   jobs: int = 1) -> list:
     """Selected-design matrix over (lambda_S, delta), rows indexed by delta;
-    a negative delta is rejected by the prior it builds."""
+    a negative delta is rejected by the prior it builds, and a grid of
+    more than MAX_GRID_COUNT cells before any scenario is built."""
     lams = _clamp_lambda(lambda_grid)
     deltas = [float(d) for d in delta_grid]
+    if len(lams) * len(deltas) > MAX_GRID_COUNT:
+        raise ConfigError(f"a contour holds at most {MAX_GRID_COUNT} cells, "
+                          f"got {len(lams)} x {len(deltas)}")
     points = [(delta, lam) for delta in deltas for lam in lams]
     scenarios = [scenario_template.with_lambda(lam).with_prior(
                      builtin_prior(prior_kind, delta)) for delta, lam in points]

@@ -1,8 +1,7 @@
-"""Reference implementations the closed-form kernels are pinned against.
+"""Reference implementations the closed-form kernels are pinned against:
+independent derivations of a closed form, and the oracles of replaced
+kernels that nothing else pins yet over their whole domain.
 
-- :func:`genz_upper_orthant` is Genz's hybrid Drezner-Wesolowsky
-  quadrature for the bivariate normal orthant (Genz 2004, Stat. Comput.
-  14:251), the routine the library used before the Owen's-T form.
 - :func:`adaptive_stratified` is the stratified expected utility by
   adaptive Gauss-Kronrod quadrature over z_S, with the analytic
   linear-Gaussian step in z_Sc, breakpoints at every region kink and
@@ -13,20 +12,6 @@
   utility for one atom in scalar arithmetic, one validated result per
   call: the form the library used before the array kernel, which must
   reproduce it bit for bit.
-- :func:`whole_array_limit_cdf` is the bivariate normal CDF that evaluates
-  Owen's form and every limit on the whole array whenever any element is
-  a limit case, infinite x included; the masked library form, which takes
-  finite x only, must reproduce it bit for bit there.
-- :func:`per_piece_line_integrals` is the stratified kernel's line
-  integral that evaluates the bivariate normal CDF at both ends of every
-  alive piece, infinite ends included (through
-  :func:`whole_array_limit_cdf`), as the library did before each
-  (line, breakpoint) value was computed once; the library form must
-  reproduce it bit for bit.
-- :func:`three_pass_rejection_probs` is the Monte Carlo approval
-  probabilities estimated one at a time, each from its own simulation of
-  the same replicate streams, as the library did before one simulation
-  served all three; the library form must reproduce it bit for bit.
 - :func:`labelled_estimates` is the Monte Carlo accumulator that draws
   one atom label per replicate and scatters each atom's replicates back
   to their positions, and :func:`iid_strata_counts` draws each replicate's
@@ -39,138 +24,26 @@
   :func:`bivariate_normal_cdf`, through its limit gate, as the library
   did before nonzero bounds took Owen's form directly; the library form
   must reproduce it bit for bit.
-- :func:`brentq_alpha_F` is the level condition solved by Brent's method
-  on the bracket [0, alpha], with thresholds taken as ndtri(1 - level):
-  the solve the library used before Newton's method.
-- :func:`nelder_mead_family` is a family's optimum refined from the best
-  grid point by a bounded Nelder-Mead simplex over continuous (n,
-  alpha_S), with n rounded to the better neighbouring integer: the search
-  the library used before the integer search.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr
 
-from trialopt.mc_oracle import _CHUNK, McEstimate, _chunk_rng, _estimate, _simulate_batch
-from trialopt.model import ENRICHMENT, NO_TRIAL, SPONSOR, STRATIFIED, EffectPair, pooled_effect
+from trialopt.mc_oracle import _CHUNK, _chunk_rng, _estimate, _simulate_batch
+from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, EffectPair, pooled_effect
 from trialopt.model import trial_cost
 from trialopt.numerics import (
     NumericError,
     _one_sided_critical,
-    _owen_cdf,
     bivariate_normal_cdf,
-    bivariate_upper_orthant,
     std_normal_pdf,
 )
-from trialopt.optimizer import _grid_scores
 from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
-from trialopt.utility import EvaluationResult, _check_n, classical_variance, prior_averaged
+from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Gauss-Legendre half-nodes and weights, selected by |rho|: 6-point for
-# |rho|<0.3, 12-point for |rho|<0.75, 20-point otherwise.
-_GENZ_X = (
-    np.array([-0.9324695142031522, -0.6612093864662647, -0.2386191860831970]),
-    np.array([
-        -0.9815606342467191, -0.9041172563704750, -0.7699026741943050,
-        -0.5873179542866171, -0.3678314989981802, -0.1252334085114692,
-    ]),
-    np.array([
-        -0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
-        -0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
-        -0.5108670019508271, -0.3737060887154196, -0.2277858511416451,
-        -0.07652652113349733,
-    ]),
-)
-_GENZ_W = (
-    np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
-    np.array([
-        0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-        0.2031674267230659, 0.2334925365383547, 0.2491470458134029,
-    ]),
-    np.array([
-        0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-        0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-        0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-        0.1527533871307259,
-    ]),
-)
-
-
-def genz_upper_orthant(h: float, k: float, rho: float) -> float:
-    """P(Z1 > h, Z2 > k) by Genz's method; absolute accuracy about 5e-16."""
-    if h == math.inf or k == math.inf:
-        return 0.0
-    if h == -math.inf:
-        return float(ndtr(-k))
-    if k == -math.inf:
-        return float(ndtr(-h))
-    if rho == 1.0:
-        return float(ndtr(-max(h, k)))
-    if rho == -1.0:
-        return max(0.0, float(ndtr(-k) - ndtr(h)))
-    if rho == 0.0:
-        return float(ndtr(-h) * ndtr(-k))
-
-    if abs(rho) < 0.3:
-        ng = 0
-    elif abs(rho) < 0.75:
-        ng = 1
-    else:
-        ng = 2
-    x = np.concatenate((_GENZ_X[ng], -_GENZ_X[ng]))
-    w = np.concatenate((_GENZ_W[ng], _GENZ_W[ng]))
-
-    hk = h * k
-    if abs(rho) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = math.asin(rho)
-        sn = np.sin(0.5 * asr * (x + 1.0))
-        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        return bvn * asr / (4.0 * math.pi) + float(ndtr(-h) * ndtr(-k))
-
-    # |rho| >= 0.925: expand around the singular limit.
-    kk = k
-    if rho < 0.0:
-        kk = -kk
-        hk = -hk
-    a_sq = (1.0 - rho) * (1.0 + rho)
-    a = math.sqrt(a_sq)
-    bs = (h - kk) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr = -0.5 * (bs / a_sq + hk)
-    bvn = 0.0
-    if asr > -100.0:
-        bvn = a * math.exp(asr) * (
-            1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-            + c * d * a_sq * a_sq / 5.0
-        )
-    if hk > -100.0:
-        b = math.sqrt(bs)
-        bvn -= (
-            math.exp(-0.5 * hk) * _SQRT_2PI * float(ndtr(-b / a)) * b
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-        )
-    half = 0.5 * a
-    xs = (half * (x + 1.0)) ** 2
-    rs = np.sqrt(1.0 - xs)
-    asr_n = -0.5 * (bs / xs + hk)
-    live = asr_n > -100.0
-    if np.any(live):
-        term = np.exp(asr_n[live]) * (
-            np.exp(-hk * (1.0 - rs[live]) / (2.0 * (1.0 + rs[live]))) / rs[live]
-            - (1.0 + c * xs[live] * (1.0 + d * xs[live]))
-        )
-        bvn += half * float(np.sum(w[live] * term))
-    bvn = -bvn / (2.0 * math.pi)
-    if rho > 0.0:
-        return bvn + float(ndtr(-max(h, kk)))
-    return -bvn + max(0.0, float(ndtr(-h) - ndtr(-kk)))
 
 
 def _clamp01(p: float) -> float:
@@ -433,88 +306,6 @@ def adaptive_stratified(effects, n, alpha_S, scenario):
     return _assemble(reward_S, reward_F, cost, p_s_only, p_f)
 
 
-def whole_array_limit_cdf(x, y, rho, rho_c):
-    """Bivariate normal CDF with one whole-array pass per limit kind."""
-    inf_x = np.isinf(x)
-    zero = (x == 0.0) | (y == 0.0)
-    unit = rho_c == 0.0
-    if not (inf_x | zero | unit).any():
-        return _owen_cdf(x, y, rho, rho_c)
-    x, y, rho, rho_c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, y, rho, rho_c)))
-    rho_s, rho_cs = np.where(unit, 0.0, rho), np.where(unit, 1.0, rho_c)
-    out = _owen_cdf(np.where(inf_x | zero, 1.0, x), np.where(zero, 1.0, y), rho_s, rho_cs)
-    out = np.where(x == 0.0, 0.5 * ndtr(y) + owens_t(y, rho_s / rho_cs), out)
-    out = np.where(y == 0.0, 0.5 * ndtr(x) + owens_t(x, rho_s / rho_cs), out)
-    out = np.where(unit, np.where(rho > 0.0, ndtr(np.minimum(x, y)),
-                                  np.maximum(0.0, ndtr(x) - ndtr(-y))), out)
-    return np.where(inf_x, np.where(x > 0.0, ndtr(y), 0.0), out)
-
-
-def _edge(z, a, b):
-    """phi(z) * (1 - Phi(a + b z)), zero at infinite z."""
-    inf_z = np.isinf(z)
-    zf = np.where(inf_z, 0.0, z)
-    return np.where(inf_z, 0.0, std_normal_pdf(zf) * ndtr(-(a + b * zf)))
-
-
-def per_piece_line_integrals(a, b, lo, hi, alive, moments):
-    """I0, J1 and J2 of every alive (line, piece), with the CDF evaluated
-    at both ends of each piece in one call."""
-    lo, hi = np.broadcast_to(lo, alive.shape), np.broadcast_to(hi, alive.shape)
-    i0, j1, j2 = np.zeros(alive.shape), np.zeros(alive.shape), np.zeros(alive.shape)
-    full = alive & (a == -np.inf)
-    i0[full] = ndtr(hi[full]) - ndtr(lo[full])
-    j1[full] = std_normal_pdf(lo[full]) - std_normal_pdf(hi[full])
-    sel = alive & np.isfinite(a)
-    a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
-    s = np.sqrt(1.0 + b * b)
-    cdf = whole_array_limit_cdf(np.stack((hi, lo)), -a / s, b / s, 1.0 / s)
-    i0[sel] = cdf[0] - cdf[1]
-    if moments:
-        m = a * b / (s * s)
-        j2_sel = std_normal_pdf(a / s) / s * (ndtr(s * (hi + m)) - ndtr(s * (lo + m)))
-        j2[sel] = j2_sel
-        j1[sel] = _edge(lo, a, b) - _edge(hi, a, b) - b * j2_sel
-    return i0, j1, j2
-
-
-def _accumulate_one(design, effects_or_prior, scenario, config, value_of):
-    """Chunked mean/SE of value_of(utility, psi_S, psi_F, effects)."""
-    pairs = ([(effects_or_prior, 1.0)] if isinstance(effects_or_prior, EffectPair)
-             else list(effects_or_prior))
-    atoms = [atom for atom, _ in pairs]
-    weights = np.array([w for _, w in pairs])
-    weights = weights / weights.sum()
-
-    total = config.replicates
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    index = 0
-    while done < total:
-        m = min(_CHUNK, total - done)
-        rng = _chunk_rng(config.seed, index)
-        counts = [m] if len(atoms) == 1 else rng.multinomial(m, weights)
-        for atom, count in zip(atoms, counts):
-            if count == 0:
-                continue
-            u, ps, pf = _simulate_batch(design, atom, scenario,
-                                        config.strata_mode, rng, int(count))
-            values = value_of(u, ps, pf, atom)
-            s1 += float(values.sum())
-            s2 += float((values * values).sum())
-        done += m
-        index += 1
-    mean = s1 / total
-    if total > 1:
-        variance = max(0.0, (s2 - s1 * s1 / total) / (total - 1))
-        se = math.sqrt(variance / total)
-    else:
-        se = 0.0
-    return McEstimate(mean=mean, std_error=se, replicates=total)
-
-
 def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):
     """Chunked mean/SE of each value_fn(utility, psi_S, psi_F), with one
     atom label drawn per replicate by weight and each atom's replicates
@@ -566,22 +357,6 @@ def iid_strata_counts(rng, n, lam, m, interior):
     return k_t, k_c
 
 
-def three_pass_rejection_probs(design, effects_or_prior, scenario, config):
-    """Simulated approval probabilities (any, F, S_only), one simulation
-    of the replicates per probability."""
-    design.check_against(scenario)
-    if design.kind == NO_TRIAL:
-        zero = McEstimate(0.0, 0.0, config.replicates)
-        return {"any": zero, "F": zero, "S_only": zero}
-    picks = {
-        "any": lambda u, ps, pf, atom: ((ps | pf) == 1).astype(float),
-        "F": lambda u, ps, pf, atom: (pf == 1).astype(float),
-        "S_only": lambda u, ps, pf, atom: ((ps == 1) & (pf == 0)).astype(float),
-    }
-    return {name: _accumulate_one(design, effects_or_prior, scenario, config, fn)
-            for name, fn in picks.items()}
-
-
 def array_route_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k): the scalar limits, then the array CDF."""
     if math.isnan(rho) or abs(rho) > 1.0:
@@ -601,49 +376,3 @@ def array_route_orthant(h: float, k: float, rho: float) -> float:
     if rho == 0.0:
         return float(ndtr(-h) * ndtr(-k))
     return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
-
-
-def brentq_alpha_F(alpha_S, lambda_S, alpha=0.025):
-    """Level-condition alpha_F by Brent's method, for 0 < alpha_S < alpha."""
-    rho = math.sqrt(lambda_S)
-    h = float(ndtri(1.0 - alpha_S))
-
-    def union_excess(alpha_F):
-        if alpha_F <= 0.0:
-            return alpha_S - alpha
-        k = float(ndtri(1.0 - alpha_F))
-        return alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha
-
-    if union_excess(alpha) <= 0.0:
-        # the rounding floor of the union: the subgroup event is nested
-        if union_excess(alpha) >= -1e-15:
-            return alpha
-        raise NumericError("no sign change on the level-condition bracket")
-    return float(brentq(union_excess, 0.0, alpha, xtol=1e-10,
-                        rtol=4.0 * np.finfo(float).eps, maxiter=200))
-
-
-def nelder_mead_family(family, scenario, config):
-    """(n, alpha_S, expected utility) of a family's Nelder-Mead optimum."""
-
-    def objective(n, alpha_S=None):
-        return prior_averaged(family, n, alpha_S, scenario).expected_utility
-
-    best_n, best_alpha, best_eu = None, None, -math.inf
-    for (n, alpha_S), eu in _grid_scores(family, scenario, config):
-        if eu > best_eu:
-            best_n, best_alpha, best_eu = n, alpha_S, eu
-    x0 = [float(best_n)] if best_alpha is None else [float(best_n), best_alpha]
-    bounds = [(float(scenario.n_min), 2.0 * max(config.n_grid)), (0.0, scenario.alpha)]
-    res = minimize(lambda x: -objective(*x), np.array(x0), method="Nelder-Mead",
-                   bounds=bounds[:len(x0)],
-                   options={"fatol": config.refine_tol, "xatol": 1e-3,
-                            "maxiter": 400, "maxfev": 600})
-    n_star = float(res.x[0])
-    alpha_star = None if best_alpha is None else float(res.x[1])
-    for n_int in sorted({max(scenario.n_min, math.floor(n_star)),
-                         max(scenario.n_min, math.ceil(n_star))}):
-        eu = objective(n_int, alpha_star)
-        if eu > best_eu:
-            best_n, best_alpha, best_eu = n_int, alpha_star, eu
-    return best_n, best_alpha, best_eu

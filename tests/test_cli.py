@@ -4,12 +4,16 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from trialopt import optimizer
 from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
-from trialopt.model import ConfigError
+from trialopt.mc_oracle import MAX_BINOMIAL_N
+from trialopt.model import NO_TRIAL, ConfigError
 from trialopt.numerics import NumericError
-from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_N_POINTS, GridConfig
+from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_JOBS, MAX_N_POINTS, GridConfig
+from conftest import make_scenario
 
 CONFIG_CASE1 = """\
 # weak prior, large market, no biomarker costs
@@ -91,6 +95,12 @@ class TestEvaluateCommand:
         GridConfig.consume_mapping(mapping)
         want = eu_prior_averaged(DesignSpec.stratified(300, 0.0125), scenario)
         assert eu == want.expected_utility
+
+    def test_negative_zero_alpha_s_is_written_as_zero(self, config_path, tmp_path):
+        assert main(["evaluate", "--config", config_path, "--design", "stratified",
+                     "--n", "100", "--alpha-s", "-0", "--out", str(tmp_path)]) == 0
+        header, rows = read_rows(tmp_path / "evaluate.csv")
+        assert rows[0][header.index("alpha_S")] == "0.0"
 
     def test_jobs_flag_rejected(self, config_path, tmp_path):
         # --jobs belongs to sweep and contour, the commands with cells
@@ -199,6 +209,19 @@ class TestContourCommand:
 
 
 class TestSimulateCommand:
+    def test_binomial_n_cap(self, config_path, tmp_path):
+        # binomial mode builds a pmf over 0..n per chunk: n past the cap
+        # exits 2 before it; fixed mode and evaluate take any n
+        def run(command, n, *flags):
+            return main([command, "--config", config_path, "--design", "classical",
+                         "--n", str(n), "--out", str(tmp_path), *flags])
+
+        assert run("simulate", MAX_BINOMIAL_N, "--mode", "binomial", "--replicates", "1") == 0
+        assert run("simulate", MAX_BINOMIAL_N + 1, "--mode", "binomial",
+                   "--replicates", "1") == 2
+        assert run("simulate", MAX_BINOMIAL_N + 1, "--mode", "fixed", "--replicates", "1") == 0
+        assert run("evaluate", MAX_BINOMIAL_N + 1) == 0
+
     def test_same_seed_identical_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["simulate", "--config", config_path, "--design", "enrichment",
@@ -370,6 +393,30 @@ def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path), *argv]) == 2
 
 
+def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
+                                                monkeypatch):
+    # A pool starts all its workers at its first task under fork, so more
+    # than MAX_JOBS jobs is rejected before it starts; a contour builds
+    # every cell's scenario before the first decision, so more than
+    # MAX_GRID_COUNT cells is rejected before it builds one.
+    scenarios = [make_scenario(lambda_S=lam) for lam in (0.3, 0.7)]
+    with pytest.raises(ConfigError, match="jobs"):
+        optimizer._decisions(scenarios, None, MAX_JOBS + 1)
+    assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
+                 "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)]) == 2
+    monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: (
+        {NO_TRIAL: optimizer.no_trial_outcome()}, NO_TRIAL))
+    matrix = optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 100),
+                                     np.linspace(0.0, 1.0, 100), "weak")
+    assert sum(map(len, matrix)) == MAX_GRID_COUNT
+    # 73 x 137 = MAX_GRID_COUNT + 1
+    with pytest.raises(ConfigError, match="cells"):
+        optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 73),
+                                np.linspace(0.0, 1.0, 137), "weak")
+    assert main(["contour", "--config", config_path, "--out", str(tmp_path),
+                 "--lambda-grid", "0.05:0.95:73", "--delta-grid", "0:1:137"]) == 2
+
+
 FUZZ_BASE = """\
 lambda_S = 0.5
 cost.setup = 1.0
@@ -420,8 +467,10 @@ _GRID_SPECS = ["0.3,0.7", "0.5:0.5:1", "0.2:0.8:3", "1:0:2", f"0:1:{MAX_GRID_COU
                "0:1:100000000", "0:1:-1", "0.2:nan:3", ",", *_EDGES]
 _FUZZ_FLAGS = {
     "optimize": {},
-    "sweep": {"--jobs": ["1", "2", "0", "-1", "x"], "--lambda-grid": _GRID_SPECS},
-    "contour": {"--jobs": ["1", "2", "0", "x"], "--lambda-grid": _GRID_SPECS,
+    "sweep": {"--jobs": ["1", "2", "0", "-1", f"{MAX_JOBS}", f"{MAX_JOBS + 1}", "x"],
+              "--lambda-grid": _GRID_SPECS},
+    "contour": {"--jobs": ["1", "2", "0", f"{MAX_JOBS}", f"{MAX_JOBS + 1}", "x"],
+                "--lambda-grid": _GRID_SPECS,
                 "--delta-grid": _GRID_SPECS},
     "evaluate": {"--design": ["stratified", "classical", "enrichment", "none", "x"],
                  "--n": ["100", "49", "1000000", "0", "-1", "nan", "x"],

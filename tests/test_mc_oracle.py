@@ -19,7 +19,7 @@ from trialopt.mc_oracle import (
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_classical, eu_enrichment
 from conftest import make_scenario
-from oracles import iid_strata_counts, labelled_estimates, three_pass_rejection_probs
+from oracles import iid_strata_counts, labelled_estimates
 
 
 def with_rewards(scenario, **kw):
@@ -181,7 +181,12 @@ class TestFwer:
 class TestOneSimulation:
     """mc_rejection_probs reads its three estimates from one simulation of
     the replicates, and must give exactly what estimating each from its
-    own simulation of the same streams gives."""
+    own simulation of the same streams gives: one accumulation per value
+    function."""
+
+    PICKS = {"any": lambda u, ps, pf: (ps | pf).astype(float),
+             "F": lambda u, ps, pf: pf.astype(float),
+             "S_only": lambda u, ps, pf: (ps & ~pf).astype(float)}
 
     DESIGNS = [DesignSpec.classical(120), DesignSpec.enrichment(90),
                DesignSpec.stratified(150, 0.01), DesignSpec.no_trial()]
@@ -195,7 +200,8 @@ class TestOneSimulation:
         # two chunks, the second a partial one
         config = SimConfig(_CHUNK + 3001, 53, strata_mode=mode)
         got = mc_rejection_probs(design, effects, scenario, config)
-        assert got == three_pass_rejection_probs(design, effects, scenario, config)
+        assert got == {name: mc_oracle._accumulate(design, effects, scenario, config, (fn,))[0]
+                       for name, fn in self.PICKS.items()}
         if design.kind != "no_trial":
             assert 0.0 < got["any"].mean < 1.0
 
