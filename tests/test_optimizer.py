@@ -318,3 +318,25 @@ class TestNoTrialOutcome:
         assert outcome.best_design == DesignSpec.no_trial()
         assert outcome.result.expected_utility == 0.0
         assert outcome.derived_alpha_F is None
+
+
+class TestFibonacciMax:
+    """The integer search against a brute-force max over every [lo, hi]
+    with hi - lo <= 60 and every position of the peak: a strict peak, and
+    a flat two-point top whose tie goes to the smaller n."""
+
+    @staticmethod
+    def shapes(peak, hi):
+        yield lambda n: (-abs(n - peak), n)
+        yield lambda n: (-3.0 * (peak - n) if n < peak else -0.5 * (n - peak), n)
+        if peak < hi:
+            yield lambda n: (-max(peak - n, n - peak - 1, 0), n)
+
+    @pytest.mark.parametrize("lo", [0, 37])
+    def test_matches_brute_force(self, lo):
+        for hi in range(lo, lo + 61):
+            for peak in range(lo, hi + 1):
+                for score in self.shapes(peak, hi):
+                    best = max(range(lo, hi + 1), key=lambda n: score(n)[0])
+                    assert optimizer._fibonacci_max(score, lo, hi) == (best, score(best)), \
+                        (lo, hi, peak)
