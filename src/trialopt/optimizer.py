@@ -4,15 +4,20 @@ sweep drivers.
 
 Stage 1 scans a size-coarsening n grid (crossed with an alpha_S grid for
 the stratified family), scoring blocks of consecutive sizes in one
-batched evaluation each, with n on an array axis of the kernels. Stage 2
-refines the best grid point: a Fibonacci search (Kiefer 1953, Proc. AMS
-4:502) over the integers between its grid neighbours scores each probe n
-as one batched row over a 9-point alpha_S bracket of +-one grid step (the
-probes are sequential, so one row per call); the stratified family then
-narrows that bracket 4x per round, scoring the best n and its two
-neighbours as one block, until the utility varies by less than
-``refine.tol`` across it. Refinement keeps a point only when it beats the
-best so far, so it can only improve on the grid.
+batched evaluation each, with n on an array axis of the kernels. Before
+each block it drops the sizes whose utility bound
+(:func:`trialopt.utility._utility_bound`, which never increases in n)
+lies more than ``_PRUNE_MARGIN`` below the best utility so far, and it
+stops when none remain: a dropped size cannot win, so stage 1 ends on
+the grid point the full scan finds. Stage 2 refines the best grid point:
+a Fibonacci search (Kiefer 1953, Proc. AMS 4:502) over the integers
+between its grid neighbours scores each probe n as one batched row over
+a 9-point alpha_S bracket of +-one grid step (the probes are sequential,
+so one row per call); the stratified family then narrows that bracket 4x
+per round, scoring the best n and its two neighbours as one block, until
+the utility varies by less than ``refine.tol`` across it. Refinement
+keeps a point only when it beats the best so far, so it can only improve
+on the grid.
 
 A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings:
 the kernels' temporaries grow with the block, and beyond a few default
@@ -51,7 +56,14 @@ from .model import (
     builtin_prior,
 )
 from .testing import alpha_F_given_alpha_S
-from .utility import EvaluationResult, _ZERO_RESULT, _merged_atoms, grid_row, prior_averaged
+from .utility import (
+    EvaluationResult,
+    _ZERO_RESULT,
+    _merged_atoms,
+    _utility_bound,
+    grid_row,
+    prior_averaged,
+)
 
 # Exact utility ties resolve towards the cheaper commitment.
 _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
@@ -66,6 +78,12 @@ _BRACKET_POINTS = 9
 # unchanged peak RSS; all 40 rows in one call gave 10.5/s but raised peak
 # RSS from 66.8 to 74.0 MB (+11%).
 _BLOCK_SETTINGS = 336
+
+# Stage 1 skips a size once its utility bound lies this far (MUSD) below
+# the best utility so far. The bound holds exactly in arithmetic, but
+# rounding put it up to 9e-13 below a kernel value, and a size that ties
+# or barely beats the best must still be scored.
+_PRUNE_MARGIN = 1e-6
 
 # Caps on the counts a configuration sets: every grid is built in full
 # before the first kernel call, so an unbounded count only ever allocates
@@ -93,7 +111,9 @@ def default_n_grid() -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Search-resolution knobs, overridable through the config document."""
+    """Search-resolution knobs, overridable through the config document.
+    ``n_grid`` is stored ascending and without repeats, as refinement's
+    grid neighbours and stage 1's skipped sizes assume."""
 
     n_grid: Tuple[int, ...] = default_n_grid()
     alpha_points: int = 21
@@ -103,6 +123,7 @@ class GridConfig:
     def __post_init__(self):
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must list positive sizes")
+        object.__setattr__(self, "n_grid", tuple(sorted(set(self.n_grid))))
         if not 2 <= self.alpha_points <= MAX_ALPHA_POINTS:
             raise ValueError(f"alpha_points must lie in [2, {MAX_ALPHA_POINTS}]")
         if not 0.0 < self.refine_tol < math.inf:
@@ -173,14 +194,20 @@ def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
     return [scenario.n_min] + [n for n in config.n_grid if n > scenario.n_min]
 
 
+def _block_shape(family: str, alphas: list, scenario: Scenario) -> tuple:
+    """(sizes per block, alpha_S points per piece of a row) that keep a
+    kernel call within _BLOCK_SETTINGS (atom, n, alpha_S) settings."""
+    atoms = len(_merged_atoms(family, scenario))
+    width = max(1, _BLOCK_SETTINGS // atoms)
+    return max(1, _BLOCK_SETTINGS // (atoms * min(width, len(alphas)))), width
+
+
 def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
     """(n, expected utilities over ``alphas``) for every n in ``sizes``, in
     order. Consecutive sizes share one batched evaluation, up to
     _BLOCK_SETTINGS (atom, n, alpha_S) settings per call; a row longer
     than that is scored in pieces of its alpha_S axis and joined."""
-    atoms = len(_merged_atoms(family, scenario))
-    width = max(1, _BLOCK_SETTINGS // atoms)
-    block = max(1, _BLOCK_SETTINGS // (atoms * min(width, len(alphas))))
+    block, width = _block_shape(family, alphas, scenario)
     for start in range(0, len(sizes), block):
         chunk = sizes[start:start + block]
         n = np.array(chunk, dtype=float)
@@ -283,9 +310,16 @@ def optimize_family(family: str, scenario: Scenario,
     alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
               if family == STRATIFIED else [None])
     best = (-math.inf, None, None)
-    for n, row in _scored_rows(family, _grid_sizes(scenario, config), alphas, scenario):
-        eu, alpha_S, _ = _row_best(row, alphas)
-        best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+    sizes = _grid_sizes(scenario, config)
+    block, _ = _block_shape(family, alphas, scenario)
+    while sizes:
+        for n, row in _scored_rows(family, sizes[:block], alphas, scenario):
+            eu, alpha_S, _ = _row_best(row, alphas)
+            best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+        sizes = sizes[block:]
+        if sizes:
+            bounds = _utility_bound(family, np.array(sizes, dtype=float), scenario)
+            sizes = [n for n, bound in zip(sizes, bounds) if bound >= best[0] - _PRUNE_MARGIN]
     if config.refine:
         best = _refine(family, scenario, config, best)
     _, best_n, best_alpha = best

@@ -330,6 +330,61 @@ def grid_row(kind: str, n, alphas, scenario: Scenario) -> np.ndarray:
     return total
 
 
+def _positive_part_mean(m, s):
+    """E[max(X, 0)] for X ~ N(m, s^2): m Phi(m/s) + s phi(m/s), or m+ at
+    s = 0. It grows with s, so it never increases in the trial size."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = m / s
+        mean = m * ndtr(t) + s * std_normal_pdf(t)
+    return np.where(s > 0.0, mean, np.maximum(m, 0.0))
+
+
+def _utility_bound(kind: str, n, scenario: Scenario):
+    """An upper bound on the prior-averaged expected utility of every
+    design of the family at each size in ``n`` (a float or an array of
+    sizes), whatever its alpha_S; it never increases in n.
+
+    The approvals are disjoint, so per atom the reward is at most the
+    larger of U+ and V+, where U = NrF (delta_F - mu_F) is paid on a full
+    approval and V = lambda_S NrS (delta_S - mu_S) on a subgroup one. The
+    public perspective pays them at the true effects, so the bound is
+    max(0, U, V); the sponsor pays them at the estimates, normal with
+    Cov(est_F, est_S) = se_F^2 under the stratified design, and
+    E max(U+, V+) <= min(E U+ + E (V - U)+, E V+ + E (U - V)+). Each
+    one-test family pays one of the two, on its own estimate.
+    """
+    n = np.asarray(n, dtype=float)
+    lam = scenario.lambda_S
+    rewards = scenario.rewards
+    atoms = [e for e, _ in scenario.prior]
+    weights = np.array([w for _, w in scenario.prior])
+    per_atom = (len(atoms),) + (1,) * n.ndim
+    gain_F = np.array([rewards.NrF * (pooled_effect(e, lam) - rewards.mu_F)
+                       for e in atoms]).reshape(per_atom)
+    gain_S = np.array([lam * rewards.NrS * (e.delta_S - rewards.mu_S)
+                       for e in atoms]).reshape(per_atom)
+    if rewards.perspective != SPONSOR:
+        reward = np.maximum(0.0, {CLASSICAL: gain_F, ENRICHMENT: gain_S,
+                                  STRATIFIED: np.maximum(gain_F, gain_S)}[kind])
+    elif kind == CLASSICAL:
+        se = np.sqrt([classical_variance(e, lam, scenario.sigma, n) for e in atoms])
+        reward = _positive_part_mean(gain_F, rewards.NrF * se)
+    elif kind == ENRICHMENT:
+        se = np.sqrt(2.0 * scenario.sigma ** 2 / n)
+        reward = _positive_part_mean(gain_S, lam * rewards.NrS * se)
+    else:
+        # Standard deviations of U, V and V - U, each a multiple of se_F.
+        se_F = scenario.sigma * np.sqrt(2.0 / n)
+        sd_U, sd_V = rewards.NrF * se_F, math.sqrt(lam) * rewards.NrS * se_F
+        sd_gap = math.sqrt(lam * (rewards.NrS - rewards.NrF) ** 2
+                           + (1.0 - lam) * rewards.NrF ** 2) * se_F
+        reward = np.minimum(
+            _positive_part_mean(gain_F, sd_U) + _positive_part_mean(gain_S - gain_F, sd_gap),
+            _positive_part_mean(gain_S, sd_V) + _positive_part_mean(gain_F - gain_S, sd_gap))
+    return (np.tensordot(weights, np.broadcast_to(reward, per_atom[:1] + n.shape), axes=1)
+            - trial_cost(kind, n, scenario.costs, lam))
+
+
 def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
                    scenario: Scenario) -> EvaluationResult:
     """Prior-weighted expected utility and approval probabilities.

@@ -364,6 +364,21 @@ def test_outputs_identical_in_every_execution_mode(config_path, tmp_path, comman
         assert (runs["-O"] / name).read_bytes() == want
 
 
+def test_size_list_order_and_repeats_never_show(config_path, tmp_path):
+    # Refinement searches between a grid size and its neighbours in the
+    # list, so the list is taken sorted and without repeats: here an
+    # unsorted one used to move classical from n = 289 to n = 400.
+    public = ["--set", "reward.perspective=public", "--set", "reward.NrS=1000",
+              "--set", "reward.NrF=1000"]
+    csvs = []
+    for sizes in ("100,200,400", "400,100,200", "100,400,200", "200,100,400,100,200"):
+        out = tmp_path / sizes.replace(",", "_")
+        assert main(["optimize", "--config", config_path, "--out", str(out), *public,
+                     "--set", f"grid.n_points={sizes}"]) == 0
+        csvs.append((out / "optimize.csv").read_bytes())
+    assert csvs[1:] == csvs[:1] * 3
+
+
 def test_import_leaves_scipy_optimize_out():
     # scipy.optimize costs about 0.35 s and 23 MB of every cold start
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

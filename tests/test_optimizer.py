@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from trialopt import optimizer, utility
-from trialopt.model import ConfigError, DesignSpec
+from trialopt.model import ConfigError, DesignSpec, DiscretePrior, EffectPair
 from trialopt.optimizer import (
     MAX_JOBS,
     ContourCell,
@@ -47,6 +48,11 @@ class TestGridConfig:
         assert config.alpha_points == 5
         assert config.refine is False
         assert not mapping
+
+    def test_sizes_stored_sorted_without_repeats(self):
+        assert GridConfig(n_grid=(400, 100, 200, 100)).n_grid == (100, 200, 400)
+        config = GridConfig.consume_mapping({"grid.n_points": "300,50,300,120"})
+        assert config.n_grid == (50, 120, 300)
 
     def test_consume_mapping_count(self):
         config = GridConfig.consume_mapping({"grid.n_points": "12"}, n_min=50)
@@ -160,21 +166,39 @@ class TestSizeBlocks:
         assert [optimizer.decide(s) for s in scenarios] == want
 
     def test_stage_one_scores_blocks_of_sizes(self, monkeypatch):
-        calls = []
+        calls, blocks = [], []
         kernel = utility._stratified_fields
 
         def counted(atoms, n, alpha_S, scenario):
             calls.append((np.shape(n), len(alpha_S)))
+            # Stage-1 rows span the 21-point alpha_S grid, refinement rows
+            # a 9-point bracket.
+            if len(alpha_S) == 21:
+                blocks.append(np.atleast_1d(n).tolist())
             return kernel(atoms, n, alpha_S, scenario)
 
         monkeypatch.setattr(utility, "_stratified_fields", counted)
-        optimize_family("stratified", make_scenario())
-        # Stage-1 rows span the 21-point alpha_S grid, refinement rows a
-        # 9-point bracket.
-        stage_one = [shape for shape, alphas in calls if alphas == 21]
-        assert len(stage_one) <= 10
-        assert sum(math.prod(shape) for shape in stage_one) == len(default_n_grid())
+        scenario = make_scenario()
+        optimize_family("stratified", scenario)
+        monkeypatch.setattr(utility, "_stratified_fields", kernel)
+        assert len(blocks) <= 10
         assert ((3,), 9) in calls
+        # Each size is scored once, in grid order, and a block scores the
+        # sizes whose bound clears the best utility of the blocks before
+        # it; the sizes left over cannot beat the best.
+        sizes = optimizer._grid_sizes(scenario, GridConfig())
+        scored = [n for block in blocks for n in block]
+        assert scored == sizes[:len(scored)] and len(scored) < len(sizes)
+        alphas = [float(a) for a in np.linspace(0.0, scenario.alpha, 21)]
+        grid = np.array(sizes, dtype=float)
+        rows = grid_row("stratified", grid, alphas, scenario)[0].max(axis=-1)
+        bounds = utility._utility_bound("stratified", grid, scenario)
+        best, done = -math.inf, 0
+        for block in blocks:
+            assert np.all(bounds[done:done + len(block)] >= best - optimizer._PRUNE_MARGIN)
+            best = max(best, rows[done:done + len(block)].max())
+            done += len(block)
+        assert np.all(bounds[done:] < best - optimizer._PRUNE_MARGIN)
 
     def test_long_alpha_rows_split_at_the_cap(self, monkeypatch):
         # 4 atoms x 201 alpha_S points is more than the cap in one row: the
@@ -196,6 +220,74 @@ class TestSizeBlocks:
         assert max(settings) <= cap
         assert ((split.best_design.n, split.best_design.alpha_S, split.expected_utility)
                 == (whole.best_design.n, whole.best_design.alpha_S, whole.expected_utility))
+
+
+def _bound_domain():
+    """Scenarios for the bound's properties: both perspectives at the
+    extreme and a middle prevalence, each reward scale zero in turn, zero
+    clinical floors, a null and a subgroup-heavy prior, and prognostic
+    offsets."""
+    for lam, perspective, rewards, delta, offset in itertools.product(
+            (0.05, 0.5, 0.95), ("sponsor", "public"),
+            ({}, {"NrS": 0.0}, {"NrF": 0.0}, {"mu_S": 0.0, "mu_F": 0.0}),
+            (0.0, 0.6), (0.0, 0.8)):
+        scenario = with_rewards(make_scenario(lambda_S=lam, perspective=perspective,
+                                              case=CASE1, delta=delta), **rewards)
+        yield scenario.with_prior(DiscretePrior(tuple(
+            (EffectPair(e.delta_S, e.delta_Sc, offset), w) for e, w in scenario.prior)))
+
+
+class TestStageOnePruning:
+    @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
+    def test_bound_holds_and_never_increases(self, family):
+        for scenario in _bound_domain():
+            alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, 11)]
+                      if family == "stratified" else [None])
+            sizes = np.arange(scenario.n_min, 6001, dtype=float)
+            bounds = utility._utility_bound(family, sizes, scenario)
+            assert np.all(np.diff(bounds) <= 0.0)
+            probes = np.array([0, 30, 150, 950, 2950, 5950])
+            rows = grid_row(family, sizes[probes], alphas, scenario)[0]
+            assert np.all(bounds[probes] >= rows.max(axis=-1) - 1e-9)
+
+    def test_pruned_decisions_equal_full_scan(self, monkeypatch):
+        # Skipping the sizes that cannot win changes no decision, so
+        # refinement starts from the same grid point. Cases: the
+        # lambda_S = 0.95 public scenario whose winning stage-1 row has two
+        # alpha_S peaks (n = 200, indices 10 and 19), a delta = 0 contour
+        # cell, zero rewards, and a spread of prevalences, perspectives,
+        # market cases and priors.
+        scenarios = [
+            make_scenario(lambda_S=0.95, perspective="public", case=CASE1, delta=0.6),
+            make_scenario(lambda_S=0.5, perspective="public", delta=0.0),
+            with_rewards(make_scenario(), NrS=0.0, NrF=0.0),
+            make_scenario(lambda_S=0.05, case=CASE1, prior_kind="strong", delta=1.0),
+            make_scenario(lambda_S=0.3, case=CASE3, delta=0.15),
+            make_scenario(lambda_S=0.7, perspective="public", case=CASE3,
+                          prior_kind="strong", delta=0.4),
+            make_scenario(lambda_S=0.95, case=CASE1, delta=0.6),
+            make_scenario(lambda_S=0.35, perspective="public", case=CASE1, delta=0.3),
+            make_scenario(lambda_S=0.6, prior_kind="strong", delta=0.3),
+            make_scenario(lambda_S=0.8, perspective="public", delta=1.0),
+            make_scenario(lambda_S=0.2, case=CASE3, prior_kind="strong", delta=0.0),
+            with_rewards(make_scenario(lambda_S=0.45, perspective="public"),
+                         mu_S=0.0, mu_F=0.0),
+        ]
+        scored = []
+        scored_rows = optimizer._scored_rows
+
+        def counted(family, sizes, alphas, scenario):
+            scored.append(len(sizes))
+            return scored_rows(family, sizes, alphas, scenario)
+
+        monkeypatch.setattr(optimizer, "_scored_rows", counted)
+        pruned = [repr(optimizer.decide(s)) for s in scenarios]
+        pruned_rows = sum(scored)
+        scored.clear()
+        monkeypatch.setattr(optimizer, "_utility_bound",
+                            lambda kind, n, scenario: np.full(np.shape(n), math.inf))
+        assert [repr(optimizer.decide(s)) for s in scenarios] == pruned
+        assert pruned_rows < sum(scored)
 
 
 class TestSelectDesign:
