@@ -2,27 +2,27 @@
 Expected utility of a design, before choosing the sample size
 =============================================================
 
-Given true effects, each design's expected utility has a closed or
-quadrature form: reward from approval minus trial cost. The sponsor is
-paid on the *observed* effect (so noise has option value); the public
-view pays on the *true* effect (so false approvals hurt). This script
-contrasts the two along the sample-size axis.
+Given true effects, each design's expected utility has a closed form:
+reward from approval minus trial cost. The sponsor is paid on the
+*observed* effect (so noise has option value); the public view pays on
+the *true* effect (so false approvals hurt). This script contrasts the
+two along the sample-size axis. Known true effects are a prior with a
+single atom, evaluated like any other prior.
 """
 
 from trialopt import (
     CostStructure,
+    DesignSpec,
+    DiscretePrior,
     EffectPair,
     RewardStructure,
     Scenario,
-    builtin_prior,
-    eu_classical,
-    eu_enrichment,
-    eu_stratified,
+    eu_prior_averaged,
 )
 
 costs = CostStructure(setup=1.0, per_patient=0.05)
-prior = builtin_prior("weak", 0.3)
 atom = EffectPair(0.3, 0.15)  # subgroup works well, complement half as much
+prior = DiscretePrior(((atom, 1.0),))
 
 for perspective in ("sponsor", "public"):
     rewards = RewardStructure(perspective, NrS=1000.0, NrF=1000.0,
@@ -31,11 +31,9 @@ for perspective in ("sponsor", "public"):
     print(f"\n{perspective} view, true effects (0.3, 0.15), prevalence 0.5")
     print("     n   classical  stratified  enrichment")
     for n in (50, 100, 200, 400, 800, 1600):
-        row = (
-            eu_classical(atom, n, scenario).expected_utility,
-            eu_stratified(atom, n, 0.0125, scenario).expected_utility,
-            eu_enrichment(atom, n, scenario).expected_utility,
-        )
+        designs = (DesignSpec.classical(n), DesignSpec.stratified(n, 0.0125),
+                   DesignSpec.enrichment(n))
+        row = [eu_prior_averaged(design, scenario).expected_utility for design in designs]
         print(f"  {n:4d}   {row[0]:9.2f}  {row[1]:10.2f}  {row[2]:10.2f}")
 
 # The sponsor curve peaks earlier: past the peak, more patients just cost
@@ -46,10 +44,10 @@ for perspective in ("sponsor", "public"):
 # At the null the perspectives split qualitatively: a trial retains
 # positive value for the sponsor (false positives still sell) but is pure
 # loss for public health.
-null = EffectPair(0.0, 0.0)
+null = DiscretePrior(((EffectPair(0.0, 0.0), 1.0),))
 for perspective in ("sponsor", "public"):
     rewards = RewardStructure(perspective, NrS=1000.0, NrF=1000.0,
                               mu_S=0.1, mu_F=0.1)
-    scenario = Scenario(lambda_S=0.5, costs=costs, rewards=rewards, prior=prior)
-    value = eu_classical(null, 50, scenario).expected_utility
+    scenario = Scenario(lambda_S=0.5, costs=costs, rewards=rewards, prior=null)
+    value = eu_prior_averaged(DesignSpec.classical(50), scenario).expected_utility
     print(f"classical n=50 at the global null, {perspective}: {value:+.2f} MUSD")

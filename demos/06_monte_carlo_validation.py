@@ -13,12 +13,13 @@ from trialopt import (
     BINOMIAL_RANDOM,
     CostStructure,
     DesignSpec,
+    DiscretePrior,
     EffectPair,
     RewardStructure,
     Scenario,
     SimConfig,
     builtin_prior,
-    eu_stratified,
+    eu_prior_averaged,
     mc_expected_utility,
     mc_fwer,
 )
@@ -30,7 +31,9 @@ scenario = Scenario(lambda_S=0.5, costs=costs, rewards=rewards,
 design = DesignSpec.stratified(200, alpha_S=0.0125)
 atom = EffectPair(0.3, 0.15)
 
-analytic = eu_stratified(atom, 200, 0.0125, scenario).expected_utility
+# The analytic value at these true effects: a prior with a single atom.
+at_atom = scenario.with_prior(DiscretePrior(((atom, 1.0),)))
+analytic = eu_prior_averaged(design, at_atom).expected_utility
 fixed = mc_expected_utility(design, atom, scenario,
                             SimConfig(replicates=10**6, seed=1))
 print(f"analytic expected utility : {analytic:10.4f} MUSD")

@@ -40,10 +40,7 @@ from .testing import (
 from .utility import (
     EvaluationResult,
     classical_variance,
-    eu_classical,
-    eu_enrichment,
     eu_prior_averaged,
-    eu_stratified,
 )
 from .optimizer import (
     GridConfig,

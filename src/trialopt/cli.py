@@ -24,7 +24,6 @@ from typing import Optional
 
 from . import __version__
 from .model import (
-    STRATIFIED,
     TRIAL_KINDS,
     ConfigError,
     DesignSpec,
@@ -52,12 +51,12 @@ from .optimizer import (
     MAX_JOBS,
     GridConfig,
     OptimizationOutcome,
+    _outcome,
     decide,
     sweep_contour,
     sweep_prevalence,
 )
-from .testing import alpha_F_given_alpha_S
-from .utility import _FIELDS, eu_prior_averaged
+from .utility import _FIELDS
 
 _SCHEMA_PREFIX = "trialopt"
 _SCHEMA_VERSION = 1
@@ -203,13 +202,11 @@ def _outcome_cells(outcome: OptimizationOutcome) -> list:
 
 
 def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
-    design = _design_from_args(args, scenario)
-    result = eu_prior_averaged(design, scenario)
+    outcome = _outcome(_design_from_args(args, scenario), scenario)
+    design = outcome.best_design
     header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
-    alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
-               if design.kind == STRATIFIED else None)
-    rows = [[design.label, design.n, design.alpha_S, alpha_F,
-             *[getattr(result, f) for f in _FIELDS]]]
+    rows = [[design.label, design.n, design.alpha_S, outcome.derived_alpha_F,
+             *[getattr(outcome.result, f) for f in _FIELDS]]]
     return {"evaluate": (header, rows)}
 
 

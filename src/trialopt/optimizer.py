@@ -61,8 +61,8 @@ from .utility import (
     _ZERO_RESULT,
     _merged_atoms,
     _utility_bound,
+    eu_prior_averaged,
     grid_row,
-    prior_averaged,
 )
 
 # Exact utility ties resolve towards the cheaper commitment.
@@ -187,6 +187,14 @@ class OptimizationOutcome:
 
 def no_trial_outcome() -> OptimizationOutcome:
     return OptimizationOutcome(DesignSpec.no_trial(), _ZERO_RESULT)
+
+
+def _outcome(design: DesignSpec, scenario: Scenario) -> OptimizationOutcome:
+    """The design with its prior-averaged evaluation and, for a stratified
+    design, the alpha_F its alpha_S leaves to the full-population test."""
+    alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
+               if design.kind == STRATIFIED else None)
+    return OptimizationOutcome(design, eu_prior_averaged(design, scenario), alpha_F)
 
 
 def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
@@ -323,12 +331,7 @@ def optimize_family(family: str, scenario: Scenario,
     if config.refine:
         best = _refine(family, scenario, config, best)
     _, best_n, best_alpha = best
-
-    design = DesignSpec(family, n=best_n, alpha_S=best_alpha)
-    result = prior_averaged(family, best_n, best_alpha, scenario)
-    derived = (alpha_F_given_alpha_S(best_alpha, scenario.lambda_S, scenario.alpha)
-               if family == STRATIFIED else None)
-    return OptimizationOutcome(design, result, derived)
+    return _outcome(DesignSpec(family, n=best_n, alpha_S=best_alpha), scenario)
 
 
 def _select(outcomes: dict) -> str:

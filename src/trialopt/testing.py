@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -164,13 +163,6 @@ class _Geometry:
         return -self.sq_lam / self.sq_lamc
 
 
-def _geometry(params: StratifiedTestParams, effects: EffectPair, n: float,
-              sigma: float, mu_S: Optional[float], mu_F: Optional[float]) -> _Geometry:
-    return _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
-                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
-                          n, sigma, mu_S, mu_F)
-
-
 def _line_geometry(lam, alpha, alpha_S, alpha_F, tau_S, tau_Sc, delta_S, delta_Sc,
                    n, sigma, mu_S, mu_F) -> _Geometry:
     """Geometry from plain values; alpha_S, alpha_F, delta_S, delta_Sc and
@@ -272,7 +264,9 @@ def reject_stratified(z_S, z_Sc, params: StratifiedTestParams,
     true effects); scalars or arrays. The pooled statistic is
     sqrt(lambda_S) t_S + sqrt(1-lambda_S) t_Sc on the uncentered scale.
     """
-    geom = _geometry(params, effects, n, sigma, mu_S=None, mu_F=None)
+    geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
+                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, sigma, mu_S=None, mu_F=None)
     z_S = np.asarray(z_S, dtype=float)
     z_Sc = np.asarray(z_Sc, dtype=float)
     t_S = z_S + geom.shift_S

@@ -1,5 +1,5 @@
-"""Expected utility of each design given true effects, and its average
-over a discrete prior.
+"""Expected utility of each design, averaged over a discrete prior on the
+true effects; one effect atom is a one-atom prior.
 
 Enrichment and classical designs use the closed truncated-normal forms.
 The stratified design is closed-form as well: between consecutive
@@ -17,14 +17,15 @@ size n on an array axis of its own; :func:`grid_row` averages it over the
 prior. Every element is computed as it would be alone, so a block of
 sizes scores exactly as its rows one by one. The kernels' temporaries
 grow with the block, so the optimizer caps the settings per call to keep
-peak memory flat.
+peak memory flat. :func:`eu_prior_averaged` is the one point evaluation:
+one concrete design, one :func:`grid_row` element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -99,10 +100,6 @@ def _check_n(n, scenario: Scenario):
     return float(sizes) if sizes.ndim == 0 else sizes
 
 
-def _result(fields) -> EvaluationResult:
-    return EvaluationResult(*(float(f) for f in fields))
-
-
 def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
     """Evaluation fields of the enrichment (subgroup test, subgroup
     approval) or the classical design (pooled test, full approval) for
@@ -139,16 +136,6 @@ def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
     cost = np.full(p_reject.shape, trial_cost(kind, n, scenario.costs, lam))
     return np.stack((reward_S + reward_F - cost, p_s, p_f,
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
-
-
-def eu_enrichment(effects: EffectPair, n: float, scenario: Scenario) -> EvaluationResult:
-    """Expected utility of the enrichment design given true effects."""
-    return _result(_single_test_fields(ENRICHMENT, (effects,), n, scenario)[:, 0, 0])
-
-
-def eu_classical(effects: EffectPair, n: float, scenario: Scenario) -> EvaluationResult:
-    """Expected utility of the classical full-population design."""
-    return _result(_single_test_fields(CLASSICAL, (effects,), n, scenario)[:, 0, 0])
 
 
 def _line_integrals(a, b, lo, hi, alive, moments: bool):
@@ -277,17 +264,6 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
 
-def eu_stratified(effects: EffectPair, n: float, alpha_S: float,
-                  scenario: Scenario) -> EvaluationResult:
-    """Expected utility of the stratified design with subgroup weight alpha_S.
-
-    Computes P(full approval), P(subgroup-only approval) and, for the
-    sponsor, the reward integrals over the regions A_F and A_S, all in
-    closed form.
-    """
-    return _result(_stratified_fields((effects,), n, (alpha_S,), scenario)[:, 0, 0])
-
-
 def _atom_key(kind: str, effects: EffectPair) -> Tuple[float, ...]:
     # The enrichment design never sees the complement, so priors sharing a
     # delta_S marginal must evaluate identically (bit for bit).
@@ -385,22 +361,18 @@ def _utility_bound(kind: str, n, scenario: Scenario):
             - trial_cost(kind, n, scenario.costs, lam))
 
 
-def prior_averaged(kind: str, n: Optional[float], alpha_S: Optional[float],
-                   scenario: Scenario) -> EvaluationResult:
-    """Prior-weighted expected utility and approval probabilities.
+def eu_prior_averaged(design: DesignSpec, scenario: Scenario) -> EvaluationResult:
+    """Prior-weighted expected utility and approval probabilities of a
+    concrete design: the one point evaluation, where one effect atom is a
+    one-atom prior.
 
     Atoms indistinguishable to the design family are merged first, with
     exactly rounded weight sums, so equivalent priors produce identical
     results and degenerate grids collapse to single evaluations.
     """
-    if kind == NO_TRIAL:
-        return _ZERO_RESULT
-    totals = grid_row(kind, n, (alpha_S,), scenario)[:, 0]
-    totals[1:4] = np.clip(totals[1:4], 0.0, 1.0)
-    return _result(totals)
-
-
-def eu_prior_averaged(design: DesignSpec, scenario: Scenario) -> EvaluationResult:
-    """Prior-averaged evaluation of a concrete design specification."""
     design.check_against(scenario)
-    return prior_averaged(design.kind, design.n, design.alpha_S, scenario)
+    if design.kind == NO_TRIAL:
+        return _ZERO_RESULT
+    totals = grid_row(design.kind, design.n, (design.alpha_S,), scenario)[:, 0]
+    totals[1:4] = np.clip(totals[1:4], 0.0, 1.0)
+    return EvaluationResult(*(float(f) for f in totals))

@@ -8,10 +8,13 @@ pytest.register_assert_rewrite("oracles")
 
 from trialopt import (
     CostStructure,
+    DiscretePrior,
+    EvaluationResult,
     RewardStructure,
     Scenario,
     builtin_prior,
 )
+from trialopt.utility import grid_row
 
 # Reward scales of the three reference market cases (MUSD per unit effect).
 CASE1 = dict(Nr=10000.0, biomarker=0.0, screening=0.0)
@@ -29,6 +32,19 @@ def make_scenario(lambda_S=0.5, perspective="sponsor", case=CASE2,
                   prior=builtin_prior(prior_kind, delta))
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def one_atom(scenario, effects):
+    """``scenario`` with its whole prior mass on one effect atom."""
+    return scenario.with_prior(DiscretePrior(((effects, 1.0),)))
+
+
+def atom_result(kind, effects, n, scenario, alpha_S=None):
+    """Evaluation of one design at one effect atom and a size n that may
+    be fractional, which a DesignSpec does not take: grid_row's element on
+    a one-atom prior."""
+    row = grid_row(kind, n, [alpha_S], one_atom(scenario, effects))[:, 0]
+    return EvaluationResult(*(float(f) for f in row))
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from trialopt.numerics import (
     bivariate_normal_cdf,
     std_normal_pdf,
 )
-from trialopt.testing import _geometry, params_for_scenario, region_breakpoints
+from trialopt.testing import _line_geometry, params_for_scenario, region_breakpoints
 from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -262,12 +262,14 @@ def adaptive_stratified(effects, n, alpha_S, scenario):
     params = params_for_scenario(scenario, alpha_S)
     rewards = scenario.rewards
     sponsor = rewards.perspective == SPONSOR
-    geom_pub = _geometry(params, effects, n, scenario.sigma, mu_S=None, mu_F=None)
-    geom_rew = (
-        _geometry(params, effects, n, scenario.sigma,
-                  mu_S=rewards.mu_S, mu_F=rewards.mu_F)
-        if sponsor else geom_pub
-    )
+
+    def geometry(mu_S, mu_F):
+        return _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
+                              params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+                              n, scenario.sigma, mu_S, mu_F)
+
+    geom_pub = geometry(None, None)
+    geom_rew = geometry(rewards.mu_S, rewards.mu_F) if sponsor else geom_pub
     delta_F = pooled_effect(effects, scenario.lambda_S)
     gain_F = delta_F - rewards.mu_F
     gain_S = effects.delta_S - rewards.mu_S

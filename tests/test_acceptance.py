@@ -19,8 +19,8 @@ from trialopt.model import DesignSpec, EffectPair, builtin_prior
 from trialopt.numerics import bivariate_upper_orthant, std_normal_cdf, std_normal_quantile
 from trialopt.optimizer import GridConfig, optimize_family, sweep_contour, sweep_prevalence
 from trialopt.testing import alpha_F_given_alpha_S
-from trialopt.utility import eu_classical, eu_enrichment, eu_stratified
-from conftest import CASE1, CASE2, make_scenario
+from trialopt.utility import eu_prior_averaged
+from conftest import CASE1, CASE2, make_scenario, one_atom
 
 # Ten swept prevalences: all criterion anchor points (0.05, 0.3, 0.5, 0.7)
 # plus dense coverage of [0.2, 0.8]. The grid tops out at 0.75 because the
@@ -117,13 +117,11 @@ def test_criterion_3_oracle_equivalence():
                     scenario = make_scenario(lambda_S=lam, perspective=perspective)
                     if family == "classical":
                         design = DesignSpec.classical(200)
-                        analytic = eu_classical(atom, 200, scenario)
                     elif family == "enrichment":
                         design = DesignSpec.enrichment(200)
-                        analytic = eu_enrichment(atom, 200, scenario)
                     else:
                         design = DesignSpec.stratified(200, 0.0125)
-                        analytic = eu_stratified(atom, 200, 0.0125, scenario)
+                    analytic = eu_prior_averaged(design, one_atom(scenario, atom))
                     seed += 1
                     est = mc_expected_utility(
                         design, atom, scenario,

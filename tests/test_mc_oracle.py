@@ -17,8 +17,8 @@ from trialopt.mc_oracle import (
     mc_rejection_probs,
 )
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
-from trialopt.utility import eu_classical, eu_enrichment
-from conftest import make_scenario
+from trialopt.utility import eu_prior_averaged
+from conftest import make_scenario, one_atom
 from oracles import iid_strata_counts, labelled_estimates
 
 
@@ -100,9 +100,9 @@ class TestExpectedUtility:
 
     def test_oracle_contract_enrichment(self, scenario):
         atom = EffectPair(0.3, 0.0)
-        est = mc_expected_utility(DesignSpec.enrichment(200), atom, scenario,
-                                  SimConfig(replicates=10**6, seed=3))
-        analytic = eu_enrichment(atom, 200, scenario).expected_utility
+        design = DesignSpec.enrichment(200)
+        est = mc_expected_utility(design, atom, scenario, SimConfig(replicates=10**6, seed=3))
+        analytic = eu_prior_averaged(design, one_atom(scenario, atom)).expected_utility
         assert abs(analytic - est.mean) <= 3.0 * est.std_error
 
     def test_prior_draws_atoms_by_weight(self, scenario):
@@ -110,7 +110,7 @@ class TestExpectedUtility:
         config = SimConfig(replicates=200_000, seed=21)
         design = DesignSpec.enrichment(150)
         est = mc_expected_utility(design, scenario.prior, scenario, config)
-        per_atom = [eu_enrichment(e, 150, scenario).expected_utility
+        per_atom = [eu_prior_averaged(design, one_atom(scenario, e)).expected_utility
                     for e, _ in scenario.prior]
         assert min(per_atom) - 1.0 <= est.mean <= max(per_atom) + 1.0
 
@@ -139,10 +139,10 @@ class TestExpectedUtility:
     def test_classical_binomial_mixture_mode(self):
         scenario = make_scenario(lambda_S=0.4)
         atom = EffectPair(0.3, 0.0)
-        est = mc_expected_utility(
-            DesignSpec.classical(200), atom, scenario,
-            SimConfig(10**5, 23, strata_mode=BINOMIAL_RANDOM))
-        analytic = eu_classical(atom, 200, scenario).expected_utility
+        design = DesignSpec.classical(200)
+        est = mc_expected_utility(design, atom, scenario,
+                                  SimConfig(10**5, 23, strata_mode=BINOMIAL_RANDOM))
+        analytic = eu_prior_averaged(design, one_atom(scenario, atom)).expected_utility
         print(f"classical mixture-mode gap: {abs(est.mean - analytic):.3f} "
               f"(se {est.std_error:.3f})")
         assert math.isfinite(est.mean)

@@ -19,7 +19,7 @@ from trialopt.optimizer import (
     sweep_contour,
     sweep_prevalence,
 )
-from trialopt.utility import grid_row, prior_averaged
+from trialopt.utility import eu_prior_averaged, grid_row
 from conftest import CASE1, CASE3, make_scenario
 
 # Coarse grid keeps optimizer tests quick; refinement recovers precision.
@@ -88,7 +88,7 @@ class TestOptimizeFamily:
             DiscretePrior(((EffectPair(0.3, 0.3), 1.0),)))
         best_n, best_eu = None, -math.inf
         for n in range(50, 2001):
-            eu = prior_averaged("classical", n, None, scenario).expected_utility
+            eu = eu_prior_averaged(DesignSpec.classical(n), scenario).expected_utility
             if eu > best_eu:
                 best_n, best_eu = n, eu
         outcome = optimize_family("classical", scenario, FAST)
@@ -288,6 +288,35 @@ class TestStageOnePruning:
                             lambda kind, n, scenario: np.full(np.shape(n), math.inf))
         assert [repr(optimizer.decide(s)) for s in scenarios] == pruned
         assert pruned_rows < sum(scored)
+
+
+class TestBimodalRow:
+    # At lambda_S = 0.95, public, case 1, weak prior, delta = 0.6, the
+    # n = 200 stage-1 row has two alpha_S peaks: 3847.20658 at index 10
+    # and 3847.22259 at index 19. Refinement narrows only around the best
+    # grid point, so nothing near the other peak may beat its optimum.
+    SCENARIO = dict(lambda_S=0.95, perspective="public", case=CASE1,
+                    prior_kind="weak", delta=0.6)
+
+    def test_stage_one_keeps_the_higher_peak(self):
+        scenario = make_scenario(**self.SCENARIO)
+        alphas = [float(a) for a in np.linspace(0.0, scenario.alpha, GridConfig().alpha_points)]
+        row = grid_row("stratified", 200, alphas, scenario)[0]
+        assert row[9] < row[10] > row[11]
+        assert row[18] < row[19] > row[20]
+        assert row[10] < row[19]
+        grid = optimize_family("stratified", scenario, GridConfig(refine=False))
+        assert (grid.best_design.n, grid.best_design.alpha_S) == (200, alphas[19])
+
+    def test_optimum_beats_the_other_peak(self):
+        # A 41-point alpha_S scan over +-one grid step around index 10, at
+        # every n in [180, 220].
+        scenario = make_scenario(**self.SCENARIO)
+        step = scenario.alpha / (GridConfig().alpha_points - 1)
+        scan = [float(a) for a in np.linspace(9 * step, 11 * step, 41)]
+        scan_best = max(grid_row("stratified", n, scan, scenario)[0].max()
+                        for n in range(180, 221))
+        assert optimize_family("stratified", scenario).expected_utility >= scan_best
 
 
 class TestSelectDesign:

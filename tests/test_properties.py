@@ -20,9 +20,8 @@ from scipy.special import ndtr  # noqa: E402
 from trialopt.mc_oracle import SimConfig, mc_expected_utility, mc_rejection_probs  # noqa: E402
 from trialopt.model import CLASSICAL, ENRICHMENT, SPONSOR, STRATIFIED  # noqa: E402
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, pooled_effect  # noqa: E402
-from trialopt.utility import _FIELDS, classical_variance, eu_stratified, grid_row  # noqa: E402
-from trialopt.utility import prior_averaged  # noqa: E402
-from conftest import CASE1, make_scenario  # noqa: E402
+from trialopt.utility import _FIELDS, classical_variance, eu_prior_averaged, grid_row  # noqa: E402
+from conftest import CASE1, atom_result, make_scenario  # noqa: E402
 from oracles import adaptive_stratified, assert_matches_oracle  # noqa: E402
 
 settings.register_profile("trialopt-seeded", derandomize=True, database=None,
@@ -46,7 +45,7 @@ def test_closed_form_matches_oracle(lam, n, alpha_share, tau_S, tau_Sc, delta_Sc
                              tau_S=tau_S, tau_Sc=tau_Sc)
     atom = EffectPair(delta_Sc + predictive, delta_Sc)
     alpha_S = alpha_share * scenario.alpha
-    got = eu_stratified(atom, n, alpha_S, scenario)
+    got = atom_result(STRATIFIED, atom, n, scenario, alpha_S)
     assert all(math.isfinite(getattr(got, f)) for f in got.__dataclass_fields__)
     assert_matches_oracle(got, adaptive_stratified(atom, n, alpha_S, scenario))
 
@@ -126,7 +125,7 @@ def test_analytic_matches_monte_carlo(lam, n, alpha_share, tau_S, tau_Sc, delta_
                              tau_Sc=tau_Sc, prior=DiscretePrior(((atom, 1.0),)))
     alpha_S = alpha_share * scenario.alpha if kind == STRATIFIED else None
     design = DesignSpec(kind, n=n, alpha_S=alpha_S)
-    exact = prior_averaged(kind, n, alpha_S, scenario)
+    exact = eu_prior_averaged(design, scenario)
     config = SimConfig(MC_REPS, 7)
     utility = mc_expected_utility(design, scenario.prior, scenario, config)
     probs = mc_rejection_probs(design, scenario.prior, scenario, config)

@@ -10,7 +10,7 @@ from trialopt.model import EffectPair, pooled_effect
 from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
 from trialopt.testing import (
     StratifiedTestParams,
-    _geometry,
+    _line_geometry,
     _pieces,
     _region_lines,
     alpha_F_given_alpha_S,
@@ -208,7 +208,9 @@ def region_members(geom, z_S, z_Sc, sponsor):
 def in_region(region, z_S, z_Sc, params, effects, n, sigma, mu=None):
     """Membership of the points (z_S, z_Sc) in A_F or A_S. mu adds the
     sponsor's estimate floors: mu_F for A_F, mu_S for A_S."""
-    geom = _geometry(params, effects, n, sigma, mu_S=mu, mu_F=mu)
+    geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
+                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, sigma, mu_S=mu, mu_F=mu)
     in_f, in_s = region_members(geom, z_S, z_Sc, sponsor=mu is not None)
     return in_f if region == "A_F" else in_s
 
@@ -228,7 +230,8 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
             # EffectPair takes delta_S >= delta_Sc only
             effects = EffectPair(*sorted(pair.tolist(), reverse=True))
             mu_S, mu_F = rng.uniform(-0.2, 0.5, 2) if sponsor else (None, None)
-            geom = _geometry(params, effects, n, 1.0, mu_S, mu_F)
+            geom = _line_geometry(lam, 0.025, alpha_S, params.alpha_F, tau_S, tau_Sc,
+                                  effects.delta_S, effects.delta_Sc, n, 1.0, mu_S, mu_F)
             z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, 200)))[:, None]
             z_Sc = rng.normal(0.0, 3.0, (z_S.size, 40))
             psi_S, psi_F = reject_stratified(z_S, z_Sc, params, effects, n, 1.0)
@@ -278,7 +281,9 @@ class TestRegionSlices:
         params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         n, sigma, z_S = 200.0, 1.0, 4.0
-        geom = _geometry(params, effects, n, sigma, None, None)
+        geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
+                              params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+                              n, sigma, None, None)
         alive, a, b = (v[0] for v in _region_lines(geom, z_S, False)[:3])
         assert alive
         lam_sq = math.sqrt(0.5)

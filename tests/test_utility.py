@@ -11,18 +11,15 @@ from trialopt.model import DesignSpec, EffectPair, trial_cost
 from trialopt.numerics import NumericError
 from trialopt.optimizer import optimize_family
 from trialopt.utility import (
+    _FIELDS,
     EvaluationResult,
     classical_variance,
-    eu_classical,
-    eu_enrichment,
     eu_prior_averaged,
-    eu_stratified,
     grid_row,
-    prior_averaged,
 )
 from trialopt.utility import _check_n, _line_integrals, _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
-from conftest import CASE1, CASE3, make_scenario
+from conftest import CASE1, CASE3, atom_result, make_scenario, one_atom
 from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
 
 
@@ -58,43 +55,50 @@ class TestClassicalVariance:
 class TestEnrichment:
     def test_zero_reward_scale(self):
         scenario = with_rewards(make_scenario(), NrS=0.0)
-        r = eu_enrichment(EffectPair(0.3, 0.0), 100, scenario)
+        r = eu_prior_averaged(DesignSpec.enrichment(100),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
         cost = trial_cost("enrichment", 100, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-12)
 
     def test_public_at_threshold_effect(self):
         scenario = make_scenario(perspective="public")
-        r = eu_enrichment(EffectPair(0.1, 0.0), 150, scenario)
+        r = eu_prior_averaged(DesignSpec.enrichment(150),
+                              one_atom(scenario, EffectPair(0.1, 0.0)))
         cost = trial_cost("enrichment", 150, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-12)
 
     def test_sponsor_against_oracle(self):
         scenario = make_scenario(lambda_S=0.5)
-        r = eu_enrichment(EffectPair(0.3, 0.0), 200, scenario)
+        r = eu_prior_averaged(DesignSpec.enrichment(200),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
         est = mc_expected_utility(DesignSpec.enrichment(200), EffectPair(0.3, 0.0),
                                   scenario, SimConfig(replicates=200_000, seed=31))
         assert abs(r.expected_utility - est.mean) <= 4.0 * est.std_error
 
     def test_power_fields(self):
         scenario = make_scenario()
-        r = eu_enrichment(EffectPair(0.3, 0.0), 200, scenario)
+        r = eu_prior_averaged(DesignSpec.enrichment(200),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
         assert r.prob_reject_F == 0.0
         assert r.power_any == r.prob_reject_S_only > 0.5
 
     def test_n_floor_enforced(self, scenario):
         with pytest.raises(ValueError):
-            eu_enrichment(EffectPair(0.3, 0.0), 20, scenario)
+            eu_prior_averaged(DesignSpec.enrichment(20),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
 
 
 class TestClassical:
     def test_zero_reward_scale(self):
         scenario = with_rewards(make_scenario(), NrF=0.0)
-        r = eu_classical(EffectPair(0.3, 0.0), 100, scenario)
+        r = eu_prior_averaged(DesignSpec.classical(100),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
         assert r.expected_utility == pytest.approx(-11.0, abs=1e-12)
 
     def test_public_null_exact(self):
         scenario = make_scenario(perspective="public")
-        r = eu_classical(EffectPair(0.0, 0.0), 100, scenario)
+        r = eu_prior_averaged(DesignSpec.classical(100),
+                              one_atom(scenario, EffectPair(0.0, 0.0)))
         want = scenario.rewards.NrF * (0.0 - 0.1) * 0.025 - 11.0
         assert r.expected_utility == pytest.approx(want, abs=1e-9)
         assert r.expected_utility < -11.0 + 1e-12
@@ -102,17 +106,19 @@ class TestClassical:
     def test_sponsor_against_oracle(self):
         scenario = make_scenario(lambda_S=0.5, case=CASE1)
         atom = EffectPair(0.3, 0.15)
-        r = eu_classical(atom, 300, scenario)
+        r = eu_prior_averaged(DesignSpec.classical(300), one_atom(scenario, atom))
         est = mc_expected_utility(DesignSpec.classical(300), atom, scenario,
                                   SimConfig(replicates=200_000, seed=32))
         assert abs(r.expected_utility - est.mean) <= 4.0 * est.std_error
 
     def test_power_increasing_in_effect_and_n(self):
         scenario = make_scenario()
-        powers_d = [eu_classical(EffectPair(d, d), 200, scenario).power_any
+        powers_d = [eu_prior_averaged(DesignSpec.classical(200),
+                                      one_atom(scenario, EffectPair(d, d))).power_any
                     for d in (0.0, 0.1, 0.2, 0.3)]
         assert all(b > a for a, b in zip(powers_d, powers_d[1:]))
-        powers_n = [eu_classical(EffectPair(0.2, 0.2), n, scenario).power_any
+        powers_n = [eu_prior_averaged(DesignSpec.classical(n),
+                                      one_atom(scenario, EffectPair(0.2, 0.2))).power_any
                     for n in (50, 100, 200, 400)]
         assert all(b > a for a, b in zip(powers_n, powers_n[1:]))
 
@@ -120,7 +126,8 @@ class TestClassical:
 class TestStratified:
     def test_pure_cost_when_rewards_vanish(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
-        r = eu_stratified(EffectPair(0.3, 0.0), 120, 0.0125, scenario)
+        r = eu_prior_averaged(DesignSpec.stratified(120, 0.0125),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
         cost = trial_cost("stratified", 120, scenario.costs, 0.5)
         assert r.expected_utility == pytest.approx(-cost, abs=1e-9)
 
@@ -132,9 +139,11 @@ class TestStratified:
         lam, n = 0.4, 400
         scenario = make_scenario(lambda_S=lam, tau_S=1.0, tau_Sc=0.0)
         scenario = with_rewards(scenario, mu_S=0.0, mu_F=0.0, NrF=700.0)
-        r_strat = eu_stratified(EffectPair(0.3, 0.1), n, scenario.alpha, scenario)
+        atom = EffectPair(0.3, 0.1)
+        r_strat = eu_prior_averaged(DesignSpec.stratified(n, scenario.alpha),
+                                    one_atom(scenario, atom))
         enrich_scenario = replace(scenario, n_min=1)
-        r_enr = eu_enrichment(EffectPair(0.3, 0.1), lam * n, enrich_scenario)
+        r_enr = atom_result("enrichment", atom, lam * n, enrich_scenario)
         assert r_strat.prob_reject_F == 0.0
         assert r_strat.expected_reward_S == pytest.approx(
             r_enr.expected_reward_S, abs=1e-6)
@@ -142,7 +151,7 @@ class TestStratified:
     def test_sponsor_against_oracle(self):
         scenario = make_scenario(lambda_S=0.5, case=CASE1)
         atom = EffectPair(0.3, 0.3)
-        r = eu_stratified(atom, 300, 0.0125, scenario)
+        r = eu_prior_averaged(DesignSpec.stratified(300, 0.0125), one_atom(scenario, atom))
         est = mc_expected_utility(DesignSpec.stratified(300, 0.0125), atom,
                                   scenario, SimConfig(replicates=200_000, seed=33))
         assert abs(r.expected_utility - est.mean) <= 4.0 * est.std_error
@@ -150,7 +159,7 @@ class TestStratified:
     def test_public_decomposition_exact(self):
         scenario = make_scenario(perspective="public", lambda_S=0.35)
         atom = EffectPair(0.3, 0.1)
-        r = eu_stratified(atom, 260, 0.01, scenario)
+        r = eu_prior_averaged(DesignSpec.stratified(260, 0.01), one_atom(scenario, atom))
         delta_F = 0.35 * 0.3 + 0.65 * 0.1
         want = (scenario.rewards.NrF * (delta_F - 0.1) * r.prob_reject_F
                 + 0.35 * scenario.rewards.NrS * (0.3 - 0.1) * r.prob_reject_S_only
@@ -163,13 +172,15 @@ class TestStratified:
                 strict = make_scenario(lambda_S=lam)
                 relaxed = replace(strict, tau_S=1.0, tau_Sc=1.0)
                 atom = EffectPair(0.3, 0.1)
-                p_strict = eu_stratified(atom, n, 0.0125, strict).prob_reject_F
-                p_relaxed = eu_stratified(atom, n, 0.0125, relaxed).prob_reject_F
+                design = DesignSpec.stratified(n, 0.0125)
+                p_strict = eu_prior_averaged(design, one_atom(strict, atom)).prob_reject_F
+                p_relaxed = eu_prior_averaged(design, one_atom(relaxed, atom)).prob_reject_F
                 assert p_relaxed >= p_strict - 1e-12
 
     def test_alpha_S_domain(self, scenario):
         with pytest.raises(ValueError):
-            eu_stratified(EffectPair(0.3, 0.0), 100, 0.03, scenario)
+            eu_prior_averaged(DesignSpec.stratified(100, 0.03),
+                              one_atom(scenario, EffectPair(0.3, 0.0)))
 
 
 class TestStratifiedClosedForm:
@@ -187,13 +198,15 @@ class TestStratifiedClosedForm:
                                      case=CASE1, tau_S=tau, tau_Sc=tau)
             alphas = (0.0, 1e-9, scenario.alpha / 2, scenario.alpha)
             for n, alpha_S, atom in itertools.product((50, 1e3, 1e6), alphas, effects):
-                assert_matches_oracle(eu_stratified(atom, n, alpha_S, scenario),
-                                      adaptive_stratified(atom, n, alpha_S, scenario))
+                got = eu_prior_averaged(DesignSpec.stratified(n, alpha_S),
+                                        one_atom(scenario, atom))
+                assert_matches_oracle(got, adaptive_stratified(atom, n, alpha_S, scenario))
 
     def test_oracle_helper_rejects_a_mismatch(self):
         # under python -O this holds only because conftest registers the
         # oracles module for assert rewriting
-        exact = eu_stratified(EffectPair(0.3, 0.1), 200, 0.01, make_scenario())
+        exact = eu_prior_averaged(DesignSpec.stratified(200, 0.01),
+                                  one_atom(make_scenario(), EffectPair(0.3, 0.1)))
         with pytest.raises(AssertionError, match="power_any"):
             assert_matches_oracle(replace(exact, power_any=exact.power_any + 1e-6), exact)
 
@@ -203,8 +216,7 @@ class TestStratifiedClosedForm:
         alphas = [float(a) for a in np.linspace(0.0, scenario.alpha, 21)]
         for n in (50, 230.5, 3000):
             row = grid_row("stratified", n, alphas, scenario)[0]
-            want = [prior_averaged("stratified", n, a, scenario).expected_utility
-                    for a in alphas]
+            want = [grid_row("stratified", n, [a], scenario)[0, 0] for a in alphas]
             assert np.max(np.abs(row - want)) <= 1e-12
 
 
@@ -369,11 +381,10 @@ class TestSingleTestArrayKernel:
                 (EffectPair(0.45, -0.1, prognostic_offset=0.05), 0.4))))
         else:
             scenario = scenario.with_prior(builtin_prior(prior, 0.3))
-        evaluate = eu_classical if kind == "classical" else eu_enrichment
         ns = [*np.linspace(scenario.n_min, 3000, 40), 61.5, 3000]
         for n in ns:
             for effects, _ in scenario.prior:
-                assert evaluate(effects, n, scenario) == \
+                assert atom_result(kind, effects, n, scenario) == \
                     scalar_single_test(kind, effects, n, scenario)
             # Prior average: merged atoms summed in prior order, as before.
             want = 0.0
@@ -389,20 +400,21 @@ class TestSponsorMonotonicity:
         atom = EffectPair(0.3, 0.1)
         for factor in (1.5, 3.0):
             richer = with_rewards(base, NrS=base.rewards.NrS * factor)
-            assert eu_stratified(atom, 200, 0.0125, richer).expected_utility >= \
-                eu_stratified(atom, 200, 0.0125, base).expected_utility - 1e-9
             richer_f = with_rewards(base, NrF=base.rewards.NrF * factor)
-            assert eu_classical(atom, 200, richer_f).expected_utility >= \
-                eu_classical(atom, 200, base).expected_utility - 1e-9
+            for design, rich in ((DesignSpec.stratified(200, 0.0125), richer),
+                                 (DesignSpec.classical(200), richer_f)):
+                assert eu_prior_averaged(design, one_atom(rich, atom)).expected_utility >= \
+                    eu_prior_averaged(design, one_atom(base, atom)).expected_utility - 1e-9
 
 
 class TestPriorAveraged:
     def test_degenerate_prior_equals_atom(self):
+        # A one-atom prior is the kernel's per-atom element, every field.
         atom = EffectPair(0.3, 0.1)
-        scenario = make_scenario().with_prior(DiscretePrior(((atom, 1.0),)))
+        scenario = one_atom(make_scenario(), atom)
         averaged = eu_prior_averaged(DesignSpec.stratified(200, 0.0125), scenario)
-        direct = eu_stratified(atom, 200, 0.0125, scenario)
-        assert averaged.expected_utility == direct.expected_utility
+        direct = utility._stratified_fields((atom,), 200, (0.0125,), scenario)[:, 0, 0]
+        assert [getattr(averaged, f) for f in _FIELDS] == direct.tolist()
 
     def test_no_trial_is_zero(self, scenario):
         r = eu_prior_averaged(DesignSpec.no_trial(), scenario)
@@ -420,24 +432,26 @@ class TestPriorAveraged:
 
     def test_weighted_mixture(self):
         scenario = make_scenario()
-        r = eu_prior_averaged(DesignSpec.classical(150), scenario)
+        design = DesignSpec.classical(150)
+        r = eu_prior_averaged(design, scenario)
         want = math.fsum(
-            w * eu_classical(e, 150, scenario).expected_utility
+            w * eu_prior_averaged(design, one_atom(scenario, e)).expected_utility
             for e, w in scenario.prior
         )
         assert r.expected_utility == pytest.approx(want, abs=1e-9)
 
     def test_power_is_prior_average(self):
         scenario = make_scenario()
-        r = eu_prior_averaged(DesignSpec.enrichment(150), scenario)
-        want = sum(w * eu_enrichment(e, 150, scenario).power_any
+        design = DesignSpec.enrichment(150)
+        r = eu_prior_averaged(design, scenario)
+        want = sum(w * eu_prior_averaged(design, one_atom(scenario, e)).power_any
                    for e, w in scenario.prior)
         assert r.power_any == pytest.approx(want, abs=1e-12)
 
     def test_unknown_kind_rejected(self, scenario):
         with pytest.raises(ValueError):
-            prior_averaged("bayesian", 100, None, scenario)
+            grid_row("bayesian", 100, [None], scenario)
 
     def test_fractional_n_supported(self, scenario):
-        r = prior_averaged("stratified", 123.4, 0.01, scenario)
-        assert math.isfinite(r.expected_utility)
+        r = grid_row("stratified", 123.4, [0.01], scenario)
+        assert np.isfinite(r).all()
