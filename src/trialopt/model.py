@@ -8,7 +8,7 @@ All types are immutable value objects; monetary amounts are MUSD throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional, Tuple
 
 # Design family tags. The stratified design additionally carries the
@@ -291,23 +291,22 @@ class Scenario:
 # Flat key-value configuration document (the CLI contract).
 # ---------------------------------------------------------------------------
 
-SCENARIO_KEYS = (
-    "lambda_S", "sigma", "alpha", "tau_S", "tau_Sc", "n_min",
-    "cost.setup", "cost.per_patient", "cost.biomarker", "cost.screening",
-    "reward.perspective", "reward.NrS", "reward.NrF", "reward.mu_S", "reward.mu_F",
-    "prior.kind", "prior.delta", "prior.atoms",
-)
+# prior.delta when prior.kind names a built-in prior without one.
+DEFAULT_PRIOR_DELTA = 0.3
 
-_DEFAULTS = {
-    "sigma": "1.0",
-    "alpha": "0.025",
-    "tau_S": "0.3",
-    "tau_Sc": "0.3",
-    "n_min": "50",
-    "cost.biomarker": "0",
-    "cost.screening": "0",
-    "prior.delta": "0.3",
-}
+# The Scenario fields spelled key by key under a prefix; the prior is spelled
+# by its own keys.
+_SECTIONS = {"costs": ("cost.", CostStructure), "rewards": ("reward.", RewardStructure)}
+_PRIOR_KEYS = ("prior.kind", "prior.delta", "prior.atoms")
+
+# (section, key, field) of every other scenario key, in document order:
+# Scenario's own fields (section None), then each section's. A key is
+# required exactly when its field has no default.
+_FLAT_FIELDS = tuple(
+    [(None, f.name, f) for f in fields(Scenario) if f.name not in (*_SECTIONS, "prior")]
+    + [(name, prefix + f.name, f)
+       for name, (prefix, cls) in _SECTIONS.items() for f in fields(cls)]
+)
 
 
 class ConfigError(ValueError):
@@ -345,13 +344,13 @@ def _parse_atoms(raw: str) -> DiscretePrior:
         part = part.strip()
         if not part:
             continue
-        fields = [p.strip() for p in part.split(",")]
-        if len(fields) not in (3, 4):
+        values = [p.strip() for p in part.split(",")]
+        if len(values) not in (3, 4):
             raise ConfigError(
                 "prior.atoms entries must be 'delta_S,delta_Sc,weight[,offset]'"
             )
         try:
-            nums = [float(p) for p in fields]
+            nums = [float(p) for p in values]
         except ValueError:
             raise ConfigError(f"prior.atoms: not a number in {part!r}") from None
         offset = nums[3] if len(nums) == 4 else 0.0
@@ -365,52 +364,35 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
     """Build a Scenario from flat config keys, consuming them from mapping.
 
     Unknown keys are left behind for the caller to reject; missing required
-    keys raise ConfigError. Commonly fixed keys carry defaults (sigma,
-    alpha, tau levels, n_min, biomarker/screening costs, prior.delta).
+    keys raise ConfigError. A missing optional key takes its field's
+    default, and a missing prior.delta takes DEFAULT_PRIOR_DELTA.
     """
-    work = dict(_DEFAULTS)
-    for key in SCENARIO_KEYS:
-        if key in mapping:
-            work[key] = mapping.pop(key)
-    required = ("lambda_S", "cost.setup", "cost.per_patient",
-                "reward.perspective", "reward.NrS", "reward.NrF",
-                "reward.mu_S", "reward.mu_F")
-    missing = [k for k in required if k not in work]
+    keys = [key for _, key, _ in _FLAT_FIELDS] + list(_PRIOR_KEYS)
+    work = {key: mapping.pop(key) for key in keys if key in mapping}
+    missing = [key for _, key, f in _FLAT_FIELDS if key not in work and f.default is MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     if "prior.atoms" in work and "prior.kind" in work:
         raise ConfigError("give either prior.kind or prior.atoms, not both")
+    if "prior.delta" in work and "prior.kind" not in work:
+        raise ConfigError("give prior.delta only with prior.kind")
     try:
         if "prior.atoms" in work:
             prior = _parse_atoms(work["prior.atoms"])
         elif "prior.kind" in work:
-            prior = builtin_prior(work["prior.kind"], float(work["prior.delta"]))
+            delta = (_get_float(work, "prior.delta") if "prior.delta" in work
+                     else DEFAULT_PRIOR_DELTA)
+            prior = builtin_prior(work["prior.kind"], delta)
         else:
             raise ConfigError("missing required config keys: prior.kind or prior.atoms")
-        costs = CostStructure(
-            setup=_get_float(work, "cost.setup"),
-            per_patient=_get_float(work, "cost.per_patient"),
-            biomarker=_get_float(work, "cost.biomarker"),
-            screening=_get_float(work, "cost.screening"),
-        )
-        rewards = RewardStructure(
-            perspective=work["reward.perspective"],
-            NrS=_get_float(work, "reward.NrS"),
-            NrF=_get_float(work, "reward.NrF"),
-            mu_S=_get_float(work, "reward.mu_S"),
-            mu_F=_get_float(work, "reward.mu_F"),
-        )
-        return Scenario(
-            lambda_S=_get_float(work, "lambda_S"),
-            sigma=_get_float(work, "sigma"),
-            alpha=_get_float(work, "alpha"),
-            tau_S=_get_float(work, "tau_S"),
-            tau_Sc=_get_float(work, "tau_Sc"),
-            n_min=_get_float(work, "n_min"),
-            costs=costs,
-            rewards=rewards,
-            prior=prior,
-        )
+        # a str field (annotations are strings here) is taken as written,
+        # every other one as a number
+        args = {section: {} for section in (None, *_SECTIONS)}
+        for section, key, f in _FLAT_FIELDS:
+            if key in work:
+                args[section][f.name] = work[key] if f.type == "str" else _get_float(work, key)
+        nested = {name: cls(**args[name]) for name, (_, cls) in _SECTIONS.items()}
+        return Scenario(**args[None], **nested, prior=prior)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -419,25 +401,12 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
 
 def scenario_to_mapping(scenario: Scenario) -> dict:
     """Flat key snapshot of a scenario (always spells the prior as atoms)."""
-    atoms = "; ".join(
+    snapshot = {
+        key: getattr(scenario if section is None else getattr(scenario, section), f.name)
+        for section, key, f in _FLAT_FIELDS
+    }
+    snapshot["prior.atoms"] = "; ".join(
         f"{e.delta_S!r},{e.delta_Sc!r},{w!r},{e.prognostic_offset!r}"
         for e, w in scenario.prior
     )
-    return {
-        "lambda_S": scenario.lambda_S,
-        "sigma": scenario.sigma,
-        "alpha": scenario.alpha,
-        "tau_S": scenario.tau_S,
-        "tau_Sc": scenario.tau_Sc,
-        "n_min": scenario.n_min,
-        "cost.setup": scenario.costs.setup,
-        "cost.per_patient": scenario.costs.per_patient,
-        "cost.biomarker": scenario.costs.biomarker,
-        "cost.screening": scenario.costs.screening,
-        "reward.perspective": scenario.rewards.perspective,
-        "reward.NrS": scenario.rewards.NrS,
-        "reward.NrF": scenario.rewards.NrF,
-        "reward.mu_S": scenario.rewards.mu_S,
-        "reward.mu_F": scenario.rewards.mu_F,
-        "prior.atoms": atoms,
-    }
+    return snapshot

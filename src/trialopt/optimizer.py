@@ -58,7 +58,6 @@ from .model import (
 from .testing import alpha_F_given_alpha_S
 from .utility import (
     EvaluationResult,
-    _ZERO_RESULT,
     _merged_atoms,
     _utility_bound,
     eu_prior_averaged,
@@ -137,7 +136,10 @@ class GridConfig:
             raw = mapping.pop("grid.n_points")
             try:
                 if "," in raw:
-                    grid = tuple(int(float(p)) for p in raw.split(",") if p.strip())
+                    sizes = [float(p) for p in raw.split(",") if p.strip()]
+                    if any(size != int(size) for size in sizes):
+                        raise ValueError
+                    grid = tuple(int(size) for size in sizes)
                 else:
                     count = int(raw)
                     if count > MAX_N_POINTS:
@@ -147,7 +149,7 @@ class GridConfig:
                     }))
                 kwargs["n_grid"] = grid
             except (ValueError, OverflowError):
-                raise ConfigError(f"grid.n_points: bad value {raw!r} (a list of sizes, "
+                raise ConfigError(f"grid.n_points: bad value {raw!r} (a list of integer sizes, "
                                   f"or a count of at most {MAX_N_POINTS})") from None
         if "grid.alpha_points" in mapping:
             raw = mapping.pop("grid.alpha_points")
@@ -183,10 +185,6 @@ class OptimizationOutcome:
     @property
     def expected_utility(self) -> float:
         return self.result.expected_utility
-
-
-def no_trial_outcome() -> OptimizationOutcome:
-    return OptimizationOutcome(DesignSpec.no_trial(), _ZERO_RESULT)
 
 
 def _outcome(design: DesignSpec, scenario: Scenario) -> OptimizationOutcome:
@@ -344,7 +342,7 @@ def decide(scenario: Scenario,
     """The design decision: the optimal outcome of every family, keyed by
     kind in the order no trial (utility 0), then TRIAL_KINDS, and the kind
     selected among them."""
-    outcomes = {NO_TRIAL: no_trial_outcome()}
+    outcomes = {NO_TRIAL: _outcome(DesignSpec.no_trial(), scenario)}
     for family in TRIAL_KINDS:
         outcomes[family] = optimize_family(family, scenario, grid_config)
     return outcomes, _select(outcomes)

@@ -23,6 +23,7 @@ one concrete design, one :func:`grid_row` element.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -45,11 +46,6 @@ from .model import (
 from .numerics import NumericError, _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
 from .testing import _line_geometry, _pieces, _region_lines, alpha_F_given_alpha_S
 
-# Field order of EvaluationResult, the leading axis of batched evaluations.
-_FIELDS = ("expected_utility", "prob_reject_S_only", "prob_reject_F", "power_any",
-           "expected_reward_S", "expected_reward_F", "cost")
-
-
 @dataclass(frozen=True)
 class EvaluationResult:
     """Expected utility of one design under one true-effect configuration,
@@ -71,6 +67,9 @@ class EvaluationResult:
         if self.prob_reject_S_only + self.prob_reject_F > 1.0 + 1e-9:
             raise NumericError("disjoint approval probabilities exceed 1")
 
+
+# Field order of EvaluationResult, the leading axis of batched evaluations.
+_FIELDS = tuple(f.name for f in dataclasses.fields(EvaluationResult))
 
 _ZERO_RESULT = EvaluationResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -10,7 +10,7 @@ import pytest
 from trialopt import optimizer
 from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
 from trialopt.mc_oracle import MAX_BINOMIAL_N
-from trialopt.model import NO_TRIAL, ConfigError
+from trialopt.model import _FLAT_FIELDS, NO_TRIAL, ConfigError, DesignSpec, parse_config_text
 from trialopt.numerics import NumericError
 from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_JOBS, MAX_N_POINTS, GridConfig
 from conftest import make_scenario
@@ -268,11 +268,12 @@ class TestErrorHandling:
         assert main(["optimize", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_domain_error_names_key(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("override", ["lambda_S=1.5", "prior.delta=abc"])
+    def test_domain_error_names_key(self, config_path, tmp_path, capsys, override):
         code = main(["optimize", "--config", config_path,
-                     "--set", "lambda_S=1.5", "--out", str(tmp_path)])
+                     "--set", override, "--out", str(tmp_path)])
         assert code == 2
-        assert "lambda_S" in capsys.readouterr().err
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_set_override_wins(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -379,6 +380,69 @@ def test_size_list_order_and_repeats_never_show(config_path, tmp_path):
     assert csvs[1:] == csvs[:1] * 3
 
 
+@pytest.mark.parametrize("sizes, code", [("100.9,200.2", 2), ("100,200.5", 2),
+                                         ("1e2,1e3", 0)])
+def test_size_list_entries_are_integers(config_path, tmp_path, sizes, code):
+    # a fractional size is a configuration error, never truncated; an
+    # integer in float notation is that integer
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", config_path, "--out", str(out),
+                 "--set", f"grid.n_points={sizes}"]) == code
+    if code == 0:
+        manifest = RunManifest.from_json((out / "optimize_manifest.json").read_text())
+        assert tuple(manifest.grid["n_grid"]) == (100, 1000)
+
+
+@pytest.mark.parametrize("prior", ["prior.atoms = 0.3,0.0,1.0", ""])
+def test_prior_delta_without_prior_kind_is_config_error(tmp_path, capsys, prior):
+    # prior.delta shapes only a built-in prior: beside prior.atoms it
+    # would be dropped without a word
+    path = tmp_path / "atoms.cfg"
+    path.write_text(CONFIG_CASE1.replace("prior.kind = weak", prior)
+                    .replace("prior.delta = 0.3", "prior.delta = 7"))
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "prior.delta" in capsys.readouterr().err
+
+
+# Every scenario key off its default, and an atom with a prognostic offset.
+CONFIG_OFF_DEFAULTS = """\
+lambda_S = 0.4
+sigma = 1.2
+alpha = 0.05
+tau_S = 0.25
+tau_Sc = 0.35
+n_min = 60
+cost.setup = 2.0
+cost.per_patient = 0.04
+cost.biomarker = 0.5
+cost.screening = 0.002
+reward.perspective = public
+reward.NrS = 900
+reward.NrF = 1100
+reward.mu_S = 0.05
+reward.mu_F = 0.08
+prior.atoms = 0.3,0.0,0.5,0.1; 0.3,0.15,0.3; 0.0,0.0,0.2
+"""
+
+
+def test_manifest_scenario_reruns_to_identical_bytes(tmp_path):
+    # The manifest's scenario block, written back out as a config
+    # document, reproduces the run that wrote it.
+    grid = "grid.n_points = 60,250,1000\ngrid.alpha_points = 5\n"
+    first = tmp_path / "first.cfg"
+    first.write_text(CONFIG_OFF_DEFAULTS + grid)
+    assert main(["optimize", "--config", str(first), "--out", str(tmp_path / "first")]) == 0
+    text = (tmp_path / "first" / "optimize_manifest.json").read_text()
+    scenario = RunManifest.from_json(text).scenario
+    assert scenario.keys() == parse_config_text(CONFIG_OFF_DEFAULTS).keys()
+    assert all(scenario[key] != f.default for _, key, f in _FLAT_FIELDS)
+    second = tmp_path / "second.cfg"
+    second.write_text("".join(f"{key} = {value}\n" for key, value in scenario.items()) + grid)
+    assert main(["optimize", "--config", str(second), "--out", str(tmp_path / "second")]) == 0
+    assert ((tmp_path / "second" / "optimize.csv").read_bytes()
+            == (tmp_path / "first" / "optimize.csv").read_bytes())
+
+
 def test_import_leaves_scipy_optimize_out():
     # scipy.optimize costs about 0.35 s and 23 MB of every cold start
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -420,7 +484,7 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
     assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                  "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)]) == 2
     monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: (
-        {NO_TRIAL: optimizer.no_trial_outcome()}, NO_TRIAL))
+        {NO_TRIAL: optimizer._outcome(DesignSpec.no_trial(), scenario)}, NO_TRIAL))
     matrix = optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 100),
                                      np.linspace(0.0, 1.0, 100), "weak")
     assert sum(map(len, matrix)) == MAX_GRID_COUNT

@@ -1,9 +1,16 @@
+import inspect
 import math
+import re
+from dataclasses import MISSING
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trialopt.model import (
+    _FLAT_FIELDS,
+    _PRIOR_KEYS,
+    DEFAULT_PRIOR_DELTA,
     ConfigError,
     CostStructure,
     DesignSpec,
@@ -18,6 +25,9 @@ from trialopt.model import (
     scenario_to_mapping,
     trial_cost,
 )
+from trialopt.optimizer import GridConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CASE3_COSTS = CostStructure(setup=1.0, per_patient=0.05, biomarker=10.0,
                             screening=0.005)
@@ -226,3 +236,33 @@ class TestConfigDocument:
         )
         with pytest.raises(ConfigError, match="lambda_S"):
             scenario_from_mapping(mapping)
+
+    def test_readme_documents_every_key_and_default(self):
+        documented = _documented_keys()
+        grid_keys = re.findall(r'"((?:grid|refine)\.\w+)"',
+                               inspect.getsource(GridConfig.consume_mapping))
+        flat = {key: f for _, key, f in _FLAT_FIELDS}
+        assert set(documented) == {*flat, *_PRIOR_KEYS, *grid_keys}
+        assert ({key for key, note in documented.items() if note == "required"}
+                == {key for key, f in flat.items() if f.default is MISSING})
+        for key, note in documented.items():
+            if not note.startswith("default "):
+                continue
+            value = note.removeprefix("default ")
+            if key in flat:
+                assert float(value) == flat[key].default, key
+            elif key == "prior.delta":
+                assert float(value) == DEFAULT_PRIOR_DELTA
+            else:
+                assert GridConfig.consume_mapping({key: value}) == GridConfig(), key
+
+
+def _documented_keys() -> dict:
+    """{key: note} from the README's configuration-keys block, where the
+    note is the line's closing parenthetical, such as 'default 0.3'."""
+    block = README.read_text().split("### Configuration keys", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        names, note = re.fullmatch(r"([^\s,]+(?:, [^\s,]+)*)\s.*\((.*)\)", line).groups()
+        documented.update(dict.fromkeys(names.split(", "), note))
+    return documented

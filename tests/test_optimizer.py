@@ -12,8 +12,8 @@ from trialopt.optimizer import (
     ContourCell,
     GridConfig,
     SweepRow,
+    _outcome,
     default_n_grid,
-    no_trial_outcome,
     optimize_family,
     select_design,
     sweep_contour,
@@ -435,7 +435,7 @@ class TestCellPool:
 
 class TestNoTrialOutcome:
     def test_shape(self):
-        outcome = no_trial_outcome()
+        outcome = _outcome(DesignSpec.no_trial(), make_scenario())
         assert outcome.best_design == DesignSpec.no_trial()
         assert outcome.result.expected_utility == 0.0
         assert outcome.derived_alpha_F is None
