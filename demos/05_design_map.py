@@ -2,10 +2,11 @@
 Design selection map over prevalence and effect size
 ====================================================
 
-Rebuilding the prior at each effect-size parameter and optimizing at each
-prevalence yields a map of optimal designs. From the public-health view a
-grey (no-trial) band appears at small effects; from the sponsor view some
-trial is always worth running, with the minimal sample size at the null.
+Rebuilding the prior of the template's kind at each effect-size parameter
+and optimizing at each prevalence yields a map of optimal designs. From the
+public-health view a grey (no-trial) band appears at small effects; from
+the sponsor view some trial is always worth running, with the minimal
+sample size at the null.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ for perspective in ("sponsor", "public"):
                               mu_S=0.1, mu_F=0.1)
     scenario = Scenario(lambda_S=0.5, costs=costs, rewards=rewards,
                         prior=builtin_prior("weak", 0.3))
-    matrix = sweep_contour(scenario, lambdas, deltas, "weak", quick)
+    matrix = sweep_contour(scenario, lambdas, deltas, quick)
     print(f"\n{perspective} view, weak prior, small market "
           "(C classical, S stratified, E enrichment, . no trial)")
     print("delta\\lambda " + " ".join(f"{lam:4.2f}" for lam in lambdas))

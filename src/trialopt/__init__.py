@@ -31,12 +31,7 @@ from .numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from .testing import (
-    StratifiedTestParams,
-    alpha_F_given_alpha_S,
-    params_for_scenario,
-    reject_stratified,
-)
+from .testing import alpha_F_given_alpha_S, reject_stratified
 from .utility import (
     EvaluationResult,
     classical_variance,

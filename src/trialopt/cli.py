@@ -30,6 +30,7 @@ from .model import (
     EffectPair,
     Scenario,
     parse_config_text,
+    parse_integral,
     scenario_from_mapping,
     scenario_to_mapping,
 )
@@ -108,7 +109,7 @@ def _parse_grid_spec(raw: str) -> list:
     try:
         if ":" in raw:
             lo, hi, count = raw.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
+            lo, hi, count = float(lo), float(hi), parse_integral(count)
             if not 1 <= count <= MAX_GRID_COUNT:
                 raise ValueError
             if count == 1:
@@ -154,12 +155,11 @@ def _load_run_inputs(args) -> tuple:
             raise ConfigError(f"--set needs key=value, got {override!r}")
         key, value = override.split("=", 1)
         mapping[key.strip()] = value.strip()
-    prior_kind = mapping.get("prior.kind")
     scenario = scenario_from_mapping(mapping)
     grid = GridConfig.consume_mapping(mapping, n_min=scenario.n_min)
     if mapping:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(mapping))}")
-    return scenario, grid, prior_kind
+    return scenario, grid
 
 
 def _design_from_args(args, scenario: Scenario) -> DesignSpec:
@@ -201,7 +201,7 @@ def _outcome_cells(outcome: OptimizationOutcome) -> list:
             outcome.result.expected_utility, outcome.result.power_any]
 
 
-def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
+def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig) -> dict:
     outcome = _outcome(_design_from_args(args, scenario), scenario)
     design = outcome.best_design
     header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
@@ -210,7 +210,7 @@ def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dic
     return {"evaluate": (header, rows)}
 
 
-def _cmd_optimize(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
+def _cmd_optimize(args, scenario: Scenario, grid: GridConfig) -> dict:
     outcomes, selected = decide(scenario, grid)
     header = ["family", "selected", "n", "alpha_S", "alpha_F", *_FIELDS]
     rows = []
@@ -224,7 +224,7 @@ def _cmd_optimize(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dic
 _SWEEP_METRICS = ("n", "alpha_S", "alpha_F", "eu", "power")
 
 
-def _cmd_sweep(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
+def _cmd_sweep(args, scenario: Scenario, grid: GridConfig) -> dict:
     lambdas = _parse_grid_spec(args.lambda_grid)
     rows_data = sweep_prevalence(scenario, lambdas, grid, jobs=args.jobs)
     header = ["lambda_S"]
@@ -245,14 +245,10 @@ def _cmd_sweep(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
     return tables
 
 
-def _cmd_contour(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
-    if prior_kind is None:
-        raise ConfigError("contour requires prior.kind (the prior is rebuilt "
-                          "for every effect size)")
+def _cmd_contour(args, scenario: Scenario, grid: GridConfig) -> dict:
     lambdas = _parse_grid_spec(args.lambda_grid)
     deltas = _parse_grid_spec(args.delta_grid)
-    matrix = sweep_contour(scenario, lambdas, deltas, prior_kind, grid,
-                           jobs=args.jobs)
+    matrix = sweep_contour(scenario, lambdas, deltas, grid, jobs=args.jobs)
     header = ["delta"] + [_fmt(c.lambda_S) for c in matrix[0]]
     rows = [[row[0].delta, *[cell.selected for cell in row]] for row in matrix]
     long_rows = [[c.lambda_S, c.delta, c.selected, c.n_opt, c.expected_utility]
@@ -264,7 +260,7 @@ def _cmd_contour(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict
     return tables
 
 
-def _cmd_simulate(args, scenario: Scenario, grid: GridConfig, prior_kind) -> dict:
+def _cmd_simulate(args, scenario: Scenario, grid: GridConfig) -> dict:
     design = _design_from_args(args, scenario)
     try:
         config = SimConfig(replicates=args.replicates, seed=args.seed,
@@ -306,8 +302,8 @@ def _run(args) -> None:
     command's tables, then write them with the run manifest."""
     t0 = time.monotonic()
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    scenario, grid, prior_kind = _load_run_inputs(args)
-    tables = args.func(args, scenario, grid, prior_kind)
+    scenario, grid = _load_run_inputs(args)
+    tables = args.func(args, scenario, grid)
     manifest = RunManifest(
         command=args.command,
         scenario=scenario_to_mapping(scenario),

@@ -53,7 +53,7 @@ from .model import (
     trial_cost,
 )
 from .numerics import _one_sided_critical
-from .testing import _decide, params_for_scenario
+from .testing import _decide, alpha_F_given_alpha_S
 from .utility import classical_variance
 
 # Strata sizes follow the population split exactly (the analytic
@@ -209,7 +209,7 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
         utility = _utility(scenario, effects, cost, np.empty(m), psi_F=psi_F, est_F=est)
         return utility, np.zeros(m, dtype=bool), psi_F
 
-    params = params_for_scenario(scenario, design.alpha_S)
+    alpha_F = alpha_F_given_alpha_S(design.alpha_S, lam, scenario.alpha)
     lamc = 1.0 - lam
     if strata_mode == FIXED_PROPORTIONAL:
         var_S = 2.0 * sigma ** 2 / (lam * n)
@@ -250,7 +250,7 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
         del est_Sc
         t_F = np.sqrt(var_S, out=var_S)
         np.divide(est_F, t_F, out=t_F)
-    psi_S, psi_F = _decide(t_S, t_Sc, t_F, params)
+    psi_S, psi_F = _decide(t_S, t_Sc, t_F, scenario, design.alpha_S, alpha_F)
     # t_S's buffer takes the utility
     utility = _utility(scenario, effects, cost, t_S, psi_S=psi_S, est_S=est_S,
                        psi_F=psi_F, est_F=est_F)

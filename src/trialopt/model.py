@@ -83,11 +83,34 @@ def pooled_effect(effects: EffectPair, lambda_S: float) -> float:
     return lambda_S * effects.delta_S + (1.0 - lambda_S) * effects.delta_Sc
 
 
+# Weights of the built-in priors on the grid (0,0), (d,0), (d,d/2), (d,d).
+_BUILTIN_WEIGHTS = {"weak": (0.2, 0.2, 0.3, 0.3), "strong": (0.2, 0.6, 0.1, 0.1)}
+
+
+def _builtin_atoms(kind: str, delta: float) -> tuple:
+    """The atoms of the built-in prior ``kind`` at effect size ``delta``."""
+    delta = _finite(delta, "delta")
+    if delta < 0.0:
+        raise ValueError("prior effect parameter delta must be >= 0")
+    if kind not in _BUILTIN_WEIGHTS:
+        raise ValueError(f"unknown prior kind {kind!r}; expected 'weak' or 'strong'")
+    grid = (
+        EffectPair(0.0, 0.0),
+        EffectPair(delta, 0.0),
+        EffectPair(delta, delta / 2.0),
+        EffectPair(delta, delta),
+    )
+    return tuple(zip(grid, _BUILTIN_WEIGHTS[kind]))
+
+
 @dataclass(frozen=True)
 class DiscretePrior:
-    """Finitely supported prior over effect pairs."""
+    """Finitely supported prior over effect pairs. A built-in prior also
+    names its ``kind`` and ``delta``, and then holds exactly their atoms."""
 
     atoms: Tuple[Tuple[EffectPair, float], ...]
+    kind: Optional[str] = None
+    delta: Optional[float] = None
 
     def __post_init__(self):
         if not self.atoms:
@@ -97,6 +120,10 @@ class DiscretePrior:
             raise ValueError("prior weights must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"prior weights sum to {total!r}, not 1")
+        if (self.kind, self.delta) != (None, None) and (
+                self.delta is None or self.atoms != _builtin_atoms(self.kind, self.delta)):
+            raise ValueError(f"prior atoms are not those of the {self.kind!r} prior "
+                             f"at delta={self.delta!r}")
 
     def __iter__(self):
         return iter(self.atoms)
@@ -108,19 +135,7 @@ def builtin_prior(kind: str, delta: float) -> DiscretePrior:
     'weak' spreads mass towards homogeneous effects (0.2, 0.2, 0.3, 0.3);
     'strong' concentrates on the subgroup-only atom (0.2, 0.6, 0.1, 0.1).
     """
-    delta = _finite(delta, "delta")
-    if delta < 0.0:
-        raise ValueError("prior effect parameter delta must be >= 0")
-    weights = {"weak": (0.2, 0.2, 0.3, 0.3), "strong": (0.2, 0.6, 0.1, 0.1)}
-    if kind not in weights:
-        raise ValueError(f"unknown prior kind {kind!r}; expected 'weak' or 'strong'")
-    grid = (
-        EffectPair(0.0, 0.0),
-        EffectPair(delta, 0.0),
-        EffectPair(delta, delta / 2.0),
-        EffectPair(delta, delta),
-    )
-    return DiscretePrior(tuple(zip(grid, weights[kind])))
+    return DiscretePrior(_builtin_atoms(kind, delta), kind, float(delta))
 
 
 @dataclass(frozen=True)
@@ -338,6 +353,15 @@ def _get_float(mapping: dict, key: str) -> float:
         raise ConfigError(f"key {key!r}: not a number: {raw!r}") from None
 
 
+def parse_integral(raw: str) -> int:
+    """The integer a number string spells, in any float notation ('10',
+    '1e1', '10.0'); ValueError for a fractional or non-finite value."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(value)
+
+
 def _parse_atoms(raw: str) -> DiscretePrior:
     atoms = []
     for part in raw.split(";"):
@@ -400,13 +424,16 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
 
 
 def scenario_to_mapping(scenario: Scenario) -> dict:
-    """Flat key snapshot of a scenario (always spells the prior as atoms)."""
+    """Flat key snapshot of a scenario: a built-in prior as its kind and
+    delta, any other as its atoms."""
     snapshot = {
         key: getattr(scenario if section is None else getattr(scenario, section), f.name)
         for section, key, f in _FLAT_FIELDS
     }
-    snapshot["prior.atoms"] = "; ".join(
-        f"{e.delta_S!r},{e.delta_Sc!r},{w!r},{e.prognostic_offset!r}"
-        for e, w in scenario.prior
-    )
+    prior = scenario.prior
+    if prior.kind is not None:
+        snapshot["prior.kind"], snapshot["prior.delta"] = prior.kind, prior.delta
+    else:
+        snapshot["prior.atoms"] = "; ".join(
+            f"{e.delta_S!r},{e.delta_Sc!r},{w!r},{e.prognostic_offset!r}" for e, w in prior)
     return snapshot

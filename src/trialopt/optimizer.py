@@ -54,6 +54,7 @@ from .model import (
     DesignSpec,
     Scenario,
     builtin_prior,
+    parse_integral,
 )
 from .testing import alpha_F_given_alpha_S
 from .utility import (
@@ -136,25 +137,22 @@ class GridConfig:
             raw = mapping.pop("grid.n_points")
             try:
                 if "," in raw:
-                    sizes = [float(p) for p in raw.split(",") if p.strip()]
-                    if any(size != int(size) for size in sizes):
-                        raise ValueError
-                    grid = tuple(int(size) for size in sizes)
+                    grid = tuple(parse_integral(p) for p in raw.split(",") if p.strip())
                 else:
-                    count = int(raw)
+                    count = parse_integral(raw)
                     if count > MAX_N_POINTS:
                         raise ValueError
                     grid = tuple(sorted({
                         int(round(x)) for x in np.geomspace(n_min, 3000, count)
                     }))
                 kwargs["n_grid"] = grid
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise ConfigError(f"grid.n_points: bad value {raw!r} (a list of integer sizes, "
                                   f"or a count of at most {MAX_N_POINTS})") from None
         if "grid.alpha_points" in mapping:
             raw = mapping.pop("grid.alpha_points")
             try:
-                kwargs["alpha_points"] = int(raw)
+                kwargs["alpha_points"] = parse_integral(raw)
             except ValueError:
                 raise ConfigError(f"grid.alpha_points: bad value {raw!r}") from None
         if "refine.enabled" in mapping:
@@ -404,20 +402,25 @@ def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],
 
 
 def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
-                  delta_grid: Sequence[float], prior_kind: str,
-                  grid_config: Optional[GridConfig] = None,
+                  delta_grid: Sequence[float], grid_config: Optional[GridConfig] = None,
                   jobs: int = 1) -> list:
-    """Selected-design matrix over (lambda_S, delta), rows indexed by delta;
-    a negative delta is rejected by the prior it builds, and a grid of
-    more than MAX_GRID_COUNT cells before any scenario is built."""
+    """Selected-design matrix over (lambda_S, delta), rows indexed by delta,
+    with each cell's prior the template's built-in kind at that delta. A
+    template whose prior names no kind is rejected, as is a grid of more
+    than MAX_GRID_COUNT cells, before any scenario is built; a negative
+    delta is rejected by the prior it builds."""
+    kind = scenario_template.prior.kind
+    if kind is None:
+        raise ConfigError("contour requires prior.kind (the prior is rebuilt "
+                          "for every effect size)")
     lams = _clamp_lambda(lambda_grid)
     deltas = [float(d) for d in delta_grid]
     if len(lams) * len(deltas) > MAX_GRID_COUNT:
         raise ConfigError(f"a contour holds at most {MAX_GRID_COUNT} cells, "
                           f"got {len(lams)} x {len(deltas)}")
     points = [(delta, lam) for delta in deltas for lam in lams]
-    scenarios = [scenario_template.with_lambda(lam).with_prior(
-                     builtin_prior(prior_kind, delta)) for delta, lam in points]
+    scenarios = [scenario_template.with_lambda(lam).with_prior(builtin_prior(kind, delta))
+                 for delta, lam in points]
     decisions = _decisions(scenarios, grid_config, jobs)
     cells = [ContourCell(lam, delta, selected, outcomes[selected].best_design.n,
                          outcomes[selected].expected_utility)

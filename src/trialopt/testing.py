@@ -41,36 +41,6 @@ _RHO_DEGENERATE = 1.0 - 1e-9
 _UNION_ULPS = 32
 
 
-@dataclass(frozen=True)
-class StratifiedTestParams:
-    """Resolved parameters of the consistency-modified closed test."""
-
-    alpha: float
-    alpha_S: float
-    alpha_F: float
-    tau_S: float
-    tau_Sc: float
-    lambda_S: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError("alpha must lie in (0, 0.5)")
-        for name in ("alpha_S", "alpha_F"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= self.alpha + 1e-12):
-                raise ValueError(f"{name}={value} outside [0, alpha={self.alpha}]")
-        if self.alpha_S + self.alpha_F < self.alpha - 1e-9:
-            raise ValueError(
-                "alpha_S + alpha_F below the Bonferroni floor; "
-                "the pair cannot come from the level condition"
-            )
-        if not (0.0 < self.lambda_S < 1.0):
-            raise ValueError("lambda_S must lie in (0, 1)")
-        for name in ("tau_S", "tau_Sc"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-
 @lru_cache(maxsize=4096)
 def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
     """Largest alpha_F keeping the closed test at familywise level alpha.
@@ -112,19 +82,9 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
     return find_root(union_excess, alpha, tol=_UNION_ULPS * math.ulp(alpha))
 
 
-def params_for_scenario(scenario: Scenario, alpha_S: float) -> StratifiedTestParams:
-    """Solve the level condition and bundle the test parameters."""
-    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
-    return StratifiedTestParams(
-        alpha=scenario.alpha, alpha_S=alpha_S, alpha_F=alpha_F,
-        tau_S=scenario.tau_S, tau_Sc=scenario.tau_Sc,
-        lambda_S=scenario.lambda_S,
-    )
-
-
 @dataclass(frozen=True)
 class _Geometry:
-    """Linear-constraint coefficients of one (effects, n, params) setting.
+    """Linear-constraint coefficients of one (effects, n, test levels) setting.
 
     Lower bounds in z_Sc for membership of A_F are the constant line L1
     (complement consistency) and lines of common slope -sqrt(lambda)/
@@ -240,39 +200,41 @@ def _region_lines(geom: _Geometry, z_S, sponsor: bool):
     return alive, a, b, alive_S
 
 
-def _decide(t_S, t_Sc, t_F, params: StratifiedTestParams):
-    """Closed-test indicators from uncentered z statistics (vectorized)."""
-    gate = (t_S >= _one_sided_critical(params.alpha_S)) | (
-        t_F >= _one_sided_critical(params.alpha_F)
-    )
-    crit_alpha = _one_sided_critical(params.alpha)
+def _decide(t_S, t_Sc, t_F, scenario: Scenario, alpha_S: float, alpha_F: float):
+    """Closed-test indicators from uncentered z statistics (vectorized), at
+    the scenario's alpha and consistency levels and the weights alpha_S and
+    alpha_F."""
+    gate = (t_S >= _one_sided_critical(alpha_S)) | (t_F >= _one_sided_critical(alpha_F))
+    crit_alpha = _one_sided_critical(scenario.alpha)
     psi_S = (t_S >= crit_alpha) & gate
     psi_F = (
         (t_F >= crit_alpha)
         & gate
-        & (t_S >= _one_sided_critical(params.tau_S))
-        & (t_Sc >= _one_sided_critical(params.tau_Sc))
+        & (t_S >= _one_sided_critical(scenario.tau_S))
+        & (t_Sc >= _one_sided_critical(scenario.tau_Sc))
     )
     return psi_S, psi_F
 
 
-def reject_stratified(z_S, z_Sc, params: StratifiedTestParams,
-                      effects: EffectPair, n: float, sigma: float):
-    """Rejection indicators (psi_S, psi_F) of the modified closed test.
+def reject_stratified(z_S, z_Sc, alpha_S: float, effects: EffectPair, n: float,
+                      scenario: Scenario):
+    """Rejection indicators (psi_S, psi_F) of the modified closed test at
+    subgroup weight alpha_S, with alpha_F solved from the level condition.
 
     z_S and z_Sc follow the centered convention (standard normal given the
     true effects); scalars or arrays. The pooled statistic is
     sqrt(lambda_S) t_S + sqrt(1-lambda_S) t_Sc on the uncentered scale.
     """
-    geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
-                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
-                          n, sigma, mu_S=None, mu_F=None)
+    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
+    geom = _line_geometry(scenario.lambda_S, scenario.alpha, alpha_S, alpha_F,
+                          scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, scenario.sigma, mu_S=None, mu_F=None)
     z_S = np.asarray(z_S, dtype=float)
     z_Sc = np.asarray(z_Sc, dtype=float)
     t_S = z_S + geom.shift_S
     t_Sc = z_Sc + geom.shift_Sc
     t_F = geom.sq_lam * t_S + geom.sq_lamc * t_Sc
-    psi_S, psi_F = _decide(t_S, t_Sc, t_F, params)
+    psi_S, psi_F = _decide(t_S, t_Sc, t_F, scenario, alpha_S, alpha_F)
     if z_S.ndim == 0 and z_Sc.ndim == 0:
         return int(psi_S), int(psi_F)
     return psi_S.astype(int), psi_F.astype(int)

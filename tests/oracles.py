@@ -40,7 +40,7 @@ from trialopt.numerics import (
     bivariate_normal_cdf,
     std_normal_pdf,
 )
-from trialopt.testing import _line_geometry, params_for_scenario, region_breakpoints
+from trialopt.testing import _line_geometry, alpha_F_given_alpha_S, region_breakpoints
 from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -259,13 +259,13 @@ def _integrate_multi(f, breakpoints):
 def adaptive_stratified(effects, n, alpha_S, scenario):
     """Stratified expected utility by adaptive quadrature over z_S."""
     n = _check_n(n, scenario)
-    params = params_for_scenario(scenario, alpha_S)
+    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
     rewards = scenario.rewards
     sponsor = rewards.perspective == SPONSOR
 
     def geometry(mu_S, mu_F):
-        return _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
-                              params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+        return _line_geometry(scenario.lambda_S, scenario.alpha, alpha_S, alpha_F,
+                              scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
                               n, scenario.sigma, mu_S, mu_F)
 
     geom_pub = geometry(None, None)

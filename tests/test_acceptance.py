@@ -190,13 +190,13 @@ def test_criterion_7_design_map_rows():
     deltas = np.linspace(0.0, 1.0, 10)
     with criterion(7, "design-map rows"):
         sponsor = make_scenario(perspective="sponsor", case=CASE2)
-        matrix = sweep_contour(sponsor, lambdas, deltas, "weak", CONTOUR_GRID)
+        matrix = sweep_contour(sponsor, lambdas, deltas, CONTOUR_GRID)
         flat = [cell for row in matrix for cell in row]
         assert all(cell.selected != "no_trial" for cell in flat)
         assert all(cell.selected != "enrichment" for cell in flat)
         assert all(cell.n_opt == 50 for cell in matrix[0])  # delta = 0 row
         public = make_scenario(perspective="public", case=CASE2)
-        null_row = sweep_contour(public, lambdas, [0.0], "weak", CONTOUR_GRID)[0]
+        null_row = sweep_contour(public, lambdas, [0.0], CONTOUR_GRID)[0]
         assert all(cell.selected == "no_trial" for cell in null_row)
 
 

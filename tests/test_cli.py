@@ -380,17 +380,50 @@ def test_size_list_order_and_repeats_never_show(config_path, tmp_path):
     assert csvs[1:] == csvs[:1] * 3
 
 
-@pytest.mark.parametrize("sizes, code", [("100.9,200.2", 2), ("100,200.5", 2),
-                                         ("1e2,1e3", 0)])
-def test_size_list_entries_are_integers(config_path, tmp_path, sizes, code):
+# The sizes a grid.n_points count of 10 spans from n_min = 50.
+TEN_SIZES = (50, 79, 124, 196, 309, 486, 766, 1208, 1903, 3000)
+
+
+@pytest.mark.parametrize("sizes, code, n_grid", [
+    ("100.9,200.2", 2, None), ("100,200.5", 2, None), ("1e2,1e3", 0, (100, 1000)),
+    ("1e1", 0, TEN_SIZES), ("10.0", 0, TEN_SIZES)])
+def test_size_list_entries_are_integers(config_path, tmp_path, sizes, code, n_grid):
     # a fractional size is a configuration error, never truncated; an
-    # integer in float notation is that integer
+    # integer in float notation, as a size or a count, is that integer
     out = tmp_path / "run"
     assert main(["optimize", "--config", config_path, "--out", str(out),
                  "--set", f"grid.n_points={sizes}"]) == code
     if code == 0:
         manifest = RunManifest.from_json((out / "optimize_manifest.json").read_text())
-        assert tuple(manifest.grid["n_grid"]) == (100, 1000)
+        assert tuple(manifest.grid["n_grid"]) == n_grid
+
+
+@pytest.mark.parametrize("command, spelled, plain", [
+    ("optimize", "grid.alpha_points=1e1", "grid.alpha_points=10"),
+    ("sweep", "0.3:0.6:2e0", "0.3:0.6:2"),
+])
+def test_counts_in_float_notation_are_that_integer(config_path, tmp_path, command,
+                                                   spelled, plain):
+    flag = "--set" if command == "optimize" else "--lambda-grid"
+    outputs = []
+    for spec in (spelled, plain):
+        out = tmp_path / spec.replace(":", "_")
+        assert main([command, "--config", config_path, "--out", str(out),
+                     "--set", "refine.enabled=false", flag, spec]) == 0
+        outputs.append((out / f"{command}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value", ["10.5", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["--set", "grid.n_points={}"],
+                                  ["--set", "grid.alpha_points={}"],
+                                  ["--lambda-grid", "0.3:0.6:{}"]])
+def test_non_integral_counts_are_config_errors(config_path, tmp_path, capsys, argv, value):
+    # a count never rounds, and an infinite one fails as a bad value
+    # rather than an overflow
+    assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
+                 argv[0], argv[1].format(value)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prior", ["prior.atoms = 0.3,0.0,1.0", ""])
@@ -425,22 +458,35 @@ prior.atoms = 0.3,0.0,0.5,0.1; 0.3,0.15,0.3; 0.0,0.0,0.2
 """
 
 
-def test_manifest_scenario_reruns_to_identical_bytes(tmp_path):
+@pytest.mark.parametrize("prior, command, extra", [
+    ("prior.atoms = 0.3,0.0,0.5,0.1; 0.3,0.15,0.3; 0.0,0.0,0.2\n", "optimize", []),
+    ("prior.kind = strong\nprior.delta = 0.4\n", "contour",
+     ["--lambda-grid", "0.3,0.6", "--delta-grid", "0,0.3", "--jobs", "2", "--figures"]),
+], ids=["atoms-optimize", "kind-contour"])
+def test_manifest_scenario_reruns_to_identical_bytes(tmp_path, prior, command, extra):
     # The manifest's scenario block, written back out as a config
     # document, reproduces the run that wrote it.
+    config = CONFIG_OFF_DEFAULTS.replace(
+        "prior.atoms = 0.3,0.0,0.5,0.1; 0.3,0.15,0.3; 0.0,0.0,0.2\n", prior)
     grid = "grid.n_points = 60,250,1000\ngrid.alpha_points = 5\n"
     first = tmp_path / "first.cfg"
-    first.write_text(CONFIG_OFF_DEFAULTS + grid)
-    assert main(["optimize", "--config", str(first), "--out", str(tmp_path / "first")]) == 0
-    text = (tmp_path / "first" / "optimize_manifest.json").read_text()
+    first.write_text(config + grid)
+    assert main([command, "--config", str(first), "--out", str(tmp_path / "first"),
+                 *extra]) == 0
+    text = (tmp_path / "first" / f"{command}_manifest.json").read_text()
     scenario = RunManifest.from_json(text).scenario
-    assert scenario.keys() == parse_config_text(CONFIG_OFF_DEFAULTS).keys()
+    assert scenario.keys() == parse_config_text(config).keys()
     assert all(scenario[key] != f.default for _, key, f in _FLAT_FIELDS)
     second = tmp_path / "second.cfg"
     second.write_text("".join(f"{key} = {value}\n" for key, value in scenario.items()) + grid)
-    assert main(["optimize", "--config", str(second), "--out", str(tmp_path / "second")]) == 0
-    assert ((tmp_path / "second" / "optimize.csv").read_bytes()
-            == (tmp_path / "first" / "optimize.csv").read_bytes())
+    assert main([command, "--config", str(second), "--out", str(tmp_path / "second"),
+                 *extra]) == 0
+    outputs = sorted(p.name for p in (tmp_path / "first").glob("*.csv"))
+    assert outputs == sorted(p.name for p in (tmp_path / "second").glob("*.csv"))
+    assert f"{command}.csv" in outputs
+    for name in outputs:
+        assert ((tmp_path / "second" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes())
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -468,7 +514,10 @@ def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
         GridConfig.consume_mapping({"grid.n_points": str(MAX_N_POINTS + 1)})
     for argv in (["--set", f"grid.alpha_points={MAX_ALPHA_POINTS + 1}"],
                  ["--set", f"grid.n_points={MAX_N_POINTS + 1}"],
-                 ["--lambda-grid", f"0.3:0.7:{MAX_GRID_COUNT + 1}"]):
+                 ["--lambda-grid", f"0.3:0.7:{MAX_GRID_COUNT + 1}"],
+                 ["--set", f"grid.alpha_points={float(MAX_ALPHA_POINTS + 1):e}"],
+                 ["--set", f"grid.n_points={float(MAX_N_POINTS + 1):e}"],
+                 ["--lambda-grid", f"0.3:0.7:{float(MAX_GRID_COUNT + 1):e}"]):
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path), *argv]) == 2
 
 
@@ -486,12 +535,12 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
     monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: (
         {NO_TRIAL: optimizer._outcome(DesignSpec.no_trial(), scenario)}, NO_TRIAL))
     matrix = optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 100),
-                                     np.linspace(0.0, 1.0, 100), "weak")
+                                     np.linspace(0.0, 1.0, 100))
     assert sum(map(len, matrix)) == MAX_GRID_COUNT
     # 73 x 137 = MAX_GRID_COUNT + 1
     with pytest.raises(ConfigError, match="cells"):
         optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 73),
-                                np.linspace(0.0, 1.0, 137), "weak")
+                                np.linspace(0.0, 1.0, 137))
     assert main(["contour", "--config", config_path, "--out", str(tmp_path),
                  "--lambda-grid", "0.05:0.95:73", "--delta-grid", "0:1:137"]) == 2
 

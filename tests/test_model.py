@@ -141,6 +141,17 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             DiscretePrior(((EffectPair(0.3, 0.0), -0.5), (EffectPair(0.0, 0.0), 1.5)))
 
+    def test_built_in_prior_names_its_kind_and_delta(self):
+        prior = builtin_prior("strong", 0.3)
+        assert (prior.kind, prior.delta) == ("strong", 0.3)
+        assert DiscretePrior(prior.atoms).kind is None
+
+    @pytest.mark.parametrize("kind, delta", [("strong", 0.3), ("weak", 0.4), ("weak", None),
+                                             (None, 0.3), ("uniform", 0.3)])
+    def test_named_kind_must_hold_its_atoms(self, kind, delta):
+        with pytest.raises(ValueError):
+            DiscretePrior(builtin_prior("weak", 0.3).atoms, kind=kind, delta=delta)
+
 
 class TestDesignSpec:
     def test_no_trial_carries_nothing(self):
@@ -185,10 +196,16 @@ class TestScenario:
 
 class TestConfigDocument:
     def test_roundtrip(self, scenario):
-        mapping = {k: str(v) for k, v in scenario_to_mapping(scenario).items()}
-        rebuilt = scenario_from_mapping(mapping)
-        assert rebuilt == scenario
-        assert not mapping  # everything consumed
+        # a built-in prior is spelled by its kind and delta, any other by
+        # its atoms
+        atoms = scenario.with_prior(DiscretePrior(scenario.prior.atoms))
+        for original, prior_keys in ((scenario, {"prior.kind", "prior.delta"}),
+                                     (atoms, {"prior.atoms"})):
+            mapping = {k: str(v) for k, v in scenario_to_mapping(original).items()}
+            assert {k for k in mapping if k.startswith("prior.")} == prior_keys
+            rebuilt = scenario_from_mapping(mapping)
+            assert rebuilt == original
+            assert not mapping  # everything consumed
 
     def test_parse_rejects_bad_line(self):
         with pytest.raises(ConfigError, match="key = value"):

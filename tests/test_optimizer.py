@@ -13,6 +13,7 @@ from trialopt.optimizer import (
     GridConfig,
     SweepRow,
     _outcome,
+    decide,
     default_n_grid,
     optimize_family,
     select_design,
@@ -358,7 +359,7 @@ class TestSweeps:
 
     def test_contour_single_cell(self):
         scenario = make_scenario(perspective="public")
-        matrix = sweep_contour(scenario, [0.5], [0.3], "weak", FAST)
+        matrix = sweep_contour(scenario, [0.5], [0.3], FAST)
         assert len(matrix) == 1 and len(matrix[0]) == 1
         cell = matrix[0][0]
         assert isinstance(cell, ContourCell)
@@ -367,14 +368,33 @@ class TestSweeps:
 
     def test_contour_zero_rewards_cell_is_no_trial(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
-        cell = sweep_contour(scenario, [0.5], [0.3], "weak", FAST)[0][0]
+        cell = sweep_contour(scenario, [0.5], [0.3], FAST)[0][0]
         assert cell.selected == "no_trial"
         assert cell.n_opt is None
         assert cell.expected_utility == 0.0
 
+    def test_contour_rebuilds_the_template_prior_kind(self):
+        # the cell's prior is the template's kind at the cell's delta, here
+        # one where the weak prior gives another optimum
+        cell = sweep_contour(make_scenario(perspective="public", prior_kind="strong"),
+                             [0.5], [0.6], FAST)[0][0]
+        outcomes, selected = decide(make_scenario(lambda_S=0.5, perspective="public",
+                                                  prior_kind="strong", delta=0.6), FAST)
+        best = outcomes[selected]
+        assert ((cell.selected, cell.n_opt, cell.expected_utility)
+                == (selected, best.best_design.n, best.expected_utility))
+        weak = sweep_contour(make_scenario(perspective="public"), [0.5], [0.6], FAST)[0][0]
+        assert weak.n_opt != cell.n_opt
+
+    def test_contour_requires_a_prior_kind(self):
+        template = make_scenario()
+        template = template.with_prior(DiscretePrior(template.prior.atoms))
+        with pytest.raises(ConfigError, match="prior.kind"):
+            sweep_contour(template, [0.5], [0.3], FAST)
+
     def test_contour_rejects_negative_delta(self):
         with pytest.raises(ValueError):
-            sweep_contour(make_scenario(), [0.5], [-0.1], "weak", FAST)
+            sweep_contour(make_scenario(), [0.5], [-0.1], FAST)
 
     def test_parallel_jobs_match_serial(self):
         scenario = make_scenario()
@@ -418,12 +438,12 @@ class TestCellPool:
         rows = sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=MAX_JOBS)
         assert pool_sizes == [2]
         assert [r.lambda_S for r in rows] == [0.3, 0.6]
-        sweep_contour(make_scenario(), [0.3, 0.6], [0.0, 0.3], "weak", self.TINY, jobs=3)
+        sweep_contour(make_scenario(), [0.3, 0.6], [0.0, 0.3], self.TINY, jobs=3)
         assert pool_sizes == [2, 3]
 
     def test_single_cell_runs_serially(self, pool_sizes):
         sweep_prevalence(make_scenario(), [0.5], self.TINY, jobs=MAX_JOBS)
-        sweep_contour(make_scenario(), [0.5], [0.3], "weak", self.TINY, jobs=8)
+        sweep_contour(make_scenario(), [0.5], [0.3], self.TINY, jobs=8)
         assert pool_sizes == []
 
     @pytest.mark.parametrize("jobs", [0, -2])

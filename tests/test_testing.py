@@ -9,12 +9,10 @@ import pytest
 from trialopt.model import EffectPair, pooled_effect
 from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
 from trialopt.testing import (
-    StratifiedTestParams,
     _line_geometry,
     _pieces,
     _region_lines,
     alpha_F_given_alpha_S,
-    params_for_scenario,
     reject_stratified,
 )
 from conftest import make_scenario
@@ -180,16 +178,11 @@ class TestLevelCondition:
         with pytest.raises(NumericError, match="left of the root"):
             alpha_F_given_alpha_S(0.0125, 0.5)
 
-
-class TestParamsValidation:
-    def test_bonferroni_floor(self):
-        with pytest.raises(ValueError, match="Bonferroni"):
-            StratifiedTestParams(alpha=0.025, alpha_S=0.01, alpha_F=0.01,
-                                 tau_S=0.3, tau_Sc=0.3, lambda_S=0.5)
-
     def test_solved_pair_is_valid(self):
-        params = params_for_scenario(make_scenario(), 0.0125)
-        assert params.alpha_S + params.alpha_F >= 0.025 - 1e-9
+        # the solved pair never falls below the Bonferroni floor
+        for alpha_S, lam in itertools.product((0.0, 0.005, 0.0125, 0.02, 0.025),
+                                              (0.1, 0.5, 0.9)):
+            assert alpha_S + alpha_F_given_alpha_S(alpha_S, lam) >= 0.025 - 1e-9
 
 
 def region_members(geom, z_S, z_Sc, sponsor):
@@ -205,12 +198,14 @@ def region_members(geom, z_S, z_Sc, sponsor):
     return in_f, in_s
 
 
-def in_region(region, z_S, z_Sc, params, effects, n, sigma, mu=None):
-    """Membership of the points (z_S, z_Sc) in A_F or A_S. mu adds the
-    sponsor's estimate floors: mu_F for A_F, mu_S for A_S."""
-    geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
-                          params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
-                          n, sigma, mu_S=mu, mu_F=mu)
+def in_region(region, z_S, z_Sc, scenario, alpha_S, effects, n, mu=None):
+    """Membership of the points (z_S, z_Sc) in A_F or A_S at subgroup
+    weight alpha_S. mu adds the sponsor's estimate floors: mu_F for A_F,
+    mu_S for A_S."""
+    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
+    geom = _line_geometry(scenario.lambda_S, scenario.alpha, alpha_S, alpha_F,
+                          scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, scenario.sigma, mu_S=mu, mu_F=mu)
     in_f, in_s = region_members(geom, z_S, z_Sc, sponsor=mu is not None)
     return in_f if region == "A_F" else in_s
 
@@ -223,18 +218,18 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
     from reject_stratified with the floors, and the lines at the kernel's
     piece abscissae plus random points."""
     lam = float(rng.uniform(0.01, 0.99))
+    scenario = make_scenario(lambda_S=lam, tau_S=tau_S, tau_Sc=tau_Sc)
     for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
-        params = StratifiedTestParams(0.025, alpha_S, alpha_F_given_alpha_S(alpha_S, lam),
-                                      tau_S, tau_Sc, lam)
+        alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
         for pair, n in zip(rng.uniform(-0.3, 0.6, (6, 2)), rng.uniform(50.0, 3000.0, 6)):
             # EffectPair takes delta_S >= delta_Sc only
             effects = EffectPair(*sorted(pair.tolist(), reverse=True))
             mu_S, mu_F = rng.uniform(-0.2, 0.5, 2) if sponsor else (None, None)
-            geom = _line_geometry(lam, 0.025, alpha_S, params.alpha_F, tau_S, tau_Sc,
+            geom = _line_geometry(lam, 0.025, alpha_S, alpha_F, tau_S, tau_Sc,
                                   effects.delta_S, effects.delta_Sc, n, 1.0, mu_S, mu_F)
             z_S = np.concatenate((_pieces(geom)[2], rng.normal(0.0, 3.0, 200)))[:, None]
             z_Sc = rng.normal(0.0, 3.0, (z_S.size, 40))
-            psi_S, psi_F = reject_stratified(z_S, z_Sc, params, effects, n, 1.0)
+            psi_S, psi_F = reject_stratified(z_S, z_Sc, alpha_S, effects, n, scenario)
             want = [psi_F == 1, (psi_S == 1) & (psi_F == 0)]
             if sponsor:
                 want[0] &= pooled_effect(effects, lam) + geom.se_F * (
@@ -245,50 +240,46 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
 
 class TestRejectStratified:
     def test_overwhelming_effect(self, scenario):
-        params = params_for_scenario(scenario, 0.0125)
-        psi = reject_stratified(10.0, 10.0, params, EffectPair(0.0, 0.0), 200, 1.0)
+        psi = reject_stratified(10.0, 10.0, 0.0125, EffectPair(0.0, 0.0), 200, scenario)
         assert psi == (1, 1)
 
     def test_consistency_blocks_full_approval(self, scenario):
-        params = params_for_scenario(scenario, 0.0125)
-        psi_S, psi_F = reject_stratified(10.0, -10.0, params,
-                                         EffectPair(0.0, 0.0), 200, 1.0)
+        psi_S, psi_F = reject_stratified(10.0, -10.0, 0.0125,
+                                         EffectPair(0.0, 0.0), 200, scenario)
         assert psi_F == 0
 
     def test_boundary_flip_at_alpha_S_threshold(self, scenario):
-        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
-        threshold = std_normal_quantile(1.0 - params.alpha_S)
-        below = reject_stratified(threshold - 1e-9, -10.0, params, effects, 200, 1.0)
-        above = reject_stratified(threshold + 1e-9, -10.0, params, effects, 200, 1.0)
+        threshold = std_normal_quantile(1.0 - 0.0125)
+        below = reject_stratified(threshold - 1e-9, -10.0, 0.0125, effects, 200, scenario)
+        above = reject_stratified(threshold + 1e-9, -10.0, 0.0125, effects, 200, scenario)
         assert below == (0, 0)
         assert above == (1, 0)
 
 
 class TestRegionSlices:
     def test_consistency_failure_empties_A_F(self, scenario):
-        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.0, 0.0)
         # z_S far below the tau_S threshold: no z_Sc can rescue psi_F
         z_Sc = np.linspace(-50.0, 50.0, 201)
-        assert not in_region("A_F", -3.0, z_Sc, params, effects, 200, 1.0).any()
+        assert not in_region("A_F", -3.0, z_Sc, scenario, 0.0125, effects, 200).any()
 
     def test_half_line_from_explicit_half_planes(self):
         # lambda = 0.5, z_S clears every subgroup-side threshold; the slice
         # lower end is the max of the two remaining z_Sc constraints,
         # intersected by hand here.
         scenario = make_scenario(lambda_S=0.5)
-        params = params_for_scenario(scenario, 0.0125)
+        alpha_F = alpha_F_given_alpha_S(0.0125, 0.5)
         effects = EffectPair(0.0, 0.0)
         n, sigma, z_S = 200.0, 1.0, 4.0
-        geom = _line_geometry(params.lambda_S, params.alpha, params.alpha_S, params.alpha_F,
-                              params.tau_S, params.tau_Sc, effects.delta_S, effects.delta_Sc,
+        geom = _line_geometry(0.5, scenario.alpha, 0.0125, alpha_F,
+                              scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
                               n, sigma, None, None)
         alive, a, b = (v[0] for v in _region_lines(geom, z_S, False)[:3])
         assert alive
         lam_sq = math.sqrt(0.5)
-        line_tau = std_normal_quantile(1.0 - params.tau_Sc)
-        line_alpha = (std_normal_quantile(1.0 - params.alpha) - lam_sq * z_S) / lam_sq
+        line_tau = std_normal_quantile(1.0 - scenario.tau_Sc)
+        line_alpha = (std_normal_quantile(1.0 - scenario.alpha) - lam_sq * z_S) / lam_sq
         want = max(line_tau, line_alpha)
         assert a + b * z_S == pytest.approx(want, abs=1e-12)
 
@@ -296,39 +287,36 @@ class TestRegionSlices:
         # alpha_S = alpha forces alpha_F = 0; A_S must equal the set where
         # the test returns (1, 0), checked pointwise on a grid.
         scenario = make_scenario(lambda_S=0.4)
-        params = params_for_scenario(scenario, scenario.alpha)
-        assert params.alpha_F == 0.0
+        assert alpha_F_given_alpha_S(scenario.alpha, 0.4) == 0.0
         effects = EffectPair(0.3, 0.1)
-        n, sigma, z_S = 150.0, 1.0, 5.0
+        n, z_S = 150.0, 5.0
         grid = np.linspace(-6.0, 6.0, 200) + 1.3e-4
         psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
-                                         params, effects, n, sigma)
+                                         scenario.alpha, effects, n, scenario)
         want = (psi_S == 1) & (psi_F == 0)
-        got = in_region("A_S", z_S, grid, params, effects, n, sigma)
+        got = in_region("A_S", z_S, grid, scenario, scenario.alpha, effects, n)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("alpha_S", [0.0, 0.004, 0.0125, 0.02, 0.025])
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_region_indicator_coherence(self, alpha_S, lam):
         scenario = make_scenario(lambda_S=lam)
-        params = params_for_scenario(scenario, alpha_S)
         effects = EffectPair(0.3, 0.1)
-        n, sigma = 180.0, 1.0
+        n = 180.0
         grid = np.linspace(-4.2, 4.2, 101) + 1.7e-4
         for z_S in grid[::10]:
             psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
-                                             params, effects, n, sigma)
-            in_f = in_region("A_F", z_S, grid, params, effects, n, sigma)
-            in_s = in_region("A_S", z_S, grid, params, effects, n, sigma)
+                                             alpha_S, effects, n, scenario)
+            in_f = in_region("A_F", z_S, grid, scenario, alpha_S, effects, n)
+            in_s = in_region("A_S", z_S, grid, scenario, alpha_S, effects, n)
             assert np.array_equal(in_f, psi_F == 1)
             assert np.array_equal(in_s, (psi_S == 1) & (psi_F == 0))
             assert not np.any(in_f & in_s)
 
     def test_sponsor_floor_coherence(self):
         scenario = make_scenario(lambda_S=0.35)
-        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.3, 0.1)
-        n, sigma = 180.0, 1.0
+        n, sigma = 180.0, scenario.sigma
         se_S = sigma * math.sqrt(2.0 / (0.35 * n))
         se_F = sigma * math.sqrt(2.0 / n)
         delta_F = pooled_effect(effects, 0.35)
@@ -337,14 +325,14 @@ class TestRegionSlices:
         # cuts into both regions
         for mu, z_S in itertools.product((0.1, 0.5), grid[::10]):
             psi_S, psi_F = reject_stratified(np.full_like(grid, z_S), grid,
-                                             params, effects, n, sigma)
+                                             0.0125, effects, n, scenario)
             est_f = delta_F + se_F * (math.sqrt(0.35) * z_S
                                       + math.sqrt(0.65) * grid)
             est_s = effects.delta_S + se_S * z_S
             want_f = (psi_F == 1) & (est_f > mu)
             want_s = (psi_S == 1) & (psi_F == 0) & (est_s > mu)
-            got_f = in_region("A_F", z_S, grid, params, effects, n, sigma, mu=mu)
-            got_s = in_region("A_S", z_S, grid, params, effects, n, sigma, mu=mu)
+            got_f = in_region("A_F", z_S, grid, scenario, 0.0125, effects, n, mu=mu)
+            got_s = in_region("A_S", z_S, grid, scenario, 0.0125, effects, n, mu=mu)
             assert np.array_equal(got_f, want_f)
             assert np.array_equal(got_s, want_s)
 
@@ -396,11 +384,10 @@ class TestRegionSlices:
 
     def test_slice_bound(self, scenario):
         # every slice is one interval in z_Sc, and A_F's reaches +inf
-        params = params_for_scenario(scenario, 0.0125)
         effects = EffectPair(0.3, 0.0)
         grid = np.linspace(-8.0, 8.0, 801)
         for z in np.linspace(-5, 5, 30):
-            in_f = in_region("A_F", z, grid, params, effects, 120, 1.0).astype(int)
-            in_s = in_region("A_S", z, grid, params, effects, 120, 1.0).astype(int)
+            in_f = in_region("A_F", z, grid, scenario, 0.0125, effects, 120).astype(int)
+            in_s = in_region("A_S", z, grid, scenario, 0.0125, effects, 120).astype(int)
             assert np.all(np.diff(in_f) >= 0)
             assert np.count_nonzero(np.diff(in_s)) <= 2
