@@ -11,13 +11,15 @@ lies more than ``_PRUNE_MARGIN`` below the best utility so far, and it
 stops when none remain: a dropped size cannot win, so stage 1 ends on
 the grid point the full scan finds. Stage 2 refines the best grid point:
 a Fibonacci search (Kiefer 1953, Proc. AMS 4:502) over the integers
-between its grid neighbours scores each probe n as one batched row over
-a 9-point alpha_S bracket of +-one grid step (the probes are sequential,
-so one row per call); the stratified family then narrows that bracket 4x
-per round, scoring the best n and its two neighbours as one block, until
-the utility varies by less than ``refine.tol`` across it. Refinement
-keeps a point only when it beats the best so far, so it can only improve
-on the grid.
+between its grid neighbours scores each probe n as one row over a
+9-point alpha_S bracket of +-one grid step, and scores with a probe the
+probes either possible next step needs, so one block serves two steps;
+the stratified family then narrows that bracket 4x per round, scoring
+the best n and its two neighbours as one block, until the utility varies
+by less than ``refine.tol`` across it. Refinement keeps a point only
+when it beats the best so far, so it can only improve on the grid.
+Every point carries the seven fields its block scored, and the family's
+outcome is built from the winner's, so no design is evaluated twice.
 
 A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings:
 the kernels' temporaries grow with the block, and beyond a few default
@@ -73,10 +75,10 @@ _BRACKET_POINTS = 9
 
 # Most (atom, n, alpha_S) settings one kernel call scores: four rows of a
 # default stratified grid (4 atoms x 21 alpha_S). The kernels' temporaries
-# grow with the block. On the optimize benchmark, blocks of 2, 4 and 8
-# default stratified rows gave 9.3, 9.7 and 9.8 decisions/s at an
-# unchanged peak RSS; all 40 rows in one call gave 10.5/s but raised peak
-# RSS from 66.8 to 74.0 MB (+11%).
+# grow with the block. On the optimize benchmark (seeds 901-903, medians,
+# 2 vCPUs), caps of 2, 4 and 8 default stratified rows gave 24.3, 28.0 and
+# 30.1 decisions/s at a peak RSS of 61.2-61.3 MB; no cap (the whole grid
+# in one call, so stage 1 skips no size) gave 19.8/s and 68.5 MB.
 _BLOCK_SETTINGS = 336
 
 # Stage 1 skips a size once its utility bound lies this far (MUSD) below
@@ -185,12 +187,18 @@ class OptimizationOutcome:
         return self.result.expected_utility
 
 
-def _outcome(design: DesignSpec, scenario: Scenario) -> OptimizationOutcome:
+def _outcome(design: DesignSpec, scenario: Scenario, fields=None) -> OptimizationOutcome:
     """The design with its prior-averaged evaluation and, for a stratified
-    design, the alpha_F its alpha_S leaves to the full-population test."""
+    design, the alpha_F its alpha_S leaves to the full-population test.
+    The evaluation is built from the design's seven ``grid_row`` fields
+    when the search scored them, clamped as ``eu_prior_averaged`` does."""
     alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
                if design.kind == STRATIFIED else None)
-    return OptimizationOutcome(design, eu_prior_averaged(design, scenario), alpha_F)
+    if fields is None:
+        return OptimizationOutcome(design, eu_prior_averaged(design, scenario), alpha_F)
+    fields = fields.copy()
+    fields[1:4] = np.clip(fields[1:4], 0.0, 1.0)
+    return OptimizationOutcome(design, EvaluationResult(*(float(f) for f in fields)), alpha_F)
 
 
 def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
@@ -207,55 +215,67 @@ def _block_shape(family: str, alphas: list, scenario: Scenario) -> tuple:
 
 
 def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
-    """(n, expected utilities over ``alphas``) for every n in ``sizes``, in
-    order. Consecutive sizes share one batched evaluation, up to
-    _BLOCK_SETTINGS (atom, n, alpha_S) settings per call; a row longer
-    than that is scored in pieces of its alpha_S axis and joined."""
+    """(n, fields over ``alphas``) for every n in ``sizes``, in order, the
+    fields an array of shape (7, len(alphas)) in EvaluationResult order.
+    Consecutive sizes share one batched evaluation, up to _BLOCK_SETTINGS
+    (atom, n, alpha_S) settings per call; a row longer than that is scored
+    in pieces of its alpha_S axis and joined."""
     block, width = _block_shape(family, alphas, scenario)
     for start in range(0, len(sizes), block):
         chunk = sizes[start:start + block]
         n = np.array(chunk, dtype=float)
-        yield from zip(chunk, np.concatenate(
-            [grid_row(family, n, alphas[a:a + width], scenario)[0]
-             for a in range(0, len(alphas), width)], axis=-1))
+        fields = np.concatenate([grid_row(family, n, alphas[a:a + width], scenario)
+                                 for a in range(0, len(alphas), width)], axis=-1)
+        yield from zip(chunk, np.moveaxis(fields, 1, 0))
 
 
 def _fibonacci_max(score, lo: int, hi: int):
-    """(n, score(n)) for the integer n in [lo, hi] maximizing a score that
-    is unimodal there, where a score is a tuple led by the value.
+    """(n, its score) for the integer n in [lo, hi] maximizing a score that
+    is unimodal there; ``score`` maps a list of sizes to their scores, each
+    a tuple led by the value.
 
     Fibonacci search (Kiefer 1953) on [lo, lo + F_k] with F_k >= hi - lo:
     each step drops the side of the poorer of two probes and reuses the
-    other probe; probes above hi score -inf, and ties keep the smaller n.
+    other probe, down to a last window of three sizes swept whole; probes
+    above hi score -inf without a call, and ties keep the smaller n. A
+    step that needs an unscored size scores it in one call with the sizes
+    either next step needs (at most 4), so each call serves two steps.
     """
     fib = [1, 1]
     while fib[-1] < hi - lo:
         fib.append(fib[-1] + fib[-2])
-    k = len(fib) - 1
     scores = {}
 
-    def f(n):
-        if n > hi:
-            return (-math.inf,)
-        if n not in scores:
-            scores[n] = score(n)
-        return scores[n]
+    def needs(a, k):
+        """The sizes in [lo, hi] that the step on [a, a + F_k] reads."""
+        sizes = (a + fib[k - 2], a + fib[k - 1]) if k > 2 else range(a, a + fib[k] + 1)
+        return [n for n in sizes if n <= hi]
 
-    a = lo
-    while k > 2:
+    def f(n):
+        return scores[n] if n <= hi else (-math.inf,)
+
+    a, k = lo, len(fib) - 1
+    while True:
+        batch = needs(a, k)
+        if any(n not in scores for n in batch):
+            if k > 2:
+                batch += needs(a, k - 1) + needs(a + fib[k - 2], k - 1)
+            batch = [n for n in dict.fromkeys(batch) if n not in scores]
+            scores.update(zip(batch, score(batch)))
+        if k <= 2:
+            n = max(needs(a, k), key=lambda m: f(m)[0])
+            return n, f(n)
         left, right = a + fib[k - 2], a + fib[k - 1]
         if f(left)[0] < f(right)[0]:
             a = left
         k -= 1
-    n = max(range(a, min(a + fib[k], hi) + 1), key=lambda m: f(m)[0])
-    return n, f(n)
 
 
-def _row_best(row, alphas):
-    """(expected utility, alpha_S) of the first best point of one row of
-    utilities over ``alphas``, and the spread of the row."""
-    i = int(np.argmax(row))
-    return float(row[i]), alphas[i], float(np.ptp(row))
+def _row_best(n: int, fields, alphas) -> tuple:
+    """The first best point (eu, n, alpha_S, fields) of the fields of one
+    row over ``alphas`` at size n, with the seven fields at that point."""
+    i = int(np.argmax(fields[0]))
+    return float(fields[0, i]), n, alphas[i], fields[:, i]
 
 
 def _bracket(center: float, half_width: float, alpha: float) -> list:
@@ -267,19 +287,21 @@ def _bracket(center: float, half_width: float, alpha: float) -> list:
 
 
 def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) -> tuple:
-    """Stage 2 from the best grid point ``best`` = (eu, n, alpha_S): the
-    best (eu, n, alpha_S) found, which is ``best`` unless a point beats it."""
-    _, grid_n, grid_alpha = best
+    """Stage 2 from the best grid point ``best`` = (eu, n, alpha_S,
+    fields): the best such point found, which is ``best`` unless a point
+    beats it."""
+    _, grid_n, grid_alpha, _ = best
     sizes = _grid_sizes(scenario, config)
     top = max(2 * max(config.n_grid), sizes[-1])
     i = sizes.index(grid_n)
     hi = sizes[i + 1] if i + 1 < len(sizes) else top
     step = scenario.alpha / (config.alpha_points - 1)
     alphas = _bracket(grid_alpha, step, scenario.alpha) if family == STRATIFIED else [None]
-    n, (eu, alpha_S, _) = _fibonacci_max(
-        lambda m: _row_best(grid_row(family, m, alphas, scenario)[0], alphas),
+    _, point = _fibonacci_max(
+        lambda ms: [_row_best(n, fields, alphas)
+                    for n, fields in _scored_rows(family, ms, alphas, scenario)],
         sizes[max(i - 1, 0)], hi)
-    best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+    best = max(best, point, key=lambda point: point[0])
     if family != STRATIFIED:
         return best
 
@@ -291,15 +313,14 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
     half_width = step
     while True:
         half_width /= 4.0
-        _, center_n, center_alpha = best
+        _, center_n, center_alpha, _ = best
         alphas = _bracket(center_alpha, half_width, scenario.alpha)
         sizes = [n for n in (center_n - 1, center_n, center_n + 1)
                  if scenario.n_min <= n <= top]
-        for n, row in _scored_rows(family, sizes, alphas, scenario):
-            eu, alpha_S, row_spread = _row_best(row, alphas)
-            best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+        for n, fields in _scored_rows(family, sizes, alphas, scenario):
+            best = max(best, _row_best(n, fields, alphas), key=lambda point: point[0])
             if n == center_n:
-                spread = row_spread
+                spread = float(np.ptp(fields[0]))
         if spread < config.refine_tol:
             return best
 
@@ -313,21 +334,20 @@ def optimize_family(family: str, scenario: Scenario,
 
     alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
               if family == STRATIFIED else [None])
-    best = (-math.inf, None, None)
+    best = (-math.inf, None, None, None)
     sizes = _grid_sizes(scenario, config)
     block, _ = _block_shape(family, alphas, scenario)
     while sizes:
-        for n, row in _scored_rows(family, sizes[:block], alphas, scenario):
-            eu, alpha_S, _ = _row_best(row, alphas)
-            best = max(best, (eu, n, alpha_S), key=lambda point: point[0])
+        for n, fields in _scored_rows(family, sizes[:block], alphas, scenario):
+            best = max(best, _row_best(n, fields, alphas), key=lambda point: point[0])
         sizes = sizes[block:]
         if sizes:
             bounds = _utility_bound(family, np.array(sizes, dtype=float), scenario)
             sizes = [n for n, bound in zip(sizes, bounds) if bound >= best[0] - _PRUNE_MARGIN]
     if config.refine:
         best = _refine(family, scenario, config, best)
-    _, best_n, best_alpha = best
-    return _outcome(DesignSpec(family, n=best_n, alpha_S=best_alpha), scenario)
+    _, best_n, best_alpha, best_fields = best
+    return _outcome(DesignSpec(family, n=best_n, alpha_S=best_alpha), scenario, best_fields)
 
 
 def _select(outcomes: dict) -> str:

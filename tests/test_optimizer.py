@@ -238,6 +238,29 @@ def _bound_domain():
             (EffectPair(e.delta_S, e.delta_Sc, offset), w) for e, w in scenario.prior)))
 
 
+def _mixed_scenarios():
+    """The lambda_S = 0.95 public scenario whose winning stage-1 row has
+    two alpha_S peaks (n = 200, indices 10 and 19), a delta = 0 contour
+    cell, zero rewards, and a spread of prevalences, perspectives, market
+    cases and priors."""
+    return [
+        make_scenario(lambda_S=0.95, perspective="public", case=CASE1, delta=0.6),
+        make_scenario(lambda_S=0.5, perspective="public", delta=0.0),
+        with_rewards(make_scenario(), NrS=0.0, NrF=0.0),
+        make_scenario(lambda_S=0.05, case=CASE1, prior_kind="strong", delta=1.0),
+        make_scenario(lambda_S=0.3, case=CASE3, delta=0.15),
+        make_scenario(lambda_S=0.7, perspective="public", case=CASE3,
+                      prior_kind="strong", delta=0.4),
+        make_scenario(lambda_S=0.95, case=CASE1, delta=0.6),
+        make_scenario(lambda_S=0.35, perspective="public", case=CASE1, delta=0.3),
+        make_scenario(lambda_S=0.6, prior_kind="strong", delta=0.3),
+        make_scenario(lambda_S=0.8, perspective="public", delta=1.0),
+        make_scenario(lambda_S=0.2, case=CASE3, prior_kind="strong", delta=0.0),
+        with_rewards(make_scenario(lambda_S=0.45, perspective="public"),
+                     mu_S=0.0, mu_F=0.0),
+    ]
+
+
 class TestStageOnePruning:
     @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
     def test_bound_holds_and_never_increases(self, family):
@@ -253,27 +276,8 @@ class TestStageOnePruning:
 
     def test_pruned_decisions_equal_full_scan(self, monkeypatch):
         # Skipping the sizes that cannot win changes no decision, so
-        # refinement starts from the same grid point. Cases: the
-        # lambda_S = 0.95 public scenario whose winning stage-1 row has two
-        # alpha_S peaks (n = 200, indices 10 and 19), a delta = 0 contour
-        # cell, zero rewards, and a spread of prevalences, perspectives,
-        # market cases and priors.
-        scenarios = [
-            make_scenario(lambda_S=0.95, perspective="public", case=CASE1, delta=0.6),
-            make_scenario(lambda_S=0.5, perspective="public", delta=0.0),
-            with_rewards(make_scenario(), NrS=0.0, NrF=0.0),
-            make_scenario(lambda_S=0.05, case=CASE1, prior_kind="strong", delta=1.0),
-            make_scenario(lambda_S=0.3, case=CASE3, delta=0.15),
-            make_scenario(lambda_S=0.7, perspective="public", case=CASE3,
-                          prior_kind="strong", delta=0.4),
-            make_scenario(lambda_S=0.95, case=CASE1, delta=0.6),
-            make_scenario(lambda_S=0.35, perspective="public", case=CASE1, delta=0.3),
-            make_scenario(lambda_S=0.6, prior_kind="strong", delta=0.3),
-            make_scenario(lambda_S=0.8, perspective="public", delta=1.0),
-            make_scenario(lambda_S=0.2, case=CASE3, prior_kind="strong", delta=0.0),
-            with_rewards(make_scenario(lambda_S=0.45, perspective="public"),
-                         mu_S=0.0, mu_F=0.0),
-        ]
+        # refinement starts from the same grid point.
+        scenarios = _mixed_scenarios()
         scored = []
         scored_rows = optimizer._scored_rows
 
@@ -289,6 +293,35 @@ class TestStageOnePruning:
                             lambda kind, n, scenario: np.full(np.shape(n), math.inf))
         assert [repr(optimizer.decide(s)) for s in scenarios] == pruned
         assert pruned_rows < sum(scored)
+
+
+class TestKernelCalls:
+    # Refinement scores each Fibonacci call's probes two steps ahead, and
+    # a family's outcome keeps the evaluation its search scored.
+    @pytest.mark.parametrize("perspective,most", [("sponsor", 22), ("public", 24)])
+    def test_decide_kernel_calls(self, monkeypatch, perspective, most):
+        # One probe per call and a second evaluation of every family's
+        # winner took 37 (sponsor) and 41 (public) calls.
+        calls = []
+        kernel = utility.grid_row
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(utility, "grid_row", counted)
+        monkeypatch.setattr(optimizer, "grid_row", counted)
+        optimizer.decide(make_scenario(perspective=perspective))
+        assert len(calls) <= most
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_outcome_is_the_design_evaluation(self, refine):
+        config = GridConfig(refine=refine)
+        for scenario in _mixed_scenarios():
+            for family in ("classical", "stratified", "enrichment"):
+                outcome = optimize_family(family, scenario, config)
+                assert outcome.result == eu_prior_averaged(outcome.best_design, scenario), \
+                    (family, scenario)
 
 
 class TestBimodalRow:
@@ -464,7 +497,10 @@ class TestNoTrialOutcome:
 class TestFibonacciMax:
     """The integer search against a brute-force max over every [lo, hi]
     with hi - lo <= 60 and every position of the peak: a strict peak, and
-    a flat two-point top whose tie goes to the smaller n."""
+    a flat two-point top whose tie goes to the smaller n. The search scores
+    its probes in batches: no size twice, each batch inside [lo, hi] and
+    of at most 4 sizes, and about half as many calls as a search that
+    scores one probe per call."""
 
     @staticmethod
     def shapes(peak, hi):
@@ -473,11 +509,38 @@ class TestFibonacciMax:
         if peak < hi:
             yield lambda n: (-max(peak - n, n - peak - 1, 0), n)
 
+    @staticmethod
+    def sequential_probes(shape, lo, hi):
+        """How many sizes the same search scores with one probe per call."""
+        fib = [1, 1]
+        while fib[-1] < hi - lo:
+            fib.append(fib[-1] + fib[-2])
+        a, k, probes = lo, len(fib) - 1, set()
+        while k > 2:
+            left, right = a + fib[k - 2], a + fib[k - 1]
+            probes.update(n for n in (left, right) if n <= hi)
+            if right <= hi and shape(left)[0] < shape(right)[0]:
+                a = left
+            k -= 1
+        return len(probes.union(range(a, min(a + fib[k], hi) + 1)))
+
     @pytest.mark.parametrize("lo", [0, 37])
     def test_matches_brute_force(self, lo):
         for hi in range(lo, lo + 61):
             for peak in range(lo, hi + 1):
-                for score in self.shapes(peak, hi):
-                    best = max(range(lo, hi + 1), key=lambda n: score(n)[0])
-                    assert optimizer._fibonacci_max(score, lo, hi) == (best, score(best)), \
+                for shape in self.shapes(peak, hi):
+                    batches = []
+
+                    def score(ns):
+                        batches.append(ns)
+                        return [shape(n) for n in ns]
+
+                    best = max(range(lo, hi + 1), key=lambda n: shape(n)[0])
+                    assert optimizer._fibonacci_max(score, lo, hi) == (best, shape(best)), \
+                        (lo, hi, peak)
+                    scored = [n for batch in batches for n in batch]
+                    assert len(scored) == len(set(scored)), (lo, hi, peak)
+                    assert all(lo <= n <= hi for n in scored), (lo, hi, peak)
+                    assert all(1 <= len(batch) <= 4 for batch in batches), (lo, hi, peak)
+                    assert len(batches) <= self.sequential_probes(shape, lo, hi) // 2 + 1, \
                         (lo, hi, peak)
