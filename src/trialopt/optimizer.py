@@ -13,20 +13,23 @@ the grid point the full scan finds. Stage 2 refines the best grid point:
 a Fibonacci search (Kiefer 1953, Proc. AMS 4:502) over the integers
 between its grid neighbours scores each probe n as one row over a
 9-point alpha_S bracket of +-one grid step, and scores with a probe the
-probes either possible next step needs, so one block serves two steps;
-the stratified family then narrows that bracket 4x per round, scoring
-the best n and its two neighbours as one block, until the utility varies
-by less than ``refine.tol`` across it. Refinement keeps a point only
-when it beats the best so far, so it can only improve on the grid.
-Every point carries the seven fields its block scored, and the family's
-outcome is built from the winner's, so no design is evaluated twice.
+probes either possible next step needs, so one block serves two steps,
+until a window of at most ``_LAST_WINDOW`` sizes is left, which one
+block scores whole; the stratified family then narrows that bracket 4x
+per round, scoring the best n and its two neighbours as one block, until
+the utility varies by less than ``refine.tol`` across it. Refinement
+keeps a point only when it beats the best so far, so it can only improve
+on the grid. Every point carries the seven fields its block scored, and
+the family's outcome is built from the winner's, so no design is
+evaluated twice.
 
-A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings:
-the kernels' temporaries grow with the block, and beyond a few default
-stratified rows a bigger block gains little speed for much more peak
-memory. A row longer than the cap is scored in pieces along alpha_S.
-Every element is computed as it would be alone, so the block size never
-shows in a result.
+A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings,
+twelve default stratified rows, so a default stratified stage 1 mostly
+takes two calls. The cap keeps pruning at work, since only the sizes of
+a block after the first can be skipped, and it bounds the kernels'
+temporaries, which grow with the block. A row longer than the cap is
+scored in pieces along alpha_S. Every element is computed as it would be
+alone, so the block size never shows in a result.
 
 The sweep drivers share one decision map. ``sweep_prevalence`` and
 ``sweep_contour`` build every cell's Scenario in the parent and pass the
@@ -65,6 +68,7 @@ from .utility import (
     _utility_bound,
     eu_prior_averaged,
     grid_row,
+    result_from_fields,
 )
 
 # Exact utility ties resolve towards the cheaper commitment.
@@ -73,13 +77,22 @@ _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
 # alpha_S points per refinement row.
 _BRACKET_POINTS = 9
 
-# Most (atom, n, alpha_S) settings one kernel call scores: four rows of a
-# default stratified grid (4 atoms x 21 alpha_S). The kernels' temporaries
-# grow with the block. On the optimize benchmark (seeds 901-903, medians,
-# 2 vCPUs), caps of 2, 4 and 8 default stratified rows gave 24.3, 28.0 and
-# 30.1 decisions/s at a peak RSS of 61.2-61.3 MB; no cap (the whole grid
-# in one call, so stage 1 skips no size) gave 19.8/s and 68.5 MB.
-_BLOCK_SETTINGS = 336
+# A Fibonacci window [a, a + F_k] of at most this many sizes (k <= 5) is
+# scored whole by the first of its steps that needs a call: the few extra
+# sizes cost less than the one or two calls the remaining steps would make.
+_LAST_WINDOW = 9
+
+# Most (atom, n, alpha_S) settings one kernel call scores: twelve rows of a
+# default stratified grid (4 atoms x 21 alpha_S). Stage 1 scores the rows
+# whose utility bound clears the best so far, 19.6 per decision on
+# optimize seeds 1-5 at caps of 4, 8 and 12 rows alike, in 5.25, 3.0 and
+# 2.1 calls. No cap (the whole grid in one call) skips no row: 40 per
+# decision, and 19.8 decisions/s at 68.5 MB where 4 rows gave 28.0 at
+# 61.3 MB. On the optimize benchmark (10 alternating pairs, seeds
+# 2201-2210, medians, 2 vCPUs), 12 rows with the last Fibonacci window in
+# one call gave 30.6 decisions/s against 28.0 for 4 rows and the window
+# step by step, at a peak RSS of 61.4 MB on both.
+_BLOCK_SETTINGS = 1008
 
 # Stage 1 skips a size once its utility bound lies this far (MUSD) below
 # the best utility so far. The bound holds exactly in arithmetic, but
@@ -191,14 +204,12 @@ def _outcome(design: DesignSpec, scenario: Scenario, fields=None) -> Optimizatio
     """The design with its prior-averaged evaluation and, for a stratified
     design, the alpha_F its alpha_S leaves to the full-population test.
     The evaluation is built from the design's seven ``grid_row`` fields
-    when the search scored them, clamped as ``eu_prior_averaged`` does."""
+    when the search scored them."""
     alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
                if design.kind == STRATIFIED else None)
-    if fields is None:
-        return OptimizationOutcome(design, eu_prior_averaged(design, scenario), alpha_F)
-    fields = fields.copy()
-    fields[1:4] = np.clip(fields[1:4], 0.0, 1.0)
-    return OptimizationOutcome(design, EvaluationResult(*(float(f) for f in fields)), alpha_F)
+    result = (eu_prior_averaged(design, scenario) if fields is None
+              else result_from_fields(fields))
+    return OptimizationOutcome(design, result, alpha_F)
 
 
 def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
@@ -239,17 +250,24 @@ def _fibonacci_max(score, lo: int, hi: int):
     other probe, down to a last window of three sizes swept whole; probes
     above hi score -inf without a call, and ties keep the smaller n. A
     step that needs an unscored size scores it in one call with the sizes
-    either next step needs (at most 4), so each call serves two steps.
+    either next step needs (at most 4), so each call serves two steps;
+    once [a, a + F_k] holds at most _LAST_WINDOW sizes, that call scores
+    every unscored size of the window, so no later step needs a call.
     """
     fib = [1, 1]
     while fib[-1] < hi - lo:
         fib.append(fib[-1] + fib[-2])
     scores = {}
 
+    def window(a, k):
+        """The sizes of [a, a + F_k] in [lo, hi]."""
+        return list(range(a, min(a + fib[k], hi) + 1))
+
     def needs(a, k):
         """The sizes in [lo, hi] that the step on [a, a + F_k] reads."""
-        sizes = (a + fib[k - 2], a + fib[k - 1]) if k > 2 else range(a, a + fib[k] + 1)
-        return [n for n in sizes if n <= hi]
+        if k <= 2:
+            return window(a, k)
+        return [n for n in (a + fib[k - 2], a + fib[k - 1]) if n <= hi]
 
     def f(n):
         return scores[n] if n <= hi else (-math.inf,)
@@ -258,8 +276,8 @@ def _fibonacci_max(score, lo: int, hi: int):
     while True:
         batch = needs(a, k)
         if any(n not in scores for n in batch):
-            if k > 2:
-                batch += needs(a, k - 1) + needs(a + fib[k - 2], k - 1)
+            batch = (window(a, k) if fib[k] < _LAST_WINDOW
+                     else batch + needs(a, k - 1) + needs(a + fib[k - 2], k - 1))
             batch = [n for n in dict.fromkeys(batch) if n not in scores]
             scores.update(zip(batch, score(batch)))
         if k <= 2:

@@ -372,6 +372,12 @@ def eu_prior_averaged(design: DesignSpec, scenario: Scenario) -> EvaluationResul
     design.check_against(scenario)
     if design.kind == NO_TRIAL:
         return _ZERO_RESULT
-    totals = grid_row(design.kind, design.n, (design.alpha_S,), scenario)[:, 0]
-    totals[1:4] = np.clip(totals[1:4], 0.0, 1.0)
-    return EvaluationResult(*(float(f) for f in totals))
+    return result_from_fields(grid_row(design.kind, design.n, (design.alpha_S,), scenario)[:, 0])
+
+
+def result_from_fields(fields) -> EvaluationResult:
+    """The EvaluationResult of one setting's seven ``grid_row`` fields,
+    its three probabilities clamped to [0, 1] against rounding."""
+    fields = np.array(fields, dtype=float)
+    fields[1:4] = np.clip(fields[1:4], 0.0, 1.0)
+    return EvaluationResult(*(float(f) for f in fields))

@@ -166,6 +166,20 @@ class TestSizeBlocks:
         monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", settings)
         assert [optimizer.decide(s) for s in scenarios] == want
 
+    @pytest.mark.parametrize("settings", [84, 10 ** 6])
+    def test_block_cap_never_shows_in_outcomes(self, monkeypatch, settings):
+        # One default stratified row per call, and every stage-1 grid in
+        # one call, find every family's outcome as the default cap does.
+        def outcomes():
+            return [repr(optimize_family(family, scenario, GridConfig(refine=refine)))
+                    for scenario in _mixed_scenarios()
+                    for family in ("classical", "stratified", "enrichment")
+                    for refine in (True, False)]
+
+        want = outcomes()
+        monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", settings)
+        assert outcomes() == want
+
     def test_stage_one_scores_blocks_of_sizes(self, monkeypatch):
         calls, blocks = [], []
         kernel = utility._stratified_fields
@@ -296,12 +310,12 @@ class TestStageOnePruning:
 
 
 class TestKernelCalls:
-    # Refinement scores each Fibonacci call's probes two steps ahead, and
-    # a family's outcome keeps the evaluation its search scored.
-    @pytest.mark.parametrize("perspective,most", [("sponsor", 22), ("public", 24)])
-    def test_decide_kernel_calls(self, monkeypatch, perspective, most):
-        # One probe per call and a second evaluation of every family's
-        # winner took 37 (sponsor) and 41 (public) calls.
+    # Stage 1 scores twelve default stratified rows per call, refinement
+    # scores each Fibonacci call's probes two steps ahead and the last
+    # window of at most nine sizes in one call, and a family's outcome
+    # keeps the evaluation its search scored.
+    @staticmethod
+    def counted_calls(monkeypatch):
         calls = []
         kernel = utility.grid_row
 
@@ -311,8 +325,40 @@ class TestKernelCalls:
 
         monkeypatch.setattr(utility, "grid_row", counted)
         monkeypatch.setattr(optimizer, "grid_row", counted)
+        return calls
+
+    @pytest.mark.parametrize("perspective,most", [("sponsor", 17), ("public", 19)])
+    def test_decide_kernel_calls(self, monkeypatch, perspective, most):
+        # One probe per call and a second evaluation of every family's
+        # winner took 37 (sponsor) and 41 (public) calls; two-step probes
+        # with four stratified rows per stage-1 call took 22 and 24.
+        calls = self.counted_calls(monkeypatch)
         optimizer.decide(make_scenario(perspective=perspective))
         assert len(calls) <= most
+
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    def test_stage_one_stratified_calls(self, monkeypatch, perspective):
+        # Four default rows per call took 4 (sponsor) and 5 (public).
+        calls = self.counted_calls(monkeypatch)
+        optimizer.decide(make_scenario(perspective=perspective), GridConfig(refine=False))
+        assert calls.count("stratified") <= 2
+
+    def test_outcome_probabilities_clamped(self, monkeypatch):
+        # Probabilities that round to just outside [0, 1] at the winner
+        # read 0 and 1, as eu_prior_averaged clamps them.
+        kernel = grid_row
+
+        def rounded(*args):
+            fields = kernel(*args)
+            fields[1] = -1e-12
+            fields[3] = 1.0 + 1e-12
+            return fields
+
+        monkeypatch.setattr(optimizer, "grid_row", rounded)
+        for family in ("classical", "stratified", "enrichment"):
+            for refine in (True, False):
+                result = optimize_family(family, make_scenario(), GridConfig(refine=refine)).result
+                assert (result.prob_reject_S_only, result.power_any) == (0.0, 1.0), family
 
     @pytest.mark.parametrize("refine", [True, False])
     def test_outcome_is_the_design_evaluation(self, refine):
@@ -498,9 +544,11 @@ class TestFibonacciMax:
     """The integer search against a brute-force max over every [lo, hi]
     with hi - lo <= 60 and every position of the peak: a strict peak, and
     a flat two-point top whose tie goes to the smaller n. The search scores
-    its probes in batches: no size twice, each batch inside [lo, hi] and
-    of at most 4 sizes, and about half as many calls as a search that
-    scores one probe per call."""
+    its probes in batches: no size twice, each batch inside [lo, hi], and
+    about half as many calls as a search that scores one probe per call.
+    A batch holds at most 4 sizes while the Fibonacci window [a, a + F_k]
+    holds more than 9; the first batch once it holds 9 or fewer is the
+    window's unscored sizes, and it is the last."""
 
     @staticmethod
     def shapes(peak, hi):
@@ -510,19 +558,24 @@ class TestFibonacciMax:
             yield lambda n: (-max(peak - n, n - peak - 1, 0), n)
 
     @staticmethod
-    def sequential_probes(shape, lo, hi):
-        """How many sizes the same search scores with one probe per call."""
+    def windows(shape, lo, hi):
+        """(F_k + 1, the sizes of [a, a + F_k] in [lo, hi], the sizes its
+        step reads) of every window the search walks through, widest
+        first."""
         fib = [1, 1]
         while fib[-1] < hi - lo:
             fib.append(fib[-1] + fib[-2])
-        a, k, probes = lo, len(fib) - 1, set()
-        while k > 2:
+        a, k = lo, len(fib) - 1
+        while True:
+            sizes = range(a, min(a + fib[k], hi) + 1)
+            if k <= 2:
+                yield fib[k] + 1, sizes, sizes
+                return
             left, right = a + fib[k - 2], a + fib[k - 1]
-            probes.update(n for n in (left, right) if n <= hi)
+            yield fib[k] + 1, sizes, [n for n in (left, right) if n <= hi]
             if right <= hi and shape(left)[0] < shape(right)[0]:
                 a = left
             k -= 1
-        return len(probes.union(range(a, min(a + fib[k], hi) + 1)))
 
     @pytest.mark.parametrize("lo", [0, 37])
     def test_matches_brute_force(self, lo):
@@ -541,6 +594,16 @@ class TestFibonacciMax:
                     scored = [n for batch in batches for n in batch]
                     assert len(scored) == len(set(scored)), (lo, hi, peak)
                     assert all(lo <= n <= hi for n in scored), (lo, hi, peak)
-                    assert all(1 <= len(batch) <= 4 for batch in batches), (lo, hi, peak)
-                    assert len(batches) <= self.sequential_probes(shape, lo, hi) // 2 + 1, \
-                        (lo, hi, peak)
+                    # The last batch is the unscored sizes of the first
+                    # window of at most 9 whose step reads an unscored size.
+                    *wide, last = batches
+                    before = {n for batch in wide for n in batch}
+                    assert all(1 <= len(batch) <= 4 for batch in wide), (lo, hi, peak)
+                    narrow = next(sizes for width, sizes, reads in self.windows(shape, lo, hi)
+                                  if width <= 9 and not before.issuperset(reads))
+                    assert sorted(last) == [n for n in narrow if n not in before], (lo, hi, peak)
+                    # A search with one probe per call scores every size
+                    # a step reads, one call each.
+                    sequential = set().union(*(reads for _, _, reads
+                                               in self.windows(shape, lo, hi)))
+                    assert len(batches) <= len(sequential) // 2 + 1, (lo, hi, peak)
