@@ -23,14 +23,19 @@ one-atom prior, draws no split.
 
 Each block is built in place: every estimate on its own normal draw, and
 the t-statistics, the pooled estimate and the binomial-mode variances in
-buffers whose earlier contents are dead. The payoff is written by masked
-copies. Approval estimates count the True entries of a boolean mask,
-which is the exact sum of its 0.0/1.0 values and of their squares. Every
-random draw comes in the same order and every floating-point value keeps
-the operands and operation order of its closed form, so the estimates
-are those of an out-of-place evaluation, bit for bit. A full
-131,072-replicate chunk of one atom peaks at about 6.3 MB of arrays
-(binomial stratified; 2.4 MB for the one-test families in fixed mode).
+buffers whose earlier contents are dead. Each estimator builds only what
+it reads. :func:`mc_expected_utility` builds every replicate's payoff by
+masked copies, into a new array for the one-test families and into the
+stratified t_S buffer; :func:`mc_rejection_probs` and :func:`mc_fwer`
+read the two approval masks and build no payoff. The draws and masks are
+the same either way. Approval estimates count the True entries of a
+boolean mask, which is the exact sum of its 0.0/1.0 values and of their
+squares. Every random draw comes in the same order and every
+floating-point value keeps the operands and operation order of its
+closed form, so the estimates are those of an out-of-place evaluation,
+bit for bit. A full 131,072-replicate chunk of one atom peaks at about
+6.3 MB of arrays (binomial stratified). The one-test families in fixed
+mode peak at 2.4 MB with the payoff and 1.3 MB without it.
 """
 
 from __future__ import annotations
@@ -167,9 +172,12 @@ def _normal(rng, m, mean, sd, out=None):
 
 
 def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
-                    strata_mode: str, rng: np.random.Generator, m: int):
+                    strata_mode: str, rng: np.random.Generator, m: int, *,
+                    need_utility: bool = True):
     """m replicates of the trial: (utility, psi_S, psi_F) arrays, the
-    indicators boolean, built in place as the module docstring says."""
+    indicators boolean, built in place as the module docstring says.
+    Without ``need_utility`` no payoff is built and the utility is None;
+    the draws and the indicators are the same."""
     n = design.n
     sigma = scenario.sigma
     lam = scenario.lambda_S
@@ -180,7 +188,8 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
         se = sigma * math.sqrt(2.0 / n)
         est = _normal(rng, m, effects.delta_S, se)
         psi_S = est >= crit * se
-        utility = _utility(scenario, effects, cost, np.empty(m), psi_S=psi_S, est_S=est)
+        utility = (_utility(scenario, effects, cost, np.empty(m), psi_S=psi_S, est_S=est)
+                   if need_utility else None)
         return utility, psi_S, np.zeros(m, dtype=bool)
 
     if design.kind == CLASSICAL:
@@ -206,7 +215,8 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
             z *= noise
             est -= z
         psi_F = est >= crit * sd
-        utility = _utility(scenario, effects, cost, np.empty(m), psi_F=psi_F, est_F=est)
+        utility = (_utility(scenario, effects, cost, np.empty(m), psi_F=psi_F, est_F=est)
+                   if need_utility else None)
         return utility, np.zeros(m, dtype=bool), psi_F
 
     alpha_F = alpha_F_given_alpha_S(design.alpha_S, lam, scenario.alpha)
@@ -252,8 +262,9 @@ def _simulate_batch(design: DesignSpec, effects: EffectPair, scenario: Scenario,
         np.divide(est_F, t_F, out=t_F)
     psi_S, psi_F = _decide(t_S, t_Sc, t_F, scenario, design.alpha_S, alpha_F)
     # t_S's buffer takes the utility
-    utility = _utility(scenario, effects, cost, t_S, psi_S=psi_S, est_S=est_S,
-                       psi_F=psi_F, est_F=est_F)
+    utility = (_utility(scenario, effects, cost, t_S, psi_S=psi_S, est_S=est_S,
+                        psi_F=psi_F, est_F=est_F)
+               if need_utility else None)
     return utility, psi_S, psi_F
 
 
@@ -275,14 +286,16 @@ def _inverse_sum(k_t, k_c, scale):
     return out
 
 
-def _accumulate(design, effects_or_prior, scenario, config, value_fns):
+def _accumulate(design, effects_or_prior, scenario, config, value_fns, *,
+                need_utility=True):
     """Chunked mean/SE of each value_fn(utility, psi_S, psi_F): one
     McEstimate per function, all read from one simulation per chunk and
     atom. A function returns floats, or a boolean mask whose True count
-    is its sum. With a prior, each chunk draws its per-atom replicate
-    counts as one multinomial and simulates every atom as one block, in
-    prior order. The no-trial option runs no trial, so its estimates are
-    exactly zero."""
+    is its sum. Without ``need_utility`` no payoff is built and the
+    functions are given None for the utility. With a prior, each chunk
+    draws its per-atom replicate counts as one multinomial and simulates
+    every atom as one block, in prior order. The no-trial option runs no
+    trial, so its estimates are exactly zero."""
     if design.kind == NO_TRIAL:
         return [McEstimate(0.0, 0.0, config.replicates) for _ in value_fns]
     pairs = ([(effects_or_prior, 1.0)] if isinstance(effects_or_prior, EffectPair)
@@ -303,7 +316,8 @@ def _accumulate(design, effects_or_prior, scenario, config, value_fns):
         for atom, count in zip(atoms, counts):
             if count == 0:
                 continue
-            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, int(count))
+            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, int(count),
+                                    need_utility=need_utility)
             for i, fn in enumerate(value_fns):
                 v = fn(*batch)
                 if v.dtype == bool:
@@ -358,7 +372,7 @@ def mc_rejection_probs(design: DesignSpec, effects_or_prior, scenario: Scenario,
     estimates = _accumulate(design, effects_or_prior, scenario, config, (
         _approved,
         lambda u, ps, pf: pf,
-        lambda u, ps, pf: ps & ~pf))
+        lambda u, ps, pf: ps & ~pf), need_utility=False)
     return dict(zip(("any", "F", "S_only"), estimates))
 
 
@@ -370,4 +384,5 @@ def mc_fwer(design: DesignSpec, scenario: Scenario, null_effects: EffectPair,
         raise ValueError("null effects require delta_S <= 0")
     if pooled_effect(null_effects, scenario.lambda_S) > 1e-12:
         raise ValueError("null effects require the pooled effect <= 0")
-    return _accumulate(design, null_effects, scenario, config, (_approved,))[0]
+    return _accumulate(design, null_effects, scenario, config, (_approved,),
+                       need_utility=False)[0]

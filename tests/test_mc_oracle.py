@@ -209,9 +209,9 @@ class TestOneSimulation:
         calls = []
         simulate = mc_oracle._simulate_batch
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[-1])
-            return simulate(*args)
+            return simulate(*args, **kwargs)
 
         monkeypatch.setattr(mc_oracle, "_simulate_batch", counted)
         design = DesignSpec.stratified(150, 0.01)
@@ -224,6 +224,41 @@ class TestOneSimulation:
         assert counts["mc_rejection_probs"] == counts["mc_expected_utility"]
         # every replicate simulated once
         assert counts["mc_expected_utility"][1] == config.replicates
+
+
+class PayoffBuilt(Exception):
+    pass
+
+
+class TestApprovalOnly:
+    """mc_rejection_probs and mc_fwer read approvals only and build no
+    payoff; mc_expected_utility builds one."""
+
+    DESIGNS = TestOneSimulation.DESIGNS[:3]
+
+    @pytest.fixture
+    def no_payoff(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PayoffBuilt
+
+        monkeypatch.setattr(mc_oracle, "_utility", refuse)
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("mode", [FIXED_PROPORTIONAL, BINOMIAL_RANDOM])
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    def test_approval_estimators_build_no_payoff(self, no_payoff, design, mode, perspective):
+        scenario = make_scenario(lambda_S=0.35, perspective=perspective)
+        config = SimConfig(5000, 67, strata_mode=mode)
+        for effects in (EffectPair(0.3, 0.1), scenario.prior):
+            probs = mc_rejection_probs(design, effects, scenario, config)
+            assert 0.0 < probs["any"].mean < 1.0
+        fwer = mc_fwer(design, scenario, EffectPair(0.0, -0.05), config)
+        assert fwer.mean <= scenario.alpha + 4.0 * fwer.std_error
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.kind)
+    def test_expected_utility_builds_payoff(self, no_payoff, design, scenario):
+        with pytest.raises(PayoffBuilt):
+            mc_expected_utility(design, EffectPair(0.3, 0.1), scenario, SimConfig(100, 67))
 
 
 class TestStrataCounts:
@@ -285,9 +320,9 @@ class TestAtomBlocks:
             events.append(("chunk", index))
             return chunk_rng(seed, index)
 
-        def logged_batch(design, atom, *args):
+        def logged_batch(design, atom, *args, **kwargs):
             events.append((atom, args[-1]))
-            return simulate(design, atom, *args)
+            return simulate(design, atom, *args, **kwargs)
 
         monkeypatch.setattr(mc_oracle, "_chunk_rng", logged_rng)
         monkeypatch.setattr(mc_oracle, "_simulate_batch", logged_batch)
