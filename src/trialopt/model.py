@@ -37,7 +37,10 @@ SWEEP_LAMBDA_RANGE = (0.05, 0.95)
 
 
 def _finite(value: float, name: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a double
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -158,7 +161,7 @@ class DesignSpec:
             if self.n is not None or self.alpha_S is not None:
                 raise ValueError("the no-trial option carries no parameters")
             return
-        if self.n is None or int(self.n) != self.n or self.n < 1:
+        if self.n is None or _finite(self.n, "n") < 1 or int(self.n) != self.n:
             raise ValueError(f"per-group sample size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if self.kind == STRATIFIED:

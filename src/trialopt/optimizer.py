@@ -2,6 +2,7 @@
 selection against the no-trial baseline, and the prevalence / effect-size
 sweep drivers.
 
+Every search is stage 1 (:func:`_grid_best`), then stage 2 (:func:`_refine`).
 Stage 1 scans a size-coarsening n grid (crossed with an alpha_S grid for
 the stratified family), scoring blocks of consecutive sizes in one
 batched evaluation each, with n on an array axis of the kernels. Before
@@ -17,11 +18,11 @@ probes either possible next step needs, so one block serves two steps,
 until a window of at most ``_LAST_WINDOW`` sizes is left, which one
 block scores whole; the stratified family then narrows that bracket 4x
 per round, scoring the best n and its two neighbours as one block, until
-the utility varies by less than ``refine.tol`` across it. Refinement
-keeps a point only when it beats the best so far, so it can only improve
-on the grid. Every point carries the seven fields its block scored, and
-the family's outcome is built from the winner's, so no design is
-evaluated twice.
+the utility varies by less than ``_REFINE_TOL`` (1e-6 MUSD) across it.
+Refinement keeps a point only when it beats the best so far, so it can
+only improve on the grid. Every point carries the seven fields its block
+scored, and the family's outcome is built from the winner's, so no
+design is evaluated twice.
 
 A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings,
 twelve default stratified rows, so a default stratified stage 1 mostly
@@ -100,6 +101,11 @@ _BLOCK_SETTINGS = 1008
 # or barely beats the best must still be scored.
 _PRUNE_MARGIN = 1e-6
 
+# Refinement narrows alpha_S until the utility varies by less than this
+# (MUSD: one dollar) across the bracket, far below any difference a
+# decision turns on; a fixed stop cannot be set to a nan that never ends it.
+_REFINE_TOL = 1e-6
+
 # Caps on the counts a configuration sets: every grid is built in full
 # before the first kernel call, so an unbounded count only ever allocates
 # its way to a hang. A grid.n_points count spans [n_min, 3000], which
@@ -126,14 +132,12 @@ def default_n_grid() -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Search-resolution knobs, overridable through the config document.
+    """Stage-1 grid resolution, overridable through the config document.
     ``n_grid`` is stored ascending and without repeats, as refinement's
     grid neighbours and stage 1's skipped sizes assume."""
 
     n_grid: Tuple[int, ...] = default_n_grid()
     alpha_points: int = 21
-    refine: bool = True
-    refine_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -141,12 +145,10 @@ class GridConfig:
         object.__setattr__(self, "n_grid", tuple(sorted(set(self.n_grid))))
         if not 2 <= self.alpha_points <= MAX_ALPHA_POINTS:
             raise ValueError(f"alpha_points must lie in [2, {MAX_ALPHA_POINTS}]")
-        if not 0.0 < self.refine_tol < math.inf:
-            raise ValueError("refine.tol must be positive and finite")
 
     @classmethod
     def consume_mapping(cls, mapping: dict, n_min: int = 50) -> "GridConfig":
-        """Pop grid.*/refine.* keys out of a parsed config mapping."""
+        """Pop the grid.* keys out of a parsed config mapping."""
         kwargs = {}
         if "grid.n_points" in mapping:
             raw = mapping.pop("grid.n_points")
@@ -170,17 +172,6 @@ class GridConfig:
                 kwargs["alpha_points"] = parse_integral(raw)
             except ValueError:
                 raise ConfigError(f"grid.alpha_points: bad value {raw!r}") from None
-        if "refine.enabled" in mapping:
-            raw = mapping.pop("refine.enabled").lower()
-            if raw not in ("true", "false"):
-                raise ConfigError("refine.enabled must be true or false")
-            kwargs["refine"] = raw == "true"
-        if "refine.tol" in mapping:
-            raw = mapping.pop("refine.tol")
-            try:
-                kwargs["refine_tol"] = float(raw)
-            except ValueError:
-                raise ConfigError(f"refine.tol: bad value {raw!r}") from None
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -325,7 +316,7 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
 
     # Narrow the alpha_S bracket 4x per round around the best point, at
     # its n and both neighbours (one block), until the utility varies by
-    # less than refine_tol over the bracket at the centre n: a smooth
+    # less than _REFINE_TOL over the bracket at the centre n: a smooth
     # utility varies at least that much between the bracket's best point
     # and the optimum.
     half_width = step
@@ -339,17 +330,13 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
             best = max(best, _row_best(n, fields, alphas), key=lambda point: point[0])
             if n == center_n:
                 spread = float(np.ptp(fields[0]))
-        if spread < config.refine_tol:
+        if spread < _REFINE_TOL:
             return best
 
 
-def optimize_family(family: str, scenario: Scenario,
-                    grid_config: Optional[GridConfig] = None) -> OptimizationOutcome:
-    """Maximize prior-averaged expected utility within one design family."""
-    if family not in TRIAL_KINDS:
-        raise ValueError(f"family must be one of {TRIAL_KINDS}, got {family!r}")
-    config = grid_config or GridConfig()
-
+def _grid_best(family: str, scenario: Scenario, config: GridConfig) -> tuple:
+    """Stage 1: the first best grid point (eu, n, alpha_S, fields) of the
+    sizes scored block by block, skipping those whose bound cannot win."""
     alphas = ([float(a) for a in np.linspace(0.0, scenario.alpha, config.alpha_points)]
               if family == STRATIFIED else [None])
     best = (-math.inf, None, None, None)
@@ -362,8 +349,16 @@ def optimize_family(family: str, scenario: Scenario,
         if sizes:
             bounds = _utility_bound(family, np.array(sizes, dtype=float), scenario)
             sizes = [n for n, bound in zip(sizes, bounds) if bound >= best[0] - _PRUNE_MARGIN]
-    if config.refine:
-        best = _refine(family, scenario, config, best)
+    return best
+
+
+def optimize_family(family: str, scenario: Scenario,
+                    grid_config: Optional[GridConfig] = None) -> OptimizationOutcome:
+    """Maximize prior-averaged expected utility within one design family."""
+    if family not in TRIAL_KINDS:
+        raise ValueError(f"family must be one of {TRIAL_KINDS}, got {family!r}")
+    config = grid_config or GridConfig()
+    best = _refine(family, scenario, config, _grid_best(family, scenario, config))
     _, best_n, best_alpha, best_fields = best
     return _outcome(DesignSpec(family, n=best_n, alpha_S=best_alpha), scenario, best_fields)
 

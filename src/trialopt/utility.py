@@ -99,17 +99,12 @@ def _check_n(n, scenario: Scenario):
     return float(sizes) if sizes.ndim == 0 else sizes
 
 
-def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
-    """Evaluation fields of the enrichment (subgroup test, subgroup
-    approval) or the classical design (pooled test, full approval) for
-    every atom and every size in ``n`` (a float or an array of sizes): an
-    array of shape (7, len(atoms)) + np.shape(n) + (1,) in EvaluationResult
-    field order, from the truncated-normal closed form of the z-test.
-    """
-    n = np.asarray(_check_n(n, scenario))[..., None]
+def _single_test(kind: str, atoms, n, scenario: Scenario) -> tuple:
+    """(true effect per atom, shaped (len(atoms),) + (1,) * n.ndim, its
+    estimate's SE, reward threshold mu, reward scale) of the one z-test of
+    the enrichment or the classical design at every size in the array n."""
     lam = scenario.lambda_S
     rewards = scenario.rewards
-    per_atom = (len(atoms),) + (1,) * n.ndim
     if kind == ENRICHMENT:
         delta = [e.delta_S for e in atoms]
         se = np.sqrt(2.0 * scenario.sigma ** 2 / n)
@@ -118,21 +113,30 @@ def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
         delta = [pooled_effect(e, lam) for e in atoms]
         se = np.sqrt([classical_variance(e, lam, scenario.sigma, n) for e in atoms])
         mu, scale = rewards.mu_F, rewards.NrF
-    delta = np.array(delta).reshape(per_atom)
+    return np.array(delta).reshape((len(atoms),) + (1,) * n.ndim), se, mu, scale
+
+
+def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
+    """Evaluation fields of the enrichment (subgroup test, subgroup
+    approval) or the classical design (pooled test, full approval) for
+    every atom and every size in ``n`` (a float or an array of sizes): an
+    array of shape (7, len(atoms)) + np.shape(n) + (1,) in EvaluationResult
+    field order, from the truncated-normal closed form of the z-test.
+    """
+    n = np.asarray(_check_n(n, scenario))[..., None]
+    delta, se, mu, scale = _single_test(kind, atoms, n, scenario)
     crit = _one_sided_critical(scenario.alpha)
     p_reject = ndtr(delta / se - crit)
-    if rewards.perspective == SPONSOR:
+    if scenario.rewards.perspective == SPONSOR:
         kappa = (np.maximum(crit * se, mu) - delta) / se
         reward = scale * ((1.0 - ndtr(kappa)) * (delta - mu) + se * std_normal_pdf(kappa))
     else:
         reward = scale * (delta - mu) * p_reject
     p_reject = np.clip(p_reject, 0.0, 1.0)
     zero = np.zeros(p_reject.shape)
-    if kind == ENRICHMENT:
-        p_s, p_f, reward_S, reward_F = p_reject, zero, reward, zero
-    else:
-        p_s, p_f, reward_S, reward_F = zero, p_reject, zero, reward
-    cost = np.full(p_reject.shape, trial_cost(kind, n, scenario.costs, lam))
+    p_s, p_f, reward_S, reward_F = ((p_reject, zero, reward, zero) if kind == ENRICHMENT
+                                    else (zero, p_reject, zero, reward))
+    cost = np.full(p_reject.shape, trial_cost(kind, n, scenario.costs, scenario.lambda_S))
     return np.stack((reward_S + reward_F - cost, p_s, p_f,
                      np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
 
@@ -334,19 +338,16 @@ def _utility_bound(kind: str, n, scenario: Scenario):
     atoms = [e for e, _ in scenario.prior]
     weights = np.array([w for _, w in scenario.prior])
     per_atom = (len(atoms),) + (1,) * n.ndim
-    gain_F = np.array([rewards.NrF * (pooled_effect(e, lam) - rewards.mu_F)
-                       for e in atoms]).reshape(per_atom)
-    gain_S = np.array([lam * rewards.NrS * (e.delta_S - rewards.mu_S)
-                       for e in atoms]).reshape(per_atom)
+    tests = [_single_test(family, atoms, n, scenario) for family in (CLASSICAL, ENRICHMENT)]
+    (gain_F, sd_F), (gain_S, sd_S) = ((scale * (delta - mu), scale * se)
+                                      for delta, se, mu, scale in tests)
     if rewards.perspective != SPONSOR:
         reward = np.maximum(0.0, {CLASSICAL: gain_F, ENRICHMENT: gain_S,
                                   STRATIFIED: np.maximum(gain_F, gain_S)}[kind])
     elif kind == CLASSICAL:
-        se = np.sqrt([classical_variance(e, lam, scenario.sigma, n) for e in atoms])
-        reward = _positive_part_mean(gain_F, rewards.NrF * se)
+        reward = _positive_part_mean(gain_F, sd_F)
     elif kind == ENRICHMENT:
-        se = np.sqrt(2.0 * scenario.sigma ** 2 / n)
-        reward = _positive_part_mean(gain_S, lam * rewards.NrS * se)
+        reward = _positive_part_mean(gain_S, sd_S)
     else:
         # Standard deviations of U, V and V - U, each a multiple of se_F.
         se_F = scenario.sigma * np.sqrt(2.0 / n)

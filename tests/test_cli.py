@@ -152,11 +152,11 @@ class TestSweepCommand:
         assert header == ["lambda_S", "family", "metric", "value"]
         assert len(rows) == 3 * 5
 
-    def test_grid_only_run_writes_plain_floats(self, config_path, tmp_path):
+    def test_run_writes_plain_floats(self, config_path, tmp_path):
         # numpy scalars must never leak into cells (repr would not round-trip)
         out = tmp_path / "run"
         main(["sweep", "--config", config_path, "--out", str(out),
-              "--lambda-grid", "0.5:0.5:1", "--set", "refine.enabled=false"])
+              "--lambda-grid", "0.5:0.5:1"])
         text = (out / "sweep.csv").read_text()
         assert "np.float64" not in text
         for cell in text.splitlines()[2].split(","):
@@ -184,7 +184,7 @@ class TestGridSpecs:
     def test_finite_lambdas_still_clamped(self, config_path, tmp_path):
         out = tmp_path / "run"
         assert main(["sweep", "--config", config_path, "--out", str(out),
-                     "--lambda-grid", "0.0,0.99", "--set", "refine.enabled=false"]) == 0
+                     "--lambda-grid", "0.0,0.99"]) == 0
         _, rows = read_rows(out / "sweep.csv")
         assert [float(r[0]) for r in rows] == [0.05, 0.95]
 
@@ -330,11 +330,26 @@ def alarm():
         yield
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_refine_tol_is_config_error(config_path, tmp_path, alarm, tol):
-    # A NaN tolerance never ends the alpha_S narrowing loop.
-    assert main(["optimize", "--config", config_path, "--out", str(tmp_path),
-                 "--set", f"refine.tol={tol}"]) == 2
+@pytest.mark.parametrize("setting", ["refine.enabled=false", "refine.tol=1e-5",
+                                     "refine.tol=nan"])
+def test_refine_keys_are_unknown(config_path, tmp_path, capsys, alarm, setting):
+    # Every search refines and stops at one fixed tolerance, so a stale
+    # refine.* key is an error, not a silently ignored setting.
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", config_path, "--out", str(out),
+                 "--set", setting]) == 2
+    assert f"unknown config keys: {setting.split('=')[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_n_too_large_for_a_double_is_config_error(config_path, tmp_path, capsys, command):
+    # as n_min = 1e400 does, a 401-digit --n exits 2 and writes nothing
+    out = tmp_path / "run"
+    assert main([command, "--config", config_path, "--design", "classical",
+                 "--n", str(10 ** 400), "--out", str(out)]) == 2
+    assert "n must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 TINY_GRID = ["--set", "grid.n_points=50,200,800", "--set", "grid.alpha_points=3",
@@ -409,7 +424,7 @@ def test_counts_in_float_notation_are_that_integer(config_path, tmp_path, comman
     for spec in (spelled, plain):
         out = tmp_path / spec.replace(":", "_")
         assert main([command, "--config", config_path, "--out", str(out),
-                     "--set", "refine.enabled=false", flag, spec]) == 0
+                     flag, spec]) == 0
         outputs.append((out / f"{command}.csv").read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -587,8 +602,6 @@ _FUZZ_CONFIG = {
                       "100000000", *_EDGES],
     "grid.alpha_points": ["2", "5", f"{MAX_ALPHA_POINTS}", f"{MAX_ALPHA_POINTS + 1}",
                           "100000000", *_EDGES],
-    "refine.enabled": ["false", "true", "x"],
-    "refine.tol": ["1e-3", "5e-324", *_EDGES],
     "unknown.key": ["1"],
 }
 _GRID_SPECS = ["0.3,0.7", "0.5:0.5:1", "0.2:0.8:3", "1:0:2", f"0:1:{MAX_GRID_COUNT + 1}",

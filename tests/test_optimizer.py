@@ -42,12 +42,10 @@ class TestGridConfig:
         assert len(grid) == 40
 
     def test_consume_mapping_list(self):
-        mapping = {"grid.n_points": "50,100,200", "grid.alpha_points": "5",
-                   "refine.enabled": "false", "refine.tol": "1e-5"}
+        mapping = {"grid.n_points": "50,100,200", "grid.alpha_points": "5"}
         config = GridConfig.consume_mapping(mapping)
         assert config.n_grid == (50, 100, 200)
         assert config.alpha_points == 5
-        assert config.refine is False
         assert not mapping
 
     def test_sizes_stored_sorted_without_repeats(self):
@@ -62,17 +60,7 @@ class TestGridConfig:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            GridConfig.consume_mapping({"refine.enabled": "maybe"})
-        with pytest.raises(ConfigError):
             GridConfig.consume_mapping({"grid.n_points": "x"})
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
-    def test_refine_tol_outside_positive_finite_rejected(self, tol):
-        # A NaN tolerance would never stop the alpha_S narrowing loop.
-        with pytest.raises(ValueError):
-            GridConfig(refine_tol=tol)
-        with pytest.raises(ConfigError):
-            GridConfig.consume_mapping({"refine.tol": repr(tol)})
 
 
 class TestOptimizeFamily:
@@ -98,9 +86,9 @@ class TestOptimizeFamily:
 
     def test_refinement_never_loses(self):
         scenario = make_scenario(lambda_S=0.35)
-        grid_only = optimize_family("stratified", scenario, replace(FAST, refine=False))
+        grid_eu, *_ = optimizer._grid_best("stratified", scenario, FAST)
         refined = optimize_family("stratified", scenario, FAST)
-        assert refined.expected_utility >= grid_only.expected_utility
+        assert refined.expected_utility >= grid_eu
 
     @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
     @pytest.mark.parametrize("lambda_S,perspective,case,prior_kind", [
@@ -128,7 +116,7 @@ class TestOptimizeFamily:
             sizes = np.arange(scenario.n_min, 2 * max(FAST.n_grid) + 1)
             eus = grid_row(family, sizes.astype(float), [None], scenario)[0][:, 0]
         assert outcome.best_design.n == sizes[np.argmax(eus)]
-        assert outcome.expected_utility >= eus.max() - FAST.refine_tol
+        assert outcome.expected_utility >= eus.max() - optimizer._REFINE_TOL
 
     def test_deterministic(self):
         scenario = make_scenario(lambda_S=0.6, case=CASE1)
@@ -169,12 +157,12 @@ class TestSizeBlocks:
     @pytest.mark.parametrize("settings", [84, 10 ** 6])
     def test_block_cap_never_shows_in_outcomes(self, monkeypatch, settings):
         # One default stratified row per call, and every stage-1 grid in
-        # one call, find every family's outcome as the default cap does.
+        # one call, find every family's stage-1 point and outcome as the
+        # default cap does.
         def outcomes():
-            return [repr(optimize_family(family, scenario, GridConfig(refine=refine)))
+            return [(grid_point(family, scenario), repr(optimize_family(family, scenario)))
                     for scenario in _mixed_scenarios()
-                    for family in ("classical", "stratified", "enrichment")
-                    for refine in (True, False)]
+                    for family in ("classical", "stratified", "enrichment")]
 
         want = outcomes()
         monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", settings)
@@ -250,6 +238,13 @@ def _bound_domain():
                                               case=CASE1, delta=delta), **rewards)
         yield scenario.with_prior(DiscretePrior(tuple(
             (EffectPair(e.delta_S, e.delta_Sc, offset), w) for e, w in scenario.prior)))
+
+
+def grid_point(family, scenario):
+    """The stage-1 point (eu, n, alpha_S, fields) of the default grid,
+    its fields as a list."""
+    eu, n, alpha_S, fields = optimizer._grid_best(family, scenario, GridConfig())
+    return eu, n, alpha_S, fields.tolist()
 
 
 def _mixed_scenarios():
@@ -340,8 +335,9 @@ class TestKernelCalls:
     def test_stage_one_stratified_calls(self, monkeypatch, perspective):
         # Four default rows per call took 4 (sponsor) and 5 (public).
         calls = self.counted_calls(monkeypatch)
-        optimizer.decide(make_scenario(perspective=perspective), GridConfig(refine=False))
-        assert calls.count("stratified") <= 2
+        optimizer._grid_best("stratified", make_scenario(perspective=perspective),
+                             GridConfig())
+        assert len(calls) <= 2
 
     def test_outcome_probabilities_clamped(self, monkeypatch):
         # Probabilities that round to just outside [0, 1] at the winner
@@ -356,16 +352,18 @@ class TestKernelCalls:
 
         monkeypatch.setattr(optimizer, "grid_row", rounded)
         for family in ("classical", "stratified", "enrichment"):
-            for refine in (True, False):
-                result = optimize_family(family, make_scenario(), GridConfig(refine=refine)).result
-                assert (result.prob_reject_S_only, result.power_any) == (0.0, 1.0), family
+            result = optimize_family(family, make_scenario()).result
+            assert (result.prob_reject_S_only, result.power_any) == (0.0, 1.0), family
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_outcome_is_the_design_evaluation(self, refine):
-        config = GridConfig(refine=refine)
+    def test_outcome_is_the_design_evaluation(self):
+        # Both the stage-1 winner's fields and the outcome's evaluation
+        # equal the point evaluation of their design.
         for scenario in _mixed_scenarios():
             for family in ("classical", "stratified", "enrichment"):
-                outcome = optimize_family(family, scenario, config)
+                _, n, alpha_S, fields = optimizer._grid_best(family, scenario, GridConfig())
+                assert (utility.result_from_fields(fields) == eu_prior_averaged(
+                    DesignSpec(family, n=n, alpha_S=alpha_S), scenario)), (family, scenario)
+                outcome = optimize_family(family, scenario)
                 assert outcome.result == eu_prior_averaged(outcome.best_design, scenario), \
                     (family, scenario)
 
@@ -385,8 +383,8 @@ class TestBimodalRow:
         assert row[9] < row[10] > row[11]
         assert row[18] < row[19] > row[20]
         assert row[10] < row[19]
-        grid = optimize_family("stratified", scenario, GridConfig(refine=False))
-        assert (grid.best_design.n, grid.best_design.alpha_S) == (200, alphas[19])
+        _, n, alpha_S, _ = optimizer._grid_best("stratified", scenario, GridConfig())
+        assert (n, alpha_S) == (200, alphas[19])
 
     def test_optimum_beats_the_other_peak(self):
         # A 41-point alpha_S scan over +-one grid step around index 10, at
@@ -511,7 +509,7 @@ def pool_sizes(monkeypatch):
 
 
 class TestCellPool:
-    TINY = GridConfig(n_grid=(50, 200), alpha_points=2, refine=False)
+    TINY = GridConfig(n_grid=(50, 200), alpha_points=2)
 
     def test_workers_capped_at_cell_count(self, pool_sizes):
         rows = sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=MAX_JOBS)
