@@ -3,16 +3,30 @@ finder for increasing convex functions.
 
 All functions are pure and deterministic. Nothing here integrates
 numerically: the expected utilities are closed forms in these functions.
+
+Arrays go through scipy.special's ufuncs. The level solve's scalar calls
+(:func:`_one_sided_critical` and :func:`bivariate_upper_orthant`) go
+through :data:`SCALAR`, the same double routines from
+``scipy.special.cython_special``: on a Python float they return the same
+double without numpy's ufunc dispatch, which costs more than the function
+itself (``owens_t``: about 0.11 µs against 0.8 µs).
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+import scipy.special as special
+from scipy.special import cython_special, ndtr, ndtri, owens_t
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Scalar special functions on Python floats. cython_special's ndtr is fused
+# over double and double complex; its double specialization also takes ints.
+SCALAR = SimpleNamespace(ndtr=cython_special.ndtr["double"], ndtri=cython_special.ndtri,
+                         owens_t=cython_special.owens_t)
 
 # Newton's method stops once a step moves its point by at most this share.
 _NEWTON_RTOL = 1e-14
@@ -26,7 +40,9 @@ class NumericError(RuntimeError):
 def std_normal_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT_2PI
+    # -0.5 * x * x overflows to -inf above |x| ~ 1.9e154, where the density is 0
+    with np.errstate(over="ignore"):
+        out = np.exp(-0.5 * x * x) / _SQRT_2PI
     return float(out) if out.ndim == 0 else out
 
 
@@ -53,7 +69,7 @@ def _one_sided_critical(level: float) -> float:
         return -math.inf
     # -ndtri(level), not ndtri(1 - level): 1 - level would round away the
     # low bits of a small tail level
-    return float(-ndtri(level))
+    return -SCALAR.ndtri(level)
 
 
 def bivariate_normal_cdf(x, y, rho, rho_c):
@@ -82,11 +98,13 @@ def bivariate_normal_cdf(x, y, rho, rho_c):
     return out
 
 
-def _owen_cdf(x, y, rho, rho_c):
-    """Owen's form of the bivariate normal CDF for finite nonzero x, y."""
-    return (0.5 * (ndtr(x) + ndtr(y))
-            - owens_t(x, (y - rho * x) / (x * rho_c))
-            - owens_t(y, (x - rho * y) / (y * rho_c))
+def _owen_cdf(x, y, rho, rho_c, sf=special):
+    """Owen's form of the bivariate normal CDF for finite nonzero x, y,
+    with ndtr and owens_t from the namespace ``sf``: scipy.special for
+    arrays, :data:`SCALAR` for Python floats."""
+    return (0.5 * (sf.ndtr(x) + sf.ndtr(y))
+            - sf.owens_t(x, (y - rho * x) / (x * rho_c))
+            - sf.owens_t(y, (x - rho * y) / (y * rho_c))
             - 0.5 * (x * y < 0.0))
 
 
@@ -94,11 +112,13 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k) for standard bivariate normal with correlation rho.
 
     Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise
-    Owen's-T form. Nonzero h and k take it directly on the Python floats,
-    with no array dispatch; only the h = 0 and k = 0 limits go through
+    Owen's-T form. The limits and, for nonzero h and k, Owen's form call
+    cython_special's scalar routines (:data:`SCALAR`) on the Python
+    floats, since numpy's ufunc dispatch would cost more than the
+    functions. Only the h = 0 and k = 0 limits go through
     :func:`bivariate_normal_cdf`, whose limit gate serves the kernels'
-    arrays. Both routes evaluate the same expressions on the same doubles,
-    so every value is the same. Its absolute error is
+    arrays. Both routes evaluate the same expressions with the same double
+    routines, so every value is the same. Its absolute error is
     ~1e-16 for rho^2 up to about 0.99999. Closer to rho = 1 the ratios
     (y - rho x) / (x rho_c) in Owen's T grow like 1 / rho_c and the
     rounding grows with them: at rho^2 in [0.99999, 1 - 2e-9], the level
@@ -112,19 +132,19 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     if h == math.inf or k == math.inf:
         return 0.0
     if h == -math.inf:
-        return float(ndtr(-k))
+        return SCALAR.ndtr(-k)
     if k == -math.inf:
-        return float(ndtr(-h))
+        return SCALAR.ndtr(-h)
     if rho == 1.0:
-        return float(ndtr(-max(h, k)))
+        return SCALAR.ndtr(-max(h, k))
     if rho == -1.0:
-        return max(0.0, float(ndtr(-k) - ndtr(h)))
+        return max(0.0, SCALAR.ndtr(-k) - SCALAR.ndtr(h))
     if rho == 0.0:
-        return float(ndtr(-h) * ndtr(-k))
+        return SCALAR.ndtr(-h) * SCALAR.ndtr(-k)
     rho_c = math.sqrt((1.0 - rho) * (1.0 + rho))
     if h == 0.0 or k == 0.0:
         return float(bivariate_normal_cdf(-h, -k, rho, rho_c))
-    return float(_owen_cdf(-h, -k, rho, rho_c))
+    return float(_owen_cdf(-h, -k, rho, rho_c, SCALAR))
 
 
 def find_root(g, x0: float, tol: float = 0.0) -> float:

@@ -42,7 +42,6 @@ the rows and cells from the decisions, so no result depends on ``jobs``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Tuple
@@ -421,6 +420,8 @@ def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) ->
     workers = min(jobs, len(scenarios))
     if workers <= 1:
         return list(map(decide_one, scenarios))
+    # imported here, so serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(decide_one, scenarios))
 

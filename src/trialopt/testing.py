@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .model import EffectPair, Scenario
-from .numerics import _one_sided_critical, bivariate_upper_orthant, find_root
+from .numerics import SCALAR, _one_sided_critical, bivariate_upper_orthant, find_root
 
 # Above this correlation the subgroup and pooled statistics are treated as
 # perfectly dependent (nested rejection regions); protects the root finder.
@@ -73,7 +73,7 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
         # 1 - P(Z_S > h | Z_F = k) = Phi((h - rho k) / sqrt(1 - rho^2)).
         k = _one_sided_critical(alpha_F)
         return (alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha,
-                float(ndtr((h - rho * k) / spread)))
+                SCALAR.ndtr((h - rho * k) / spread))
 
     # Exactly, union_excess(alpha) = P(Z_S >= h, Z_F < z_{1-alpha}) >= 0, so
     # Newton starts right of the root. Where the subgroup event lies inside

@@ -3,13 +3,14 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from trialopt import optimizer
 from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
-from trialopt.mc_oracle import MAX_BINOMIAL_N
+from trialopt.mc_oracle import FWER, MAX_BINOMIAL_N, REJECTION_PROBS, UTILITY
 from trialopt.model import _FLAT_FIELDS, NO_TRIAL, ConfigError, DesignSpec, parse_config_text
 from trialopt.numerics import NumericError
 from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_JOBS, MAX_N_POINTS, GridConfig
@@ -199,6 +200,16 @@ class TestContourCommand:
         assert len(header) == 3 and len(rows) == 2
         labels = {cell for row in rows for cell in row[1:]}
         assert labels <= {"classical", "stratified", "enrichment", "no_trial"}
+
+    def test_huge_subgroup_floor_runs_without_warnings(self, config_path, tmp_path):
+        # mu_S = 1e300 puts region breakpoints near 1e300, where the normal
+        # density's x * x overflows to inf and the density is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["contour", "--config", config_path, "--out", str(tmp_path),
+                         "--set", "reward.mu_S=1e300", "--set", "grid.n_points=50,200",
+                         "--set", "grid.alpha_points=3",
+                         "--lambda-grid", "0.3,0.6", "--delta-grid", "0,0.3"]) == 0
 
     def test_requires_prior_kind(self, config_path, tmp_path):
         custom = CONFIG_CASE1.replace("prior.kind = weak\nprior.delta = 0.3\n",
@@ -515,6 +526,25 @@ def test_import_leaves_scipy_optimize_out():
     assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
 
 
+def test_serial_run_leaves_the_process_pool_out():
+    # multiprocessing costs about 0.5 MB and 6 ms of cold import; only a
+    # run with a pool of two or more workers loads it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys, trialopt.cli\n"
+            "from trialopt import CostStructure, RewardStructure, Scenario, builtin_prior\n"
+            "from trialopt import select_design\n"
+            "select_design(Scenario(\n"
+            "    lambda_S=0.5, costs=CostStructure(setup=1.0, per_patient=0.05),\n"
+            "    rewards=RewardStructure('sponsor', NrS=1000.0, NrF=1000.0, mu_S=0.1, mu_F=0.1),\n"
+            "    prior=builtin_prior('weak', 0.3)))\n"
+            "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
+            "sys.exit(', '.join(sorted(loaded)) or None)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
     # Each count's cap is accepted and cap + 1 rejected before any grid is
     # built: a giant count would otherwise allocate its way to a hang.
@@ -622,7 +652,7 @@ _FUZZ_FLAGS = {
                  "--replicates": ["500", "1", "0", "-1", "1e3", "x"],
                  "--seed": ["7", "-1", "18446744073709551616", "x"],
                  "--mode": ["fixed", "binomial", "x"],
-                 "--estimand": ["utility", "rejection_probs", "fwer", "x"],
+                 "--estimand": [UTILITY, REJECTION_PROBS, FWER, "x"],
                  "--atom": ["0.3,0", "0.3,0,0.1", "0,0.3", "nan,0", "inf,0", "0.3", "x"]},
 }
 

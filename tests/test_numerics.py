@@ -1,9 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from oracles import (
     _adaptive_gk,
@@ -12,6 +13,7 @@ from oracles import (
     array_route_orthant,
 )
 from trialopt.numerics import (
+    SCALAR,
     NumericError,
     bivariate_normal_cdf,
     bivariate_upper_orthant,
@@ -81,6 +83,70 @@ class TestScalarNormal:
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
             std_normal_quantile(p)
+
+    def test_pdf_is_silent_and_zero_far_out(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e300, -1e300, 2e154, -math.inf, math.inf):
+                assert std_normal_pdf(x) == 0.0
+            assert std_normal_pdf(np.array([-1e300, 1e300])).tolist() == [0.0, 0.0]
+            assert math.isnan(std_normal_pdf(math.nan))
+
+    def test_pdf_values_are_the_plain_expression(self):
+        rng = np.random.default_rng(25)
+        x = np.concatenate((np.linspace(-40.0, 40.0, 8001), rng.uniform(-40.0, 40.0, 4000),
+                            rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-300, 150, 4000)))
+        want = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        assert bit_pattern(std_normal_pdf(x)) == bit_pattern(want)
+        assert bit_pattern([std_normal_pdf(float(v)) for v in x[::16]]) == bit_pattern(want[::16])
+
+
+def bit_pattern(values):
+    """The 64 bits of each double, so that -0.0 differs from 0.0 and NaNs compare."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestScalarSpecialFunctions:
+    """numerics.SCALAR (scipy's cython_special routines, called on Python
+    floats) against scipy.special's ufuncs on arrays, which stay the
+    oracle of the scalar route."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-300, -1e-300,
+             1e300, -1e300]
+
+    @staticmethod
+    def assert_bitwise(name, *args):
+        args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = getattr(special, name)(*args)
+        got = [getattr(SCALAR, name)(*point) for point in zip(*(a.ravel().tolist() for a in args))]
+        assert all(type(v) is float for v in got)
+        assert bit_pattern(got) == bit_pattern(want.ravel())
+
+    def test_ndtr(self):
+        rng = np.random.default_rng(251)
+        self.assert_bitwise("ndtr", np.concatenate((
+            np.linspace(-40.0, 40.0, 8001), rng.uniform(-40.0, 40.0, 20000),
+            rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-300.0, 300.0, 5000),
+            self.EDGES)))
+        # the orthant's limits may get ints
+        assert SCALAR.ndtr(-2) == SCALAR.ndtr(-2.0)
+
+    def test_ndtri(self):
+        rng = np.random.default_rng(252)
+        below_one = math.nextafter(1.0, 0.0)
+        self.assert_bitwise("ndtri", np.concatenate((
+            10.0 ** rng.uniform(-300.0, 0.0, 20000), rng.uniform(0.0, 1.0, 20000),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 5000),
+            [1e-300, 1.0 - 1e-16, below_one, 0.5, 1.0, 1.5, -0.5], self.EDGES)))
+
+    def test_owens_t(self):
+        rng = np.random.default_rng(253)
+        n = 30000
+        h = np.concatenate((rng.uniform(-40.0, 40.0, n), np.repeat(self.EDGES, len(self.EDGES))))
+        a = np.concatenate((rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 8.0, n),
+                            np.tile(self.EDGES, len(self.EDGES))))
+        self.assert_bitwise("owens_t", h, a)
 
 
 class TestOrthant:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 from dataclasses import replace
@@ -504,7 +505,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", RecordingPool)
+    # the optimizer imports the pool class where it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 
 from trialopt.model import EffectPair, pooled_effect
 from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
@@ -173,6 +174,34 @@ class TestLevelCondition:
         finally:
             alpha_F_given_alpha_S.cache_clear()
         assert calls == []
+
+    def test_frontier_grids_make_no_scalar_ufunc_call(self, monkeypatch):
+        # Python floats take cython_special's routines: numpy's dispatch of
+        # a ufunc on one costs more than the function itself
+        scalar_calls = []
+
+        def counted(name, ufunc):
+            def call(*args):
+                if all(np.ndim(a) == 0 for a in args):
+                    scalar_calls.append((name, args))
+                return ufunc(*args)
+            return call
+
+        for module in (numerics, testing, scipy.special):
+            for name in ("ndtr", "ndtri", "owens_t"):
+                if isinstance(getattr(module, name, None), np.ufunc):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        grid = []
+        for seed in (1, 2, 3):
+            inputs = frontier_inputs(seed)
+            grid += itertools.product(inputs["alphas"], inputs["lambdas"])
+        alpha_F_given_alpha_S.cache_clear()
+        try:
+            for a, lam in grid:
+                alpha_F_given_alpha_S(a, lam)
+        finally:
+            alpha_F_given_alpha_S.cache_clear()
+        assert scalar_calls == []
 
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
         with pytest.raises(NumericError, match="left of the root"):
