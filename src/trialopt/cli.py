@@ -5,8 +5,10 @@ Every command runs through one driver, ``_run``: it loads the scenario
 and grid, lets the command compute its tables, and writes them as
 machine-readable CSV (schema-versioned, locale-free) plus a JSON run
 manifest capturing the exact scenario, grid settings, seed, and output
-paths. Exit codes: 0 success, 2 configuration error, 3 numeric
-failure (a broken contract or a floating-point overflow).
+paths. Exit codes: 0 success; 2 for any ValueError (a bad config,
+flag or value, from the readers here or a library domain check),
+reported as ``config error: <message>``; 3 for a NumericError (a broken
+contract) or an OverflowError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Optional
 from . import __version__
 from .model import (
     TRIAL_KINDS,
-    ConfigError,
     DesignSpec,
     EffectPair,
     Scenario,
@@ -120,27 +121,24 @@ def _parse_grid_spec(raw: str) -> list:
         else:
             values = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"bad grid specification {raw!r}; expected 'lo:hi:count' "
-                          f"(count 1 to {MAX_GRID_COUNT}) or a comma list") from None
+        raise ValueError(f"bad grid specification {raw!r}; expected 'lo:hi:count' "
+                         f"(count 1 to {MAX_GRID_COUNT}) or a comma list") from None
     if not values:
-        raise ConfigError(f"grid specification {raw!r} has no values")
+        raise ValueError(f"grid specification {raw!r} has no values")
     if not all(map(math.isfinite, values)):
-        raise ConfigError(f"grid specification {raw!r} has a non-finite value")
+        raise ValueError(f"grid specification {raw!r} has a non-finite value")
     return values
 
 
 def _parse_atom(raw: str) -> EffectPair:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) not in (2, 3):
-        raise ConfigError("--atom expects 'delta_S,delta_Sc[,offset]'")
+        raise ValueError("--atom expects 'delta_S,delta_Sc[,offset]'")
     try:
         nums = [float(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"--atom: not a number in {raw!r}") from None
-    try:
-        return EffectPair(*nums)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"--atom: not a number in {raw!r}") from None
+    return EffectPair(*nums)
 
 
 def _load_run_inputs(args) -> tuple:
@@ -149,36 +147,33 @@ def _load_run_inputs(args) -> tuple:
         with open(args.config) as fh:
             mapping = parse_config_text(fh.read())
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     for override in args.set or []:
         if "=" not in override:
-            raise ConfigError(f"--set needs key=value, got {override!r}")
+            raise ValueError(f"--set needs key=value, got {override!r}")
         key, value = override.split("=", 1)
         mapping[key.strip()] = value.strip()
     scenario = scenario_from_mapping(mapping)
     grid = GridConfig.consume_mapping(mapping, n_min=scenario.n_min)
     if mapping:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(mapping))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(mapping))}")
     return scenario, grid
 
 
 def _design_from_args(args, scenario: Scenario) -> DesignSpec:
     kind = args.design
-    try:
-        if kind == "none":
-            return DesignSpec.no_trial()
-        if args.n is None:
-            raise ConfigError("--n is required for trial designs")
-        if kind == "stratified":
-            if args.alpha_s is None:
-                raise ConfigError("--alpha-s is required for the stratified design")
-            design = DesignSpec.stratified(args.n, args.alpha_s)
-        else:
-            design = DesignSpec(kind, n=args.n)
-        design.check_against(scenario)
-        return design
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "none":
+        return DesignSpec.no_trial()
+    if args.n is None:
+        raise ValueError("--n is required for trial designs")
+    if kind == "stratified":
+        if args.alpha_s is None:
+            raise ValueError("--alpha-s is required for the stratified design")
+        design = DesignSpec.stratified(args.n, args.alpha_s)
+    else:
+        design = DesignSpec(kind, n=args.n)
+    design.check_against(scenario)
+    return design
 
 
 def _emit(out_dir, command: str, manifest: RunManifest, tables: dict) -> None:
@@ -262,11 +257,7 @@ def _cmd_contour(args, scenario: Scenario, grid: GridConfig) -> dict:
 
 def _cmd_simulate(args, scenario: Scenario, grid: GridConfig) -> dict:
     design = _design_from_args(args, scenario)
-    try:
-        config = SimConfig(replicates=args.replicates, seed=args.seed,
-                           strata_mode=args.mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = SimConfig(replicates=args.replicates, seed=args.seed, strata_mode=args.mode)
     atom = _parse_atom(args.atom) if args.atom else None
     header = ["estimand", "design", "mode", "seed", "replicates",
               "mean", "std_error"]
@@ -285,11 +276,7 @@ def _cmd_simulate(args, scenario: Scenario, grid: GridConfig) -> dict:
             add(f"prob_reject_{name}", probs[name])
     else:
         null_atom = atom or EffectPair(0.0, 0.0)
-        try:
-            est = mc_fwer(design, scenario, null_atom, config)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        add("fwer", est)
+        add("fwer", mc_fwer(design, scenario, null_atom, config))
     return {"simulate": (header, rows)}
 
 
@@ -389,9 +376,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -327,10 +327,6 @@ _FLAT_FIELDS = tuple(
 )
 
 
-class ConfigError(ValueError):
-    """Malformed or out-of-domain configuration input."""
-
-
 def parse_config_text(text: str) -> dict:
     """Parse a 'key = value' document ('#' starts a comment)."""
     mapping = {}
@@ -339,11 +335,11 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in mapping:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         mapping[key] = value.strip()
     return mapping
 
@@ -353,7 +349,7 @@ def _get_float(mapping: dict, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from None
+        raise ValueError(f"key {key!r}: not a number: {raw!r}") from None
 
 
 def parse_integral(raw: str) -> int:
@@ -373,57 +369,54 @@ def _parse_atoms(raw: str) -> DiscretePrior:
             continue
         values = [p.strip() for p in part.split(",")]
         if len(values) not in (3, 4):
-            raise ConfigError(
+            raise ValueError(
                 "prior.atoms entries must be 'delta_S,delta_Sc,weight[,offset]'"
             )
         try:
             nums = [float(p) for p in values]
         except ValueError:
-            raise ConfigError(f"prior.atoms: not a number in {part!r}") from None
+            raise ValueError(f"prior.atoms: not a number in {part!r}") from None
         offset = nums[3] if len(nums) == 4 else 0.0
         atoms.append((EffectPair(nums[0], nums[1], offset), nums[2]))
     if not atoms:
-        raise ConfigError("prior.atoms is empty")
+        raise ValueError("prior.atoms is empty")
     return DiscretePrior(tuple(atoms))
 
 
 def scenario_from_mapping(mapping: dict) -> Scenario:
     """Build a Scenario from flat config keys, consuming them from mapping.
 
-    Unknown keys are left behind for the caller to reject; missing required
-    keys raise ConfigError. A missing optional key takes its field's
-    default, and a missing prior.delta takes DEFAULT_PRIOR_DELTA.
+    Unknown keys are left behind for the caller to reject. A missing
+    required key, a malformed value, or a value outside a field's domain
+    raises ValueError, the domain checks' own messages unchanged. A missing
+    optional key takes its field's default, and a missing prior.delta
+    takes DEFAULT_PRIOR_DELTA.
     """
     keys = [key for _, key, _ in _FLAT_FIELDS] + list(_PRIOR_KEYS)
     work = {key: mapping.pop(key) for key in keys if key in mapping}
     missing = [key for _, key, f in _FLAT_FIELDS if key not in work and f.default is MISSING]
     if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+        raise ValueError(f"missing required config keys: {', '.join(missing)}")
     if "prior.atoms" in work and "prior.kind" in work:
-        raise ConfigError("give either prior.kind or prior.atoms, not both")
+        raise ValueError("give either prior.kind or prior.atoms, not both")
     if "prior.delta" in work and "prior.kind" not in work:
-        raise ConfigError("give prior.delta only with prior.kind")
-    try:
-        if "prior.atoms" in work:
-            prior = _parse_atoms(work["prior.atoms"])
-        elif "prior.kind" in work:
-            delta = (_get_float(work, "prior.delta") if "prior.delta" in work
-                     else DEFAULT_PRIOR_DELTA)
-            prior = builtin_prior(work["prior.kind"], delta)
-        else:
-            raise ConfigError("missing required config keys: prior.kind or prior.atoms")
-        # a str field (annotations are strings here) is taken as written,
-        # every other one as a number
-        args = {section: {} for section in (None, *_SECTIONS)}
-        for section, key, f in _FLAT_FIELDS:
-            if key in work:
-                args[section][f.name] = work[key] if f.type == "str" else _get_float(work, key)
-        nested = {name: cls(**args[name]) for name, (_, cls) in _SECTIONS.items()}
-        return Scenario(**args[None], **nested, prior=prior)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("give prior.delta only with prior.kind")
+    if "prior.atoms" in work:
+        prior = _parse_atoms(work["prior.atoms"])
+    elif "prior.kind" in work:
+        delta = (_get_float(work, "prior.delta") if "prior.delta" in work
+                 else DEFAULT_PRIOR_DELTA)
+        prior = builtin_prior(work["prior.kind"], delta)
+    else:
+        raise ValueError("missing required config keys: prior.kind or prior.atoms")
+    # a str field (annotations are strings here) is taken as written,
+    # every other one as a number
+    args = {section: {} for section in (None, *_SECTIONS)}
+    for section, key, f in _FLAT_FIELDS:
+        if key in work:
+            args[section][f.name] = work[key] if f.type == "str" else _get_float(work, key)
+    nested = {name: cls(**args[name]) for name, (_, cls) in _SECTIONS.items()}
+    return Scenario(**args[None], **nested, prior=prior)
 
 
 def scenario_to_mapping(scenario: Scenario) -> dict:

@@ -55,7 +55,6 @@ from .model import (
     STRATIFIED,
     SWEEP_LAMBDA_RANGE,
     TRIAL_KINDS,
-    ConfigError,
     DesignSpec,
     Scenario,
     builtin_prior,
@@ -163,18 +162,15 @@ class GridConfig:
                     }))
                 kwargs["n_grid"] = grid
             except ValueError:
-                raise ConfigError(f"grid.n_points: bad value {raw!r} (a list of integer sizes, "
-                                  f"or a count of at most {MAX_N_POINTS})") from None
+                raise ValueError(f"grid.n_points: bad value {raw!r} (a list of integer sizes, "
+                                 f"or a count of at most {MAX_N_POINTS})") from None
         if "grid.alpha_points" in mapping:
             raw = mapping.pop("grid.alpha_points")
             try:
                 kwargs["alpha_points"] = parse_integral(raw)
             except ValueError:
-                raise ConfigError(f"grid.alpha_points: bad value {raw!r}") from None
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+                raise ValueError(f"grid.alpha_points: bad value {raw!r}") from None
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -415,7 +411,7 @@ def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) ->
     """``decide`` on every scenario, in order: serially, or in a process
     pool with at most one worker per scenario and MAX_JOBS in all."""
     if not 1 <= jobs <= MAX_JOBS:
-        raise ConfigError(f"jobs must lie in [1, {MAX_JOBS}], got {jobs}")
+        raise ValueError(f"jobs must lie in [1, {MAX_JOBS}], got {jobs}")
     decide_one = partial(decide, grid_config=grid_config)
     workers = min(jobs, len(scenarios))
     if workers <= 1:
@@ -445,13 +441,13 @@ def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
     delta is rejected by the prior it builds."""
     kind = scenario_template.prior.kind
     if kind is None:
-        raise ConfigError("contour requires prior.kind (the prior is rebuilt "
-                          "for every effect size)")
+        raise ValueError("contour requires prior.kind (the prior is rebuilt "
+                         "for every effect size)")
     lams = _clamp_lambda(lambda_grid)
     deltas = [float(d) for d in delta_grid]
     if len(lams) * len(deltas) > MAX_GRID_COUNT:
-        raise ConfigError(f"a contour holds at most {MAX_GRID_COUNT} cells, "
-                          f"got {len(lams)} x {len(deltas)}")
+        raise ValueError(f"a contour holds at most {MAX_GRID_COUNT} cells, "
+                         f"got {len(lams)} x {len(deltas)}")
     points = [(delta, lam) for delta in deltas for lam in lams]
     scenarios = [scenario_template.with_lambda(lam).with_prior(builtin_prior(kind, delta))
                  for delta, lam in points]

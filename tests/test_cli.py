@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import signal
 import subprocess
@@ -10,8 +11,25 @@ import pytest
 
 from trialopt import optimizer
 from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
-from trialopt.mc_oracle import FWER, MAX_BINOMIAL_N, REJECTION_PROBS, UTILITY
-from trialopt.model import _FLAT_FIELDS, NO_TRIAL, ConfigError, DesignSpec, parse_config_text
+from trialopt.mc_oracle import (
+    BINOMIAL_RANDOM,
+    FIXED_PROPORTIONAL,
+    FWER,
+    MAX_BINOMIAL_N,
+    REJECTION_PROBS,
+    UTILITY,
+    SimConfig,
+    mc_expected_utility,
+    mc_fwer,
+)
+from trialopt.model import (
+    _FLAT_FIELDS,
+    NO_TRIAL,
+    DesignSpec,
+    EffectPair,
+    parse_config_text,
+    scenario_from_mapping,
+)
 from trialopt.numerics import NumericError
 from trialopt.optimizer import MAX_ALPHA_POINTS, MAX_JOBS, MAX_N_POINTS, GridConfig
 from conftest import make_scenario
@@ -320,6 +338,65 @@ class TestErrorHandling:
                      "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3
 
 
+def _case1():
+    return scenario_from_mapping(parse_config_text(CONFIG_CASE1))
+
+
+def _library_error(call):
+    """The message of the ValueError a library call raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+_SIMULATE = ["simulate", "--design", "classical", "--n", "200", "--replicates", "1000"]
+
+# (CLI arguments, the library call that rejects the same input): the CLI
+# reports the library's own message.
+_BAD_INPUTS = {
+    "atom_order": (_SIMULATE + ["--atom", "0.1,0.3"], lambda: EffectPair(0.1, 0.3)),
+    "n_zero": (["evaluate", "--design", "classical", "--n", "0"],
+               lambda: DesignSpec("classical", n=0)),
+    "alpha_s_above_alpha": (
+        ["evaluate", "--design", "stratified", "--n", "200", "--alpha-s", "0.5"],
+        lambda: DesignSpec.stratified(200, 0.5).check_against(_case1())),
+    "replicates_zero": (
+        ["simulate", "--design", "classical", "--n", "200", "--replicates", "0"],
+        lambda: SimConfig(replicates=0, seed=0, strata_mode=FIXED_PROPORTIONAL)),
+    "fwer_not_null": (
+        _SIMULATE + ["--estimand", "fwer", "--atom", "0.1,0"],
+        lambda: mc_fwer(DesignSpec("classical", n=200), _case1(), EffectPair(0.1, 0.0),
+                        SimConfig(replicates=1000, seed=0, strata_mode=FIXED_PROPORTIONAL))),
+    "binomial_n_cap": (
+        ["simulate", "--design", "classical", "--n", "2000000", "--replicates", "1000",
+         "--mode", "binomial"],
+        lambda: mc_expected_utility(
+            DesignSpec("classical", n=2_000_000), _case1().prior, _case1(),
+            SimConfig(replicates=1000, seed=0, strata_mode=BINOMIAL_RANDOM))),
+    "alpha_points_one": (["optimize", "--set", "grid.alpha_points=1"],
+                         lambda: GridConfig(alpha_points=1)),
+    "lambda_above_one": (["optimize", "--set", "lambda_S=2"],
+                         lambda: dataclasses.replace(_case1(), lambda_S=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsys, name):
+    # Every ValueError, from the config readers, the flags or a library
+    # domain check, is one stderr line and exit 2.
+    argv, call = _BAD_INPUTS[name]
+    message = _library_error(call)
+    assert main([argv[0], "--config", config_path, "--out", str(tmp_path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_overflow_exits_3(config_path, tmp_path, capsys):
+    assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
+                 "--design", "classical", "--n", "200", "--set", "sigma=1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @contextlib.contextmanager
 def _deadline(seconds=20):
     """Fail a run that goes past ``seconds`` instead of letting it hang."""
@@ -551,11 +628,11 @@ def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
     assert len(_parse_grid_spec(f"0:1:{MAX_GRID_COUNT}")) == MAX_GRID_COUNT
     assert GridConfig(alpha_points=MAX_ALPHA_POINTS).alpha_points == MAX_ALPHA_POINTS
     assert GridConfig.consume_mapping({"grid.n_points": str(MAX_N_POINTS)}).n_grid[-1] == 3000
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="bad grid specification"):
         _parse_grid_spec(f"0:1:{MAX_GRID_COUNT + 1}")
     with pytest.raises(ValueError):
         GridConfig(alpha_points=MAX_ALPHA_POINTS + 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="grid.n_points: bad value"):
         GridConfig.consume_mapping({"grid.n_points": str(MAX_N_POINTS + 1)})
     for argv in (["--set", f"grid.alpha_points={MAX_ALPHA_POINTS + 1}"],
                  ["--set", f"grid.n_points={MAX_N_POINTS + 1}"],
@@ -573,7 +650,7 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
     # every cell's scenario before the first decision, so more than
     # MAX_GRID_COUNT cells is rejected before it builds one.
     scenarios = [make_scenario(lambda_S=lam) for lam in (0.3, 0.7)]
-    with pytest.raises(ConfigError, match="jobs"):
+    with pytest.raises(ValueError, match="jobs"):
         optimizer._decisions(scenarios, None, MAX_JOBS + 1)
     assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                  "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)]) == 2
@@ -583,7 +660,7 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
                                      np.linspace(0.0, 1.0, 100))
     assert sum(map(len, matrix)) == MAX_GRID_COUNT
     # 73 x 137 = MAX_GRID_COUNT + 1
-    with pytest.raises(ConfigError, match="cells"):
+    with pytest.raises(ValueError, match="cells"):
         optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 73),
                                 np.linspace(0.0, 1.0, 137))
     assert main(["contour", "--config", config_path, "--out", str(tmp_path),

@@ -11,7 +11,6 @@ from trialopt.model import (
     _FLAT_FIELDS,
     _PRIOR_KEYS,
     DEFAULT_PRIOR_DELTA,
-    ConfigError,
     CostStructure,
     DesignSpec,
     DiscretePrior,
@@ -215,11 +214,11 @@ class TestConfigDocument:
             assert not mapping  # everything consumed
 
     def test_parse_rejects_bad_line(self):
-        with pytest.raises(ConfigError, match="key = value"):
+        with pytest.raises(ValueError, match="key = value"):
             parse_config_text("lambda_S 0.5\n")
 
     def test_parse_rejects_duplicates(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_config_text("a = 1\na = 2\n")
 
     def test_comments_and_blanks_ignored(self):
@@ -227,7 +226,7 @@ class TestConfigDocument:
         assert mapping == {"lambda_S": "0.5"}
 
     def test_missing_required_keys(self):
-        with pytest.raises(ConfigError, match="missing required"):
+        with pytest.raises(ValueError, match="missing required"):
             scenario_from_mapping({"lambda_S": "0.5"})
 
     def test_kind_and_atoms_conflict(self):
@@ -237,7 +236,7 @@ class TestConfigDocument:
             "reward.mu_S = 0.1\nreward.mu_F = 0.1\n"
             "prior.kind = weak\nprior.atoms = 0.3,0.0,1.0\n"
         )
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(ValueError, match="not both"):
             scenario_from_mapping(parse_config_text(text))
 
     def test_custom_atoms(self):
@@ -258,7 +257,7 @@ class TestConfigDocument:
             "reward.perspective = sponsor\nreward.NrS = 1\nreward.NrF = 1\n"
             "reward.mu_S = 0.1\nreward.mu_F = 0.1\nprior.kind = weak\n"
         )
-        with pytest.raises(ConfigError, match="lambda_S"):
+        with pytest.raises(ValueError, match="lambda_S"):
             scenario_from_mapping(mapping)
 
     def test_readme_documents_every_key_and_default(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trialopt import optimizer, utility
-from trialopt.model import ConfigError, DesignSpec, DiscretePrior, EffectPair
+from trialopt.model import DesignSpec, DiscretePrior, EffectPair
 from trialopt.optimizer import (
     MAX_JOBS,
     ContourCell,
@@ -60,7 +60,7 @@ class TestGridConfig:
         assert config.n_grid[0] == 50 and config.n_grid[-1] == 3000
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="grid.n_points: bad value"):
             GridConfig.consume_mapping({"grid.n_points": "x"})
 
 
@@ -467,7 +467,7 @@ class TestSweeps:
     def test_contour_requires_a_prior_kind(self):
         template = make_scenario()
         template = template.with_prior(DiscretePrior(template.prior.atoms))
-        with pytest.raises(ConfigError, match="prior.kind"):
+        with pytest.raises(ValueError, match="prior.kind"):
             sweep_contour(template, [0.5], [0.3], FAST)
 
     def test_contour_rejects_negative_delta(self):
@@ -527,7 +527,7 @@ class TestCellPool:
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, pool_sizes, jobs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="jobs must lie in"):
             sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=jobs)
         assert pool_sizes == []
 

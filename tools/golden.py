@@ -1,0 +1,142 @@
+"""Golden design decisions: write or check the decisions of named scenario sets.
+
+    PYTHONPATH=src python3 tools/golden.py --check optimize_seeds
+    PYTHONPATH=src python3 tools/golden.py --write edge192
+
+A set is a list of scenarios built with the benchmark's ``make_scenario``:
+
+- ``optimize_seeds``: the optimize workload's eight-scenario mix for seeds
+  1-5 (``optimize_inputs``), 40 scenarios;
+- ``edge192``: lambda_S in {0.05, 0.3, 0.7, 0.95} x sponsor/public x market
+  cases 1-3 x weak/strong prior x delta in {0, 0.15, 0.4, 1.0}, 192
+  scenarios out to the edges of the prevalence and effect-size ranges.
+
+Each scenario's entry, one line of ``tests/golden/<set>.json``, holds
+``decide``'s selected kind and, for every trial family, the ``FIELDS`` of
+its optimum: n, alpha_S, derived alpha_F and the seven evaluation fields,
+every float as ``float.hex``. ``--write`` stores the set; ``--check``
+recomputes it, prints one line per stored value that differs (and per
+value only one side holds) and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from trialopt.model import TRIAL_KINDS  # noqa: E402
+from trialopt.optimizer import decide  # noqa: E402
+from trialopt.utility import _FIELDS  # noqa: E402
+from workloads import OPTIMIZE_MIX, make_scenario, optimize_inputs  # noqa: E402
+
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+# The values stored per family, in order.
+FIELDS = ("n", "alpha_S", "alpha_F", *_FIELDS)
+
+
+def _label(args):
+    lam, perspective, case, kind, delta = args
+    return f"{perspective} {kind} case {case} lambda_S={lam!r} delta={delta!r}"
+
+
+def optimize_seeds():
+    for seed in range(1, 6):
+        scenarios = optimize_inputs(seed)["scenarios"]
+        for (perspective, kind, case), s in zip(OPTIMIZE_MIX, scenarios):
+            args = (s.lambda_S, perspective, case, kind, s.prior.delta)
+            yield f"seed {seed} {_label(args)}", s
+
+
+def edge192():
+    for args in itertools.product((0.05, 0.3, 0.7, 0.95), ("sponsor", "public"), (1, 2, 3),
+                                  ("weak", "strong"), (0.0, 0.15, 0.4, 1.0)):
+        yield _label(args), make_scenario(*args)
+
+
+SETS = {"optimize_seeds": optimize_seeds, "edge192": edge192}
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def compute(name):
+    """The golden document of a set: one entry per scenario, in order."""
+    entries = []
+    for label, scenario in SETS[name]():
+        outcomes, selected = decide(scenario)
+        entry = {"scenario": label, "selected": selected}
+        for kind in TRIAL_KINDS:
+            outcome = outcomes[kind]
+            design = outcome.best_design
+            entry[kind] = [design.n, _hex(design.alpha_S), _hex(outcome.derived_alpha_F),
+                           *(_hex(getattr(outcome.result, f)) for f in _FIELDS)]
+        entries.append(entry)
+    return {"set": name, "fields": list(FIELDS), "entries": entries}
+
+
+def dumps(doc):
+    """The document as JSON with one line per entry."""
+    head = json.dumps({k: v for k, v in doc.items() if k != "entries"})[:-1]
+    body = ",\n".join(json.dumps(entry) for entry in doc["entries"])
+    return f'{head}, "entries": [\n{body}\n]}}\n'
+
+
+def path(name):
+    return os.path.join(GOLDEN_DIR, f"{name}.json")
+
+
+def _flat(doc):
+    """{(scenario, value name): value} of every stored value."""
+    flat = {}
+    for entry in doc["entries"]:
+        label = entry["scenario"]
+        flat[label, "selected"] = entry["selected"]
+        for kind in TRIAL_KINDS:
+            for field, value in zip(doc["fields"], entry[kind]):
+                flat[label, f"{kind}.{field}"] = value
+    return flat
+
+
+def differences(stored, computed):
+    """One line per stored value that differs from the computed one, and
+    per value only one side holds."""
+    old, new = _flat(stored), _flat(computed)
+    lines = []
+    for key in list(old) + [k for k in new if k not in old]:
+        a, b = old.get(key, "(none)"), new.get(key, "(none)")
+        if a != b:
+            lines.append(f"{key[0]}: {key[1]}: stored {a}, now {b}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--write", choices=sorted(SETS), metavar="SET")
+    action.add_argument("--check", choices=sorted(SETS), metavar="SET")
+    args = parser.parse_args(argv)
+    name = args.write or args.check
+    doc = compute(name)
+    if args.write:
+        os.makedirs(GOLDEN_DIR, exist_ok=True)
+        with open(path(name), "w") as fh:
+            fh.write(dumps(doc))
+        print(f"wrote {len(doc['entries'])} entries to {path(name)}")
+        return 0
+    with open(path(name)) as fh:
+        lines = differences(json.load(fh), doc)
+    for line in lines:
+        print(line)
+    print(f"{name}: {len(doc['entries'])} scenarios, differing values: {len(lines)}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

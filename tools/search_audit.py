@@ -5,10 +5,11 @@
 For every seed, one scenario is drawn in each stratum of ``STRATA``
 (perspective, built-in prior, market case and a lambda_S range; two strata
 pin lambda_S = 0.95 public, where a winning stratified row can have two
-alpha_S peaks). For every family the optimum of ``optimize_family`` at the
-default grid is compared with a scan of every integer n from n_min to
-``N_MAX``, crossed with ``ALPHA_POINTS`` alpha_S values in [0, alpha] for
-the stratified family. The output JSON holds one record per (scenario,
+alpha_S peaks) and built with the benchmark's ``make_scenario``. For
+every family the optimum of ``optimize_family`` at the default grid is
+compared with a scan of every integer n from n_min to ``N_MAX``, crossed
+with ``ALPHA_POINTS`` alpha_S values in [0, alpha] for the stratified
+family. The output JSON holds one record per (scenario,
 family) and a summary: the worst gap (scan utility minus search utility;
 a positive gap is utility the search missed), the runs whose n differs
 from the scan's, and the scans whose winning alpha_S row has more than one
@@ -20,26 +21,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
 import numpy as np
 
 import trialopt
-from bench_pairs import parse_seeds
+from bench_pairs import ROOT, parse_seeds
 from trialopt.utility import grid_row
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import make_scenario  # noqa: E402
 
 N_MAX = 6000
 ALPHA_POINTS = 41
 # (atom, n, alpha_S) settings per scan call: bounds the kernel's temporaries.
 SCAN_SETTINGS = 4096
 FAMILIES = ("classical", "stratified", "enrichment")
-# Reward scale and biomarker costs of the three reference market cases.
-CASES = {
-    1: dict(Nr=10000.0, biomarker=0.0, screening=0.0),
-    2: dict(Nr=1000.0, biomarker=0.0, screening=0.0),
-    3: dict(Nr=1000.0, biomarker=10.0, screening=0.005),
-}
 # (perspective, prior kind, market case, lambda_S range) of each stratum.
 STRATA = (
     ("sponsor", "weak", 1, (0.05, 0.5)), ("sponsor", "strong", 2, (0.5, 0.95)),
@@ -82,16 +81,8 @@ def scenarios(seed):
     for perspective, kind, case, (lam_lo, lam_hi) in STRATA:
         lam = lam_lo + (lam_hi - lam_lo) * rng.random()
         delta = DELTA_RANGE[0] + (DELTA_RANGE[1] - DELTA_RANGE[0]) * rng.random()
-        c = CASES[case]
-        scenario = trialopt.Scenario(
-            lambda_S=lam,
-            costs=trialopt.CostStructure(setup=1.0, per_patient=0.05,
-                                         biomarker=c["biomarker"], screening=c["screening"]),
-            rewards=trialopt.RewardStructure(perspective, NrS=c["Nr"], NrF=c["Nr"],
-                                             mu_S=0.1, mu_F=0.1),
-            prior=trialopt.builtin_prior(kind, delta))
-        yield (f"seed {seed} {perspective} {kind} case {case} "
-               f"lambda_S={lam!r} delta={delta!r}"), scenario
+        label = f"seed {seed} {perspective} {kind} case {case} lambda_S={lam!r} delta={delta!r}"
+        yield label, make_scenario(lam, perspective, case, kind, delta)
 
 
 def scan(family, scenario):
