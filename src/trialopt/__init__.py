@@ -31,7 +31,7 @@ from .numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from .testing import alpha_F_given_alpha_S, reject_stratified
+from .testing import alpha_F_given_alpha_S
 from .utility import (
     EvaluationResult,
     classical_variance,

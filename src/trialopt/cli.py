@@ -19,6 +19,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -154,7 +155,7 @@ def _load_run_inputs(args) -> tuple:
         key, value = override.split("=", 1)
         mapping[key.strip()] = value.strip()
     scenario = scenario_from_mapping(mapping)
-    grid = GridConfig.consume_mapping(mapping, n_min=scenario.n_min)
+    grid = GridConfig.consume_mapping(mapping)
     if mapping:
         raise ValueError(f"unknown config keys: {', '.join(sorted(mapping))}")
     return scenario, grid
@@ -373,6 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes '--atom -0.1,-0.2' for two options, since '-0.1,-0.2'
+    # is not a plain negative number; '--atom=-0.1,-0.2' is one argument
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--atom" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--atom={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         _run(args)

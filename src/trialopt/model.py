@@ -293,11 +293,6 @@ class Scenario:
             raise ValueError("n_min must be a positive integer")
         object.__setattr__(self, "n_min", int(self.n_min))
 
-    @property
-    def lambda_Sc(self) -> float:
-        """Complement prevalence, always derived from lambda_S."""
-        return 1.0 - self.lambda_S
-
     def with_lambda(self, lambda_S: float) -> "Scenario":
         return replace(self, lambda_S=lambda_S)
 

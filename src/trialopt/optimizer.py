@@ -24,7 +24,8 @@ only improve on the grid. Every point carries the seven fields its block
 scored, and the family's outcome is built from the winner's, so no
 design is evaluated twice.
 
-A block holds at most ``_BLOCK_SETTINGS`` (atom, n, alpha_S) settings,
+A block holds at most max(``_BLOCK_SETTINGS``, merged atoms) (atom, n,
+alpha_S) settings, since a call scores all the family's merged atoms:
 twelve default stratified rows, so a default stratified stage 1 mostly
 takes two calls. The cap keeps pruning at work, since only the sizes of
 a block after the first can be skipped, and it bounds the kernels'
@@ -81,7 +82,8 @@ _BRACKET_POINTS = 9
 # sizes cost less than the one or two calls the remaining steps would make.
 _LAST_WINDOW = 9
 
-# Most (atom, n, alpha_S) settings one kernel call scores: twelve rows of a
+# Most (atom, n, alpha_S) settings one kernel call scores, unless the
+# family has more merged atoms (a call scores them all): twelve rows of a
 # default stratified grid (4 atoms x 21 alpha_S). Stage 1 scores the rows
 # whose utility bound clears the best so far, 19.6 per decision on
 # optimize seeds 1-5 at caps of 4, 8 and 12 rows alike, in 5.25, 3.0 and
@@ -106,14 +108,11 @@ _REFINE_TOL = 1e-6
 
 # Caps on the counts a configuration sets: every grid is built in full
 # before the first kernel call, so an unbounded count only ever allocates
-# its way to a hang. A grid.n_points count spans [n_min, 3000], which
-# holds at most 3,000 distinct integer sizes. MAX_GRID_COUNT caps a
-# 'lo:hi:count' specification's values and a contour's cells, whose
-# scenarios are built in the parent before the first decision.
-# MAX_JOBS caps the pool, which under the fork start method starts all
-# its workers at the first task.
+# its way to a hang. MAX_GRID_COUNT caps a 'lo:hi:count' specification's
+# values and a contour's cells, whose scenarios are built in the parent
+# before the first decision. MAX_JOBS caps the pool, which under the fork
+# start method starts all its workers at the first task.
 MAX_ALPHA_POINTS = 1001
-MAX_N_POINTS = 3000
 MAX_GRID_COUNT = 10_000
 MAX_JOBS = 256
 
@@ -145,25 +144,19 @@ class GridConfig:
             raise ValueError(f"alpha_points must lie in [2, {MAX_ALPHA_POINTS}]")
 
     @classmethod
-    def consume_mapping(cls, mapping: dict, n_min: int = 50) -> "GridConfig":
-        """Pop the grid.* keys out of a parsed config mapping."""
+    def consume_mapping(cls, mapping: dict) -> "GridConfig":
+        """Pop the grid.* keys out of a parsed config mapping; grid.n_points
+        is a comma-separated list only ('200,' is the one size 200)."""
         kwargs = {}
         if "grid.n_points" in mapping:
             raw = mapping.pop("grid.n_points")
             try:
-                if "," in raw:
-                    grid = tuple(parse_integral(p) for p in raw.split(",") if p.strip())
-                else:
-                    count = parse_integral(raw)
-                    if count > MAX_N_POINTS:
-                        raise ValueError
-                    grid = tuple(sorted({
-                        int(round(x)) for x in np.geomspace(n_min, 3000, count)
-                    }))
-                kwargs["n_grid"] = grid
+                if "," not in raw:
+                    raise ValueError
+                kwargs["n_grid"] = tuple(parse_integral(p) for p in raw.split(",") if p.strip())
             except ValueError:
-                raise ValueError(f"grid.n_points: bad value {raw!r} (a list of integer sizes, "
-                                 f"or a count of at most {MAX_N_POINTS})") from None
+                raise ValueError(f"grid.n_points: bad value {raw!r} (a comma-separated "
+                                 "list of integer sizes, such as 50,200,800)") from None
         if "grid.alpha_points" in mapping:
             raw = mapping.pop("grid.alpha_points")
             try:
@@ -205,7 +198,7 @@ def _grid_sizes(scenario: Scenario, config: GridConfig) -> list:
 
 def _block_shape(family: str, alphas: list, scenario: Scenario) -> tuple:
     """(sizes per block, alpha_S points per piece of a row) that keep a
-    kernel call within _BLOCK_SETTINGS (atom, n, alpha_S) settings."""
+    kernel call within max(_BLOCK_SETTINGS, merged atoms) settings."""
     atoms = len(_merged_atoms(family, scenario))
     width = max(1, _BLOCK_SETTINGS // atoms)
     return max(1, _BLOCK_SETTINGS // (atoms * min(width, len(alphas)))), width
@@ -214,9 +207,9 @@ def _block_shape(family: str, alphas: list, scenario: Scenario) -> tuple:
 def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
     """(n, fields over ``alphas``) for every n in ``sizes``, in order, the
     fields an array of shape (7, len(alphas)) in EvaluationResult order.
-    Consecutive sizes share one batched evaluation, up to _BLOCK_SETTINGS
-    (atom, n, alpha_S) settings per call; a row longer than that is scored
-    in pieces of its alpha_S axis and joined."""
+    Consecutive sizes share one batched evaluation, up to
+    max(_BLOCK_SETTINGS, merged atoms) settings per call; a row longer
+    than that is scored in pieces of its alpha_S axis and joined."""
     block, width = _block_shape(family, alphas, scenario)
     for start in range(0, len(sizes), block):
         chunk = sizes[start:start + block]

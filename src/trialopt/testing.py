@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .model import EffectPair, Scenario
+from .model import Scenario
 from .numerics import SCALAR, _one_sided_critical, bivariate_upper_orthant, find_root
 
 # Above this correlation the subgroup and pooled statistics are treated as
@@ -97,7 +97,6 @@ class _Geometry:
     """
 
     se_S: float
-    se_Sc: float
     se_F: float
     shift_S: float      # delta_S / se_S
     shift_Sc: float
@@ -133,7 +132,7 @@ def _line_geometry(lam, alpha, alpha_S, alpha_F, tau_S, tau_Sc, delta_S, delta_S
     se_F = sigma * np.sqrt(2.0 / n)
     delta_F = lam * delta_S + lamc * delta_Sc
     return _Geometry(
-        se_S=se_S, se_Sc=se_Sc, se_F=se_F,
+        se_S=se_S, se_F=se_F,
         shift_S=delta_S / se_S,
         shift_Sc=delta_Sc / se_Sc,
         shift_F=delta_F / se_F,
@@ -214,30 +213,6 @@ def _decide(t_S, t_Sc, t_F, scenario: Scenario, alpha_S: float, alpha_F: float):
         & (t_Sc >= _one_sided_critical(scenario.tau_Sc))
     )
     return psi_S, psi_F
-
-
-def reject_stratified(z_S, z_Sc, alpha_S: float, effects: EffectPair, n: float,
-                      scenario: Scenario):
-    """Rejection indicators (psi_S, psi_F) of the modified closed test at
-    subgroup weight alpha_S, with alpha_F solved from the level condition.
-
-    z_S and z_Sc follow the centered convention (standard normal given the
-    true effects); scalars or arrays. The pooled statistic is
-    sqrt(lambda_S) t_S + sqrt(1-lambda_S) t_Sc on the uncentered scale.
-    """
-    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
-    geom = _line_geometry(scenario.lambda_S, scenario.alpha, alpha_S, alpha_F,
-                          scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
-                          n, scenario.sigma, mu_S=None, mu_F=None)
-    z_S = np.asarray(z_S, dtype=float)
-    z_Sc = np.asarray(z_Sc, dtype=float)
-    t_S = z_S + geom.shift_S
-    t_Sc = z_Sc + geom.shift_Sc
-    t_F = geom.sq_lam * t_S + geom.sq_lamc * t_Sc
-    psi_S, psi_F = _decide(t_S, t_Sc, t_F, scenario, alpha_S, alpha_F)
-    if z_S.ndim == 0 and z_Sc.ndim == 0:
-        return int(psi_S), int(psi_F)
-    return psi_S.astype(int), psi_F.astype(int)
 
 
 def region_breakpoints(geom: _Geometry) -> np.ndarray:

@@ -19,6 +19,10 @@ kernels that nothing else pins yet over their whole domain.
   library did before atom blocks and strata-count histograms; the library
   form must agree with them in distribution (within standard errors), since
   it draws the same replicates in another order.
+- :func:`reject_stratified` is the modified closed test's pair of
+  rejection indicators at given (z_S, z_Sc), point by point, from the
+  test statistics themselves: the region tests hold the piecewise lines
+  the closed form integrates to it.
 - :func:`array_route_orthant` is the bivariate normal upper orthant that
   hands every case past the scalar limits to the array CDF
   :func:`bivariate_normal_cdf`, through its limit gate, as the library
@@ -40,7 +44,12 @@ from trialopt.numerics import (
     bivariate_normal_cdf,
     std_normal_pdf,
 )
-from trialopt.testing import _line_geometry, alpha_F_given_alpha_S, region_breakpoints
+from trialopt.testing import (
+    _decide,
+    _line_geometry,
+    alpha_F_given_alpha_S,
+    region_breakpoints,
+)
 from trialopt.utility import EvaluationResult, _check_n, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -306,6 +315,29 @@ def adaptive_stratified(effects, n, alpha_S, scenario):
         reward_F = rewards.NrF * gain_F * _clamp01(p_f)
         reward_S = scenario.lambda_S * rewards.NrS * gain_S * _clamp01(p_s_only)
     return _assemble(reward_S, reward_F, cost, p_s_only, p_f)
+
+
+def reject_stratified(z_S, z_Sc, alpha_S, effects, n, scenario):
+    """Rejection indicators (psi_S, psi_F) of the modified closed test at
+    subgroup weight alpha_S, with alpha_F solved from the level condition.
+
+    z_S and z_Sc follow the centered convention (standard normal given the
+    true effects); scalars or arrays. The pooled statistic is
+    sqrt(lambda_S) t_S + sqrt(1-lambda_S) t_Sc on the uncentered scale.
+    """
+    alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
+    geom = _line_geometry(scenario.lambda_S, scenario.alpha, alpha_S, alpha_F,
+                          scenario.tau_S, scenario.tau_Sc, effects.delta_S, effects.delta_Sc,
+                          n, scenario.sigma, mu_S=None, mu_F=None)
+    z_S = np.asarray(z_S, dtype=float)
+    z_Sc = np.asarray(z_Sc, dtype=float)
+    t_S = z_S + geom.shift_S
+    t_Sc = z_Sc + geom.shift_Sc
+    t_F = geom.sq_lam * t_S + geom.sq_lamc * t_Sc
+    psi_S, psi_F = _decide(t_S, t_Sc, t_F, scenario, alpha_S, alpha_F)
+    if z_S.ndim == 0 and z_Sc.ndim == 0:
+        return int(psi_S), int(psi_F)
+    return psi_S.astype(int), psi_F.astype(int)
 
 
 def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):

@@ -191,10 +191,6 @@ class TestScenario:
                      rewards=RewardStructure("sponsor", 1.0, 1.0, 0.1, 0.1),
                      prior=builtin_prior("weak", 0.3))
 
-    def test_lambda_Sc_derived(self, scenario):
-        assert scenario.lambda_Sc == pytest.approx(1.0 - scenario.lambda_S)
-        assert scenario.with_lambda(0.2).lambda_Sc == pytest.approx(0.8)
-
     def test_perspective_validated(self):
         with pytest.raises(ValueError):
             RewardStructure("regulator", 1.0, 1.0, 0.1, 0.1)

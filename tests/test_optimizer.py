@@ -54,11 +54,6 @@ class TestGridConfig:
         config = GridConfig.consume_mapping({"grid.n_points": "300,50,300,120"})
         assert config.n_grid == (50, 120, 300)
 
-    def test_consume_mapping_count(self):
-        config = GridConfig.consume_mapping({"grid.n_points": "12"}, n_min=50)
-        assert len(config.n_grid) == 12
-        assert config.n_grid[0] == 50 and config.n_grid[-1] == 3000
-
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="grid.n_points: bad value"):
             GridConfig.consume_mapping({"grid.n_points": "x"})

@@ -14,10 +14,9 @@ from trialopt.testing import (
     _pieces,
     _region_lines,
     alpha_F_given_alpha_S,
-    reject_stratified,
 )
 from conftest import make_scenario
-from oracles import array_route_orthant
+from oracles import array_route_orthant, reject_stratified
 import trialopt.numerics as numerics
 import trialopt.testing as testing
 
