@@ -13,8 +13,9 @@ with correlation sqrt(lambda_S). This script maps that trade-off.
 """
 
 import numpy as np
+from scipy.special import ndtri
 
-from trialopt import alpha_F_given_alpha_S, bivariate_upper_orthant, std_normal_quantile
+from trialopt import alpha_F_given_alpha_S, bivariate_upper_orthant
 
 ALPHA = 0.025
 
@@ -36,7 +37,7 @@ for alpha_S in np.linspace(0.0, ALPHA, 11):
 # Verify one solved pair by plugging it back into the union probability.
 lam, alpha_S = 0.5, 0.0125
 alpha_F = alpha_F_given_alpha_S(alpha_S, lam)
-h = std_normal_quantile(1 - alpha_S)
-k = std_normal_quantile(1 - alpha_F)
+h = ndtri(1 - alpha_S)
+k = ndtri(1 - alpha_F)
 union = alpha_S + alpha_F - bivariate_upper_orthant(h, k, np.sqrt(lam))
 print(f"check: union probability at the solved pair = {union:.10f} (target {ALPHA})")

@@ -304,8 +304,16 @@ def _run(args) -> None:
     _emit(args.out, args.command, manifest, tables)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads a token starting like a negative number, such as
+    '-0.1,0.5' or '-0.1:0.5:2', as a value, never as an option."""
+
+    def _parse_optional(self, arg_string):
+        return None if re.match(r"-\.?\d", arg_string) else super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trialopt",
         description="Expected-utility evaluation and optimization of "
                     "biomarker-subgroup trial designs.",
@@ -374,12 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes '--atom -0.1,-0.2' for two options, since '-0.1,-0.2'
-    # is not a plain negative number; '--atom=-0.1,-0.2' is one argument
-    for i in reversed(range(1, len(argv))):
-        if argv[i - 1] == "--atom" and re.match(r"-\.?\d", argv[i]):
-            argv[i - 1:i + 1] = [f"--atom={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         _run(args)

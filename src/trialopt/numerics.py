@@ -1,5 +1,7 @@
-"""Scalar and bivariate normal probability functions and a Newton root
-finder for increasing convex functions.
+"""What scipy lacks of the normal functions the closed forms need: the
+bivariate normal, a density silent on overflow, the one-sided critical
+value, and Newton's method for increasing convex functions. The plain
+normal CDF and quantile are scipy's ``ndtr`` and ``ndtri``, called directly.
 
 All functions are pure and deterministic. Nothing here integrates
 numerically: the expected utilities are closed forms in these functions.
@@ -19,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.special as special
-from scipy.special import cython_special, ndtr, ndtri, owens_t
+from scipy.special import cython_special, ndtr, owens_t
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -46,27 +48,9 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_cdf(x):
-    """Standard normal distribution function (scipy ndtr, <1e-15 abs error)."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def std_normal_quantile(p):
-    """Inverse of :func:`std_normal_cdf`; requires p in (0, 1)."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise ValueError("quantile requires p in the open interval (0, 1)")
-    out = ndtri(p_arr)
-    return float(out) if p_arr.ndim == 0 else out
-
-
 def _one_sided_critical(level: float) -> float:
-    """z threshold for 'one-sided p <= level'; +inf at level 0, -inf at 1."""
-    if level <= 0.0:
-        return math.inf
-    if level >= 1.0:
-        return -math.inf
+    """z threshold for 'one-sided p <= level', for a level in [0, 1]: +inf
+    at level 0, -inf at 1."""
     # -ndtri(level), not ndtri(1 - level): 1 - level would round away the
     # low bits of a small tail level
     return -SCALAR.ndtri(level)

@@ -88,17 +88,6 @@ def classical_variance(effects: EffectPair, lambda_S: float, sigma: float,
     return (2.0 * sigma ** 2 + mix) / n
 
 
-def _check_n(n, scenario: Scenario):
-    """n as a float, or a block of sizes as a float array; raises
-    ValueError naming the smallest size below the scenario's n_min."""
-    sizes = np.asarray(n, dtype=float)
-    low = sizes[~(sizes >= scenario.n_min - 1e-9)]
-    if low.size:
-        raise ValueError(f"n={float(np.min(low))} below the minimal per-group size "
-                         f"{scenario.n_min}")
-    return float(sizes) if sizes.ndim == 0 else sizes
-
-
 def _single_test(kind: str, atoms, n, scenario: Scenario) -> tuple:
     """(true effect per atom, shaped (len(atoms),) + (1,) * n.ndim, its
     estimate's SE, reward threshold mu, reward scale) of the one z-test of
@@ -123,7 +112,7 @@ def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
     array of shape (7, len(atoms)) + np.shape(n) + (1,) in EvaluationResult
     field order, from the truncated-normal closed form of the z-test.
     """
-    n = np.asarray(_check_n(n, scenario))[..., None]
+    n = np.asarray(n, dtype=float)[..., None]
     delta, se, mu, scale = _single_test(kind, atoms, n, scenario)
     crit = _one_sided_critical(scenario.alpha)
     p_reject = ndtr(delta / se - crit)
@@ -226,7 +215,7 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
     closed forms in :func:`_line_integrals`; on each piece the active
     constraint line is picked at an interior point.
     """
-    n = np.asarray(_check_n(n, scenario))
+    n = np.asarray(n, dtype=float)
     lam = scenario.lambda_S
     rewards = scenario.rewards
     sponsor = rewards.perspective == SPONSOR

@@ -50,7 +50,7 @@ from trialopt.testing import (
     alpha_F_given_alpha_S,
     region_breakpoints,
 )
-from trialopt.utility import EvaluationResult, _check_n, classical_variance
+from trialopt.utility import EvaluationResult, classical_variance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -67,7 +67,7 @@ def _assemble(reward_S, reward_F, cost, p_s_only, p_f) -> EvaluationResult:
 
 def scalar_single_test(kind, effects, n, scenario):
     """Classical or enrichment expected utility of one atom, scalar form."""
-    n = _check_n(n, scenario)
+    n = float(n)
     rewards = scenario.rewards
     if kind == ENRICHMENT:
         delta, mu = effects.delta_S, rewards.mu_S
@@ -267,7 +267,7 @@ def _integrate_multi(f, breakpoints):
 
 def adaptive_stratified(effects, n, alpha_S, scenario):
     """Stratified expected utility by adaptive quadrature over z_S."""
-    n = _check_n(n, scenario)
+    n = float(n)
     alpha_F = alpha_F_given_alpha_S(alpha_S, scenario.lambda_S, scenario.alpha)
     rewards = scenario.rewards
     sponsor = rewards.perspective == SPONSOR

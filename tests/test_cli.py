@@ -183,6 +183,9 @@ class TestSweepCommand:
                 float(cell)
 
 
+NEGATIVE_DELTA = "config error: prior effect parameter delta must be >= 0\n"
+
+
 class TestGridSpecs:
     @pytest.mark.parametrize("command, flag, spec", [
         ("contour", "--lambda-grid", ""),
@@ -199,6 +202,43 @@ class TestGridSpecs:
         assert main([command, "--config", config_path, "--out", str(out), flag, spec]) == 2
         assert "grid specification" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, spec, err", [
+        ("contour", "--delta-grid", "-0.1,0", NEGATIVE_DELTA),
+        ("contour", "--delta-grid", "-1:0:2", NEGATIVE_DELTA),
+        ("sweep", "--lambda-grid", "-0.1,0.5", ""),
+        ("sweep", "--lambda-grid", "-0.1:0.5:2", ""),
+        ("sweep", "--lambda-grid", "-.1,nan",
+         "config error: grid specification '-.1,nan' has a non-finite value\n"),
+    ])
+    def test_negative_spec_in_the_spaced_form(self, config_path, tmp_path, capsys,
+                                              command, flag, spec, err):
+        # argparse takes '-0.1,0.5', which is no plain negative number, for
+        # an option: the spaced form must give the '=' form's exit code,
+        # stderr and tables
+        def run(form, value):
+            out = tmp_path / form
+            try:
+                code = main([command, "--config", config_path, "--out", str(out), *value])
+            except SystemExit as exc:
+                code = exc.code
+            tables = sorted((p.name, p.read_bytes()) for p in out.glob("*.csv"))
+            return code, capsys.readouterr().err, tables
+
+        spaced = run("spaced", [flag, spec])
+        assert spaced == run("joined", [f"{flag}={spec}"])
+        assert spaced[:2] == (2 if err else 0, err)
+        assert [name for name, _ in spaced[2]] == ([] if err else [f"{command}.csv"])
+
+    def test_flag_without_value_takes_no_negative_spec(self, config_path, tmp_path, capsys):
+        # --figures takes no value, so a negative token after it stays an
+        # argument of its own, which argparse refuses
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_path, "--out", str(tmp_path / "run"),
+                  "--figures", "-0.1,0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -0.1,0.5" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_finite_lambdas_still_clamped(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -727,8 +767,10 @@ _FUZZ_CONFIG = {
                           "100000000", *_EDGES],
     "unknown.key": ["1"],
 }
+# The negative specs come in the spaced form, '--lambda-grid -0.1,0.5'.
 _GRID_SPECS = ["0.3,0.7", "0.5:0.5:1", "0.2:0.8:3", "1:0:2", f"0:1:{MAX_GRID_COUNT + 1}",
-               "0:1:100000000", "0:1:-1", "0.2:nan:3", ",", *_EDGES]
+               "0:1:100000000", "0:1:-1", "0.2:nan:3", ",", "-0.1,0.5", "-0.1:0.5:2",
+               "-.2,-0.1", "-1e-3:0.3:2", *_EDGES]
 _FUZZ_FLAGS = {
     "optimize": {},
     "sweep": {"--jobs": ["1", "2", "0", "-1", f"{MAX_JOBS}", f"{MAX_JOBS + 1}", "x"],

@@ -15,12 +15,11 @@ from oracles import (
 from trialopt.numerics import (
     SCALAR,
     NumericError,
+    _one_sided_critical,
     bivariate_normal_cdf,
     bivariate_upper_orthant,
     find_root,
-    std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 
 # Frozen from the brute-force 2-D quadrature oracle below (epsabs 1e-12).
@@ -61,28 +60,22 @@ def orthant_by_conditioning(h, k, rho):
 
 
 class TestScalarNormal:
-    def test_cdf_symmetry(self):
-        assert std_normal_cdf(0.0) == 0.5
-
     def test_quantile_frozen(self):
-        assert std_normal_quantile(0.975) == pytest.approx(QUANTILE_975, abs=1e-6)
+        assert _one_sided_critical(0.025) == pytest.approx(QUANTILE_975, abs=1e-6)
+
+    def test_one_sided_critical_is_minus_ndtri(self):
+        # no edge branches: ndtri's own limits give the thresholds at 0 and 1
+        levels = [0.0, -0.0, 1.0, 5e-324,
+                  *np.logspace(-300.0, 0.0, 601, endpoint=False).tolist()]
+        for level in levels:
+            got = _one_sided_critical(level)
+            assert type(got) is float
+            assert got.hex() == float(-special.ndtri(level)).hex(), level
+        assert _one_sided_critical(0.0) == _one_sided_critical(-0.0) == math.inf
+        assert _one_sided_critical(1.0) == -math.inf
 
     def test_pdf_at_zero(self):
         assert std_normal_pdf(0.0) == pytest.approx(0.3989423, abs=1e-7)
-
-    def test_quantile_roundtrip(self):
-        ps = np.concatenate([
-            np.array([1e-10, 1e-6, 1e-3]),
-            np.linspace(0.01, 0.99, 25),
-            1.0 - np.array([1e-10, 1e-6, 1e-3]),
-        ])
-        for p in ps:
-            assert abs(std_normal_cdf(std_normal_quantile(float(p))) - p) <= 1e-12
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
-    def test_quantile_domain(self, p):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
 
     def test_pdf_is_silent_and_zero_far_out(self):
         with warnings.catch_warnings():
@@ -184,14 +177,14 @@ class TestOrthant:
         grid = np.linspace(-4.0, 4.0, 9)
         for h in grid:
             for k in grid:
-                want = (1.0 - std_normal_cdf(h)) * (1.0 - std_normal_cdf(k))
+                want = (1.0 - special.ndtr(h)) * (1.0 - special.ndtr(k))
                 got = bivariate_upper_orthant(float(h), float(k), 0.0)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_exact_limits_at_unit_rho(self):
         assert bivariate_upper_orthant(0.5, -0.3, 1.0) == pytest.approx(
-            1.0 - std_normal_cdf(0.5), abs=1e-15)
-        want = std_normal_cdf(0.8) - std_normal_cdf(0.5)
+            1.0 - special.ndtr(0.5), abs=1e-15)
+        want = special.ndtr(0.8) - special.ndtr(0.5)
         assert bivariate_upper_orthant(0.5, -0.8, -1.0) == pytest.approx(want, abs=1e-15)
         assert bivariate_upper_orthant(1.0, -0.5, -1.0) == 0.0
 
@@ -209,7 +202,7 @@ class TestOrthant:
     def test_infinite_limits(self):
         assert bivariate_upper_orthant(math.inf, 0.0, 0.5) == 0.0
         assert bivariate_upper_orthant(-math.inf, 0.7, 0.5) == pytest.approx(
-            1.0 - std_normal_cdf(0.7), abs=1e-15)
+            1.0 - special.ndtr(0.7), abs=1e-15)
 
     def test_against_conditioning_oracle_random(self):
         rng = np.random.default_rng(20261018)
@@ -377,7 +370,7 @@ class TestFindRoot:
 
     def test_matches_quantile(self):
         # Phi is increasing and convex left of 0
-        got = find_root(lambda x: (std_normal_cdf(x) - 0.025, std_normal_pdf(x)), 0.0)
+        got = find_root(lambda x: (special.ndtr(x) - 0.025, std_normal_pdf(x)), 0.0)
         assert got == pytest.approx(-QUANTILE_975, abs=1e-12)
 
     def test_start_left_of_root_rejected(self):

@@ -364,6 +364,31 @@ class TestKernelCalls:
                     (family, scenario)
 
 
+class TestSizeFloor:
+    # The kernels take every size as given: the floor n >= n_min holds
+    # because DesignSpec.check_against guards each design and the search
+    # only builds sizes from n_min up, to at most twice the largest grid size.
+    @pytest.mark.parametrize("grid", [GridConfig(), GridConfig(n_grid=(50, 100, 200, 400, 800),
+                                                               alpha_points=5)],
+                             ids=["default", "five-sizes"])
+    @pytest.mark.parametrize("perspective", ["sponsor", "public"])
+    @pytest.mark.parametrize("n_min", [75, 333])
+    def test_every_scored_size_within_the_search_range(self, monkeypatch, grid,
+                                                       perspective, n_min):
+        scored = []
+        kernel = utility.grid_row
+
+        def recorded(kind, n, alphas, scenario):
+            scored.extend(np.ravel(n).tolist())
+            return kernel(kind, n, alphas, scenario)
+
+        monkeypatch.setattr(utility, "grid_row", recorded)
+        monkeypatch.setattr(optimizer, "grid_row", recorded)
+        decide(make_scenario(perspective=perspective, n_min=n_min), grid)
+        assert min(scored) == n_min
+        assert max(scored) <= 2 * max(grid.n_grid)
+
+
 class TestBimodalRow:
     # At lambda_S = 0.95, public, case 1, weak prior, delta = 0.6, the
     # n = 200 stage-1 row has two alpha_S peaks: 3847.20658 at index 10

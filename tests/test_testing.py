@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from trialopt.model import EffectPair, pooled_effect
-from trialopt.numerics import NumericError, bivariate_upper_orthant, std_normal_quantile
+from trialopt.numerics import NumericError, bivariate_upper_orthant
 from trialopt.testing import (
     _line_geometry,
     _pieces,
@@ -29,7 +29,7 @@ ALPHA_F_HALF = 0.016788350676614376
 
 def union_probability(alpha_S, alpha_F, lambda_S):
     """P(p_S <= alpha_S or p_F <= alpha_F) under the global null."""
-    h, k = -std_normal_quantile(alpha_S), -std_normal_quantile(alpha_F)
+    h, k = -scipy.special.ndtri(alpha_S), -scipy.special.ndtri(alpha_F)
     return alpha_S + alpha_F - bivariate_upper_orthant(h, k, math.sqrt(lambda_S))
 
 
@@ -50,8 +50,8 @@ class TestLevelCondition:
         z1 = rng.standard_normal(m)
         z2 = rng.standard_normal(m)
         z_f = math.sqrt(0.5) * z1 + math.sqrt(0.5) * z2
-        h = std_normal_quantile(1.0 - 0.0125)
-        k = std_normal_quantile(1.0 - alpha_F)
+        h = scipy.special.ndtri(1.0 - 0.0125)
+        k = scipy.special.ndtri(1.0 - alpha_F)
         union = np.mean((z1 >= h) | (z_f >= k))
         se = math.sqrt(union * (1.0 - union) / m)
         assert abs(union - 0.025) <= 4.0 * se
@@ -64,8 +64,8 @@ class TestLevelCondition:
             if alpha_S == 0.0 or alpha_F == 0.0:
                 union = max(alpha_S, alpha_F)
             else:
-                h = std_normal_quantile(1.0 - alpha_S)
-                k = std_normal_quantile(1.0 - alpha_F)
+                h = scipy.special.ndtri(1.0 - alpha_S)
+                k = scipy.special.ndtri(1.0 - alpha_F)
                 union = alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho)
             assert union == pytest.approx(0.025, abs=1e-8)
 
@@ -278,7 +278,7 @@ class TestRejectStratified:
 
     def test_boundary_flip_at_alpha_S_threshold(self, scenario):
         effects = EffectPair(0.0, 0.0)
-        threshold = std_normal_quantile(1.0 - 0.0125)
+        threshold = scipy.special.ndtri(1.0 - 0.0125)
         below = reject_stratified(threshold - 1e-9, -10.0, 0.0125, effects, 200, scenario)
         above = reject_stratified(threshold + 1e-9, -10.0, 0.0125, effects, 200, scenario)
         assert below == (0, 0)
@@ -306,8 +306,8 @@ class TestRegionSlices:
         alive, a, b = (v[0] for v in _region_lines(geom, z_S, False)[:3])
         assert alive
         lam_sq = math.sqrt(0.5)
-        line_tau = std_normal_quantile(1.0 - scenario.tau_Sc)
-        line_alpha = (std_normal_quantile(1.0 - scenario.alpha) - lam_sq * z_S) / lam_sq
+        line_tau = scipy.special.ndtri(1.0 - scenario.tau_Sc)
+        line_alpha = (scipy.special.ndtri(1.0 - scenario.alpha) - lam_sq * z_S) / lam_sq
         want = max(line_tau, line_alpha)
         assert a + b * z_S == pytest.approx(want, abs=1e-12)
 

@@ -17,7 +17,7 @@ from trialopt.utility import (
     eu_prior_averaged,
     grid_row,
 )
-from trialopt.utility import _check_n, _line_integrals, _merged_atoms
+from trialopt.utility import _line_integrals, _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
 from conftest import CASE1, CASE3, atom_result, make_scenario, one_atom
 from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
@@ -355,15 +355,6 @@ class TestSizeBlocks:
         assert block.tolist() == want.tolist()
         square = grid_row(kind, np.reshape(sizes, (2, 2)), alphas, scenario)
         assert square.tolist() == want.reshape(7, 2, 2, len(alphas)).tolist()
-
-    def test_check_n_names_smallest_offending_size(self, scenario):
-        assert _check_n(60, scenario) == 60.0
-        assert _check_n(np.array([50, 61.5]), scenario).tolist() == [50.0, 61.5]
-        with pytest.raises(ValueError, match=r"n=30\.0 below the minimal per-group size 50"):
-            _check_n(np.array([100, 40, 30, 60]), scenario)
-        for kind, alphas in (("stratified", [0.01]), ("classical", [None])):
-            with pytest.raises(ValueError, match=r"n=49\.0 below"):
-                grid_row(kind, np.array([50.0, 49.0]), alphas, scenario)
 
 
 class TestSingleTestArrayKernel:
