@@ -24,7 +24,7 @@ from .model import (
     pooled_effect,
     trial_cost,
 )
-from .numerics import bivariate_upper_orthant, find_root, std_normal_pdf
+from .numerics import bivariate_upper_orthant, std_normal_pdf
 from .testing import alpha_F_given_alpha_S
 from .utility import (
     EvaluationResult,

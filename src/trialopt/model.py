@@ -284,6 +284,8 @@ class Scenario:
             raise ValueError(f"lambda_S must lie in (0, 1), got {self.lambda_S}")
         if _finite(self.sigma, "sigma") <= 0.0:
             raise ValueError("sigma must be positive")
+        if not math.isfinite(2.0 * self.sigma * self.sigma):
+            raise ValueError(f"sigma={self.sigma} too large: 2 sigma^2 must be a finite double")
         if not (0.0 < _finite(self.alpha, "alpha") < 0.5):
             raise ValueError("alpha (one-sided FWER level) must lie in (0, 0.5)")
         for name in ("tau_S", "tau_Sc"):

@@ -1,13 +1,14 @@
 """What scipy lacks of the normal functions the closed forms need: the
-bivariate normal, a density silent on overflow, the one-sided critical
-value, and Newton's method for increasing convex functions. The plain
-normal CDF and quantile are scipy's ``ndtr`` and ``ndtri``, called directly.
+bivariate normal, a density silent on overflow and the one-sided critical
+value. The plain normal CDF and quantile are scipy's ``ndtr`` and
+``ndtri``, called directly.
 
 All functions are pure and deterministic. Nothing here integrates
 numerically: the expected utilities are closed forms in these functions.
 
 Arrays go through scipy.special's ufuncs. The level solve's scalar calls
-(:func:`_one_sided_critical` and :func:`bivariate_upper_orthant`) go
+(:func:`_one_sided_critical`, and the Owen's form that
+:func:`trialopt.testing.alpha_F_given_alpha_S` evaluates itself) go
 through :data:`SCALAR`, the same double routines from
 ``scipy.special.cython_special``: on a Python float they return the same
 double without numpy's ufunc dispatch, which costs more than the function
@@ -20,7 +21,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.special as special
 from scipy.special import cython_special, ndtr, owens_t
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -29,10 +29,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # over double and double complex; its double specialization also takes ints.
 SCALAR = SimpleNamespace(ndtr=cython_special.ndtr["double"], ndtri=cython_special.ndtri,
                          owens_t=cython_special.owens_t)
-
-# Newton's method stops once a step moves its point by at most this share.
-_NEWTON_RTOL = 1e-14
-_NEWTON_MAX_ITER = 50
 
 
 class NumericError(RuntimeError):
@@ -82,13 +78,11 @@ def bivariate_normal_cdf(x, y, rho, rho_c):
     return out
 
 
-def _owen_cdf(x, y, rho, rho_c, sf=special):
-    """Owen's form of the bivariate normal CDF for finite nonzero x, y,
-    with ndtr and owens_t from the namespace ``sf``: scipy.special for
-    arrays, :data:`SCALAR` for Python floats."""
-    return (0.5 * (sf.ndtr(x) + sf.ndtr(y))
-            - sf.owens_t(x, (y - rho * x) / (x * rho_c))
-            - sf.owens_t(y, (x - rho * y) / (y * rho_c))
+def _owen_cdf(x, y, rho, rho_c):
+    """Owen's form of the bivariate normal CDF for finite nonzero x, y."""
+    return (0.5 * (ndtr(x) + ndtr(y))
+            - owens_t(x, (y - rho * x) / (x * rho_c))
+            - owens_t(y, (x - rho * y) / (y * rho_c))
             - 0.5 * (x * y < 0.0))
 
 
@@ -96,13 +90,7 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
     """P(Z1 > h, Z2 > k) for standard bivariate normal with correlation rho.
 
     Exact limits at infinite bounds and at rho in {-1, 0, 1}; otherwise
-    Owen's-T form. The limits and, for nonzero h and k, Owen's form call
-    cython_special's scalar routines (:data:`SCALAR`) on the Python
-    floats, since numpy's ufunc dispatch would cost more than the
-    functions. Only the h = 0 and k = 0 limits go through
-    :func:`bivariate_normal_cdf`, whose limit gate serves the kernels'
-    arrays. Both routes evaluate the same expressions with the same double
-    routines, so every value is the same. Its absolute error is
+    :func:`bivariate_normal_cdf` at (-h, -k). Its absolute error is
     ~1e-16 for rho^2 up to about 0.99999. Closer to rho = 1 the ratios
     (y - rho x) / (x rho_c) in Owen's T grow like 1 / rho_c and the
     rounding grows with them: at rho^2 in [0.99999, 1 - 2e-9], the level
@@ -125,39 +113,4 @@ def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:
         return max(0.0, SCALAR.ndtr(-k) - SCALAR.ndtr(h))
     if rho == 0.0:
         return SCALAR.ndtr(-h) * SCALAR.ndtr(-k)
-    rho_c = math.sqrt((1.0 - rho) * (1.0 + rho))
-    if h == 0.0 or k == 0.0:
-        return float(bivariate_normal_cdf(-h, -k, rho, rho_c))
-    return float(_owen_cdf(-h, -k, rho, rho_c, SCALAR))
-
-
-def find_root(g, x0: float, tol: float = 0.0) -> float:
-    """Root of an increasing convex g by Newton's method started at x0.
-
-    ``g(x)`` returns the pair (g(x), g'(x)), with g accurate to about
-    ``tol``. From a start at or right of the root, the tangent of a convex
-    g meets zero between the root and the current point, so the iterates
-    descend monotonically onto the root: no bracket is needed. The solve
-    returns the first point where |g| <= tol, or the end of a step shorter
-    than _NEWTON_RTOL times its point. A step that rounding in g carries
-    past the root brackets it with the point before; the one of the two
-    with the smaller |g| is returned. A start where g < -tol lies left of
-    the root and raises NumericError, as does an exhausted iteration cap.
-    """
-    x, before = x0, None
-    for _ in range(_NEWTON_MAX_ITER):
-        value, slope = g(x)
-        if value < -tol:
-            if before is None:
-                raise NumericError(f"g({x!r}) = {value:g} < 0: the start lies left of "
-                                   "the root, or g is not increasing")
-            return x if -value < before[1] else before[0]
-        if value <= tol:
-            return x
-        before = (x, value)
-        step = value / slope
-        x -= step
-        if step <= _NEWTON_RTOL * x:
-            return x
-    raise NumericError(f"Newton's method did not converge in {_NEWTON_MAX_ITER} "
-                       f"iterations from {x0!r}; last point {x!r}")
+    return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))

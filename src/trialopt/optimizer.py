@@ -61,6 +61,7 @@ from .model import (
     builtin_prior,
     parse_integral,
 )
+from .numerics import NumericError
 from .testing import alpha_F_given_alpha_S
 from .utility import (
     EvaluationResult,
@@ -337,6 +338,8 @@ def _grid_best(family: str, scenario: Scenario, config: GridConfig) -> tuple:
         if sizes:
             bounds = _utility_bound(family, np.array(sizes, dtype=float), scenario)
             sizes = [n for n, bound in zip(sizes, bounds) if bound >= best[0] - _PRUNE_MARGIN]
+    if best[1] is None:
+        raise NumericError(f"{family}: no grid point has a finite expected utility")
     return best
 
 

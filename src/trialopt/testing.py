@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import Scenario
-from .numerics import SCALAR, _one_sided_critical, bivariate_upper_orthant, find_root
+from .numerics import SCALAR, NumericError, _one_sided_critical
 
 # Above this correlation the subgroup and pooled statistics are treated as
 # perfectly dependent (nested rejection regions); protects the root finder.
@@ -40,6 +40,10 @@ _RHO_DEGENERATE = 1.0 - 1e-9
 # is rounding.
 _UNION_ULPS = 32
 
+# Newton's method stops once a step moves its point by at most this share.
+_NEWTON_RTOL = 1e-14
+_NEWTON_MAX_ITER = 50
+
 
 @lru_cache(maxsize=4096)
 def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
@@ -49,6 +53,21 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
     standard bivariate normal with correlation sqrt(lambda_S), capping the
     result at alpha. Endpoints are exact: alpha_F(0) = alpha and, below
     the degenerate-correlation guard, alpha_F(alpha) = 0.
+
+    The union excess g(alpha_F) = alpha_S + alpha_F - P(Z_S > h, Z_F > k)
+    - alpha is increasing and convex in alpha_F, with slope
+    Phi((h - rho k) / sqrt(1 - rho^2)), and exactly g(alpha) >= 0, so
+    Newton's method started at alpha descends onto the root with no
+    bracket. The orthant is Owen's form (:func:`trialopt.numerics._owen_cdf`)
+    at (-h, -k), its k-free terms computed once per solve and every
+    operation in the same order: the double that
+    :func:`trialopt.numerics.bivariate_upper_orthant` returns. The solve
+    returns the first point where |g| <= tol (_UNION_ULPS ulps of alpha),
+    or the end of a step shorter than _NEWTON_RTOL times its point. A step
+    that rounding carries past the root brackets it with the point before,
+    and the one with the smaller |g| is returned; a step past 0 ends at 0,
+    where the union is alpha_S. A start with g < -tol, or an exhausted
+    iteration cap, raises NumericError.
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
@@ -65,21 +84,43 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
     if alpha_S >= alpha:
         return 0.0
 
+    ndtr, ndtri, owens_t = SCALAR.ndtr, SCALAR.ndtri, SCALAR.owens_t
     h = _one_sided_critical(alpha_S)
     spread = math.sqrt(1.0 - lambda_S)
-
-    def union_excess(alpha_F: float):
-        # The excess is increasing and convex in alpha_F, with slope
-        # 1 - P(Z_S > h | Z_F = k) = Phi((h - rho k) / sqrt(1 - rho^2)).
-        k = _one_sided_critical(alpha_F)
-        return (alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha,
-                SCALAR.ndtr((h - rho * k) / spread))
-
-    # Exactly, union_excess(alpha) = P(Z_S >= h, Z_F < z_{1-alpha}) >= 0, so
-    # Newton starts right of the root. Where the subgroup event lies inside
-    # the pooled one to double precision, that excess can round a few 1e-18
-    # below zero; alpha_F = alpha then keeps the level.
-    return find_root(union_excess, alpha, tol=_UNION_ULPS * math.ulp(alpha))
+    # Owen's form at x = -h, y = -k; x * y > 0, so it has no half-plane term
+    x = -h
+    rho_c = math.sqrt((1.0 - rho) * (1.0 + rho))
+    ndtr_x, rho_x, x_rho_c = ndtr(x), rho * x, x * rho_c
+    # With the subgroup event inside the pooled one to double precision, the
+    # excess at alpha can round a few 1e-18 below 0: alpha then keeps the level.
+    tol = _UNION_ULPS * math.ulp(alpha)
+    alpha_F, before, before_excess = alpha, None, 0.0
+    for _ in range(_NEWTON_MAX_ITER):
+        if alpha_F > 0.0:
+            y = ndtri(alpha_F)
+            orthant = (0.5 * (ndtr_x + ndtr(y))
+                       - owens_t(x, (y - rho_x) / x_rho_c)
+                       - owens_t(y, (x - rho * y) / (y * rho_c)))
+        else:
+            # alpha_F = 0: the pooled test never rejects
+            orthant = 0.0
+        excess = alpha_S + alpha_F - orthant - alpha
+        if excess < -tol:
+            if before is None:
+                raise NumericError(f"g({alpha_F!r}) = {excess:g} < 0: the start lies left of "
+                                   "the root, or g is not increasing")
+            return alpha_F if -excess < before_excess else before
+        if excess <= tol:
+            return alpha_F
+        before, before_excess = alpha_F, excess
+        step = excess / ndtr((h + rho * y) / spread)  # the slope at k = -y
+        alpha_F -= step
+        if alpha_F < 0.0:
+            alpha_F = 0.0
+        if step <= _NEWTON_RTOL * alpha_F:
+            return alpha_F
+    raise NumericError(f"Newton's method did not converge in {_NEWTON_MAX_ITER} "
+                       f"iterations from {alpha!r}; last point {alpha_F!r}")
 
 
 @dataclass(frozen=True)

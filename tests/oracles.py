@@ -23,11 +23,13 @@ kernels that nothing else pins yet over their whole domain.
   rejection indicators at given (z_S, z_Sc), point by point, from the
   test statistics themselves: the region tests hold the piecewise lines
   the closed form integrates to it.
-- :func:`array_route_orthant` is the bivariate normal upper orthant that
-  hands every case past the scalar limits to the array CDF
-  :func:`bivariate_normal_cdf`, through its limit gate, as the library
-  did before nonzero bounds took Owen's form directly; the library form
-  must reproduce it bit for bit.
+- :func:`level_solve` is the level condition's solve as the library
+  made it before it ran Newton's method inline on Owen's form: the union
+  excess through :func:`bivariate_upper_orthant` (the array CDF), solved
+  by the general Newton root finder :func:`find_root`. Wherever it
+  returns, the library's solve must return the same double; where its
+  Newton step lands below 0 it raises, and the library ends that step at
+  0.
 """
 
 import math
@@ -39,12 +41,17 @@ from trialopt.mc_oracle import _CHUNK, _chunk_rng, _estimate, _simulate_batch
 from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, EffectPair, pooled_effect
 from trialopt.model import trial_cost
 from trialopt.numerics import (
+    SCALAR,
     NumericError,
     _one_sided_critical,
-    bivariate_normal_cdf,
+    bivariate_upper_orthant,
     std_normal_pdf,
 )
 from trialopt.testing import (
+    _NEWTON_MAX_ITER,
+    _NEWTON_RTOL,
+    _RHO_DEGENERATE,
+    _UNION_ULPS,
     _decide,
     _line_geometry,
     alpha_F_given_alpha_S,
@@ -391,22 +398,59 @@ def iid_strata_counts(rng, n, lam, m, interior):
     return k_t, k_c
 
 
-def array_route_orthant(h: float, k: float, rho: float) -> float:
-    """P(Z1 > h, Z2 > k): the scalar limits, then the array CDF."""
-    if math.isnan(rho) or abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    if math.isnan(h) or math.isnan(k):
-        raise ValueError("orthant limits must not be NaN")
-    if h == math.inf or k == math.inf:
+def find_root(g, x0: float, tol: float = 0.0) -> float:
+    """Root of an increasing convex g by Newton's method started at x0.
+
+    ``g(x)`` returns the pair (g(x), g'(x)), with g accurate to about
+    ``tol``. From a start at or right of the root, the tangent of a convex
+    g meets zero between the root and the current point, so the iterates
+    descend monotonically onto the root: no bracket is needed. The solve
+    returns the first point where |g| <= tol, or the end of a step shorter
+    than _NEWTON_RTOL times its point. A step that rounding in g carries
+    past the root brackets it with the point before; the one of the two
+    with the smaller |g| is returned. A start where g < -tol lies left of
+    the root and raises NumericError, as does an exhausted iteration cap.
+    """
+    x, before = x0, None
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = g(x)
+        if value < -tol:
+            if before is None:
+                raise NumericError(f"g({x!r}) = {value:g} < 0: the start lies left of "
+                                   "the root, or g is not increasing")
+            return x if -value < before[1] else before[0]
+        if value <= tol:
+            return x
+        before = (x, value)
+        step = value / slope
+        x -= step
+        if step <= _NEWTON_RTOL * x:
+            return x
+    raise NumericError(f"Newton's method did not converge in {_NEWTON_MAX_ITER} "
+                       f"iterations from {x0!r}; last point {x!r}")
+
+
+def level_solve(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
+    """alpha_F solving the level condition, by :func:`find_root` on the
+    union excess through :func:`bivariate_upper_orthant`, uncached; the
+    domain checks and endpoints are the library's."""
+    if not (0.0 < alpha < 0.5):
+        raise ValueError("alpha must lie in (0, 0.5)")
+    if not (0.0 <= alpha_S <= alpha + 1e-15):
+        raise ValueError(f"alpha_S={alpha_S} outside [0, alpha={alpha}]")
+    if not (0.0 < lambda_S < 1.0):
+        raise ValueError("lambda_S must lie in (0, 1)")
+    rho = math.sqrt(lambda_S)
+    if alpha_S == 0.0 or rho >= _RHO_DEGENERATE:
+        return alpha
+    if alpha_S >= alpha:
         return 0.0
-    if h == -math.inf:
-        return float(ndtr(-k))
-    if k == -math.inf:
-        return float(ndtr(-h))
-    if rho == 1.0:
-        return float(ndtr(-max(h, k)))
-    if rho == -1.0:
-        return max(0.0, float(ndtr(-k) - ndtr(h)))
-    if rho == 0.0:
-        return float(ndtr(-h) * ndtr(-k))
-    return float(bivariate_normal_cdf(-h, -k, rho, math.sqrt((1.0 - rho) * (1.0 + rho))))
+    h = _one_sided_critical(alpha_S)
+    spread = math.sqrt(1.0 - lambda_S)
+
+    def union_excess(alpha_F: float):
+        k = _one_sided_critical(alpha_F)
+        return (alpha_S + alpha_F - bivariate_upper_orthant(h, k, rho) - alpha,
+                SCALAR.ndtr((h - rho * k) / spread))
+
+    return find_root(union_excess, alpha, tol=_UNION_ULPS * math.ulp(alpha))

@@ -435,6 +435,16 @@ _BAD_INPUTS = {
                          lambda: GridConfig(alpha_points=1)),
     "lambda_above_one": (["optimize", "--set", "lambda_S=2"],
                          lambda: dataclasses.replace(_case1(), lambda_S=2.0)),
+    # 2 sigma^2 overflows: every family is refused alike, before any kernel
+    "sigma_huge_classical": (
+        ["evaluate", "--design", "classical", "--n", "200", "--set", "sigma=1e300"],
+        lambda: dataclasses.replace(_case1(), sigma=1e300)),
+    "sigma_huge_stratified": (
+        ["evaluate", "--design", "stratified", "--n", "200", "--alpha-s", "0.01",
+         "--set", "sigma=1e300"],
+        lambda: dataclasses.replace(_case1(), sigma=1e300)),
+    "sigma_huge_optimize": (["optimize", "--set", "sigma=9.5e153"],
+                            lambda: dataclasses.replace(_case1(), sigma=9.5e153)),
 }
 
 
@@ -450,9 +460,29 @@ def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsy
 
 def test_overflow_exits_3(config_path, tmp_path, capsys):
     assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
-                 "--design", "classical", "--n", "200", "--set", "sigma=1e300"]) == 3
+                 "--design", "classical", "--n", "200", "--set", "prior.delta=1e300"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_no_finite_utility_exits_3_naming_the_family(config_path, tmp_path, capsys):
+    # a per-patient cost of 1e308 makes every classical size cost inf
+    with np.errstate(over="ignore"):
+        code = main(["optimize", "--config", config_path, "--out", str(tmp_path),
+                     "--set", "cost.per_patient=1e308"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: classical: no grid point has a finite expected utility\n")
+
+
+def test_alpha_S_one_ulp_below_alpha_at_tiny_prevalence(config_path, tmp_path):
+    # the level solve's Newton step from alpha_F = alpha lands past 0; it
+    # ends there, where the union is alpha_S, within the solve's tolerance
+    assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
+                 "--design", "stratified", "--n", "200", "--alpha-s", "0.024999999999999998",
+                 "--set", "lambda_S=1e-9"]) == 0
+    header, rows = read_rows(tmp_path / "evaluate.csv")
+    assert rows[0][header.index("alpha_F")] == "0.0"
 
 
 @contextlib.contextmanager

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -10,7 +9,7 @@ from oracles import (
     _adaptive_gk,
     _integrate_multi,
     _segment,
-    array_route_orthant,
+    find_root,
 )
 from trialopt.numerics import (
     SCALAR,
@@ -18,7 +17,6 @@ from trialopt.numerics import (
     _one_sided_critical,
     bivariate_normal_cdf,
     bivariate_upper_orthant,
-    find_root,
     std_normal_pdf,
 )
 
@@ -199,6 +197,12 @@ class TestOrthant:
         with pytest.raises(ValueError):
             bivariate_upper_orthant(0.0, 0.0, 1.01)
 
+    @pytest.mark.parametrize("h,k,rho", [(math.nan, 0.1, 0.5), (0.1, math.nan, 0.5),
+                                         (0.1, 0.2, math.nan)])
+    def test_nan_rejected(self, h, k, rho):
+        with pytest.raises(ValueError):
+            bivariate_upper_orthant(h, k, rho)
+
     def test_infinite_limits(self):
         assert bivariate_upper_orthant(math.inf, 0.0, 0.5) == 0.0
         assert bivariate_upper_orthant(-math.inf, 0.7, 0.5) == pytest.approx(
@@ -220,39 +224,6 @@ class TestOrthant:
             h, k, rho = float(h), float(k), math.sqrt(float(lam))
             assert abs(bivariate_upper_orthant(h, k, rho)
                        - orthant_by_conditioning(h, k, rho)) <= 1e-10
-
-    def test_scalar_route_equals_array_route_random(self):
-        rng = np.random.default_rng(20261019)
-        for h, k, rho in zip(rng.uniform(-6.0, 6.0, 4000), rng.uniform(-6.0, 6.0, 4000),
-                             rng.uniform(-1.0, 1.0, 4000)):
-            h, k, rho = float(h), float(k), float(rho)
-            assert bivariate_upper_orthant(h, k, rho) == array_route_orthant(h, k, rho)
-
-    def test_scalar_route_equals_array_route_level_regime(self):
-        # h, k in [1.9, 5] at rho = sqrt(lambda_S), up to the solve's
-        # degenerate-correlation guard 1 - 1e-9
-        rng = np.random.default_rng(8)
-        lams = np.concatenate((rng.uniform(0.01, 0.99, 1500),
-                               1.0 - 10.0 ** rng.uniform(-9.0, -2.0, 500)))
-        for h, k, lam in zip(rng.uniform(1.9, 5.0, 2000), rng.uniform(1.9, 5.0, 2000), lams):
-            h, k, rho = float(h), float(k), min(math.sqrt(float(lam)), 1.0 - 1e-9)
-            assert bivariate_upper_orthant(h, k, rho) == array_route_orthant(h, k, rho)
-
-    def test_scalar_route_equals_array_route_at_edges(self):
-        below_one = math.nextafter(1.0, 0.0)
-        bounds = (0.0, -0.0, math.inf, -math.inf, 1e-300, -2.5, 0.7, 4.0)
-        rhos = (-1.0, -below_one, -(1.0 - 1e-9), -0.5, -0.0, 0.0, 1e-12, 0.5,
-                1.0 - 1e-9, below_one, 1.0)
-        for h, k, rho in itertools.product(bounds, bounds, rhos):
-            got = bivariate_upper_orthant(h, k, rho)
-            want = array_route_orthant(h, k, rho)
-            assert got == want and type(got) is type(want) is float, (h, k, rho)
-        for h, k, rho in [(math.nan, 0.1, 0.5), (0.1, math.nan, 0.5), (0.1, 0.2, math.nan),
-                          (0.1, 0.2, 1.5)]:
-            with pytest.raises(ValueError):
-                bivariate_upper_orthant(h, k, rho)
-            with pytest.raises(ValueError):
-                array_route_orthant(h, k, rho)
 
 
 class TestBivariateCdf:
@@ -363,7 +334,8 @@ class TestIntegrate1D:
 
 
 class TestFindRoot:
-    """Newton's method for an increasing convex g, started right of the root."""
+    """The oracle level solve's Newton method for an increasing convex g,
+    started right of the root."""
 
     def test_linear(self):
         assert find_root(lambda x: (x - 0.5, 1.0), 1.0) == 0.5

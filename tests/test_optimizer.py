@@ -8,6 +8,7 @@ import pytest
 
 from trialopt import optimizer, utility
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair
+from trialopt.numerics import NumericError
 from trialopt.optimizer import (
     MAX_JOBS,
     ContourCell,
@@ -65,6 +66,17 @@ class TestOptimizeFamily:
         for family in ("classical", "stratified", "enrichment"):
             outcome = optimize_family(family, scenario, FAST)
             assert outcome.best_design.n == scenario.n_min
+
+    @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
+    def test_no_finite_utility_is_numeric_error(self, monkeypatch, family):
+        # a kernel that scores only NaN leaves stage 1 with no point to refine
+        def nan_rows(family, sizes, alphas, scenario):
+            for n in sizes:
+                yield n, np.full((7, len(alphas)), np.nan)
+
+        monkeypatch.setattr(optimizer, "_scored_rows", nan_rows)
+        with pytest.raises(NumericError, match=f"^{family}: no grid point has a finite"):
+            optimize_family(family, make_scenario(), FAST)
 
     def test_classical_matches_exhaustive_scan(self):
         # Independent oracle: every integer n in [50, 2000] via closed form.

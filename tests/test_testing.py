@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from trialopt.testing import (
     alpha_F_given_alpha_S,
 )
 from conftest import make_scenario
-from oracles import array_route_orthant, reject_stratified
+from oracles import level_solve, reject_stratified
 import trialopt.numerics as numerics
 import trialopt.testing as testing
 
@@ -140,21 +141,73 @@ class TestLevelCondition:
                 worst = max(worst, abs(union_probability(alpha_S, alpha_F, lam) - alpha))
         assert worst <= 5e-14
 
-    def test_frontier_grids_equal_array_route(self, monkeypatch):
-        # the benchmark's dense (lambda_S, alpha_S) grids, solved with the
-        # orthant that takes every nonzero bound through the array CDF
+    @staticmethod
+    def assert_solve_equals_oracle(points):
+        """The library's solve at each (alpha_S, lambda_S, alpha) against the
+        oracle solve, by repr. Where the oracle's Newton step lands below 0
+        (it raises on the NaN threshold), the library ends that step at 0,
+        where the union is alpha_S: it returns 0.0 within the 32-ulp
+        tolerance, or the closer end of the bracket. Returns the number of
+        such points."""
+        alpha_F_given_alpha_S.cache_clear()
+        clamped = 0
+        try:
+            for alpha_S, lam, alpha in points:
+                got = alpha_F_given_alpha_S(alpha_S, lam, alpha)
+                try:
+                    want = level_solve(alpha_S, lam, alpha)
+                except ValueError as exc:
+                    assert "must not be NaN" in str(exc)
+                    clamped += 1
+                    below = alpha - alpha_S
+                    if got == 0.0:
+                        assert below <= 32 * math.ulp(alpha), (alpha_S, lam, alpha)
+                    else:
+                        miss = abs(union_probability(alpha_S, got, lam) - alpha)
+                        assert 0.0 < got <= alpha and miss < below, (alpha_S, lam, alpha)
+                    continue
+                assert repr(got) == repr(want), (alpha_S, lam, alpha)
+        finally:
+            alpha_F_given_alpha_S.cache_clear()
+        return clamped
+
+    def test_frontier_grids_equal_oracle_solve(self):
+        # the benchmark's dense (lambda_S, alpha_S) grids; the oracle's
+        # orthant takes every finite nonzero bound through the array CDF
         grid = []
         for seed in (1, 2, 3):
             inputs = frontier_inputs(seed)
-            grid += itertools.product(inputs["alphas"], inputs["lambdas"])
-        with monkeypatch.context() as patched:
-            patched.setattr(testing, "bivariate_upper_orthant", array_route_orthant)
-            alpha_F_given_alpha_S.cache_clear()
-            want = [alpha_F_given_alpha_S(a, lam) for a, lam in grid]
-        alpha_F_given_alpha_S.cache_clear()
-        got = [alpha_F_given_alpha_S(a, lam) for a, lam in grid]
-        assert len(got) == 3 * 16 * 48
-        assert list(map(repr, got)) == list(map(repr, want))
+            grid += itertools.product(inputs["alphas"], inputs["lambdas"], [0.025])
+        assert len(grid) == 3 * 16 * 48
+        assert self.assert_solve_equals_oracle(grid) == 0
+
+    @pytest.mark.parametrize("alpha", [0.025, 0.2, 0.45])
+    def test_random_domain_equals_oracle_solve(self, alpha):
+        rng = np.random.default_rng(round(alpha * 1000))
+        m = 250
+        alpha_S = np.concatenate((
+            rng.uniform(0.0, alpha, m),
+            alpha - 10.0 ** rng.uniform(-15.0, -1.0, m),
+            rng.uniform(0.0, alpha, m),
+            10.0 ** rng.uniform(-300.0, math.log10(alpha), m)))
+        lam = np.concatenate((
+            rng.uniform(0.0, 1.0, 2 * m),
+            1.0 - 10.0 ** rng.uniform(math.log10(3e-10), 0.0, m),
+            10.0 ** rng.uniform(-300.0, 0.0, m)))
+        points = [(a, l, alpha) for a, l in zip(alpha_S.tolist(), lam.tolist())
+                  if 0.0 <= a <= alpha and 0.0 < l < 1.0]
+        assert len(points) > 3.9 * m
+        self.assert_solve_equals_oracle(points)
+
+    @pytest.mark.parametrize("alpha", [0.025, 0.2, 0.45])
+    def test_ulps_below_alpha_equal_oracle_or_clamp(self, alpha):
+        # at small lambda_S a Newton step from just below alpha_S = alpha
+        # can land below 0, where the oracle's threshold is NaN
+        lams = [10.0 ** -e for e in range(1, 13)] + [0.05, 0.3, 0.5]
+        points = [(alpha - ulps * math.ulp(alpha), lam, alpha)
+                  for lam in lams for ulps in range(1, 40)]
+        clamped = self.assert_solve_equals_oracle(points)
+        assert clamped == (20 if alpha == 0.025 else 0)
 
     def test_cold_solve_makes_no_array_cdf_call(self, monkeypatch):
         calls = []
@@ -205,6 +258,22 @@ class TestLevelCondition:
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
         with pytest.raises(NumericError, match="left of the root"):
             alpha_F_given_alpha_S(0.0125, 0.5)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # T(x, .) = d - Phi(x) / 2 makes the orthant Phi(x) + Phi(y) - 2 d,
+        # so the excess is the constant 2 d - alpha = 2e-9: every step
+        # moves alpha_F by about 4e-9 and none reaches a root
+        scalar = testing.SCALAR
+        d = 0.5 * 0.025 + 1e-9
+        monkeypatch.setattr(testing, "SCALAR", SimpleNamespace(
+            ndtr=scalar.ndtr, ndtri=scalar.ndtri, owens_t=lambda h, a: d - 0.5 * scalar.ndtr(h)))
+        alpha_F_given_alpha_S.cache_clear()
+        try:
+            with pytest.raises(NumericError,
+                               match=r"did not converge in 50 iterations from 0\.025; last point"):
+                alpha_F_given_alpha_S(0.0125, 0.5)
+        finally:
+            alpha_F_given_alpha_S.cache_clear()
 
     def test_solved_pair_is_valid(self):
         # the solved pair never falls below the Bonferroni floor
