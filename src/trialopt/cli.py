@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -383,14 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A failed run prints its one line alone; a run that succeeds shows the
+    # warnings it raised once it is done.
     try:
-        _run(args)
+        with warnings.catch_warnings(record=True) as caught:
+            _run(args)
     except (NumericError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return 0
 
 

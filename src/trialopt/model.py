@@ -286,6 +286,12 @@ class Scenario:
             raise ValueError("sigma must be positive")
         if not math.isfinite(2.0 * self.sigma * self.sigma):
             raise ValueError(f"sigma={self.sigma} too large: 2 sigma^2 must be a finite double")
+        for effects, _ in self.prior:
+            gap_t, gap_c = effects.treatment_arm_gap, effects.control_arm_gap
+            mix = self.lambda_S * (1.0 - self.lambda_S) * (gap_t * gap_t + gap_c * gap_c)
+            if not math.isfinite(2.0 * self.sigma * self.sigma + mix):
+                raise ValueError(f"prior effect {effects} too large: 2 sigma^2 + lambda_S "
+                                 "(1 - lambda_S)(gap_t^2 + gap_c^2) must be a finite double")
         if not (0.0 < _finite(self.alpha, "alpha") < 0.5):
             raise ValueError("alpha (one-sided FWER level) must lie in (0, 0.5)")
         for name in ("tau_S", "tau_Sc"):

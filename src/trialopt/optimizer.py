@@ -43,6 +43,7 @@ the rows and cells from the decisions, so no result depends on ``jobs``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Tuple
@@ -206,18 +207,17 @@ def _block_shape(family: str, alphas: list, scenario: Scenario) -> tuple:
 
 
 def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
-    """(n, fields over ``alphas``) for every n in ``sizes``, in order, the
-    fields an array of shape (7, len(alphas)) in EvaluationResult order.
-    Consecutive sizes share one batched evaluation, up to
-    max(_BLOCK_SETTINGS, merged atoms) settings per call; a row longer
+    """(sizes of a block, its fields) for consecutive blocks of ``sizes``,
+    in order, the fields an array of shape (7, block sizes, len(alphas))
+    in EvaluationResult order. A block shares one batched evaluation, up
+    to max(_BLOCK_SETTINGS, merged atoms) settings per call; a row longer
     than that is scored in pieces of its alpha_S axis and joined."""
     block, width = _block_shape(family, alphas, scenario)
     for start in range(0, len(sizes), block):
         chunk = sizes[start:start + block]
         n = np.array(chunk, dtype=float)
-        fields = np.concatenate([grid_row(family, n, alphas[a:a + width], scenario)
-                                 for a in range(0, len(alphas), width)], axis=-1)
-        yield from zip(chunk, np.moveaxis(fields, 1, 0))
+        yield chunk, np.concatenate([grid_row(family, n, alphas[a:a + width], scenario)
+                                     for a in range(0, len(alphas), width)], axis=-1)
 
 
 def _fibonacci_max(score, lo: int, hi: int):
@@ -269,11 +269,14 @@ def _fibonacci_max(score, lo: int, hi: int):
         k -= 1
 
 
-def _row_best(n: int, fields, alphas) -> tuple:
-    """The first best point (eu, n, alpha_S, fields) of the fields of one
-    row over ``alphas`` at size n, with the seven fields at that point."""
-    i = int(np.argmax(fields[0]))
-    return float(fields[0, i]), n, alphas[i], fields[:, i]
+def _row_points(chunk: list, fields, alphas) -> list:
+    """The first best point (eu, n, alpha_S, fields) of every row of a
+    block at the sizes ``chunk``, by one argmax over the block: a row
+    holding NaN has a NaN best, which ``max`` never takes."""
+    cols = np.argmax(fields[0], axis=-1)
+    best = fields[0, np.arange(len(chunk)), cols].tolist()
+    return [(eu, n, alphas[i], fields[:, r, i])
+            for r, (eu, n, i) in enumerate(zip(best, chunk, cols.tolist()))]
 
 
 def _bracket(center: float, half_width: float, alpha: float) -> list:
@@ -296,8 +299,8 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
     step = scenario.alpha / (config.alpha_points - 1)
     alphas = _bracket(grid_alpha, step, scenario.alpha) if family == STRATIFIED else [None]
     _, point = _fibonacci_max(
-        lambda ms: [_row_best(n, fields, alphas)
-                    for n, fields in _scored_rows(family, ms, alphas, scenario)],
+        lambda ms: [point for chunk, fields in _scored_rows(family, ms, alphas, scenario)
+                    for point in _row_points(chunk, fields, alphas)],
         sizes[max(i - 1, 0)], hi)
     best = max(best, point, key=lambda point: point[0])
     if family != STRATIFIED:
@@ -315,11 +318,14 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
         alphas = _bracket(center_alpha, half_width, scenario.alpha)
         sizes = [n for n in (center_n - 1, center_n, center_n + 1)
                  if scenario.n_min <= n <= top]
-        for n, fields in _scored_rows(family, sizes, alphas, scenario):
-            best = max(best, _row_best(n, fields, alphas), key=lambda point: point[0])
-            if n == center_n:
-                spread = float(np.ptp(fields[0]))
-        if spread < _REFINE_TOL:
+        for chunk, fields in _scored_rows(family, sizes, alphas, scenario):
+            best = max([best, *_row_points(chunk, fields, alphas)], key=lambda point: point[0])
+            if center_n in chunk:
+                center = fields[0, chunk.index(center_n)]
+        if not np.all(np.isfinite(center)):
+            raise NumericError(f"{family}: the alpha_S narrowing at n = {center_n} "
+                               "met a non-finite expected utility")
+        if float(np.ptp(center)) < _REFINE_TOL:
             return best
 
 
@@ -332,8 +338,8 @@ def _grid_best(family: str, scenario: Scenario, config: GridConfig) -> tuple:
     sizes = _grid_sizes(scenario, config)
     block, _ = _block_shape(family, alphas, scenario)
     while sizes:
-        for n, fields in _scored_rows(family, sizes[:block], alphas, scenario):
-            best = max(best, _row_best(n, fields, alphas), key=lambda point: point[0])
+        for chunk, fields in _scored_rows(family, sizes[:block], alphas, scenario):
+            best = max([best, *_row_points(chunk, fields, alphas)], key=lambda point: point[0])
         sizes = sizes[block:]
         if sizes:
             bounds = _utility_bound(family, np.array(sizes, dtype=float), scenario)
@@ -403,19 +409,33 @@ def _clamp_lambda(values) -> list:
     return [float(min(hi, max(lo, v))) for v in values]
 
 
+def _decide_recording_warnings(scenario: Scenario, grid_config: Optional[GridConfig]):
+    """``decide`` in a pool worker, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        decision = decide(scenario, grid_config)
+    return decision, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) -> list:
     """``decide`` on every scenario, in order: serially, or in a process
-    pool with at most one worker per scenario and MAX_JOBS in all."""
+    pool with at most one worker per scenario and MAX_JOBS in all, whose
+    warnings are raised again here, once per message and line, when every
+    cell is decided."""
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must lie in [1, {MAX_JOBS}], got {jobs}")
-    decide_one = partial(decide, grid_config=grid_config)
     workers = min(jobs, len(scenarios))
     if workers <= 1:
-        return list(map(decide_one, scenarios))
+        return [decide(scenario, grid_config) for scenario in scenarios]
     # imported here, so serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(decide_one, scenarios))
+        results = list(pool.map(partial(_decide_recording_warnings, grid_config=grid_config),
+                                scenarios))
+    registry = {}
+    for _, caught in results:
+        for warning in caught:
+            warnings.warn_explicit(*warning, registry=registry)
+    return [decision for decision, _ in results]
 
 
 def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],

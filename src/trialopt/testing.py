@@ -261,25 +261,25 @@ def region_breakpoints(geom: _Geometry) -> np.ndarray:
 
     These are the z_S-only thresholds plus the crossings of the constant
     complement-consistency line with each pooled-scale line (the pooled
-    lines are mutually parallel, so they never cross each other). Returns
-    the points sorted along a last axis of fixed length 7, with absent
-    points as trailing +inf.
+    lines are mutually parallel, so they never cross each other). The
+    geometry's fields are floats, or arrays whose last axis has length 1.
+    Returns the points along a last axis of fixed length 7: written into
+    one array, their non-finite entries set to +inf, then sorted in place,
+    so absent points are trailing +inf.
     """
-    crossings = []
     with np.errstate(invalid="ignore"):
-        for intercept in (geom.crit_alpha - geom.shift_F,
-                          geom.crit_alpha_F - geom.shift_F,
-                          geom.mu_F_line):
-            crossings.append((intercept - geom.sq_lamc * geom.tau_line) / geom.sq_lam)
-    points = np.concatenate(np.broadcast_arrays(*[
-        np.atleast_1d(np.asarray(p, dtype=float)) for p in (
-            geom.crit_tau_S - geom.shift_S,
-            geom.crit_alpha_S - geom.shift_S,
-            geom.crit_alpha - geom.shift_S,
-            geom.mu_S_cut,
-            *crossings,
-        )]), axis=-1)
-    return np.sort(np.where(np.isfinite(points), points, np.inf), axis=-1)
+        crossings = [(intercept - geom.sq_lamc * geom.tau_line) / geom.sq_lam
+                     for intercept in (geom.crit_alpha - geom.shift_F,
+                                       geom.crit_alpha_F - geom.shift_F,
+                                       geom.mu_F_line)]
+    values = (geom.crit_tau_S - geom.shift_S, geom.crit_alpha_S - geom.shift_S,
+              geom.crit_alpha - geom.shift_S, geom.mu_S_cut, *crossings)
+    points = np.empty((np.broadcast(*values).shape or (1,))[:-1] + (len(values),))
+    for i, value in enumerate(values):
+        points[..., i:i + 1] = value
+    points[~np.isfinite(points)] = np.inf
+    points.sort(axis=-1)
+    return points
 
 
 def _pieces(geom: _Geometry):
@@ -291,9 +291,10 @@ def _pieces(geom: _Geometry):
     alive.
     """
     points = region_breakpoints(geom)
-    edge = np.full(points.shape[:-1] + (1,), np.inf)
-    lo = np.concatenate((-edge, points), axis=-1)
-    hi = np.concatenate((points, edge), axis=-1)
+    lo = np.empty(points.shape[:-1] + (points.shape[-1] + 1,))
+    hi = np.empty(lo.shape)
+    lo[..., 0], lo[..., 1:] = -np.inf, points
+    hi[..., :-1], hi[..., -1] = points, np.inf
     # The alpha-level cut crit_alpha - shift_S is always finite, so no
     # piece spans the whole line.
     mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))

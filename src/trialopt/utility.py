@@ -135,7 +135,8 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     the line z_Sc = a + b z, for every line and piece that is alive (zero
     elsewhere); a may be +-inf (then b = 0): an empty or a full tail.
     Pieces run along the last axis, each starting where the one before
-    ends; an alive piece has lo < +inf and hi > -inf.
+    ends; an alive piece has lo < +inf and hi > -inf. a and b have the
+    shape of alive; lo and hi, shared by every line, its trailing shape.
 
     Returns I0 = int phi(z) Phi_bar(a + b z) dz, and with ``moments`` also
     J1 = int z phi(z) Phi_bar(a + b z) dz and J2 = int phi(z) phi(a + b z) dz.
@@ -143,28 +144,34 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     Each integral is a difference of terms at the piece's ends: a
     bivariate-normal CDF value for I0, Phi(s (z + m)) for J2 (with
     s^2 = 1 + b^2 and m = a b / s^2) and the edge phi(z) Phi_bar(a + b z)
-    for J1. Every term is computed once per distinct (line, breakpoint),
-    the CDF in one call: at the upper end of every piece, and at a lower
-    end only where the piece below is not alive on the same (a, b). The
-    infinite ends are closed forms (the CDF is 0 at -inf and Phi(-a / s)
-    at +inf, Phi(s (z + m)) is 0 and 1, the edge 0), so the CDF sees no
-    limit in x. Each piece's difference is taken from the same values as
-    when every end is evaluated on its own, so the results are the same
-    bit for bit.
+    for J1. The alive (line, piece) slots are picked once, by their flat
+    index, and every pass after that runs on those slots alone. Every
+    term is computed once per distinct (line, breakpoint), the CDF in one
+    call: at the upper end of every piece, and at a lower end only where
+    the piece below is not alive on the same (a, b). The infinite ends
+    are closed forms (the CDF is 0 at -inf and Phi(-a / s) at +inf,
+    Phi(s (z + m)) is 0 and 1, the edge 0), so the CDF sees no limit in
+    x. Each piece's difference is taken from the same values as when
+    every end is evaluated on its own, so the results are the same bit
+    for bit.
     """
-    lo, hi = np.broadcast_to(lo, alive.shape), np.broadcast_to(hi, alive.shape)
-    i0, j1, j2 = np.zeros(alive.shape), np.zeros(alive.shape), np.zeros(alive.shape)
-    full = alive & (a == -np.inf)
-    i0[full] = ndtr(hi[full]) - ndtr(lo[full])
-    j1[full] = std_normal_pdf(lo[full]) - std_normal_pdf(hi[full])
-    sel = alive & np.isfinite(a)
+    out = np.zeros((3, alive.size))
+    flat = np.flatnonzero(alive)
+    a, b = a.reshape(-1)[flat], b.reshape(-1)[flat]
+    at = flat % lo.size  # the slot's entry of lo and hi
+    lo, hi = lo.reshape(-1)[at], hi.reshape(-1)[at]
+    full = a == -np.inf
+    lo_full, hi_full = lo[full], hi[full]
+    out[0, flat[full]] = ndtr(hi_full) - ndtr(lo_full)
+    out[1, flat[full]] = std_normal_pdf(lo_full) - std_normal_pdf(hi_full)
+    sel = np.isfinite(a)
+    flat, a, b, lo, hi = flat[sel], a[sel], b[sel], lo[sel], hi[sel]
     # A piece's lower end is the upper end of the piece below. Where that
-    # piece is selected on the same (a, b), it is the selected piece just
-    # before in order, and its end terms serve both.
-    shared = np.zeros(sel.shape, dtype=bool)
-    shared[..., 1:] = sel[..., :-1] & (a[..., 1:] == a[..., :-1]) & (b[..., 1:] == b[..., :-1])
-    shared = np.flatnonzero(shared[sel])
-    a, b, lo, hi = a[sel], b[sel], lo[sel], hi[sel]
+    # piece is selected on the same (a, b), it is the selected slot just
+    # before (flat index one less, on the same line and setting), and its
+    # end terms serve both.
+    shared = 1 + np.flatnonzero((flat[1:] == flat[:-1] + 1) & (flat[1:] % alive.shape[-1] != 0)
+                                & (a[1:] == a[:-1]) & (b[1:] == b[:-1]))
     s = np.sqrt(1.0 + b * b)
     # (Z, W) independent: P(Z <= z, W > a + b Z) = P(Z <= z, Y <= -a / s)
     # with Y = (b Z - W) / s, standard normal at correlation b / s with Z.
@@ -193,15 +200,15 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
 
     cdf_hi, cdf_lo = spread(bivariate_normal_cdf(z, y[ends], rho[ends], rho_c[ends]),
                             ndtr(y[~finite_hi]), 0.0)
-    i0[sel] = cdf_hi - cdf_lo
+    out[0, flat] = cdf_hi - cdf_lo
     if moments:
         m = a * b / (s * s)
         nd_hi, nd_lo = spread(ndtr(s[ends] * (z + m[ends])), 1.0, 0.0)
         edge_hi, edge_lo = spread(std_normal_pdf(z) * ndtr(-(a[ends] + b[ends] * z)), 0.0, 0.0)
-        j2_sel = std_normal_pdf(a / s) / s * (nd_hi - nd_lo)
-        j2[sel] = j2_sel
-        j1[sel] = edge_lo - edge_hi - b * j2_sel
-    return i0, j1, j2
+        j2 = std_normal_pdf(a / s) / s * (nd_hi - nd_lo)
+        out[2, flat] = j2
+        out[1, flat] = edge_lo - edge_hi - b * j2
+    return out.reshape((3,) + alive.shape)
 
 
 def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:

@@ -30,6 +30,11 @@ kernels that nothing else pins yet over their whole domain.
   returns, the library's solve must return the same double; where its
   Newton step lands below 0 it raises, and the library ends that step at
   0.
+- :func:`concatenated_pieces` is the region breakpoints and the pieces
+  between them as the library built them before it wrote them into
+  preallocated arrays: each point made at least 1-d, broadcast,
+  concatenated, its non-finite entries replaced in a copy and the copy
+  sorted. The library's arrays must equal these by ``repr``.
 """
 
 import math
@@ -454,3 +459,27 @@ def level_solve(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
                 SCALAR.ndtr((h - rho * k) / spread))
 
     return find_root(union_excess, alpha, tol=_UNION_ULPS * math.ulp(alpha))
+
+
+def concatenated_pieces(geom):
+    """(breakpoints, lo, hi, mid) of a geometry, built by concatenation."""
+    crossings = []
+    with np.errstate(invalid="ignore"):
+        for intercept in (geom.crit_alpha - geom.shift_F,
+                          geom.crit_alpha_F - geom.shift_F,
+                          geom.mu_F_line):
+            crossings.append((intercept - geom.sq_lamc * geom.tau_line) / geom.sq_lam)
+    points = np.concatenate(np.broadcast_arrays(*[
+        np.atleast_1d(np.asarray(p, dtype=float)) for p in (
+            geom.crit_tau_S - geom.shift_S,
+            geom.crit_alpha_S - geom.shift_S,
+            geom.crit_alpha - geom.shift_S,
+            geom.mu_S_cut,
+            *crossings,
+        )]), axis=-1)
+    points = np.sort(np.where(np.isfinite(points), points, np.inf), axis=-1)
+    edge = np.full(points.shape[:-1] + (1,), np.inf)
+    lo = np.concatenate((-edge, points), axis=-1)
+    hi = np.concatenate((points, edge), axis=-1)
+    mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
+    return points, lo, hi, np.where(lo < hi, mid, np.nan)

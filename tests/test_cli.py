@@ -27,6 +27,7 @@ from trialopt.model import (
     NO_TRIAL,
     DesignSpec,
     EffectPair,
+    builtin_prior,
     parse_config_text,
     scenario_from_mapping,
 )
@@ -395,6 +396,32 @@ class TestErrorHandling:
         assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                      "--jobs", "2", "--lambda-grid", "0.3,0.6"]) == 3
 
+    def test_pool_worker_warnings_show_once_on_success_only(self, config_path, tmp_path,
+                                                            monkeypatch, capsys):
+        # Every cell warns in its worker: a sweep that succeeds shows the
+        # warning once in the parent, and one that fails prints its line
+        # alone.
+        import trialopt.optimizer as optimizer
+        decide = optimizer.decide
+
+        def warning_decide(scenario, grid_config=None):
+            warnings.warn("cell warning", RuntimeWarning)
+            if scenario.costs.setup > 1.0:
+                raise NumericError("forced")
+            return decide(scenario, grid_config)
+
+        monkeypatch.setattr(optimizer, "decide", warning_decide)
+        argv = ["sweep", "--config", config_path, "--jobs", "2", "--lambda-grid", "0.3,0.6",
+                "--set", "grid.n_points=50,200", "--set", "grid.alpha_points=3"]
+        for setup, code, shown in (("1", 0, ["cell warning"]), ("2", 3, [])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                assert main(argv + ["--set", f"cost.setup={setup}",
+                                    "--out", str(tmp_path / setup)]) == code
+            # (Python 3.12+ may add a DeprecationWarning on forking)
+            assert [str(w.message) for w in caught if w.category is RuntimeWarning] == shown
+        assert capsys.readouterr().err == "numeric failure: forced\n"
+
 
 def _case1():
     return scenario_from_mapping(parse_config_text(CONFIG_CASE1))
@@ -445,6 +472,14 @@ _BAD_INPUTS = {
         lambda: dataclasses.replace(_case1(), sigma=1e300)),
     "sigma_huge_optimize": (["optimize", "--set", "sigma=9.5e153"],
                             lambda: dataclasses.replace(_case1(), sigma=9.5e153)),
+    # the classical mixture variance overflows: refused where the prior
+    # enters, naming its effect, not as a bare overflow
+    "prior_delta_huge_evaluate": (
+        ["evaluate", "--design", "classical", "--n", "200", "--set", "prior.delta=1e300"],
+        lambda: dataclasses.replace(_case1(), prior=builtin_prior("weak", 1e300))),
+    "prior_delta_huge_optimize": (
+        ["optimize", "--set", "prior.delta=1e155"],
+        lambda: dataclasses.replace(_case1(), prior=builtin_prior("weak", 1e155))),
 }
 
 
@@ -458,21 +493,58 @@ def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsy
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_overflow_exits_3(config_path, tmp_path, capsys):
-    assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
-                 "--design", "classical", "--n", "200", "--set", "prior.delta=1e300"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1 and err.endswith("\n")
-
-
 def test_no_finite_utility_exits_3_naming_the_family(config_path, tmp_path, capsys):
-    # a per-patient cost of 1e308 makes every classical size cost inf
-    with np.errstate(over="ignore"):
+    # a per-patient cost of 1e308 makes every classical size cost inf; the
+    # overflow warnings of the failed run never leave main
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["optimize", "--config", config_path, "--out", str(tmp_path),
                      "--set", "cost.per_patient=1e308"])
-    assert code == 3
+    assert code == 3 and caught == []
     assert capsys.readouterr().err == (
         "numeric failure: classical: no grid point has a finite expected utility\n")
+
+
+_EXIT_3_REPROS = {
+    "cost_overflow": (["--set", "cost.per_patient=1e308"],
+                      "classical: no grid point has a finite expected utility"),
+    # rewards overflow to inf in every stratified row: the alpha_S
+    # narrowing has no finite spread to stop on
+    "narrowing_overflow": (["--set", "reward.NrF=1.7e308", "--set", "reward.NrS=1.7e308",
+                            "--set", "prior.delta=10"],
+                           "stratified: the alpha_S narrowing at n = 50 met a "
+                           "non-finite expected utility"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_3_REPROS))
+def test_exit_3_prints_its_line_alone(config_path, tmp_path, name):
+    # in a process of its own, whose stderr is exactly the one line; the
+    # timeout fails a run that never ends instead of hanging the suite
+    extra, message = _EXIT_3_REPROS[name]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-m", "trialopt.cli", "optimize", "--config",
+                           config_path, "--out", str(tmp_path), *extra],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert (proc.returncode, proc.stderr) == (3, f"numeric failure: {message}\n")
+
+
+def test_successful_run_shows_its_warnings(config_path, tmp_path):
+    # a run that succeeds keeps its warnings: an evaluate whose cost
+    # overflows to inf writes its -inf utility and warns once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
+                     "--design", "classical", "--n", "200",
+                     "--set", "cost.per_patient=1e308"]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "overflow encountered in multiply")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning):
+            main(["evaluate", "--config", config_path, "--out", str(tmp_path),
+                  "--design", "classical", "--n", "200", "--set", "cost.per_patient=1e308"])
 
 
 def test_alpha_S_one_ulp_below_alpha_at_tiny_prevalence(config_path, tmp_path):

@@ -25,6 +25,7 @@ from trialopt.model import (
     trial_cost,
 )
 from trialopt.optimizer import GridConfig
+from trialopt.utility import classical_variance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -194,6 +195,23 @@ class TestScenario:
     def test_perspective_validated(self):
         with pytest.raises(ValueError):
             RewardStructure("regulator", 1.0, 1.0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("effects, ok", [
+        (EffectPair(1e150, 0.0), True),
+        (EffectPair(1e155, 0.0), False),
+        (EffectPair(0.0, 0.0, prognostic_offset=-1e155), False),
+        (EffectPair(1e154, -1e154), False),
+    ])
+    def test_classical_variance_must_be_finite(self, scenario, effects, ok):
+        # 2 sigma^2 + lambda_S (1 - lambda_S)(gap_t^2 + gap_c^2) overflows
+        # for a huge effect: refused where the prior enters, naming it
+        prior = DiscretePrior(((EffectPair(0.0, 0.0), 0.5), (effects, 0.5)))
+        if ok:
+            assert math.isfinite(classical_variance(effects, 0.5, 1.0, 1.0))
+            scenario.with_prior(prior)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"prior effect {effects} too large")):
+                scenario.with_prior(prior)
 
 
 class TestConfigDocument:

@@ -71,8 +71,7 @@ class TestOptimizeFamily:
     def test_no_finite_utility_is_numeric_error(self, monkeypatch, family):
         # a kernel that scores only NaN leaves stage 1 with no point to refine
         def nan_rows(family, sizes, alphas, scenario):
-            for n in sizes:
-                yield n, np.full((7, len(alphas)), np.nan)
+            yield sizes, np.full((7, len(sizes), len(alphas)), np.nan)
 
         monkeypatch.setattr(optimizer, "_scored_rows", nan_rows)
         with pytest.raises(NumericError, match=f"^{family}: no grid point has a finite"):
@@ -231,6 +230,67 @@ class TestSizeBlocks:
         assert max(settings) <= cap
         assert ((split.best_design.n, split.best_design.alpha_S, split.expected_utility)
                 == (whole.best_design.n, whole.best_design.alpha_S, whole.expected_utility))
+
+
+def _row_best(n, fields, alphas):
+    """The per-row pick the block-wide one replaced: the first best point
+    (eu, n, alpha_S, fields) of one row's fields over ``alphas``."""
+    i = int(np.argmax(fields[0]))
+    return float(fields[0, i]), n, alphas[i], fields[:, i]
+
+
+def _point_repr(point):
+    eu, n, alpha_S, fields = point
+    return repr((eu, n, alpha_S, None if fields is None else fields.tolist()))
+
+
+class TestBlockPick:
+    # One argmax per scored block picks what the per-row argmax and a
+    # strict > across rows picked: the first best alpha_S of each row (a
+    # NaN, where the row holds one, which never wins) and the earliest of
+    # tied rows.
+    @staticmethod
+    def random_block(rng, rows, width):
+        fields = rng.integers(-2, 3, (7, rows, width)).astype(float)
+        fields[0][rng.random((rows, width)) < 0.08] = np.nan
+        fields[0][rng.random((rows, width)) < 0.05] = -np.inf
+        return fields
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_row_points_equal_row_best(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        chunk = [int(n) for n in rng.choice(np.arange(50, 3000), rows, replace=False)]
+        alphas = [float(a) for a in rng.random(width)]
+        fields = self.random_block(rng, rows, width)
+        got = optimizer._row_points(chunk, fields, alphas)
+        want = [_row_best(n, fields[:, r], alphas) for r, n in enumerate(chunk)]
+        assert list(map(_point_repr, got)) == list(map(_point_repr, want))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stage_one_pick_equals_row_by_row(self, monkeypatch, seed):
+        # every size scored (no pruning) in blocks of three rows of random
+        # fields with exact ties, NaN and -inf
+        rng = np.random.default_rng(seed)
+        blocks = []
+
+        def random_rows(family, sizes, alphas, scenario):
+            fields = self.random_block(rng, len(sizes), len(alphas))
+            blocks.append((list(sizes), fields, alphas))
+            yield list(sizes), fields
+
+        monkeypatch.setattr(optimizer, "_scored_rows", random_rows)
+        monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", 4 * 5 * 3)
+        monkeypatch.setattr(optimizer, "_utility_bound",
+                            lambda kind, n, scenario: np.full(np.shape(n), math.inf))
+        got = optimizer._grid_best("stratified", make_scenario(), replace(FAST, alpha_points=5))
+        want = (-math.inf, None, None, None)
+        for chunk, fields, alphas in blocks:
+            for r, n in enumerate(chunk):
+                want = max(want, _row_best(n, fields[:, r], alphas), key=lambda point: point[0])
+        assert [len(chunk) for chunk, _, _ in blocks] == [3] * 5 + [1]
+        assert want[1] is not None
+        assert _point_repr(got) == _point_repr(want)
 
 
 def _bound_domain():

@@ -15,9 +15,10 @@ from trialopt.testing import (
     _pieces,
     _region_lines,
     alpha_F_given_alpha_S,
+    region_breakpoints,
 )
 from conftest import make_scenario
-from oracles import level_solve, reject_stratified
+from oracles import concatenated_pieces, level_solve, reject_stratified
 import trialopt.numerics as numerics
 import trialopt.testing as testing
 
@@ -333,6 +334,54 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
                     geom.sq_lam * z_S + geom.sq_lamc * z_Sc) > mu_F
                 want[1] &= effects.delta_S + geom.se_S * z_S > mu_S
             yield region_members(geom, z_S, z_Sc, sponsor), want, _region_lines(geom, z_S, sponsor)
+
+
+def assert_pieces_equal_concatenated(geom):
+    want = concatenated_pieces(geom)
+    for got, ref in zip((region_breakpoints(geom), *_pieces(geom)), want):
+        assert got.shape == ref.shape and repr(got.tolist()) == repr(ref.tolist())
+
+
+class TestPieces:
+    # The breakpoints and pieces, written into preallocated arrays and
+    # sorted in place, equal those built by concatenation, -0.0, NaN and
+    # padding included.
+    @pytest.mark.parametrize("sponsor", [False, True])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+    def test_kernel_geometry(self, sponsor, tau):
+        # the kernel's layout: atom, n, alpha_S, then a piece axis of 1;
+        # public floors are -inf (padding), alpha_S = 0 puts the gate at
+        # +inf, a tau_Sc of 0 or 1 makes crossings NaN, and tau = 0.5 puts
+        # breakpoints at -0.0
+        rng = np.random.default_rng(int(10 * tau) + sponsor)
+        lam = float(rng.uniform(0.05, 0.95))
+        alpha_S = np.array([0.0, 0.001, 0.0125, 0.025])
+        alpha_F = np.array([alpha_F_given_alpha_S(float(a), lam) for a in alpha_S])
+        delta_S = np.array([0.0, 0.3, 0.3, 1.0, 0.0]).reshape(5, 1, 1, 1)
+        delta_Sc = np.array([0.0, 0.0, 0.15, 1.0, -0.0]).reshape(5, 1, 1, 1)
+        n = np.array([50.0, 333.0, 2700.0])
+        mu = (0.1, 0.1) if sponsor else (None, None)
+        geom = _line_geometry(lam, 0.025, alpha_S[:, None], alpha_F[:, None], tau, tau,
+                              delta_S, delta_Sc, n[..., None, None], 1.0, *mu)
+        assert region_breakpoints(geom).shape == (5, 3, 4, 7)
+        assert_pieces_equal_concatenated(geom)
+
+    @pytest.mark.parametrize("sponsor", [False, True])
+    def test_scalar_geometry(self, sponsor):
+        # the oracles' float geometries, huge floors and sizes included
+        rng = np.random.default_rng(sponsor)
+        for _ in range(200):
+            lam = float(rng.uniform(0.01, 0.99))
+            alpha_S = float(rng.choice([0.0, rng.uniform(0.0, 0.025), 0.025]))
+            delta_Sc, delta_S = sorted(rng.uniform(-0.3, 0.6, 2).tolist())
+            tau_S, tau_Sc = rng.choice([0.0, 0.3, 0.5, 1.0], 2).tolist()
+            mu_S, mu_F = (rng.choice([-0.2, 0.1, 1e300], 2).tolist() if sponsor
+                          else (None, None))
+            geom = _line_geometry(lam, 0.025, alpha_S, alpha_F_given_alpha_S(alpha_S, lam),
+                                  tau_S, tau_Sc, delta_S, delta_Sc,
+                                  float(rng.choice([50.0, 1e6])), 1.0, mu_S, mu_F)
+            assert region_breakpoints(geom).shape == (7,)
+            assert_pieces_equal_concatenated(geom)
 
 
 class TestRejectStratified:

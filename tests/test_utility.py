@@ -250,23 +250,27 @@ def random_lines(seed, shape=(3, 4, 2, 5), pieces=8):
     return a, b, lo, hi, alive
 
 
+def assert_equals_pieces_alone(got, a, b, lo, hi, alive, moments):
+    """``got`` equals, bit for bit, the integrals of the even and the odd
+    pieces, each alive alone: no alive neighbour to share an end with, so
+    each such call evaluates both ends of every piece."""
+    even = np.arange(alive.shape[-1]) % 2 == 0
+    want = [np.where(even, e, o) for e, o in
+            zip(_line_integrals(a, b, lo, hi, alive & even, moments),
+                _line_integrals(a, b, lo, hi, alive & ~even, moments))]
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+
+
 class TestLineIntegrals:
     # Each (line, breakpoint) CDF value is computed once; the integrals
-    # must equal those of pieces evaluated on their own, bit for bit. The
-    # even and odd pieces, each alive alone, have no alive neighbour to
-    # share an end with, so each such call evaluates both ends of every
-    # piece.
+    # must equal those of pieces evaluated on their own, bit for bit.
     @pytest.mark.parametrize("moments", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_per_piece_oracle(self, moments, seed):
         a, b, lo, hi, alive = random_lines(seed)
         got = _line_integrals(a, b, lo, hi, alive, moments)
-        even = np.arange(alive.shape[-1]) % 2 == 0
-        want = [np.where(even, e, o) for e, o in
-                zip(_line_integrals(a, b, lo, hi, alive & even, moments),
-                    _line_integrals(a, b, lo, hi, alive & ~even, moments))]
-        for g, w in zip(got, want):
-            assert g.tolist() == w.tolist()
+        assert_equals_pieces_alone(got, a, b, lo, hi, alive, moments)
         # the draw covers every case the sharing tells apart
         finite = alive & np.isfinite(a)
         same_a = a[..., 1:] == a[..., :-1]
@@ -279,6 +283,51 @@ class TestLineIntegrals:
         assert np.any(finite & (b == 0.0)) and np.any(finite & (lo == 0.0))
         assert np.any(np.isinf(np.broadcast_to(lo, a.shape)[..., 1:]))
         assert np.any(finite & (hi == np.inf))
+
+    @staticmethod
+    def unpadded_pieces(shape=(2, 2, 3), pieces=8):
+        """lo and hi of (atom, n, alpha_S, piece) settings with no padding,
+        so every piece, the first and the last included, has positive
+        length."""
+        points = np.sort(np.random.default_rng(7).normal(0.0, 2.0, shape + (pieces - 1,)),
+                         axis=-1)
+        edge = np.full(shape + (1,), np.inf)
+        return np.concatenate((-edge, points), axis=-1), np.concatenate((points, edge), axis=-1)
+
+    @pytest.mark.parametrize("moments", [False, True])
+    @pytest.mark.parametrize("mask", ["all", "ends", "last_and_second", "checker"])
+    def test_no_end_shared_across_lines_or_settings(self, moments, mask):
+        # One (a, b) on every slot: the selected slot just before a piece
+        # 0 lies on the setting or line before, never on the same line, and
+        # must not lend its end (+inf) as that piece's lower end (-inf).
+        lo, hi = self.unpadded_pieces()
+        full = (3,) + lo.shape
+        a, b = np.full(full, 0.3), np.full(full, -0.6)
+        piece = np.arange(full[-1])
+        alive = {"all": np.ones(full, dtype=bool),
+                 "ends": np.broadcast_to((piece == 0) | (piece == full[-1] - 1), full),
+                 "last_and_second": np.broadcast_to((piece == 1) | (piece == full[-1] - 1), full),
+                 "checker": (np.indices(full).sum(axis=0) % 2 == 0)}[mask]
+        got = _line_integrals(a, b, lo, hi, alive, moments)
+        assert_equals_pieces_alone(got, a, b, lo, hi, alive, moments)
+        assert np.all(got[0][alive] != 0.0)
+
+    @pytest.mark.parametrize("moments", [False, True])
+    @pytest.mark.parametrize("differ", ["a", "b"])
+    def test_no_end_shared_between_different_lines(self, moments, differ):
+        # Consecutive alive pieces of one line and setting whose a, or b
+        # alone, differs each evaluate their own lower end.
+        lo, hi = self.unpadded_pieces()
+        full = (3,) + lo.shape
+        piece = np.arange(full[-1])
+        a, b = np.full(full, 0.3), np.full(full, -0.6)
+        if differ == "a":
+            a = a + 0.25 * piece
+        else:
+            b = b + 0.25 * piece
+        alive = np.ones(full, dtype=bool)
+        got = _line_integrals(a, b, lo, hi, alive, moments)
+        assert_equals_pieces_alone(got, a, b, lo, hi, alive, moments)
 
 
 class TestCdfSharing:
