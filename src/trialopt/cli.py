@@ -28,6 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .model import (
+    NO_TRIAL,
     TRIAL_KINDS,
     DesignSpec,
     EffectPair,
@@ -163,17 +164,10 @@ def _load_run_inputs(args) -> tuple:
 
 
 def _design_from_args(args, scenario: Scenario) -> DesignSpec:
-    kind = args.design
-    if kind == "none":
-        return DesignSpec.no_trial()
-    if args.n is None:
-        raise ValueError("--n is required for trial designs")
-    if kind == "stratified":
-        if args.alpha_s is None:
-            raise ValueError("--alpha-s is required for the stratified design")
-        design = DesignSpec.stratified(args.n, args.alpha_s)
-    else:
-        design = DesignSpec(kind, n=args.n)
+    """The design the flags name; a flag the design does not take is an
+    error, as it is for the library."""
+    kind = NO_TRIAL if args.design == "none" else args.design
+    design = DesignSpec(kind, n=args.n, alpha_S=args.alpha_s)
     design.check_against(scenario)
     return design
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,7 +44,6 @@ _NEWTON_RTOL = 1e-14
 _NEWTON_MAX_ITER = 50
 
 
-@lru_cache(maxsize=4096)
 def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
     """Largest alpha_F keeping the closed test at familywise level alpha.
 

@@ -348,8 +348,8 @@ def _utility_bound(kind: str, n, scenario: Scenario):
         # Standard deviations of U, V and V - U, each a multiple of se_F.
         se_F = scenario.sigma * np.sqrt(2.0 / n)
         sd_U, sd_V = rewards.NrF * se_F, math.sqrt(lam) * rewards.NrS * se_F
-        sd_gap = math.sqrt(lam * (rewards.NrS - rewards.NrF) ** 2
-                           + (1.0 - lam) * rewards.NrF ** 2) * se_F
+        sd_gap = math.hypot(math.sqrt(lam) * (rewards.NrS - rewards.NrF),
+                            math.sqrt(1.0 - lam) * rewards.NrF) * se_F
         reward = np.minimum(
             _positive_part_mean(gain_F, sd_U) + _positive_part_mean(gain_S - gain_F, sd_gap),
             _positive_part_mean(gain_S, sd_V) + _positive_part_mean(gain_F - gain_S, sd_gap))

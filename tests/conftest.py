@@ -57,13 +57,8 @@ def scenario():
 @pytest.fixture
 def broken_orthant(monkeypatch):
     """The level condition with an Owen's T that always returns -1.0, so
-    its orthant exceeds 1 and its Newton solve starts left of any root;
-    alpha_F's cache is cleared on both sides so no solved value leaks in
-    or out."""
+    its orthant exceeds 1 and its Newton solve starts left of any root."""
     import trialopt.testing as testing
 
     monkeypatch.setattr(testing, "SCALAR", SimpleNamespace(
         ndtr=testing.SCALAR.ndtr, ndtri=testing.SCALAR.ndtri, owens_t=lambda h, a: -1.0))
-    testing.alpha_F_given_alpha_S.cache_clear()
-    yield
-    testing.alpha_F_given_alpha_S.cache_clear()

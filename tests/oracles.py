@@ -437,8 +437,8 @@ def find_root(g, x0: float, tol: float = 0.0) -> float:
 
 def level_solve(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
     """alpha_F solving the level condition, by :func:`find_root` on the
-    union excess through :func:`bivariate_upper_orthant`, uncached; the
-    domain checks and endpoints are the library's."""
+    union excess through :func:`bivariate_upper_orthant`; the domain
+    checks and endpoints are the library's."""
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
     if not (0.0 <= alpha_S <= alpha + 1e-15):

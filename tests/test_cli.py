@@ -480,6 +480,21 @@ _BAD_INPUTS = {
     "prior_delta_huge_optimize": (
         ["optimize", "--set", "prior.delta=1e155"],
         lambda: dataclasses.replace(_case1(), prior=builtin_prior("weak", 1e155))),
+    # the design flags go to DesignSpec as given: a flag the design does
+    # not take, or one it needs and lacks, is the library's error
+    "classical_alpha_s": (["evaluate", "--design", "classical", "--n", "100", "--alpha-s", "0.01"],
+                          lambda: DesignSpec("classical", n=100, alpha_S=0.01)),
+    "none_n_alpha_s": (["evaluate", "--design", "none", "--n", "100", "--alpha-s", "0.01"],
+                       lambda: DesignSpec(NO_TRIAL, n=100, alpha_S=0.01)),
+    "none_n": (["evaluate", "--design", "none", "--n", "100"],
+               lambda: DesignSpec(NO_TRIAL, n=100)),
+    "enrichment_alpha_s": (["simulate", "--design", "enrichment", "--n", "100",
+                            "--alpha-s", "0.01", "--replicates", "1000"],
+                           lambda: DesignSpec("enrichment", n=100, alpha_S=0.01)),
+    "classical_no_n": (["evaluate", "--design", "classical"], lambda: DesignSpec("classical")),
+    "stratified_no_alpha_s": (["simulate", "--design", "stratified", "--n", "100",
+                               "--replicates", "1000"],
+                              lambda: DesignSpec("stratified", n=100)),
 }
 
 
@@ -505,26 +520,52 @@ def test_no_finite_utility_exits_3_naming_the_family(config_path, tmp_path, caps
         "numeric failure: classical: no grid point has a finite expected utility\n")
 
 
+# A sponsor case-3 document (strong prior, biomarker costs) with the
+# default grid, whose first stage-1 block leaves later blocks to the bound.
+CONFIG_CASE3_DEFAULT_GRID = """\
+lambda_S = 0.4
+cost.setup = 1.0
+cost.per_patient = 0.05
+cost.biomarker = 10
+cost.screening = 0.005
+reward.perspective = sponsor
+reward.NrS = 1000
+reward.NrF = 1000
+reward.mu_S = 0.1
+reward.mu_F = 0.1
+prior.kind = strong
+prior.delta = 0.3
+"""
+
+_HUGE_REWARDS = ["--set", "reward.NrF=1.7e308", "--set", "reward.NrS=1.7e308",
+                 "--set", "prior.delta=10"]
+
 _EXIT_3_REPROS = {
-    "cost_overflow": (["--set", "cost.per_patient=1e308"],
+    "cost_overflow": (CONFIG_CASE1, ["--set", "cost.per_patient=1e308"],
                       "classical: no grid point has a finite expected utility"),
     # rewards overflow to inf in every stratified row: the alpha_S
     # narrowing has no finite spread to stop on
-    "narrowing_overflow": (["--set", "reward.NrF=1.7e308", "--set", "reward.NrS=1.7e308",
-                            "--set", "prior.delta=10"],
+    "narrowing_overflow": (CONFIG_CASE1, _HUGE_REWARDS,
                            "stratified: the alpha_S narrowing at n = 50 met a "
                            "non-finite expected utility"),
+    # the stage-1 bound's spread of the reward gap stays finite, so the
+    # same rewards reach the narrowing, not a bare OverflowError
+    "bound_overflow": (CONFIG_CASE3_DEFAULT_GRID, _HUGE_REWARDS,
+                       "stratified: the alpha_S narrowing at n = 50 met a "
+                       "non-finite expected utility"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_EXIT_3_REPROS))
-def test_exit_3_prints_its_line_alone(config_path, tmp_path, name):
+def test_exit_3_prints_its_line_alone(tmp_path, name):
     # in a process of its own, whose stderr is exactly the one line; the
     # timeout fails a run that never ends instead of hanging the suite
-    extra, message = _EXIT_3_REPROS[name]
+    config, extra, message = _EXIT_3_REPROS[name]
+    config_path = tmp_path / "scenario.cfg"
+    config_path.write_text(config)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run([sys.executable, "-m", "trialopt.cli", "optimize", "--config",
-                           config_path, "--out", str(tmp_path), *extra],
+                           str(config_path), "--out", str(tmp_path), *extra],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
     assert (proc.returncode, proc.stderr) == (3, f"numeric failure: {message}\n")

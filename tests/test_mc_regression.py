@@ -234,7 +234,7 @@ def test_chunk_peak_memory(family, mode, estimator):
     def one_chunk():
         return estimate(family, mode, estimator, "atom", replicates=_CHUNK)
 
-    one_chunk()  # fills the level-condition cache outside the trace
+    one_chunk()  # keeps first-call allocations outside the trace
     tracemalloc.start()
     try:
         one_chunk()

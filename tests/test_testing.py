@@ -10,6 +10,7 @@ import scipy.special
 
 from trialopt.model import EffectPair, pooled_effect
 from trialopt.numerics import NumericError, bivariate_upper_orthant
+from trialopt.optimizer import decide
 from trialopt.testing import (
     _line_geometry,
     _pieces,
@@ -150,26 +151,22 @@ class TestLevelCondition:
         where the union is alpha_S: it returns 0.0 within the 32-ulp
         tolerance, or the closer end of the bracket. Returns the number of
         such points."""
-        alpha_F_given_alpha_S.cache_clear()
         clamped = 0
-        try:
-            for alpha_S, lam, alpha in points:
-                got = alpha_F_given_alpha_S(alpha_S, lam, alpha)
-                try:
-                    want = level_solve(alpha_S, lam, alpha)
-                except ValueError as exc:
-                    assert "must not be NaN" in str(exc)
-                    clamped += 1
-                    below = alpha - alpha_S
-                    if got == 0.0:
-                        assert below <= 32 * math.ulp(alpha), (alpha_S, lam, alpha)
-                    else:
-                        miss = abs(union_probability(alpha_S, got, lam) - alpha)
-                        assert 0.0 < got <= alpha and miss < below, (alpha_S, lam, alpha)
-                    continue
-                assert repr(got) == repr(want), (alpha_S, lam, alpha)
-        finally:
-            alpha_F_given_alpha_S.cache_clear()
+        for alpha_S, lam, alpha in points:
+            got = alpha_F_given_alpha_S(alpha_S, lam, alpha)
+            try:
+                want = level_solve(alpha_S, lam, alpha)
+            except ValueError as exc:
+                assert "must not be NaN" in str(exc)
+                clamped += 1
+                below = alpha - alpha_S
+                if got == 0.0:
+                    assert below <= 32 * math.ulp(alpha), (alpha_S, lam, alpha)
+                else:
+                    miss = abs(union_probability(alpha_S, got, lam) - alpha)
+                    assert 0.0 < got <= alpha and miss < below, (alpha_S, lam, alpha)
+                continue
+            assert repr(got) == repr(want), (alpha_S, lam, alpha)
         return clamped
 
     def test_frontier_grids_equal_oracle_solve(self):
@@ -219,13 +216,9 @@ class TestLevelCondition:
             return array_cdf(*args)
 
         monkeypatch.setattr(numerics, "bivariate_normal_cdf", counted)
-        alpha_F_given_alpha_S.cache_clear()
-        try:
-            for lam in (0.1, 0.5, 0.9):
-                for alpha_S in (1e-9, 0.0125, 0.0249):
-                    alpha_F_given_alpha_S(alpha_S, lam)
-        finally:
-            alpha_F_given_alpha_S.cache_clear()
+        for lam in (0.1, 0.5, 0.9):
+            for alpha_S in (1e-9, 0.0125, 0.0249):
+                alpha_F_given_alpha_S(alpha_S, lam)
         assert calls == []
 
     def test_frontier_grids_make_no_scalar_ufunc_call(self, monkeypatch):
@@ -248,17 +241,38 @@ class TestLevelCondition:
         for seed in (1, 2, 3):
             inputs = frontier_inputs(seed)
             grid += itertools.product(inputs["alphas"], inputs["lambdas"])
-        alpha_F_given_alpha_S.cache_clear()
-        try:
-            for a, lam in grid:
-                alpha_F_given_alpha_S(a, lam)
-        finally:
-            alpha_F_given_alpha_S.cache_clear()
+        for a, lam in grid:
+            alpha_F_given_alpha_S(a, lam)
         assert scalar_calls == []
 
     def test_unbracketed_root_is_numeric_error(self, broken_orthant):
         with pytest.raises(NumericError, match="left of the root"):
             alpha_F_given_alpha_S(0.0125, 0.5)
+
+    def test_solve_keeps_no_value_between_calls(self, request):
+        # a solved point is solved again: the broken orthant reaches it
+        alpha_F_given_alpha_S(0.0125, 0.5)
+        request.getfixturevalue("broken_orthant")
+        with pytest.raises(NumericError, match="left of the root"):
+            alpha_F_given_alpha_S(0.0125, 0.5)
+
+    def test_repeated_decisions_make_the_same_solves(self, monkeypatch):
+        # a decision's level solves do not depend on the decisions before it
+        calls = []
+        scalar = testing.SCALAR
+
+        def owens_t(h, a):
+            calls.append(None)
+            return scalar.owens_t(h, a)
+
+        monkeypatch.setattr(testing, "SCALAR", SimpleNamespace(
+            ndtr=scalar.ndtr, ndtri=scalar.ndtri, owens_t=owens_t))
+        counts = []
+        for _ in range(2):
+            decide(make_scenario())
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
 
     def test_iteration_cap_raises(self, monkeypatch):
         # T(x, .) = d - Phi(x) / 2 makes the orthant Phi(x) + Phi(y) - 2 d,
@@ -268,13 +282,9 @@ class TestLevelCondition:
         d = 0.5 * 0.025 + 1e-9
         monkeypatch.setattr(testing, "SCALAR", SimpleNamespace(
             ndtr=scalar.ndtr, ndtri=scalar.ndtri, owens_t=lambda h, a: d - 0.5 * scalar.ndtr(h)))
-        alpha_F_given_alpha_S.cache_clear()
-        try:
-            with pytest.raises(NumericError,
-                               match=r"did not converge in 50 iterations from 0\.025; last point"):
-                alpha_F_given_alpha_S(0.0125, 0.5)
-        finally:
-            alpha_F_given_alpha_S.cache_clear()
+        with pytest.raises(NumericError,
+                           match=r"did not converge in 50 iterations from 0\.025; last point"):
+            alpha_F_given_alpha_S(0.0125, 0.5)
 
     def test_solved_pair_is_valid(self):
         # the solved pair never falls below the Bonferroni floor
