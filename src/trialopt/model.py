@@ -165,7 +165,9 @@ class DesignSpec:
             raise ValueError(f"per-group sample size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if self.kind == STRATIFIED:
-            if self.alpha_S is None or not (0.0 <= self.alpha_S):
+            if self.alpha_S is None:
+                raise ValueError("stratified design requires alpha_S; none was given")
+            if not (0.0 <= self.alpha_S):
                 raise ValueError("stratified design requires alpha_S >= 0")
             # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
             object.__setattr__(self, "alpha_S", float(self.alpha_S) + 0.0)

@@ -42,7 +42,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from trialopt.mc_oracle import _CHUNK, _chunk_rng, _estimate, _simulate_batch
+from trialopt.mc_oracle import _CHUNK, _chunk_rng, _estimate, _simulate_batch, _workspace
 from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, EffectPair, pooled_effect
 from trialopt.model import trial_cost
 from trialopt.numerics import (
@@ -355,7 +355,8 @@ def reject_stratified(z_S, z_Sc, alpha_S, effects, n, scenario):
 def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):
     """Chunked mean/SE of each value_fn(utility, psi_S, psi_F), with one
     atom label drawn per replicate by weight and each atom's replicates
-    scattered back to their labelled positions."""
+    scattered back to their labelled positions. Each batch is simulated
+    in a fresh workspace of its own size."""
     if isinstance(effects_or_prior, EffectPair):
         effects_or_prior = [(effects_or_prior, 1.0)]
     atoms = list(effects_or_prior)
@@ -376,7 +377,9 @@ def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):
             count = int(sel.sum())
             if count == 0:
                 continue
-            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, count)
+            ws = _workspace(design.kind, config.strata_mode, True, count)
+            batch = _simulate_batch(design, atom, scenario, config.strata_mode, rng, count,
+                                    ws=ws)
             for v, fn in zip(values, value_fns):
                 v[sel] = fn(*batch)
         for i, v in enumerate(values):
@@ -387,12 +390,14 @@ def labelled_estimates(design, effects_or_prior, scenario, config, value_fns):
     return [_estimate(a, b, total) for a, b in zip(s1, s2)]
 
 
-def iid_strata_counts(rng, n, lam, m, interior):
-    """Per-arm subgroup counts, one Binomial(n, lam) draw per replicate and
-    arm; with ``interior``, replicates with an empty stratum in either arm
-    are redrawn until 0 < k < n in both."""
-    k_t = rng.binomial(n, lam, m)
-    k_c = rng.binomial(n, lam, m)
+def iid_strata_counts(rng, n, lam, interior, k_t, k_c):
+    """Per-arm subgroup counts written into ``k_t`` and ``k_c``, one
+    Binomial(n, lam) draw per replicate and arm; with ``interior``,
+    replicates with an empty stratum in either arm are redrawn until
+    0 < k < n in both."""
+    m = len(k_t)
+    k_t[:] = rng.binomial(n, lam, m)
+    k_c[:] = rng.binomial(n, lam, m)
     while interior:
         bad = (k_t == 0) | (k_t == n) | (k_c == 0) | (k_c == n)
         if not bad.any():
@@ -400,7 +405,6 @@ def iid_strata_counts(rng, n, lam, m, interior):
         count = int(bad.sum())
         k_t[bad] = rng.binomial(n, lam, count)
         k_c[bad] = rng.binomial(n, lam, count)
-    return k_t, k_c
 
 
 def find_root(g, x0: float, tol: float = 0.0) -> float:

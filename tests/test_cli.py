@@ -508,6 +508,14 @@ def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsy
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_missing_alpha_s_is_named_not_a_bound(config_path, tmp_path, capsys, command):
+    assert main([command, "--config", config_path, "--out", str(tmp_path),
+                 "--design", "stratified", "--n", "100"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: stratified design requires alpha_S; none was given\n"
+
+
 def test_no_finite_utility_exits_3_naming_the_family(config_path, tmp_path, capsys):
     # a per-patient cost of 1e308 makes every classical size cost inf; the
     # overflow warnings of the failed run never leave main

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,15 @@ from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_prior_averaged
 from conftest import make_scenario, one_atom
 from oracles import iid_strata_counts, labelled_estimates
+from test_mc_regression import (
+    APPROVALS_ONE_DRAW_BYTES_PER_REPLICATE,
+    BYTES_PER_REPLICATE,
+    FAMILIES,
+    GOLDEN,
+    MODES,
+    cases,
+    estimate,
+)
 
 
 def with_rewards(scenario, **kw):
@@ -282,7 +292,8 @@ class TestStrataCounts:
     @pytest.mark.parametrize("interior", [False, True])
     def test_histogram_matches_exact_pmf(self, n, lam, interior):
         rng = np.random.default_rng(n)
-        k_t, k_c = mc_oracle._strata_counts(rng, n, lam, self.M, interior)
+        k_t, k_c = np.empty((2, self.M), dtype=np.int64)
+        mc_oracle._strata_counts(rng, n, lam, interior, k_t, k_c)
         pmf = self.exact_pmf(n, lam, interior)
         expected = self.M * pmf
         # cells expected below 10 counts are pooled into one, as a
@@ -303,7 +314,8 @@ class TestStrataCounts:
 
     def test_interior_needs_two_patients(self):
         with pytest.raises(ValueError, match="n=1"):
-            mc_oracle._strata_counts(np.random.default_rng(0), 1, 0.5, 10, True)
+            mc_oracle._strata_counts(np.random.default_rng(0), 1, 0.5, True,
+                                     *np.empty((2, 10), dtype=np.int64))
         scenario = make_scenario(n_min=1)
         with pytest.raises(ValueError):
             mc_expected_utility(DesignSpec.stratified(1, 0.01), EffectPair(0.3, 0.0),
@@ -367,3 +379,57 @@ class TestSamplersAgree:
         assert new[0].std_error > 0.0 and 0.0 < new[1].mean < 1.0
         for a, b in zip(new, old):
             assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+
+class TestWorkspace:
+    """Each estimator call builds every batch in one workspace: no row is
+    read before the batch writes it, and the call allocates it once, so a
+    call of many chunks and atoms peaks as one chunk does."""
+
+    @pytest.fixture
+    def workspaces(self, monkeypatch):
+        """The workspace of every batch, in call order; each is filled with
+        NaN before its batch, so a stale row would show in the estimate."""
+        seen = []
+        simulate = mc_oracle._simulate_batch
+
+        def poisoned(*args, ws, **kwargs):
+            seen.append(ws)
+            ws.fill(np.nan)
+            return simulate(*args, ws=ws, **kwargs)
+
+        monkeypatch.setattr(mc_oracle, "_simulate_batch", poisoned)
+        return seen
+
+    @pytest.mark.parametrize("family, mode, estimator, effects", list(cases()),
+                             ids="/".join)
+    def test_no_row_is_read_before_it_is_written(self, workspaces, family, mode, estimator,
+                                                 effects):
+        assert estimate(family, mode, estimator, effects) == \
+            GOLDEN["/".join((family, mode, estimator, effects))]
+        # a full chunk and a partial one, every block in one workspace
+        assert len(workspaces) >= 2
+        assert all(ws is workspaces[0] for ws in workspaces)
+
+    @pytest.mark.parametrize("estimator", ("utility-sponsor", "rejection", "fwer"))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_three_chunk_prior_peaks_as_one_chunk(self, workspaces, family, mode, estimator):
+        def three_chunks():
+            return estimate(family, mode, estimator, "prior", replicates=3 * _CHUNK)
+
+        three_chunks()  # keeps first-call allocations outside the trace
+        workspaces.clear()
+        tracemalloc.start()
+        try:
+            three_chunks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(ws is workspaces[0] for ws in workspaces)
+        assert len(workspaces) >= 3 and workspaces[0].shape[1] == _CHUNK
+        one_draw = family == "enrichment" or (family == "classical"
+                                              and mode == FIXED_PROPORTIONAL)
+        bound = (APPROVALS_ONE_DRAW_BYTES_PER_REPLICATE
+                 if one_draw and estimator in ("rejection", "fwer") else BYTES_PER_REPLICATE)
+        assert peak <= bound * _CHUNK, f"{peak / 1e6:.1f} MB"

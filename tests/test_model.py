@@ -162,6 +162,15 @@ class TestDesignSpec:
         with pytest.raises(ValueError):
             DesignSpec("stratified", n=100)
 
+    def test_missing_alpha_is_named_apart_from_the_bound(self):
+        with pytest.raises(ValueError) as missing:
+            DesignSpec("stratified", n=100)
+        assert str(missing.value) == "stratified design requires alpha_S; none was given"
+        for bad in (-0.01, math.nan, -math.inf):
+            with pytest.raises(ValueError) as out_of_bound:
+                DesignSpec("stratified", n=100, alpha_S=bad)
+            assert str(out_of_bound.value) == "stratified design requires alpha_S >= 0"
+
     def test_classical_refuses_alpha(self):
         with pytest.raises(ValueError):
             DesignSpec("classical", n=100, alpha_S=0.01)

@@ -7,10 +7,13 @@ The parent revision is extracted with ``git archive`` into a temporary
 directory. For every seed of every ``--run WORKLOAD=SEEDS`` the
 benchmark's own entry point (``perfbench/run.py --trace 0``, at its
 default run length) runs once in that copy and once in the working tree, the two sides taking turns to go
-first. The output file holds every run's end-to-end metrics and, per
-workload and metric, both sides' medians and quartiles, the change's win
-count over the pairs and the median gap; plus failed/attempted counts and
-the machine (nproc, library versions). It is rewritten after every run.
+first. The output file holds every run's end-to-end metrics and its
+resource usage (minor page faults, user and system CPU seconds, of the run
+and the processes it waited for), and, per workload and metric, both
+sides' medians and quartiles, the change's win count over the pairs and
+the median gap; per workload, both sides' median usage; plus
+failed/attempted counts and the machine (nproc, library versions). It is
+rewritten after every run.
 After each workload's pairs, one traced run (``--trace 1``) per side at
 that workload's first seed gives its per-layer metrics, written under
 ``per_layer`` as {workload: {side: {metric: value}}}. After the pairs, the
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+USAGE = {"minflt": "ru_minflt", "utime_s": "ru_utime", "stime_s": "ru_stime"}
 
 
 def parse_seeds(text):
@@ -59,11 +64,13 @@ def summarize(rows, better):
     """Per-workload summary of benchmark rows.
 
     ``rows`` are dicts with workload, seed, side ('parent' or 'change'),
-    attempted, failed and metrics ({name: value}); ``better`` maps each
-    metric name to 'higher' or 'lower'. A pair is the two sides' runs on
-    one seed; the change wins a pair when its value is strictly better.
-    The median gap is median(change) - median(parent), signed so that a
-    positive gap is an improvement.
+    attempted, failed, metrics ({name: value}) and usage ({name: value},
+    keyed as ``USAGE``); ``better`` maps each metric name to 'higher' or
+    'lower'. A pair is the two sides' runs on one seed; the change wins a
+    pair when its value is strictly better. The median gap is
+    median(change) - median(parent), signed so that a positive gap is an
+    improvement. Usage is summarized as each side's median over the
+    pairs.
     """
     out = {}
     for workload in sorted({r["workload"] for r in rows}):
@@ -80,6 +87,9 @@ def summarize(rows, better):
             "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
                        for side in SIDES},
             "metrics": {},
+            "usage": {name: {side: statistics.median(p[side]["usage"][name] for p in pairs)
+                             for side in SIDES} if pairs else {}
+                      for name in USAGE},
         }
         for name, direction in better.items():
             sign = 1.0 if direction == "higher" else -1.0
@@ -149,13 +159,22 @@ def metric_values(result):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def usage_delta(before, after):
+    """{name: value} of ``USAGE`` between two ``resource.getrusage`` reads."""
+    return {name: getattr(after, field) - getattr(before, field)
+            for name, field in USAGE.items()}
+
+
 def run_once(checkout, workload, seed, trace=0):
-    """One benchmark run in ``checkout``: (result, run note)."""
+    """One benchmark run in ``checkout``: (result, run note, usage), the
+    usage read from RUSAGE_CHILDREN before and after the run."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_run(proc.stdout)
+    usage = usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
+    return (*parse_run(proc.stdout), usage)
 
 
 def main(argv=None):
@@ -184,11 +203,11 @@ def main(argv=None):
             seeds = parse_seeds(seeds)
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    result, note = run_once(checkouts[side], workload, seed)
+                    result, note, usage = run_once(checkouts[side], workload, seed)
                     doc["rows"].append({
                         "workload": workload, "seed": seed, "side": side,
                         "attempted": result["attempted"], "failed": result["failed"],
-                        "metrics": metric_values(result)})
+                        "metrics": metric_values(result), "usage": usage})
                     doc["src_lines"][side] = note["src_lines"]
                     doc["machine"] = {k: note[k] for k in
                                       ("nproc", "python", "numpy", "scipy", "start_method")}
@@ -196,9 +215,10 @@ def main(argv=None):
                     write(doc, args.out)
                     print(f"{workload} seed {seed} {side}: "
                           f"{result['metrics']['ops_per_s']['value']:.4g} ops/s, "
-                          f"failed {result['failed']}", flush=True)
+                          f"failed {result['failed']}, {usage['minflt']} minor faults",
+                          flush=True)
             for side in SIDES:
-                result, _ = run_once(checkouts[side], workload, seeds[0], trace=1)
+                result, _, _ = run_once(checkouts[side], workload, seeds[0], trace=1)
                 doc["per_layer"].setdefault(workload, {})[side] = metric_values(result)
                 write(doc, args.out)
                 print(f"{workload} seed {seeds[0]} {side}: traced", flush=True)
