@@ -163,26 +163,28 @@ def _load_run_inputs(args) -> tuple:
     return scenario, grid
 
 
-def _design_from_args(args, scenario: Scenario) -> DesignSpec:
+def _design_from_args(args) -> DesignSpec:
     """The design the flags name; a flag the design does not take is an
-    error, as it is for the library."""
+    error, as it is for the library, which checks the design against the
+    scenario where it evaluates or simulates it."""
     kind = NO_TRIAL if args.design == "none" else args.design
-    design = DesignSpec(kind, n=args.n, alpha_S=args.alpha_s)
-    design.check_against(scenario)
-    return design
+    return DesignSpec(kind, n=args.n, alpha_S=args.alpha_s)
 
 
 def _emit(out_dir, command: str, manifest: RunManifest, tables: dict) -> None:
     """Write each table as ``<name>.csv``, then the manifest listing them."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        csv_path = os.path.join(out_dir, f"{name}.csv")
-        _write_csv(csv_path, command, header, rows)
-        manifest.outputs.append(csv_path)
     manifest_path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(manifest_path, "w") as fh:
-        fh.write(manifest.to_json())
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            csv_path = os.path.join(out_dir, f"{name}.csv")
+            _write_csv(csv_path, command, header, rows)
+            manifest.outputs.append(csv_path)
+        with open(manifest_path, "w") as fh:
+            fh.write(manifest.to_json())
+            fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
     print(f"wrote {', '.join(manifest.outputs)} and {manifest_path}")
 
 
@@ -193,7 +195,7 @@ def _outcome_cells(outcome: OptimizationOutcome) -> list:
 
 
 def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig) -> dict:
-    outcome = _outcome(_design_from_args(args, scenario), scenario)
+    outcome = _outcome(_design_from_args(args), scenario)
     design = outcome.best_design
     header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
     rows = [[design.label, design.n, design.alpha_S, outcome.derived_alpha_F,
@@ -252,7 +254,7 @@ def _cmd_contour(args, scenario: Scenario, grid: GridConfig) -> dict:
 
 
 def _cmd_simulate(args, scenario: Scenario, grid: GridConfig) -> dict:
-    design = _design_from_args(args, scenario)
+    design = _design_from_args(args)
     config = SimConfig(replicates=args.replicates, seed=args.seed, strata_mode=args.mode)
     atom = _parse_atom(args.atom) if args.atom else None
     header = ["estimand", "design", "mode", "seed", "replicates",

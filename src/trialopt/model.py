@@ -118,7 +118,7 @@ class DiscretePrior:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("prior needs at least one atom")
-        total = math.fsum(w for _, w in self.atoms)
+        total = math.fsum(_finite(w, "prior weight") for _, w in self.atoms)
         if any(w < 0.0 for _, w in self.atoms):
             raise ValueError("prior weights must be nonnegative")
         if abs(total - 1.0) > 1e-12:

@@ -11,14 +11,14 @@ each block it drops the sizes whose utility bound
 lies more than ``_PRUNE_MARGIN`` below the best utility so far, and it
 stops when none remain: a dropped size cannot win, so stage 1 ends on
 the grid point the full scan finds. Stage 2 refines the best grid point:
-a Fibonacci search (Kiefer 1953, Proc. AMS 4:502) over the integers
-between its grid neighbours scores each probe n as one row over a
-9-point alpha_S bracket of +-one grid step, and scores with a probe the
-probes either possible next step needs, so one block serves two steps,
-until a window of at most ``_LAST_WINDOW`` sizes is left, which one
-block scores whole; the stratified family then narrows that bracket 4x
-per round, scoring the best n and its two neighbours as one block, until
-the utility varies by less than ``_REFINE_TOL`` (1e-6 MUSD) across it.
+a section search over the integers between its grid neighbours scores
+each probe n as one row over a 9-point alpha_S bracket of +-one grid
+step, ``_PROBES`` sizes per block, and shrinks the window to the sizes on
+either side of the best one, until a window of at most ``_LAST_WINDOW``
+sizes is left, which one block scores whole; the stratified family then
+narrows that bracket 4x per round, scoring the best n and its two
+neighbours as one block, until the utility varies by less than
+``_REFINE_TOL`` (1e-6 MUSD) across it.
 Refinement keeps a point only when it beats the best so far, so it can
 only improve on the grid. Every point carries the seven fields its block
 scored, and the family's outcome is built from the winner's, so no
@@ -79,10 +79,13 @@ _PREFERENCE = (NO_TRIAL, CLASSICAL, ENRICHMENT, STRATIFIED)
 # alpha_S points per refinement row.
 _BRACKET_POINTS = 9
 
-# A Fibonacci window [a, a + F_k] of at most this many sizes (k <= 5) is
-# scored whole by the first of its steps that needs a call: the few extra
-# sizes cost less than the one or two calls the remaining steps would make.
-_LAST_WINDOW = 9
+# Sizes each call of the refinement's section search probes, at the fifths
+# of its window, which it then shrinks to about two fifths of its width.
+_PROBES = 4
+
+# A window of at most this many sizes is scored whole by the search's last
+# call: probing it once more would still leave a window for another call.
+_LAST_WINDOW = 2 * _PROBES + 1
 
 # Most (atom, n, alpha_S) settings one kernel call scores, unless the
 # family has more merged atoms (a call scores them all): twelve rows of a
@@ -92,7 +95,7 @@ _LAST_WINDOW = 9
 # 2.1 calls. No cap (the whole grid in one call) skips no row: 40 per
 # decision, and 19.8 decisions/s at 68.5 MB where 4 rows gave 28.0 at
 # 61.3 MB. On the optimize benchmark (10 alternating pairs, seeds
-# 2201-2210, medians, 2 vCPUs), 12 rows with the last Fibonacci window in
+# 2201-2210, medians, 2 vCPUs), 12 rows with the last refinement window in
 # one call gave 30.6 decisions/s against 28.0 for 4 rows and the window
 # step by step, at a peak RSS of 61.4 MB on both.
 _BLOCK_SETTINGS = 1008
@@ -185,11 +188,12 @@ def _outcome(design: DesignSpec, scenario: Scenario, fields=None) -> Optimizatio
     """The design with its prior-averaged evaluation and, for a stratified
     design, the alpha_F its alpha_S leaves to the full-population test.
     The evaluation is built from the design's seven ``grid_row`` fields
-    when the search scored them."""
-    alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
-               if design.kind == STRATIFIED else None)
+    when the search scored them; otherwise it comes first, so its check of
+    the design against the scenario reports a bad design."""
     result = (eu_prior_averaged(design, scenario) if fields is None
               else result_from_fields(fields))
+    alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
+               if design.kind == STRATIFIED else None)
     return OptimizationOutcome(design, result, alpha_F)
 
 
@@ -220,53 +224,32 @@ def _scored_rows(family: str, sizes: list, alphas: list, scenario: Scenario):
                                      for a in range(0, len(alphas), width)], axis=-1)
 
 
-def _fibonacci_max(score, lo: int, hi: int):
+def _section_max(score, lo: int, hi: int):
     """(n, its score) for the integer n in [lo, hi] maximizing a score that
-    is unimodal there; ``score`` maps a list of sizes to their scores, each
-    a tuple led by the value.
+    is unimodal there, the smaller n of a tie; ``score`` maps a list of
+    sizes to their scores, each a tuple led by the value.
 
-    Fibonacci search (Kiefer 1953) on [lo, lo + F_k] with F_k >= hi - lo:
-    each step drops the side of the poorer of two probes and reuses the
-    other probe, down to a last window of three sizes swept whole; probes
-    above hi score -inf without a call, and ties keep the smaller n. A
-    step that needs an unscored size scores it in one call with the sizes
-    either next step needs (at most 4), so each call serves two steps;
-    once [a, a + F_k] holds at most _LAST_WINDOW sizes, that call scores
-    every unscored size of the window, so no later step needs a call.
+    Each call scores the unscored sizes among the window's _PROBES sizes
+    lo + (hi - lo) i // (_PROBES + 1), i = 1.._PROBES, and the window
+    shrinks to the scored sizes on either side of the best one in it,
+    keeping its end on a side that has none. A window of at most
+    _LAST_WINDOW sizes has its unscored sizes scored by the last call. No
+    size is scored twice.
     """
-    fib = [1, 1]
-    while fib[-1] < hi - lo:
-        fib.append(fib[-1] + fib[-2])
     scores = {}
-
-    def window(a, k):
-        """The sizes of [a, a + F_k] in [lo, hi]."""
-        return list(range(a, min(a + fib[k], hi) + 1))
-
-    def needs(a, k):
-        """The sizes in [lo, hi] that the step on [a, a + F_k] reads."""
-        if k <= 2:
-            return window(a, k)
-        return [n for n in (a + fib[k - 2], a + fib[k - 1]) if n <= hi]
-
-    def f(n):
-        return scores[n] if n <= hi else (-math.inf,)
-
-    a, k = lo, len(fib) - 1
     while True:
-        batch = needs(a, k)
-        if any(n not in scores for n in batch):
-            batch = (window(a, k) if fib[k] < _LAST_WINDOW
-                     else batch + needs(a, k - 1) + needs(a + fib[k - 2], k - 1))
-            batch = [n for n in dict.fromkeys(batch) if n not in scores]
+        last = hi - lo < _LAST_WINDOW
+        sizes = (range(lo, hi + 1) if last else
+                 [lo + (hi - lo) * i // (_PROBES + 1) for i in range(1, _PROBES + 1)])
+        batch = [n for n in sizes if n not in scores]
+        if batch:
             scores.update(zip(batch, score(batch)))
-        if k <= 2:
-            n = max(needs(a, k), key=lambda m: f(m)[0])
-            return n, f(n)
-        left, right = a + fib[k - 2], a + fib[k - 1]
-        if f(left)[0] < f(right)[0]:
-            a = left
-        k -= 1
+        inside = sorted(n for n in scores if lo <= n <= hi)
+        j = max(range(len(inside)), key=lambda k: scores[inside[k]][0])
+        if last:
+            return inside[j], scores[inside[j]]
+        lo = inside[j - 1] if j > 0 else lo
+        hi = inside[j + 1] if j + 1 < len(inside) else hi
 
 
 def _row_points(chunk: list, fields, alphas) -> list:
@@ -298,7 +281,7 @@ def _refine(family: str, scenario: Scenario, config: GridConfig, best: tuple) ->
     hi = sizes[i + 1] if i + 1 < len(sizes) else top
     step = scenario.alpha / (config.alpha_points - 1)
     alphas = _bracket(grid_alpha, step, scenario.alpha) if family == STRATIFIED else [None]
-    _, point = _fibonacci_max(
+    _, point = _section_max(
         lambda ms: [point for chunk, fields in _scored_rows(family, ms, alphas, scenario)
                     for point in _row_points(chunk, fields, alphas)],
         sizes[max(i - 1, 0)], hi)

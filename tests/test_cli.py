@@ -423,8 +423,12 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "numeric failure: forced\n"
 
 
+def _scenario(document):
+    return scenario_from_mapping(parse_config_text(document))
+
+
 def _case1():
-    return scenario_from_mapping(parse_config_text(CONFIG_CASE1))
+    return _scenario(CONFIG_CASE1)
 
 
 def _library_error(call):
@@ -435,6 +439,10 @@ def _library_error(call):
 
 
 _SIMULATE = ["simulate", "--design", "classical", "--n", "200", "--replicates", "1000"]
+
+# Case 1 with a NaN prior weight in place of its built-in prior.
+CONFIG_NAN_WEIGHT = CONFIG_CASE1.replace("prior.kind = weak\nprior.delta = 0.3\n",
+                                         "prior.atoms = 0.3,0,nan; 0.3,0.3,1.0\n")
 
 # (CLI arguments, the library call that rejects the same input): the CLI
 # reports the library's own message.
@@ -495,6 +503,12 @@ _BAD_INPUTS = {
     "stratified_no_alpha_s": (["simulate", "--design", "stratified", "--n", "100",
                                "--replicates", "1000"],
                               lambda: DesignSpec("stratified", n=100)),
+    # a NaN weight passes a sign and a sum check: it is refused by name,
+    # not met as a failed search or a Monte Carlo draw (a third element is
+    # the configuration document in place of case 1)
+    **{f"nan_weight_{argv[0]}": (argv, lambda: _scenario(CONFIG_NAN_WEIGHT), CONFIG_NAN_WEIGHT)
+       for argv in (["evaluate", "--design", "classical", "--n", "100"], ["optimize"],
+                    _SIMULATE)},
 }
 
 
@@ -502,10 +516,24 @@ _BAD_INPUTS = {
 def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsys, name):
     # Every ValueError, from the config readers, the flags or a library
     # domain check, is one stderr line and exit 2.
-    argv, call = _BAD_INPUTS[name]
+    argv, call, *document = _BAD_INPUTS[name]
+    if document:
+        (tmp_path / "document.cfg").write_text(document[0])
+        config_path = str(tmp_path / "document.cfg")
     message = _library_error(call)
     assert main([argv[0], "--config", config_path, "--out", str(tmp_path), *argv[1:]]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("out", ["file", os.path.join("file", "sub")])
+def test_unusable_out_exits_2_with_one_line(config_path, tmp_path, capsys, out):
+    # an --out that is a file, or lies below one, cannot be written
+    (tmp_path / "file").write_text("")
+    assert main(["evaluate", "--config", config_path, "--out", str(tmp_path / out),
+                 "--design", "classical", "--n", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])

@@ -141,6 +141,12 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             DiscretePrior(((EffectPair(0.3, 0.0), -0.5), (EffectPair(0.0, 0.0), 1.5)))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # a NaN passes both the sign and the sum check
+        with pytest.raises(ValueError, match=f"prior weight must be finite, got {weight}"):
+            DiscretePrior(((EffectPair(0.3, 0.0), weight), (EffectPair(0.3, 0.3), 1.0)))
+
     def test_built_in_prior_names_its_kind_and_delta(self):
         prior = builtin_prior("strong", 0.3)
         assert (prior.kind, prior.delta) == ("strong", 0.3)

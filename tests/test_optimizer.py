@@ -374,9 +374,9 @@ class TestStageOnePruning:
 
 class TestKernelCalls:
     # Stage 1 scores twelve default stratified rows per call, refinement
-    # scores each Fibonacci call's probes two steps ahead and the last
-    # window of at most nine sizes in one call, and a family's outcome
-    # keeps the evaluation its search scored.
+    # scores four section-search probes per call and the last window of
+    # at most nine sizes in one call, and a family's outcome keeps the
+    # evaluation its search scored.
     @staticmethod
     def counted_calls(monkeypatch):
         calls = []
@@ -390,11 +390,12 @@ class TestKernelCalls:
         monkeypatch.setattr(optimizer, "grid_row", counted)
         return calls
 
-    @pytest.mark.parametrize("perspective,most", [("sponsor", 17), ("public", 19)])
+    @pytest.mark.parametrize("perspective,most", [("sponsor", 17), ("public", 18)])
     def test_decide_kernel_calls(self, monkeypatch, perspective, most):
         # One probe per call and a second evaluation of every family's
         # winner took 37 (sponsor) and 41 (public) calls; two-step probes
-        # with four stratified rows per stage-1 call took 22 and 24.
+        # with four stratified rows per stage-1 call took 22 and 24, and
+        # a Fibonacci search with two steps per call 17 and 19.
         calls = self.counted_calls(monkeypatch)
         optimizer.decide(make_scenario(perspective=perspective))
         assert len(calls) <= most
@@ -632,15 +633,14 @@ class TestNoTrialOutcome:
         assert outcome.derived_alpha_F is None
 
 
-class TestFibonacciMax:
-    """The integer search against a brute-force max over every [lo, hi]
-    with hi - lo <= 60 and every position of the peak: a strict peak, and
-    a flat two-point top whose tie goes to the smaller n. The search scores
-    its probes in batches: no size twice, each batch inside [lo, hi], and
-    about half as many calls as a search that scores one probe per call.
-    A batch holds at most 4 sizes while the Fibonacci window [a, a + F_k]
-    holds more than 9; the first batch once it holds 9 or fewer is the
-    window's unscored sizes, and it is the last."""
+class TestSectionMax:
+    """The integer search against a brute-force max: every [lo, hi] with
+    hi - lo <= 60 and every position of the peak, for a strict peak and a
+    flat two-point top whose tie goes to the smaller n, and unimodal
+    integer scores on windows as wide as the default grid's top window.
+    The search scores its probes in batches: no size twice, each batch
+    inside [lo, hi], at most 4 sizes in every batch but the last, which
+    holds at most 9, and no more batches than the window's width allows."""
 
     @staticmethod
     def shapes(peak, hi):
@@ -650,52 +650,49 @@ class TestFibonacciMax:
             yield lambda n: (-max(peak - n, n - peak - 1, 0), n)
 
     @staticmethod
-    def windows(shape, lo, hi):
-        """(F_k + 1, the sizes of [a, a + F_k] in [lo, hi], the sizes its
-        step reads) of every window the search walks through, widest
-        first."""
-        fib = [1, 1]
-        while fib[-1] < hi - lo:
-            fib.append(fib[-1] + fib[-2])
-        a, k = lo, len(fib) - 1
-        while True:
-            sizes = range(a, min(a + fib[k], hi) + 1)
-            if k <= 2:
-                yield fib[k] + 1, sizes, sizes
-                return
-            left, right = a + fib[k - 2], a + fib[k - 1]
-            yield fib[k] + 1, sizes, [n for n in (left, right) if n <= hi]
-            if right <= hi and shape(left)[0] < shape(right)[0]:
-                a = left
-            k -= 1
+    def most_calls(width):
+        """Calls on a window hi - lo = ``width``: each call before the last
+        leaves the two fifths, rounded up, around its best probe."""
+        return 1 if width < 9 else 1 + TestSectionMax.most_calls(-(-2 * width // 5))
+
+    def check(self, shape, lo, hi):
+        batches = []
+
+        def score(ns):
+            batches.append(list(ns))
+            return [shape(n) for n in ns]
+
+        best = max(range(lo, hi + 1), key=lambda n: shape(n)[0])
+        assert optimizer._section_max(score, lo, hi) == (best, shape(best))
+        scored = [n for batch in batches for n in batch]
+        assert len(scored) == len(set(scored))
+        assert all(lo <= n <= hi for n in scored)
+        *wide, last = batches
+        assert all(1 <= len(batch) <= 4 for batch in wide)
+        assert 1 <= len(last) <= 9
+        assert len(batches) <= self.most_calls(hi - lo)
 
     @pytest.mark.parametrize("lo", [0, 37])
     def test_matches_brute_force(self, lo):
         for hi in range(lo, lo + 61):
             for peak in range(lo, hi + 1):
                 for shape in self.shapes(peak, hi):
-                    batches = []
+                    self.check(shape, lo, hi)
 
-                    def score(ns):
-                        batches.append(ns)
-                        return [shape(n) for n in ns]
+    def test_wide_unimodal_windows_match_brute_force(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
 
-                    best = max(range(lo, hi + 1), key=lambda n: shape(n)[0])
-                    assert optimizer._fibonacci_max(score, lo, hi) == (best, shape(best)), \
-                        (lo, hi, peak)
-                    scored = [n for batch in batches for n in batch]
-                    assert len(scored) == len(set(scored)), (lo, hi, peak)
-                    assert all(lo <= n <= hi for n in scored), (lo, hi, peak)
-                    # The last batch is the unscored sizes of the first
-                    # window of at most 9 whose step reads an unscored size.
-                    *wide, last = batches
-                    before = {n for batch in wide for n in batch}
-                    assert all(1 <= len(batch) <= 4 for batch in wide), (lo, hi, peak)
-                    narrow = next(sizes for width, sizes, reads in self.windows(shape, lo, hi)
-                                  if width <= 9 and not before.issuperset(reads))
-                    assert sorted(last) == [n for n in narrow if n not in before], (lo, hi, peak)
-                    # A search with one probe per call scores every size
-                    # a step reads, one call each.
-                    sequential = set().union(*(reads for _, _, reads
-                                               in self.windows(shape, lo, hi)))
-                    assert len(batches) <= len(sequential) // 2 + 1, (lo, hi, peak)
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=150, print_blob=True)
+        @hypothesis.given(lo=st.integers(0, 3000), width=st.integers(0, 6000),
+                          peak=st.floats(0.0, 1.0), top=st.integers(0, 3),
+                          rise=st.integers(1, 9), fall=st.integers(1, 9),
+                          powers=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+        def run(lo, width, peak, top, rise, fall, powers):
+            hi = lo + width
+            start = lo + round(peak * width)
+            self.check(lambda n: (-rise * max(start - n, 0) ** powers[0]
+                                  - fall * max(n - start - top, 0) ** powers[1], n), lo, hi)
+
+        run()
