@@ -171,6 +171,16 @@ def _design_from_args(args) -> DesignSpec:
     return DesignSpec(kind, n=args.n, alpha_S=args.alpha_s)
 
 
+def _check_out(out_dir) -> None:
+    """Refuse an output directory that is a file, or lies below one, before
+    any computing; like a failed run, creates nothing."""
+    head = os.path.abspath(out_dir)
+    while not os.path.isdir(head):
+        if os.path.exists(head):
+            raise ValueError(f"cannot write output: {head!r} is not a directory")
+        head = os.path.dirname(head)
+
+
 def _emit(out_dir, command: str, manifest: RunManifest, tables: dict) -> None:
     """Write each table as ``<name>.csv``, then the manifest listing them."""
     manifest_path = os.path.join(out_dir, f"{command}_manifest.json")
@@ -288,6 +298,7 @@ def _run(args) -> None:
     t0 = time.monotonic()
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     scenario, grid = _load_run_inputs(args)
+    _check_out(args.out)
     tables = args.func(args, scenario, grid)
     manifest = RunManifest(
         command=args.command,
@@ -303,10 +314,14 @@ def _run(args) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reads a token starting like a negative number, such as
-    '-0.1,0.5' or '-0.1:0.5:2', as a value, never as an option."""
+    '-0.1,0.5' or '-0.1:0.5:2', as a value, never as an option, and raises
+    a bad flag as a ValueError, so that it fails as every bad input does."""
 
     def _parse_optional(self, arg_string):
         return None if re.match(r"-\.?\d", arg_string) else super()._parse_optional(arg_string)
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,11 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # A failed run prints its one line alone; a run that succeeds shows the
     # warnings it raised once it is done.
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             _run(args)
     except (NumericError, OverflowError) as exc:

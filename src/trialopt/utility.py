@@ -288,8 +288,10 @@ def grid_row(kind: str, n, alphas, scenario: Scenario) -> np.ndarray:
     (a float, or an array of sizes) for every alpha_S in ``alphas``
     (``[None]`` for the one-test families), in one batched call: an array
     of shape (7,) + np.shape(n) + (len(alphas),) in EvaluationResult field
-    order, probabilities not yet clamped. Row 0 holds the expected
-    utilities. Each element equals the one a scalar-n call computes.
+    order. Both kernels clip each atom's probabilities to [0, 1]; only the
+    prior average can leave that range, by rounding, and
+    ``result_from_fields`` clamps it. Row 0 holds the expected utilities.
+    Each element equals the one a scalar-n call computes.
     """
     merged = _merged_atoms(kind, scenario)
     atoms = [e for e, _ in merged]
