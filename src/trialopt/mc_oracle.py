@@ -68,6 +68,7 @@ from .model import (
     DesignSpec,
     EffectPair,
     Scenario,
+    is_integer,
     pooled_effect,
     trial_cost,
 )
@@ -102,8 +103,7 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("replicates", 1), ("seed", 0)):
             value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.strata_mode not in (FIXED_PROPORTIONAL, BINOMIAL_RANDOM):
             raise ValueError(f"unknown strata mode {self.strata_mode!r}")

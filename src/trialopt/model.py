@@ -8,6 +8,7 @@ All types are immutable value objects; monetary amounts are MUSD throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional, Tuple
 
@@ -44,6 +45,12 @@ def _finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, though an int to
+    Python, is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -237,9 +244,11 @@ def trial_cost(kind: str, n, costs: CostStructure, lambda_S: float):
         return costs.setup + two_n * costs.per_patient
     if kind == STRATIFIED:
         return costs.setup + costs.biomarker + two_n * (costs.per_patient + costs.screening)
-    return costs.setup + costs.biomarker + two_n * (
-        costs.per_patient + costs.screening / lambda_S
-    )
+    if kind == ENRICHMENT:
+        return costs.setup + costs.biomarker + two_n * (
+            costs.per_patient + costs.screening / lambda_S
+        )
+    raise ValueError(f"unknown design kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ from .model import (
     DesignSpec,
     Scenario,
     builtin_prior,
+    is_integer,
     parse_integral,
 )
 from .numerics import NumericError
@@ -142,11 +143,12 @@ class GridConfig:
     alpha_points: int = 21
 
     def __post_init__(self):
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid must list positive sizes")
+        if not self.n_grid or not all(is_integer(n) and n >= 1 for n in self.n_grid):
+            raise ValueError("n_grid must list positive integer sizes")
         object.__setattr__(self, "n_grid", tuple(sorted(set(self.n_grid))))
-        if not 2 <= self.alpha_points <= MAX_ALPHA_POINTS:
-            raise ValueError(f"alpha_points must lie in [2, {MAX_ALPHA_POINTS}]")
+        if not (is_integer(self.alpha_points) and 2 <= self.alpha_points <= MAX_ALPHA_POINTS):
+            raise ValueError(f"alpha_points must be an integer in [2, {MAX_ALPHA_POINTS}], "
+                             f"got {self.alpha_points!r}")
 
     @classmethod
     def consume_mapping(cls, mapping: dict) -> "GridConfig":
@@ -404,8 +406,8 @@ def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) ->
     pool with at most one worker per scenario and MAX_JOBS in all, whose
     warnings are raised again here, once per message and line, when every
     cell is decided."""
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs must lie in [1, {MAX_JOBS}], got {jobs}")
+    if not (is_integer(jobs) and 1 <= jobs <= MAX_JOBS):
+        raise ValueError(f"jobs must lie in [1, {MAX_JOBS}] as an integer, got {jobs!r}")
     workers = min(jobs, len(scenarios))
     if workers <= 1:
         return [decide(scenario, grid_config) for scenario in scenarios]

@@ -1,5 +1,6 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and fixtures for the test suite."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +37,11 @@ def make_scenario(lambda_S=0.5, perspective="sponsor", case=CASE2,
     return Scenario(**fields)
 
 
+def with_rewards(scenario, **kw):
+    """``scenario`` with the given reward fields replaced."""
+    return replace(scenario, rewards=replace(scenario.rewards, **kw))
+
+
 def one_atom(scenario, effects):
     """``scenario`` with its whole prior mass on one effect atom."""
     return scenario.with_prior(DiscretePrior(((effects, 1.0),)))
@@ -62,3 +68,23 @@ def broken_orthant(monkeypatch):
 
     monkeypatch.setattr(testing, "SCALAR", SimpleNamespace(
         ndtr=testing.SCALAR.ndtr, ndtri=testing.SCALAR.ndtri, owens_t=lambda h, a: -1.0))
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(modules, name, record)`` wraps the function ``name``
+    of a module, or of each module in a tuple, so that every call first
+    appends ``record(*args, **kwargs)`` (by default the positional
+    arguments) to a list, and returns that list."""
+    def wrap(modules, name, record=lambda *args, **kwargs: args):
+        modules = modules if isinstance(modules, tuple) else (modules,)
+        function, calls = getattr(modules[0], name), []
+
+        def recorded(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return function(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, recorded)
+        return calls
+    return wrap

@@ -1,14 +1,11 @@
 """The summary steps of tools/bench_pairs.py on canned benchmark rows and
 pytest summary lines."""
 
-import os
 import resource
-import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
-from bench_pairs import (  # noqa: E402
+from bench_pairs import (
     USAGE,
     metric_values,
     parse_pytest_summary,

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import trialopt
 from trialopt import optimizer
 from trialopt.cli import MAX_GRID_COUNT, RunManifest, _parse_grid_spec, main
 from trialopt.mc_oracle import (
@@ -66,25 +67,18 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[2:]]
 
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the directory holding the trialopt package this suite imports
+_SRC = os.path.dirname(os.path.dirname(trialopt.__file__))
 
 
 def _python(*args):
-    """Run a cold interpreter with src/ on its path; the timeout fails a run
-    that never ends instead of hanging the suite."""
+    """Run a cold interpreter on the trialopt package this suite imports;
+    the timeout fails a run that never ends instead of hanging the suite."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=_SRC))
 
 
 class TestOptimizeCommand:
-    def test_selects_stratified_for_case1_midrange(self, config_path, tmp_path):
-        out = tmp_path / "run"
-        assert main(["optimize", "--config", config_path, "--out", str(out)]) == 0
-        header, rows = read_rows(out / "optimize.csv")
-        selected = {r[0]: r[1] for r in rows}
-        assert selected["Stratified"] == "1"
-        assert sum(int(r[1]) for r in rows) == 1
-
     def test_manifest_roundtrip_and_outputs(self, config_path, tmp_path):
         import os
 
@@ -148,14 +142,6 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert header[0] == "lambda_S"
         assert rows[0][-1] == "Stratified"
-
-    def test_zero_rewards_select_no_trial(self, config_path, tmp_path):
-        out = tmp_path / "run"
-        assert main(["sweep", "--config", config_path, "--out", str(out),
-                     "--lambda-grid", "0.5:0.5:1",
-                     "--set", "reward.NrS=0", "--set", "reward.NrF=0"]) == 0
-        header, rows = read_rows(out / "sweep.csv")
-        assert rows[0][header.index("selected")] == "NoTrial"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, config_path, tmp_path, jobs):

@@ -1,5 +1,5 @@
 """Smoke test: the demo scripts and the README's Python examples run to
-completion against src/."""
+completion against the trialopt package this suite imports."""
 
 import os
 import re
@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+import trialopt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -24,7 +26,7 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trialopt.__file__)))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)

@@ -5,17 +5,13 @@ optimum is re-derived with the oracles of tests/oracles.py."""
 
 import json
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
 
 from trialopt.model import STRATIFIED
 from trialopt.utility import grid_row
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
-import golden  # noqa: E402
+import golden
 
 
 @pytest.fixture(scope="module")

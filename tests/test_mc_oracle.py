@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +18,7 @@ from trialopt.mc_oracle import (
 )
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_prior_averaged
-from conftest import make_scenario, one_atom
+from conftest import make_scenario, one_atom, with_rewards
 from oracles import iid_strata_counts, labelled_estimates
 from test_mc_regression import (
     APPROVALS_ONE_DRAW_BYTES_PER_REPLICATE,
@@ -30,10 +29,6 @@ from test_mc_regression import (
     cases,
     estimate,
 )
-
-
-def with_rewards(scenario, **kw):
-    return replace(scenario, rewards=replace(scenario.rewards, **kw))
 
 
 class TestSimConfig:
@@ -76,14 +71,6 @@ class TestSimulateTrial:
             SimConfig(replicates=100_000, seed=5))
         assert probs["any"].mean >= 0.9999
 
-    def test_fixed_seed_reproducible(self, scenario):
-        # the one-atom path; test_estimates_bit_reproducible draws from a prior
-        design = DesignSpec.enrichment(100)
-        config = SimConfig(replicates=1000, seed=99)
-        out1 = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario, config)
-        out2 = mc_expected_utility(design, EffectPair(0.3, 0.0), scenario, config)
-        assert out1 == out2
-
 
 class TestExpectedUtility:
     def test_no_trial(self, scenario):
@@ -91,13 +78,6 @@ class TestExpectedUtility:
                                   SimConfig(replicates=1000, seed=1))
         assert (est.mean, est.std_error) == (0.0, 0.0)
         assert est.replicates == 1000
-
-    def test_estimates_bit_reproducible(self, scenario):
-        design = DesignSpec.stratified(150, 0.01)
-        config = SimConfig(replicates=50_000, seed=77)
-        a = mc_expected_utility(design, scenario.prior, scenario, config)
-        b = mc_expected_utility(design, scenario.prior, scenario, config)
-        assert a == b
 
     def test_degenerate_prior_matches_direct_atom(self, scenario):
         atom = EffectPair(0.3, 0.15)
@@ -215,15 +195,8 @@ class TestOneSimulation:
         if design.kind != "no_trial":
             assert 0.0 < got["any"].mean < 1.0
 
-    def test_one_simulation_per_chunk_and_atom(self, monkeypatch, scenario):
-        calls = []
-        simulate = mc_oracle._simulate_batch
-
-        def counted(*args, **kwargs):
-            calls.append(args[-1])
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(mc_oracle, "_simulate_batch", counted)
+    def test_one_simulation_per_chunk_and_atom(self, record_calls, scenario):
+        calls = record_calls(mc_oracle, "_simulate_batch", lambda *args, **kwargs: args[-1])
         design = DesignSpec.stratified(150, 0.01)
         config = SimConfig(_CHUNK + 3001, 59)
         counts = {}

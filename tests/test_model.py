@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_scenario
 from trialopt.model import (
     _FLAT_FIELDS,
     _PRIOR_KEYS,
@@ -63,6 +64,10 @@ class TestTrialCost:
     def test_enrichment_rejects_zero_prevalence(self):
         with pytest.raises(ValueError):
             trial_cost("enrichment", 100, CASE3_COSTS, 0.0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown design kind 'bogus'"):
+            trial_cost("bogus", 100, CASE3_COSTS, 0.5)
 
     def test_strictly_increasing_in_n(self):
         for kind in ("classical", "enrichment", "stratified"):
@@ -207,6 +212,21 @@ class TestScenario:
                      rewards=RewardStructure("sponsor", 1.0, 1.0, 0.1, 0.1),
                      prior=builtin_prior("weak", 0.3))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_scenario(sigma=0.0), "sigma must be positive"),
+        (lambda: make_scenario(tau_S=1.5), "tau_S must lie in [0, 1]"),
+        (lambda: make_scenario(tau_Sc=-0.1), "tau_Sc must lie in [0, 1]"),
+        (lambda: make_scenario(n_min=50.5), "n_min must be a positive integer"),
+        (lambda: make_scenario(n_min=0), "n_min must be a positive integer"),
+        (lambda: CostStructure(setup=-1.0, per_patient=0.05), "cost.setup must be nonnegative"),
+        (lambda: RewardStructure("sponsor", 1.0, 1.0, -0.1, 0.1),
+         "reward.mu_S must be nonnegative"),
+    ], ids=["sigma", "tau_S", "tau_Sc", "n_min_fraction", "n_min_zero", "cost", "reward"])
+    def test_domain_error_names_the_field(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_perspective_validated(self):
         with pytest.raises(ValueError):
             RewardStructure("regulator", 1.0, 1.0, 0.1, 0.1)
@@ -257,6 +277,30 @@ class TestConfigDocument:
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
             scenario_from_mapping({"lambda_S": "0.5"})
+
+    @pytest.mark.parametrize("atoms, message", [
+        ("", "prior.atoms is empty"),
+        (" ; ", "prior.atoms is empty"),
+        ("0.3,0.0", "prior.atoms entries must be 'delta_S,delta_Sc,weight[,offset]'"),
+        ("0.3,x,1.0", "prior.atoms: not a number in '0.3,x,1.0'"),
+        (None, "missing required config keys: prior.kind or prior.atoms"),
+    ], ids=["empty", "blank_entries", "two_fields", "not_a_number", "no_prior"])
+    def test_bad_prior_atoms_named(self, atoms, message):
+        text = (
+            "lambda_S = 0.5\ncost.setup = 1\ncost.per_patient = 0.05\n"
+            "reward.perspective = sponsor\nreward.NrS = 1\nreward.NrF = 1\n"
+            "reward.mu_S = 0.1\nreward.mu_F = 0.1\n"
+        )
+        mapping = parse_config_text(text)
+        if atoms is not None:
+            mapping["prior.atoms"] = atoms
+        with pytest.raises(ValueError) as err:
+            scenario_from_mapping(mapping)
+        assert str(err.value) == message
+
+    def test_empty_prior_rejected(self):
+        with pytest.raises(ValueError, match="prior needs at least one atom"):
+            DiscretePrior(())
 
     def test_kind_and_atoms_conflict(self):
         text = (

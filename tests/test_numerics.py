@@ -208,6 +208,12 @@ class TestOrthant:
         assert bivariate_upper_orthant(-math.inf, 0.7, 0.5) == pytest.approx(
             1.0 - special.ndtr(0.7), abs=1e-15)
 
+    @pytest.mark.parametrize("h, k", [(-math.inf, 0.7), (0.7, -math.inf)])
+    def test_minus_infinite_limit_leaves_the_other_margin(self, h, k):
+        for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            assert bivariate_upper_orthant(h, k, rho) == pytest.approx(
+                1.0 - special.ndtr(0.7), abs=1e-15)
+
     def test_against_conditioning_oracle_random(self):
         rng = np.random.default_rng(20261018)
         for h, k, rho in zip(rng.uniform(-6.0, 6.0, 4000), rng.uniform(-6.0, 6.0, 4000),

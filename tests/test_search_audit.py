@@ -1,14 +1,11 @@
 """The summary steps of tools/search_audit.py on canned audit records."""
 
 import json
-import os
-import sys
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
-from search_audit import parse_seeds, peaks, scenarios, summarize  # noqa: E402
+from search_audit import parse_seeds, peaks, scenarios, summarize
 
 
 def record(scenario, family, search, scan, row_peaks=1):

@@ -19,12 +19,8 @@ from trialopt.utility import (
 )
 from trialopt.utility import _line_integrals, _merged_atoms
 from trialopt.model import builtin_prior, DiscretePrior
-from conftest import CASE1, CASE3, atom_result, make_scenario, one_atom
+from conftest import CASE1, CASE3, atom_result, make_scenario, one_atom, with_rewards
 from oracles import adaptive_stratified, assert_matches_oracle, scalar_single_test
-
-
-def with_rewards(scenario, **kw):
-    return replace(scenario, rewards=replace(scenario.rewards, **kw))
 
 
 class TestEvaluationResult:
@@ -336,21 +332,10 @@ class TestCdfSharing:
     # the sponsor scenario and 63,296 (8,472) on the public one.
     @pytest.mark.parametrize("perspective, per_piece", [("sponsor", 133_200),
                                                         ("public", 63_296)])
-    def test_one_cdf_call_per_kernel_call(self, monkeypatch, perspective, per_piece):
-        cdf_calls, kernel_calls = [], []
-        cdf, kernel = utility.bivariate_normal_cdf, utility._stratified_fields
-
-        def counted_cdf(x, y, rho, rho_c):
-            cdf_calls.append((np.broadcast(x, y, rho, rho_c).size,
-                              int(np.count_nonzero(np.isinf(x)))))
-            return cdf(x, y, rho, rho_c)
-
-        def counted_kernel(*args):
-            kernel_calls.append(len(cdf_calls))
-            return kernel(*args)
-
-        monkeypatch.setattr(utility, "bivariate_normal_cdf", counted_cdf)
-        monkeypatch.setattr(utility, "_stratified_fields", counted_kernel)
+    def test_one_cdf_call_per_kernel_call(self, record_calls, perspective, per_piece):
+        cdf_calls = record_calls(utility, "bivariate_normal_cdf", lambda x, y, rho, rho_c: (
+            np.broadcast(x, y, rho, rho_c).size, int(np.count_nonzero(np.isinf(x)))))
+        kernel_calls = record_calls(utility, "_stratified_fields", lambda *args: len(cdf_calls))
         optimize_family("stratified", make_scenario(perspective=perspective))
         kernel_calls.append(len(cdf_calls))
         assert set(np.diff(kernel_calls)) == {1}
@@ -358,22 +343,11 @@ class TestCdfSharing:
         assert sum(size for size, _ in cdf_calls) < per_piece / 2
 
     @pytest.mark.parametrize("perspective", ["sponsor", "public"])
-    def test_one_region_lines_call_per_kernel_call(self, monkeypatch, perspective):
+    def test_one_region_lines_call_per_kernel_call(self, record_calls, perspective):
         # Every line the kernel integrates, the sponsor's included, comes
         # from one description of the regions per call.
-        line_calls, kernel_calls = [], []
-        region_lines, kernel = utility._region_lines, utility._stratified_fields
-
-        def counted_lines(*args):
-            line_calls.append(args[2])
-            return region_lines(*args)
-
-        def counted_kernel(*args):
-            kernel_calls.append(len(line_calls))
-            return kernel(*args)
-
-        monkeypatch.setattr(utility, "_region_lines", counted_lines)
-        monkeypatch.setattr(utility, "_stratified_fields", counted_kernel)
+        line_calls = record_calls(utility, "_region_lines", lambda *args: args[2])
+        kernel_calls = record_calls(utility, "_stratified_fields", lambda *args: len(line_calls))
         optimize_family("stratified", make_scenario(perspective=perspective))
         kernel_calls.append(len(line_calls))
         assert set(np.diff(kernel_calls)) == {1}
