@@ -30,21 +30,21 @@ rewards = RewardStructure("sponsor", NrS=10000.0, NrF=10000.0, mu_S=0.1, mu_F=0.
 scenario = Scenario(lambda_S=0.5, costs=costs, rewards=rewards,
                     prior=builtin_prior("weak", 0.3))
 
-rows = sweep_prevalence(scenario, (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9), quick)
+decisions = sweep_prevalence(scenario, (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9), quick)
 
 print("sponsor view, weak prior, large market (no biomarker costs)")
 print("lambda   classical          stratified                        enrichment         selected")
 print("         n     EU   power   n     EU   power  aS     aF       n     EU   power")
-for row in rows:
-    c = row.outcomes["classical"]
-    s = row.outcomes["stratified"]
-    e = row.outcomes["enrichment"]
-    print(f"{row.lambda_S:5.2f}  {c.best_design.n:4d} {c.result.expected_utility:7.0f}"
+for d in decisions:
+    c = d.outcomes["classical"]
+    s = d.outcomes["stratified"]
+    e = d.outcomes["enrichment"]
+    print(f"{d.scenario.lambda_S:5.2f}  {c.best_design.n:4d} {c.result.expected_utility:7.0f}"
           f" {c.result.power_any:6.3f}  {s.best_design.n:4d}"
           f" {s.result.expected_utility:7.0f} {s.result.power_any:6.3f}"
           f" {s.best_design.alpha_S:.4f} {s.derived_alpha_F:.4f}"
           f"  {e.best_design.n:4d} {e.result.expected_utility:7.0f}"
-          f" {e.result.power_any:6.3f}   {row.selected}")
+          f" {e.result.power_any:6.3f}   {d.selected}")
 
 # Stratified sample sizes fall with prevalence (the subgroup must carry
 # both its own test and the consistency requirement), enrichment sizes

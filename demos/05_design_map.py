@@ -38,8 +38,8 @@ for perspective in ("sponsor", "public"):
           "(C classical, S stratified, E enrichment, . no trial)")
     print("delta\\lambda " + " ".join(f"{lam:4.2f}" for lam in lambdas))
     for row in reversed(matrix):  # large effects on top
-        cells = "    ".join(SYMBOL[cell.selected] for cell in row)
-        print(f"  {row[0].delta:4.2f}       {cells}")
+        cells = "    ".join(SYMBOL[d.selected] for d in row)
+        print(f"  {row[0].scenario.prior.delta:4.2f}       {cells}")
 
 # Under the sponsor view the map never shows '.' or 'E': a sponsor always
 # gains from running something, and enriching throws away the complement

@@ -32,9 +32,9 @@ from .utility import (
     eu_prior_averaged,
 )
 from .optimizer import (
+    Decision,
     GridConfig,
     OptimizationOutcome,
-    SweepRow,
     optimize_family,
     select_design,
     sweep_contour,

@@ -214,12 +214,12 @@ def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig) -> dict:
 
 
 def _cmd_optimize(args, scenario: Scenario, grid: GridConfig) -> dict:
-    outcomes, selected = decide(scenario, grid)
+    decision = decide(scenario, grid)
     header = ["family", "selected", "n", "alpha_S", "alpha_F", *_FIELDS]
     rows = []
-    for family, outcome in outcomes.items():
+    for family, outcome in decision.outcomes.items():
         design = outcome.best_design
-        rows.append([design.label, int(family == selected), design.n, design.alpha_S,
+        rows.append([design.label, int(family == decision.selected), design.n, design.alpha_S,
                      outcome.derived_alpha_F, *[getattr(outcome.result, f) for f in _FIELDS]])
     return {"optimize": (header, rows)}
 
@@ -229,19 +229,20 @@ _SWEEP_METRICS = ("n", "alpha_S", "alpha_F", "eu", "power")
 
 def _cmd_sweep(args, scenario: Scenario, grid: GridConfig) -> dict:
     lambdas = _parse_grid_spec(args.lambda_grid)
-    rows_data = sweep_prevalence(scenario, lambdas, grid, jobs=args.jobs)
+    decisions = sweep_prevalence(scenario, lambdas, grid, jobs=args.jobs)
     header = ["lambda_S"]
     for family in TRIAL_KINDS:
         header += [f"{family}_{metric}" for metric in _SWEEP_METRICS]
     header.append("selected")
     rows, long_rows = [], []
-    for row in rows_data:
-        cells = [row.lambda_S]
+    for d in decisions:
+        lam = d.scenario.lambda_S
+        cells = [lam]
         for family in TRIAL_KINDS:
-            values = _outcome_cells(row.outcomes[family])
+            values = _outcome_cells(d.outcomes[family])
             cells += values
-            long_rows += [[row.lambda_S, family, m, v] for m, v in zip(_SWEEP_METRICS, values)]
-        rows.append(cells + [row.outcomes[row.selected].best_design.label])
+            long_rows += [[lam, family, m, v] for m, v in zip(_SWEEP_METRICS, values)]
+        rows.append(cells + [d.best.best_design.label])
     tables = {"sweep": (header, rows)}
     if args.figures:
         tables["sweep_long"] = (["lambda_S", "family", "metric", "value"], long_rows)
@@ -252,10 +253,10 @@ def _cmd_contour(args, scenario: Scenario, grid: GridConfig) -> dict:
     lambdas = _parse_grid_spec(args.lambda_grid)
     deltas = _parse_grid_spec(args.delta_grid)
     matrix = sweep_contour(scenario, lambdas, deltas, grid, jobs=args.jobs)
-    header = ["delta"] + [_fmt(c.lambda_S) for c in matrix[0]]
-    rows = [[row[0].delta, *[cell.selected for cell in row]] for row in matrix]
-    long_rows = [[c.lambda_S, c.delta, c.selected, c.n_opt, c.expected_utility]
-                 for row in matrix for c in row]
+    header = ["delta"] + [_fmt(d.scenario.lambda_S) for d in matrix[0]]
+    rows = [[row[0].scenario.prior.delta, *[d.selected for d in row]] for row in matrix]
+    long_rows = [[d.scenario.lambda_S, d.scenario.prior.delta, d.selected,
+                  d.best.best_design.n, d.best.expected_utility] for row in matrix for d in row]
     tables = {"contour": (header, rows)}
     if args.figures:
         tables["contour_long"] = (

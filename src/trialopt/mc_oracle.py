@@ -422,11 +422,11 @@ def mc_rejection_probs(design: DesignSpec, effects_or_prior, scenario: Scenario,
 
 def mc_fwer(design: DesignSpec, scenario: Scenario, null_effects: EffectPair,
             config: SimConfig) -> McEstimate:
-    """Simulated probability of any rejection under a global null."""
+    """Simulated probability of any rejection under a global null:
+    delta_S <= 0 (to 1e-12), which bounds delta_Sc, and so the pooled
+    effect, since EffectPair keeps delta_Sc <= delta_S."""
     design.check_against(scenario)
     if null_effects.delta_S > 1e-12:
         raise ValueError("null effects require delta_S <= 0")
-    if pooled_effect(null_effects, scenario.lambda_S) > 1e-12:
-        raise ValueError("null effects require the pooled effect <= 0")
     return _accumulate(design, null_effects, scenario, config, (_approved,),
                        need_utility=False)[0]

@@ -36,8 +36,10 @@ alone, so the block size never shows in a result.
 The sweep drivers share one decision map. ``sweep_prevalence`` and
 ``sweep_contour`` build every cell's Scenario in the parent and pass the
 list to ``_decisions``, which applies ``decide`` to each in order,
-serially or in a process pool of ``jobs`` workers; the parent then builds
-the rows and cells from the decisions, so no result depends on ``jobs``.
+serially or in a process pool of ``jobs`` workers, and returns the
+decisions in the order of the scenarios, each holding its scenario: a
+sweep is that list, and a contour the same list cut into one row per
+delta, so no result depends on ``jobs``.
 """
 
 from __future__ import annotations
@@ -345,48 +347,35 @@ def optimize_family(family: str, scenario: Scenario,
     return _outcome(DesignSpec(family, n=best_n, alpha_S=best_alpha), scenario, best_fields)
 
 
-def _select(outcomes: dict) -> str:
-    """Kind of the best outcome; max keeps the first of tied kinds."""
-    return max(_PREFERENCE, key=lambda kind: outcomes[kind].expected_utility)
+@dataclass(frozen=True)
+class Decision:
+    """The design decision for one scenario: the optimal outcome of every
+    family, keyed by kind in the order no trial (utility 0), then
+    TRIAL_KINDS, and the kind selected among them."""
+
+    scenario: Scenario
+    outcomes: dict
+    selected: str
+
+    @property
+    def best(self) -> OptimizationOutcome:
+        return self.outcomes[self.selected]
 
 
-def decide(scenario: Scenario,
-           grid_config: Optional[GridConfig] = None) -> Tuple[dict, str]:
-    """The design decision: the optimal outcome of every family, keyed by
-    kind in the order no trial (utility 0), then TRIAL_KINDS, and the kind
-    selected among them."""
+def decide(scenario: Scenario, grid_config: Optional[GridConfig] = None) -> Decision:
+    """Every family's optimum and the best of them; max keeps the first of
+    tied kinds in _PREFERENCE order."""
     outcomes = {NO_TRIAL: _outcome(DesignSpec.no_trial(), scenario)}
     for family in TRIAL_KINDS:
         outcomes[family] = optimize_family(family, scenario, grid_config)
-    return outcomes, _select(outcomes)
+    return Decision(scenario, outcomes,
+                    max(_PREFERENCE, key=lambda kind: outcomes[kind].expected_utility))
 
 
 def select_design(scenario: Scenario,
                   grid_config: Optional[GridConfig] = None) -> OptimizationOutcome:
     """Best design overall, including the no-trial baseline at utility 0."""
-    outcomes, selected = decide(scenario, grid_config)
-    return outcomes[selected]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Per-prevalence decision: every family's optimum (no trial included)
-    and the selected kind."""
-
-    lambda_S: float
-    outcomes: dict
-    selected: str
-
-
-@dataclass(frozen=True)
-class ContourCell:
-    """Selected design for one (prevalence, effect size) combination."""
-
-    lambda_S: float
-    delta: float
-    selected: str
-    n_opt: Optional[int]
-    expected_utility: float
+    return decide(scenario, grid_config).best
 
 
 def _clamp_lambda(values) -> list:
@@ -426,20 +415,19 @@ def _decisions(scenarios: list, grid_config: Optional[GridConfig], jobs: int) ->
 def sweep_prevalence(scenario_template: Scenario, lambda_grid: Sequence[float],
                      grid_config: Optional[GridConfig] = None,
                      jobs: int = 1) -> list:
-    """Optimize every family at each prevalence (clamped to [0.05, 0.95])."""
+    """The decision at each prevalence (clamped to [0.05, 0.95])."""
     scenarios = [scenario_template.with_lambda(lam) for lam in _clamp_lambda(lambda_grid)]
-    return [SweepRow(scenario.lambda_S, *decision) for scenario, decision
-            in zip(scenarios, _decisions(scenarios, grid_config, jobs))]
+    return _decisions(scenarios, grid_config, jobs)
 
 
 def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
                   delta_grid: Sequence[float], grid_config: Optional[GridConfig] = None,
                   jobs: int = 1) -> list:
-    """Selected-design matrix over (lambda_S, delta), rows indexed by delta,
-    with each cell's prior the template's built-in kind at that delta. A
-    template whose prior names no kind is rejected, as is a grid of more
-    than MAX_GRID_COUNT cells, before any scenario is built; a negative
-    delta is rejected by the prior it builds."""
+    """Decision matrix over (lambda_S, delta), one row of decisions per
+    delta, with each cell's prior the template's built-in kind at that
+    delta. A template whose prior names no kind is rejected, as is a grid
+    of more than MAX_GRID_COUNT cells, before any scenario is built; a
+    negative delta is rejected by the prior it builds."""
     kind = scenario_template.prior.kind
     if kind is None:
         raise ValueError("contour requires prior.kind (the prior is rebuilt "
@@ -449,12 +437,8 @@ def sweep_contour(scenario_template: Scenario, lambda_grid: Sequence[float],
     if len(lams) * len(deltas) > MAX_GRID_COUNT:
         raise ValueError(f"a contour holds at most {MAX_GRID_COUNT} cells, "
                          f"got {len(lams)} x {len(deltas)}")
-    points = [(delta, lam) for delta in deltas for lam in lams]
     scenarios = [scenario_template.with_lambda(lam).with_prior(builtin_prior(kind, delta))
-                 for delta, lam in points]
+                 for delta in deltas for lam in lams]
     decisions = _decisions(scenarios, grid_config, jobs)
-    cells = [ContourCell(lam, delta, selected, outcomes[selected].best_design.n,
-                         outcomes[selected].expected_utility)
-             for (delta, lam), (outcomes, selected) in zip(points, decisions)]
     width = len(lams)
-    return [cells[i * width:(i + 1) * width] for i in range(len(deltas))]
+    return [decisions[i * width:(i + 1) * width] for i in range(len(deltas))]

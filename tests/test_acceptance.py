@@ -59,8 +59,8 @@ def case1_sweeps():
     for perspective in ("sponsor", "public"):
         scenario = make_scenario(perspective=perspective, case=CASE1)
         start = time.monotonic()
-        rows = sweep_prevalence(scenario, SWEEP_LAMBDAS)
-        out[perspective] = (rows, time.monotonic() - start)
+        decisions = sweep_prevalence(scenario, SWEEP_LAMBDAS)
+        out[perspective] = (decisions, time.monotonic() - start)
     return out
 
 
@@ -149,23 +149,23 @@ def test_criterion_4_fwer():
 
 
 def test_criterion_5_prevalence_sweep_pattern(case1_sweeps, sponsor_anchor_08):
-    rows, elapsed = case1_sweeps["sponsor"]
-    by_lambda = {round(r.lambda_S, 4): r for r in rows}
+    decisions, elapsed = case1_sweeps["sponsor"]
+    by_lambda = {round(d.scenario.lambda_S, 4): d for d in decisions}
     with criterion(5, "prevalence-sweep pattern"):
         # (a) selected family at the anchor prevalences
         assert by_lambda[0.05].selected == "classical"
         for lam in (0.3, 0.5, 0.7):
             assert by_lambda[lam].selected == "stratified", lam
         # (b) optimal-design power ordering at every swept prevalence
-        for row in rows:
-            power = {f: row.outcomes[f].result.power_any for f in FAMILIES}
+        for d in decisions:
+            power = {f: d.outcomes[f].result.power_any for f in FAMILIES}
             assert power["enrichment"] > power["stratified"] > power["classical"], \
-                f"lambda={row.lambda_S}: {power}"
+                f"lambda={d.scenario.lambda_S}: {power}"
         # (c) sample-size monotonicity over [0.2, 0.8]
-        window = [r for r in rows if 0.2 - 1e-9 <= r.lambda_S <= 0.8 + 1e-9]
-        strat_n = [r.outcomes["stratified"].best_design.n for r in window]
+        window = [d for d in decisions if 0.2 - 1e-9 <= d.scenario.lambda_S <= 0.8 + 1e-9]
+        strat_n = [d.outcomes["stratified"].best_design.n for d in window]
         strat_n.append(sponsor_anchor_08["stratified"].best_design.n)
-        enr_n = [r.outcomes["enrichment"].best_design.n for r in window]
+        enr_n = [d.outcomes["enrichment"].best_design.n for d in window]
         enr_n.append(sponsor_anchor_08["enrichment"].best_design.n)
         assert all(b <= a for a, b in zip(strat_n, strat_n[1:])), strat_n
         assert all(b >= a for a, b in zip(enr_n, enr_n[1:])), enr_n
@@ -195,7 +195,7 @@ def test_criterion_7_design_map_rows():
         flat = [cell for row in matrix for cell in row]
         assert all(cell.selected != "no_trial" for cell in flat)
         assert all(cell.selected != "enrichment" for cell in flat)
-        assert all(cell.n_opt == 50 for cell in matrix[0])  # delta = 0 row
+        assert all(cell.best.best_design.n == 50 for cell in matrix[0])  # delta = 0 row
         public = make_scenario(perspective="public", case=CASE2)
         null_row = sweep_contour(public, lambdas, [0.0], CONTOUR_GRID)[0]
         assert all(cell.selected == "no_trial" for cell in null_row)
@@ -215,15 +215,16 @@ def test_criterion_8_cross_prior_identity():
 
 
 def test_criterion_9_public_needs_more_patients(case1_sweeps):
-    sponsor_rows, _ = case1_sweeps["sponsor"]
-    public_rows, _ = case1_sweeps["public"]
+    sponsor_decisions, _ = case1_sweeps["sponsor"]
+    public_decisions, _ = case1_sweeps["public"]
     with criterion(9, "public vs sponsor sample size"):
-        for s_row, p_row in zip(sponsor_rows, public_rows):
-            assert s_row.lambda_S == p_row.lambda_S
+        for s_d, p_d in zip(sponsor_decisions, public_decisions):
+            lam = s_d.scenario.lambda_S
+            assert lam == p_d.scenario.lambda_S
             for family in FAMILIES:
-                n_sponsor = s_row.outcomes[family].best_design.n
-                n_public = p_row.outcomes[family].best_design.n
-                assert n_public >= n_sponsor, (s_row.lambda_S, family)
+                n_sponsor = s_d.outcomes[family].best_design.n
+                n_public = p_d.outcomes[family].best_design.n
+                assert n_public >= n_sponsor, (lam, family)
 
 
 CONFIG_TEXT = """\

@@ -495,9 +495,9 @@ def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsy
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-# Flags argparse refuses, each with the start of its message. The config
-# and output flags come after them in the '=' form, so that with no command
-# the config path is not read as one.
+# Flags argparse or the CLI's own readers refuse, each with the start of
+# its message. The config and output flags come after them in the '=' form,
+# so that with no command the config path is not read as one.
 _BAD_FLAGS = {
     "n_float_notation": (["evaluate", "--design", "classical", "--n", "1e2"],
                          "argument --n: invalid int value: '1e2'"),
@@ -514,6 +514,11 @@ _BAD_FLAGS = {
     "atom_before_flag": (_SIMULATE + ["--atom", "--seed", "3"],
                          "argument --atom: expected one argument"),
     "no_command": ([], "the following arguments are required: command"),
+    "atom_one_part": (_SIMULATE + ["--atom", "0.1"],
+                      "--atom expects 'delta_S,delta_Sc[,offset]'"),
+    "atom_not_a_number": (_SIMULATE + ["--atom", "0.1,x"], "--atom: not a number in '0.1,x'"),
+    "set_no_equals": (["optimize", "--set", "cost.setup"],
+                      "--set needs key=value, got 'cost.setup'"),
 }
 
 
@@ -687,6 +692,23 @@ def test_outputs_identical_in_every_execution_mode(config_path, tmp_path, comman
         want = (runs["1"] / name).read_bytes()
         assert (runs["2"] / name).read_bytes() == want
         assert (runs["-O"] / name).read_bytes() == want
+
+
+_GOLDEN_CLI = os.path.join(os.path.dirname(__file__), "golden", "cli")
+
+
+def test_sweep_and_contour_csvs_are_the_golden_ones(tmp_path):
+    # The four CSVs of a pooled sweep and contour on tests/golden/cli's
+    # scenario, byte for byte: the no-trial cell's empty n_opt, every
+    # family's optimum and each selected label.
+    config = os.path.join(_GOLDEN_CLI, "scenario.cfg")
+    for command, grids in (("sweep", ["--lambda-grid", "0.2,0.5,0.8"]),
+                           ("contour", ["--lambda-grid", "0.3,0.7", "--delta-grid", "0,0.3"])):
+        assert main([command, "--config", config, "--jobs", "2", "--figures", *grids,
+                     "--out", str(tmp_path)]) == 0
+    for name in ("sweep.csv", "sweep_long.csv", "contour.csv", "contour_long.csv"):
+        with open(os.path.join(_GOLDEN_CLI, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_size_list_order_and_repeats_never_show(config_path, tmp_path):
@@ -866,8 +888,8 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
         optimizer._decisions(scenarios, None, MAX_JOBS + 1)
     assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
                  "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)]) == 2
-    monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: (
-        {NO_TRIAL: optimizer._outcome(DesignSpec.no_trial(), scenario)}, NO_TRIAL))
+    monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: optimizer.Decision(
+        scenario, {NO_TRIAL: optimizer._outcome(DesignSpec.no_trial(), scenario)}, NO_TRIAL))
     matrix = optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 100),
                                      np.linspace(0.0, 1.0, 100))
     assert sum(map(len, matrix)) == MAX_GRID_COUNT

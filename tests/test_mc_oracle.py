@@ -144,8 +144,12 @@ class TestFwer:
             mc_fwer(DesignSpec.classical(100), scenario, EffectPair(0.1, 0.0),
                     SimConfig(1000, 1))
 
-    def test_classical_exact_level(self, scenario):
-        est = mc_fwer(DesignSpec.classical(100), scenario, EffectPair(0.0, 0.0),
+    # at lambda_S = 0.08 the pooled effect of (1e-12, 1e-12) rounds to
+    # 1.0000000000000002e-12, above the null bound: still a null
+    @pytest.mark.parametrize("lambda_S, null", [(0.5, EffectPair(0.0, 0.0)),
+                                                (0.08, EffectPair(1e-12, 1e-12))])
+    def test_classical_exact_level(self, lambda_S, null):
+        est = mc_fwer(DesignSpec.classical(100), make_scenario(lambda_S=lambda_S), null,
                       SimConfig(200_000, 29))
         assert abs(est.mean - 0.025) <= 3.0 * est.std_error
 

@@ -68,6 +68,8 @@ class TestTrialCost:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown design kind 'bogus'"):
             trial_cost("bogus", 100, CASE3_COSTS, 0.5)
+        with pytest.raises(ValueError, match="unknown design kind 'bogus'"):
+            DesignSpec("bogus", n=100)
 
     def test_strictly_increasing_in_n(self):
         for kind in ("classical", "enrichment", "stratified"):

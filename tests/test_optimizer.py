@@ -11,9 +11,8 @@ from trialopt.model import DesignSpec, DiscretePrior, EffectPair
 from trialopt.numerics import NumericError
 from trialopt.optimizer import (
     MAX_JOBS,
-    ContourCell,
+    Decision,
     GridConfig,
-    SweepRow,
     _outcome,
     decide,
     default_n_grid,
@@ -473,25 +472,25 @@ class TestSelectDesign:
 class TestSweeps:
     def test_single_point_sweep_matches_select(self):
         scenario = make_scenario(case=CASE1)
-        rows = sweep_prevalence(scenario, [0.5], FAST)
-        assert len(rows) == 1
-        row = rows[0]
-        assert isinstance(row, SweepRow)
+        decisions = sweep_prevalence(scenario, [0.5], FAST)
+        assert len(decisions) == 1
+        decision = decisions[0]
+        assert isinstance(decision, Decision)
+        assert decision.scenario == scenario.with_lambda(0.5)
         selected = select_design(scenario.with_lambda(0.5), FAST)
-        assert row.selected == selected.best_design.kind
-        assert row.outcomes[row.selected].best_design == selected.best_design
+        assert decision.selected == selected.best_design.kind
+        assert decision.best == selected
 
     def test_lambda_clamped_to_sweep_range(self):
-        rows = sweep_prevalence(make_scenario(), [0.01, 0.99], FAST)
-        assert rows[0].lambda_S == 0.05
-        assert rows[1].lambda_S == 0.95
+        decisions = sweep_prevalence(make_scenario(), [0.01, 0.99], FAST)
+        assert [d.scenario.lambda_S for d in decisions] == [0.05, 0.95]
 
     def test_contour_single_cell(self):
         scenario = make_scenario(perspective="public")
         matrix = sweep_contour(scenario, [0.5], [0.3], FAST)
         assert len(matrix) == 1 and len(matrix[0]) == 1
         cell = matrix[0][0]
-        assert isinstance(cell, ContourCell)
+        assert isinstance(cell, Decision)
         direct = select_design(scenario.with_lambda(0.5), FAST)
         assert cell.selected == direct.best_design.kind
 
@@ -499,21 +498,18 @@ class TestSweeps:
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
         cell = sweep_contour(scenario, [0.5], [0.3], FAST)[0][0]
         assert cell.selected == "no_trial"
-        assert cell.n_opt is None
-        assert cell.expected_utility == 0.0
+        assert cell.best.best_design.n is None
+        assert cell.best.expected_utility == 0.0
 
     def test_contour_rebuilds_the_template_prior_kind(self):
         # the cell's prior is the template's kind at the cell's delta, here
         # one where the weak prior gives another optimum
         cell = sweep_contour(make_scenario(perspective="public", prior_kind="strong"),
                              [0.5], [0.6], FAST)[0][0]
-        outcomes, selected = decide(make_scenario(lambda_S=0.5, perspective="public",
-                                                  prior_kind="strong", delta=0.6), FAST)
-        best = outcomes[selected]
-        assert ((cell.selected, cell.n_opt, cell.expected_utility)
-                == (selected, best.best_design.n, best.expected_utility))
+        assert cell == decide(make_scenario(lambda_S=0.5, perspective="public",
+                                            prior_kind="strong", delta=0.6), FAST)
         weak = sweep_contour(make_scenario(perspective="public"), [0.5], [0.6], FAST)[0][0]
-        assert weak.n_opt != cell.n_opt
+        assert weak.best.best_design.n != cell.best.best_design.n
 
     def test_contour_requires_a_prior_kind(self):
         template = make_scenario()
@@ -554,9 +550,9 @@ class TestCellPool:
     TINY = GridConfig(n_grid=(50, 200), alpha_points=2)
 
     def test_workers_capped_at_cell_count(self, pool_sizes):
-        rows = sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=MAX_JOBS)
+        decisions = sweep_prevalence(make_scenario(), [0.3, 0.6], self.TINY, jobs=MAX_JOBS)
         assert pool_sizes == [2]
-        assert [r.lambda_S for r in rows] == [0.3, 0.6]
+        assert [d.scenario.lambda_S for d in decisions] == [0.3, 0.6]
         sweep_contour(make_scenario(), [0.3, 0.6], [0.0, 0.3], self.TINY, jobs=3)
         assert pool_sizes == [2, 3]
 

@@ -75,6 +75,8 @@ class TestLevelCondition:
             alpha_F_given_alpha_S(0.03, 0.5)
         with pytest.raises(ValueError):
             alpha_F_given_alpha_S(0.01, 0.0)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            alpha_F_given_alpha_S(0.01, 0.5, alpha=0.5)
 
     def test_nested_subgroup_event_gives_alpha(self):
         # at lambda 0.96875 the tiny subgroup event sits inside the pooled

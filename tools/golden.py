@@ -95,10 +95,10 @@ def compute(name):
     """The golden document of a set: one entry per scenario, in order."""
     entries = []
     for label, scenario, grid in SETS[name]():
-        outcomes, selected = decide(scenario, grid)
-        entry = {"scenario": label, "selected": selected}
+        decision = decide(scenario, grid)
+        entry = {"scenario": label, "selected": decision.selected}
         for kind in TRIAL_KINDS:
-            outcome = outcomes[kind]
+            outcome = decision.outcomes[kind]
             design = outcome.best_design
             entry[kind] = [design.n, _hex(design.alpha_S), _hex(outcome.derived_alpha_F),
                            *(_hex(getattr(outcome.result, f)) for f in _FIELDS)]
