@@ -12,6 +12,8 @@ import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional, Tuple
 
+import numpy as np
+
 # Design family tags. The stratified design additionally carries the
 # subgroup significance weight alpha_S.
 CLASSICAL = "classical"
@@ -47,10 +49,13 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
+# A bool, though an int to Python, is not a count or a size.
+_BOOLS = (bool, np.bool_)
+
+
 def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool, though an int to
-    Python, is not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, _BOOLS)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ class DesignSpec:
             if self.n is not None or self.alpha_S is not None:
                 raise ValueError("the no-trial option carries no parameters")
             return
-        if self.n is None or _finite(self.n, "n") < 1 or int(self.n) != self.n:
+        if (self.n is None or isinstance(self.n, _BOOLS) or _finite(self.n, "n") < 1
+                or int(self.n) != self.n):
             raise ValueError(f"per-group sample size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if self.kind == STRATIFIED:
@@ -308,7 +314,8 @@ class Scenario:
         for name in ("tau_S", "tau_Sc"):
             if not (0.0 <= _finite(getattr(self, name), name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if int(_finite(self.n_min, "n_min")) != self.n_min or self.n_min < 1:
+        if (isinstance(self.n_min, _BOOLS) or int(_finite(self.n_min, "n_min")) != self.n_min
+                or self.n_min < 1):
             raise ValueError("n_min must be a positive integer")
         object.__setattr__(self, "n_min", int(self.n_min))
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import os
 import signal
 import subprocess
@@ -143,11 +144,6 @@ class TestSweepCommand:
         assert header[0] == "lambda_S"
         assert rows[0][-1] == "Stratified"
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_config_error(self, config_path, tmp_path, jobs):
-        assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
-                     "--lambda-grid", "0.3,0.6", "--jobs", jobs]) == 2
-
     def test_figures_flag_writes_long_format(self, config_path, tmp_path):
         out = tmp_path / "run"
         main(["sweep", "--config", config_path, "--out", str(out),
@@ -172,22 +168,6 @@ NEGATIVE_DELTA = "config error: prior effect parameter delta must be >= 0\n"
 
 
 class TestGridSpecs:
-    @pytest.mark.parametrize("command, flag, spec", [
-        ("contour", "--lambda-grid", ""),
-        ("contour", "--delta-grid", ","),
-        ("sweep", "--lambda-grid", ","),
-        ("sweep", "--lambda-grid", "nan,inf"),
-        ("sweep", "--lambda-grid", "0.3,-inf"),
-        ("sweep", "--lambda-grid", "0.2:nan:3"),
-        ("contour", "--delta-grid", "0:inf:2"),
-    ])
-    def test_empty_or_non_finite_grid_is_config_error(self, config_path, tmp_path, capsys,
-                                                      command, flag, spec):
-        out = tmp_path / "run"
-        assert main([command, "--config", config_path, "--out", str(out), flag, spec]) == 2
-        assert "grid specification" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, flag, spec, err", [
         ("contour", "--delta-grid", "-0.1,0", NEGATIVE_DELTA),
         ("contour", "--delta-grid", "-1:0:2", NEGATIVE_DELTA),
@@ -241,25 +221,17 @@ class TestContourCommand:
                          "--set", "grid.alpha_points=3",
                          "--lambda-grid", "0.3,0.6", "--delta-grid", "0,0.3"]) == 0
 
-    def test_requires_prior_kind(self, config_path, tmp_path):
-        custom = CONFIG_CASE1.replace("prior.kind = weak\nprior.delta = 0.3\n",
-                                      "prior.atoms = 0.3,0.0,1.0\n")
-        path = tmp_path / "atoms.cfg"
-        path.write_text(custom)
-        assert main(["contour", "--config", str(path), "--out", str(tmp_path)]) == 2
-
 
 class TestSimulateCommand:
     def test_binomial_n_cap(self, config_path, tmp_path):
-        # binomial mode builds a pmf over 0..n per chunk: n past the cap
-        # exits 2 before it; fixed mode and evaluate take any n
+        # binomial mode builds a pmf over 0..n per chunk, so it takes n up
+        # to its cap (one past it is a _REFUSALS row); fixed mode and
+        # evaluate take any n
         def run(command, n, *flags):
             return main([command, "--config", config_path, "--design", "classical",
                          "--n", str(n), "--out", str(tmp_path), *flags])
 
         assert run("simulate", MAX_BINOMIAL_N, "--mode", "binomial", "--replicates", "1") == 0
-        assert run("simulate", MAX_BINOMIAL_N + 1, "--mode", "binomial",
-                   "--replicates", "1") == 2
         assert run("simulate", MAX_BINOMIAL_N + 1, "--mode", "fixed", "--replicates", "1") == 0
         assert run("evaluate", MAX_BINOMIAL_N + 1) == 0
 
@@ -309,25 +281,8 @@ class TestSimulateCommand:
         assert ((tmp_path / "spaced" / "simulate.csv").read_bytes()
                 == (tmp_path / "joined" / "simulate.csv").read_bytes())
 
-    @pytest.mark.parametrize("design", [["classical", "--n", "100"], ["none"]])
-    def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys, design):
-        code = main(["simulate", "--config", config_path, "--design", *design,
-                     "--replicates", "1000", "--seed", "-1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-        assert not (tmp_path / "simulate.csv").exists()
-
 
 class TestErrorHandling:
-    def test_unknown_key_is_hard_error(self, config_path, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text(CONFIG_CASE1 + "lambda_s = 0.4\n")  # misspelled case
-        assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
-
-    def test_missing_file(self, tmp_path):
-        assert main(["optimize", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path)]) == 2
-
     def test_set_override_wins(self, config_path, tmp_path):
         out = tmp_path / "run"
         assert main(["evaluate", "--config", config_path,
@@ -405,13 +360,27 @@ def _library_error(call):
 
 _SIMULATE = ["simulate", "--design", "classical", "--n", "200", "--replicates", "1000"]
 
-# Case 1 with a NaN prior weight in place of its built-in prior.
+# Case 1 with a NaN prior weight, or one atom, in place of its built-in prior.
 CONFIG_NAN_WEIGHT = CONFIG_CASE1.replace("prior.kind = weak\nprior.delta = 0.3\n",
                                          "prior.atoms = 0.3,0,nan; 0.3,0.3,1.0\n")
+CONFIG_ATOMS = CONFIG_CASE1.replace("prior.kind = weak\nprior.delta = 0.3\n",
+                                    "prior.atoms = 0.3,0.0,1.0\n")
+# prior.delta shapes only a built-in prior: beside prior.atoms, or with no
+# prior.kind, it would be dropped without a word
+CONFIG_DELTA_BESIDE_ATOMS = CONFIG_ATOMS + "prior.delta = 7\n"
+CONFIG_DELTA_ALONE = CONFIG_CASE1.replace("prior.kind = weak\n", "").replace(
+    "prior.delta = 0.3", "prior.delta = 7")
 
-# (CLI arguments, the library call that rejects the same input): the CLI
-# reports the library's own message.
-_BAD_INPUTS = {
+_NON_INTEGRAL = ["10.5", "nan", "inf", "-inf"]
+
+# Every input the CLI refuses: (CLI arguments, expected line[, the
+# configuration document in place of case 1, or None for none at all]).
+# The line after "config error: " is the whole message of a library call
+# that rejects the same input, or starts with a literal, for the messages
+# of argparse, the CLI's readers and those bearing a path. The config and
+# output flags come last, in the '=' form, so that with no command the
+# config path is not read as one.
+_REFUSALS = {
     "atom_order": (_SIMULATE + ["--atom", "0.1,0.3"], lambda: EffectPair(0.1, 0.3)),
     "n_zero": (["evaluate", "--design", "classical", "--n", "0"],
                lambda: DesignSpec("classical", n=0)),
@@ -421,16 +390,27 @@ _BAD_INPUTS = {
     "replicates_zero": (
         ["simulate", "--design", "classical", "--n", "200", "--replicates", "0"],
         lambda: SimConfig(replicates=0, seed=0, strata_mode=FIXED_PROPORTIONAL)),
+    "seed_negative": (_SIMULATE + ["--seed", "-1"],
+                      lambda: SimConfig(replicates=1000, seed=-1, strata_mode=FIXED_PROPORTIONAL)),
+    "seed_negative_no_trial": (
+        ["simulate", "--design", "none", "--replicates", "1000", "--seed", "-1"],
+        lambda: SimConfig(replicates=1000, seed=-1, strata_mode=FIXED_PROPORTIONAL)),
     "fwer_not_null": (
         _SIMULATE + ["--estimand", "fwer", "--atom", "0.1,0"],
         lambda: mc_fwer(DesignSpec("classical", n=200), _case1(), EffectPair(0.1, 0.0),
                         SimConfig(replicates=1000, seed=0, strata_mode=FIXED_PROPORTIONAL))),
+    # binomial mode builds a pmf over 0..n per chunk
     "binomial_n_cap": (
-        ["simulate", "--design", "classical", "--n", "2000000", "--replicates", "1000",
-         "--mode", "binomial"],
+        ["simulate", "--design", "classical", "--n", str(MAX_BINOMIAL_N + 1),
+         "--replicates", "1000", "--mode", "binomial"],
         lambda: mc_expected_utility(
-            DesignSpec("classical", n=2_000_000), _case1().prior, _case1(),
+            DesignSpec("classical", n=MAX_BINOMIAL_N + 1), _case1().prior, _case1(),
             SimConfig(replicates=1000, seed=0, strata_mode=BINOMIAL_RANDOM))),
+    # as n_min = 1e400 does, a 401-digit --n fails as a bad value
+    "n_beyond_a_double_evaluate": (["evaluate", "--design", "classical", "--n", str(10 ** 400)],
+                                   lambda: DesignSpec("classical", n=10 ** 400)),
+    "n_beyond_a_double_simulate": (["simulate", "--design", "classical", "--n", str(10 ** 400)],
+                                   lambda: DesignSpec("classical", n=10 ** 400)),
     "alpha_points_one": (["optimize", "--set", "grid.alpha_points=1"],
                          lambda: GridConfig(alpha_points=1)),
     "lambda_above_one": (["optimize", "--set", "lambda_S=2"],
@@ -438,6 +418,10 @@ _BAD_INPUTS = {
     "prior_delta_not_a_number": (
         ["optimize", "--set", "prior.delta=abc"],
         lambda: _scenario(CONFIG_CASE1.replace("prior.delta = 0.3", "prior.delta = abc"))),
+    "prior_delta_beside_atoms": (["optimize"], lambda: _scenario(CONFIG_DELTA_BESIDE_ATOMS),
+                                 CONFIG_DELTA_BESIDE_ATOMS),
+    "prior_delta_alone": (["optimize"], lambda: _scenario(CONFIG_DELTA_ALONE),
+                          CONFIG_DELTA_ALONE),
     # 2 sigma^2 overflows: every family is refused alike, before any kernel
     "sigma_huge_classical": (
         ["evaluate", "--design", "classical", "--n", "200", "--set", "sigma=1e300"],
@@ -474,31 +458,70 @@ _BAD_INPUTS = {
     "stratified_no_alpha_s_evaluate": (["evaluate", "--design", "stratified", "--n", "100"],
                                        lambda: DesignSpec("stratified", n=100)),
     # a NaN weight passes a sign and a sum check: it is refused by name,
-    # not met as a failed search or a Monte Carlo draw (a third element is
-    # the configuration document in place of case 1)
+    # not met as a failed search or a Monte Carlo draw
     **{f"nan_weight_{argv[0]}": (argv, lambda: _scenario(CONFIG_NAN_WEIGHT), CONFIG_NAN_WEIGHT)
        for argv in (["evaluate", "--design", "classical", "--n", "100"], ["optimize"],
                     _SIMULATE)},
-}
-
-
-@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
-def test_bad_input_exits_2_with_the_library_message(config_path, tmp_path, capsys, name):
-    # Every ValueError, from the config readers, the flags or a library
-    # domain check, is one stderr line and exit 2.
-    argv, call, *document = _BAD_INPUTS[name]
-    if document:
-        (tmp_path / "document.cfg").write_text(document[0])
-        config_path = str(tmp_path / "document.cfg")
-    message = _library_error(call)
-    assert main([argv[0], "--config", config_path, "--out", str(tmp_path), *argv[1:]]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-# Flags argparse or the CLI's own readers refuse, each with the start of
-# its message. The config and output flags come after them in the '=' form,
-# so that with no command the config path is not read as one.
-_BAD_FLAGS = {
+    # A pool starts all its workers at its first task under fork, and a
+    # contour builds every cell's scenario before the first decision: each
+    # cap is checked before either.
+    "jobs_zero": (["sweep", "--lambda-grid", "0.3,0.6", "--jobs", "0"],
+                  lambda: optimizer.sweep_prevalence(_case1(), [0.3, 0.6], jobs=0)),
+    "jobs_negative": (["sweep", "--lambda-grid", "0.3,0.6", "--jobs", "-1"],
+                      lambda: optimizer.sweep_prevalence(_case1(), [0.3, 0.6], jobs=-1)),
+    "jobs_above_cap": (["sweep", "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)],
+                       lambda: optimizer.sweep_prevalence(_case1(), [0.5], jobs=MAX_JOBS + 1)),
+    # 73 x 137 = MAX_GRID_COUNT + 1
+    "contour_cells_above_cap": (
+        ["contour", "--lambda-grid", "0.05:0.95:73", "--delta-grid", "0:1:137"],
+        lambda: optimizer.sweep_contour(_case1(), np.linspace(0.05, 0.95, 73),
+                                        np.linspace(0.0, 1.0, 137))),
+    "contour_without_prior_kind": (["contour"],
+                                   lambda: optimizer.sweep_contour(_scenario(CONFIG_ATOMS),
+                                                                   [0.5], [0.3]),
+                                   CONFIG_ATOMS),
+    # A count never rounds, and an infinite one fails as a bad value rather
+    # than an overflow; a count past its cap fails before any grid is built.
+    **{f"count_{key}_{value}": (["sweep", "--set", f"{key}={value}"],
+                                lambda key=key, value=value: GridConfig.consume_mapping(
+                                    {key: value}))
+       for key in ("grid.n_points", "grid.alpha_points") for value in _NON_INTEGRAL},
+    **{f"count_lambda_grid_{value}": (["sweep", "--lambda-grid", f"0.3:0.6:{value}"],
+                                      f"bad grid specification '0.3:0.6:{value}'")
+       for value in _NON_INTEGRAL},
+    "alpha_points_above_cap": (["sweep", "--set", f"grid.alpha_points={MAX_ALPHA_POINTS + 1}"],
+                               lambda: GridConfig(alpha_points=MAX_ALPHA_POINTS + 1)),
+    "alpha_points_above_cap_float": (
+        ["sweep", "--set", f"grid.alpha_points={float(MAX_ALPHA_POINTS + 1):e}"],
+        lambda: GridConfig(alpha_points=MAX_ALPHA_POINTS + 1)),
+    "lambda_count_above_cap": (["sweep", "--lambda-grid", f"0.3:0.7:{MAX_GRID_COUNT + 1}"],
+                               f"bad grid specification '0.3:0.7:{MAX_GRID_COUNT + 1}'"),
+    "lambda_count_above_cap_float": (
+        ["sweep", "--lambda-grid", f"0.3:0.7:{float(MAX_GRID_COUNT + 1):e}"],
+        f"bad grid specification '0.3:0.7:{float(MAX_GRID_COUNT + 1):e}'"),
+    # a grid specification with no value, or a non-finite one
+    "grid_empty": (["contour", "--lambda-grid", ""], "grid specification '' has no values"),
+    "grid_comma_delta": (["contour", "--delta-grid", ","], "grid specification ',' has no values"),
+    "grid_comma_lambda": (["sweep", "--lambda-grid", ","], "grid specification ',' has no values"),
+    "grid_nan_inf": (["sweep", "--lambda-grid", "nan,inf"],
+                     "grid specification 'nan,inf' has a non-finite value"),
+    "grid_minus_inf": (["sweep", "--lambda-grid", "0.3,-inf"],
+                       "grid specification '0.3,-inf' has a non-finite value"),
+    "grid_nan_stop": (["sweep", "--lambda-grid", "0.2:nan:3"],
+                      "grid specification '0.2:nan:3' has a non-finite value"),
+    "grid_inf_stop": (["contour", "--delta-grid", "0:inf:2"],
+                      "grid specification '0:inf:2' has a non-finite value"),
+    "config_missing": (["optimize"], "cannot read config file: [Errno 2] No such file", None),
+    "unknown_key": (["optimize"], "unknown config keys: lambda_s",
+                    CONFIG_CASE1 + "lambda_s = 0.4\n"),
+    # every search refines and stops at one fixed tolerance, so a stale
+    # refine.* key is an error, not a silently ignored setting
+    "refine_enabled": (["optimize", "--set", "refine.enabled=false"],
+                       "unknown config keys: refine.enabled"),
+    "refine_tol": (["optimize", "--set", "refine.tol=1e-5"], "unknown config keys: refine.tol"),
+    "refine_tol_nan": (["optimize", "--set", "refine.tol=nan"],
+                       "unknown config keys: refine.tol"),
+    # argparse's message alone, as for every other bad input: no usage block
     "n_float_notation": (["evaluate", "--design", "classical", "--n", "1e2"],
                          "argument --n: invalid int value: '1e2'"),
     "design_unknown": (["evaluate", "--design", "x"],
@@ -522,16 +545,31 @@ _BAD_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BAD_FLAGS))
-def test_bad_flag_exits_2_with_one_line(config_path, tmp_path, capsys, name):
-    # argparse's message alone, as for every other bad input: no usage block
-    argv, message = _BAD_FLAGS[name]
-    out = tmp_path / "run"
-    assert main([*argv, f"--config={config_path}", f"--out={out}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
-    assert err.count("\n") == 1 and err.endswith("\n")
+def _refusal_line(capsys, out):
+    """The one stderr line of a failed run, which printed nothing else and
+    created no output directory."""
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.count("\n") == 1 and printed.err.endswith("\n")
     assert not out.exists()
+    return printed.err
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_refused_input_exits_2_with_one_line(tmp_path, capsys, alarm, name):
+    # Every ValueError, from argparse, the config readers, the flags or a
+    # library domain check, is exit 2 and one stderr line, before any
+    # output; the deadline fails a giant count that allocates.
+    argv, expected, *document = _REFUSALS[name]
+    config, out = tmp_path / "scenario.cfg", tmp_path / "run"
+    document = document[0] if document else CONFIG_CASE1
+    if document is not None:
+        config.write_text(document)
+    assert main([*argv, f"--config={config}", f"--out={out}"]) == 2
+    err = _refusal_line(capsys, out)
+    if callable(expected):
+        assert err == f"config error: {_library_error(expected)}\n"
+    else:
+        assert err.startswith(f"config error: {expected}")
 
 
 @pytest.mark.parametrize("out", ["file", os.path.join("file", "sub")])
@@ -648,28 +686,6 @@ def alarm():
         yield
 
 
-@pytest.mark.parametrize("setting", ["refine.enabled=false", "refine.tol=1e-5",
-                                     "refine.tol=nan"])
-def test_refine_keys_are_unknown(config_path, tmp_path, capsys, alarm, setting):
-    # Every search refines and stops at one fixed tolerance, so a stale
-    # refine.* key is an error, not a silently ignored setting.
-    out = tmp_path / "run"
-    assert main(["optimize", "--config", config_path, "--out", str(out),
-                 "--set", setting]) == 2
-    assert f"unknown config keys: {setting.split('=')[0]}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["evaluate", "simulate"])
-def test_n_too_large_for_a_double_is_config_error(config_path, tmp_path, capsys, command):
-    # as n_min = 1e400 does, a 401-digit --n exits 2 and writes nothing
-    out = tmp_path / "run"
-    assert main([command, "--config", config_path, "--design", "classical",
-                 "--n", str(10 ** 400), "--out", str(out)]) == 2
-    assert "n must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 TINY_GRID = ["--set", "grid.n_points=50,200,800", "--set", "grid.alpha_points=3",
              "--lambda-grid", "0.3,0.7", "--figures"]
 
@@ -762,29 +778,6 @@ def test_counts_in_float_notation_are_that_integer(config_path, tmp_path, comman
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("value", ["10.5", "nan", "inf", "-inf"])
-@pytest.mark.parametrize("argv", [["--set", "grid.n_points={}"],
-                                  ["--set", "grid.alpha_points={}"],
-                                  ["--lambda-grid", "0.3:0.6:{}"]])
-def test_non_integral_counts_are_config_errors(config_path, tmp_path, capsys, argv, value):
-    # a count never rounds, and an infinite one fails as a bad value
-    # rather than an overflow
-    assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
-                 argv[0], argv[1].format(value)]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("prior", ["prior.atoms = 0.3,0.0,1.0", ""])
-def test_prior_delta_without_prior_kind_is_config_error(tmp_path, capsys, prior):
-    # prior.delta shapes only a built-in prior: beside prior.atoms it
-    # would be dropped without a word
-    path = tmp_path / "atoms.cfg"
-    path.write_text(CONFIG_CASE1.replace("prior.kind = weak", prior)
-                    .replace("prior.delta = 0.3", "prior.delta = 7"))
-    assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "prior.delta" in capsys.readouterr().err
-
-
 # Every scenario key off its default, and an atom with a prognostic offset.
 CONFIG_OFF_DEFAULTS = """\
 lambda_S = 0.4
@@ -861,33 +854,25 @@ def test_serial_run_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_count_caps_are_config_errors(config_path, tmp_path, alarm):
+def test_count_caps_are_config_errors(alarm):
     # Each count's cap is accepted and cap + 1 rejected before any grid is
-    # built: a giant count would otherwise allocate its way to a hang.
+    # built: a giant count would otherwise allocate its way to a hang. The
+    # CLI's refusals of cap + 1 are _REFUSALS rows.
     assert len(_parse_grid_spec(f"0:1:{MAX_GRID_COUNT}")) == MAX_GRID_COUNT
     assert GridConfig(alpha_points=MAX_ALPHA_POINTS).alpha_points == MAX_ALPHA_POINTS
     with pytest.raises(ValueError, match="bad grid specification"):
         _parse_grid_spec(f"0:1:{MAX_GRID_COUNT + 1}")
     with pytest.raises(ValueError):
         GridConfig(alpha_points=MAX_ALPHA_POINTS + 1)
-    for argv in (["--set", f"grid.alpha_points={MAX_ALPHA_POINTS + 1}"],
-                 ["--lambda-grid", f"0.3:0.7:{MAX_GRID_COUNT + 1}"],
-                 ["--set", f"grid.alpha_points={float(MAX_ALPHA_POINTS + 1):e}"],
-                 ["--lambda-grid", f"0.3:0.7:{float(MAX_GRID_COUNT + 1):e}"]):
-        assert main(["sweep", "--config", config_path, "--out", str(tmp_path), *argv]) == 2
 
 
-def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
-                                                monkeypatch):
-    # A pool starts all its workers at its first task under fork, so more
-    # than MAX_JOBS jobs is rejected before it starts; a contour builds
-    # every cell's scenario before the first decision, so more than
-    # MAX_GRID_COUNT cells is rejected before it builds one.
+def test_pool_and_contour_caps_are_config_errors(alarm, monkeypatch):
+    # More than MAX_JOBS jobs is rejected before a pool starts, and more
+    # than MAX_GRID_COUNT cells before a contour builds one; the CLI's
+    # refusals are _REFUSALS rows.
     scenarios = [make_scenario(lambda_S=lam) for lam in (0.3, 0.7)]
     with pytest.raises(ValueError, match="jobs"):
         optimizer._decisions(scenarios, None, MAX_JOBS + 1)
-    assert main(["sweep", "--config", config_path, "--out", str(tmp_path),
-                 "--lambda-grid", "0.5", "--jobs", str(MAX_JOBS + 1)]) == 2
     monkeypatch.setattr(optimizer, "decide", lambda scenario, grid_config=None: optimizer.Decision(
         scenario, {NO_TRIAL: optimizer._outcome(DesignSpec.no_trial(), scenario)}, NO_TRIAL))
     matrix = optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 100),
@@ -897,8 +882,6 @@ def test_pool_and_contour_caps_are_config_errors(config_path, tmp_path, alarm,
     with pytest.raises(ValueError, match="cells"):
         optimizer.sweep_contour(scenarios[0], np.linspace(0.05, 0.95, 73),
                                 np.linspace(0.0, 1.0, 137))
-    assert main(["contour", "--config", config_path, "--out", str(tmp_path),
-                 "--lambda-grid", "0.05:0.95:73", "--delta-grid", "0:1:137"]) == 2
 
 
 FUZZ_BASE = """\
@@ -996,10 +979,12 @@ def _fuzz_case():
         st.just(command), picks(_FUZZ_CONFIG, 3), picks(_FUZZ_FLAGS[command], 4)))
 
 
-def test_cli_fuzz_exits_with_a_documented_code(tmp_path):
-    # Every drawn run ends with exit 0, 2 or 3 within 20 s, whatever its
-    # configuration document and flags hold.
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    # Every drawn run ends within 20 s, whatever its configuration document
+    # and flags hold: with exit 0 and its CSV and manifest written, or with
+    # exit 2 or 3 and its one line alone, and no output directory.
     hypothesis = pytest.importorskip("hypothesis")
+    runs = itertools.count()
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150,
                          print_blob=True)
@@ -1010,10 +995,18 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path):
                  if line.split("=")[0].strip() not in dict(config)]
         path = tmp_path / "fuzz.cfg"
         path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in config]) + "\n")
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
+        out = tmp_path / f"out{next(runs)}"
+        argv = [command, "--config", str(path), "--out", str(out),
                 *_FUZZ_DEFAULTS[command], *(token for flag in flags for token in flag)]
         with _deadline():
-            assert main(argv) in (0, 2, 3), argv
+            code = main(argv)
+        if code == 0:
+            capsys.readouterr()
+            assert (out / f"{command}.csv").is_file(), argv
+            assert (out / f"{command}_manifest.json").is_file(), argv
+        else:
+            prefix = {2: "config error: ", 3: "numeric failure: "}.get(code)
+            assert prefix and _refusal_line(capsys, out).startswith(prefix), argv
 
     run()
 

@@ -189,8 +189,10 @@ class TestDesignSpec:
             DesignSpec("classical", n=100, alpha_S=0.01)
 
     def test_integer_n_required(self):
-        with pytest.raises(ValueError):
-            DesignSpec("classical", n=10.5)
+        # a bool, though an int to Python, is no size
+        for n in (10.5, True, np.True_):
+            with pytest.raises(ValueError, match="positive integer"):
+                DesignSpec("classical", n=n)
 
     @pytest.mark.parametrize("n", [10 ** 400, math.inf, math.nan])
     def test_n_beyond_a_double_is_a_value_error(self, n):
@@ -220,10 +222,12 @@ class TestScenario:
         (lambda: make_scenario(tau_Sc=-0.1), "tau_Sc must lie in [0, 1]"),
         (lambda: make_scenario(n_min=50.5), "n_min must be a positive integer"),
         (lambda: make_scenario(n_min=0), "n_min must be a positive integer"),
+        (lambda: make_scenario(n_min=True), "n_min must be a positive integer"),
         (lambda: CostStructure(setup=-1.0, per_patient=0.05), "cost.setup must be nonnegative"),
         (lambda: RewardStructure("sponsor", 1.0, 1.0, -0.1, 0.1),
          "reward.mu_S must be nonnegative"),
-    ], ids=["sigma", "tau_S", "tau_Sc", "n_min_fraction", "n_min_zero", "cost", "reward"])
+    ], ids=["sigma", "tau_S", "tau_Sc", "n_min_fraction", "n_min_zero", "n_min_bool",
+            "cost", "reward"])
     def test_domain_error_names_the_field(self, build, message):
         with pytest.raises(ValueError) as err:
             build()

@@ -98,13 +98,10 @@ class TestOptimizeFamily:
         (0.6, "public", CASE3, "strong"),
         (0.8, "sponsor", CASE3, "strong"),
     ])
-    def test_matches_nelder_mead_oracle(self, family, lambda_S, perspective, case,
-                                        prior_kind):
-        # The name stays from the Nelder-Mead oracle this test compared
-        # with; it now compares with integer scans: every n the refinement
-        # can reach for the one-test families, and for the stratified
-        # family n within 10 of the optimum crossed with 401 alpha_S in
-        # [0, alpha].
+    def test_matches_integer_scans(self, family, lambda_S, perspective, case, prior_kind):
+        # Compares with integer scans: every n the refinement can reach for
+        # the one-test families, and for the stratified family n within 10
+        # of the optimum crossed with 401 alpha_S in [0, alpha].
         scenario = make_scenario(lambda_S=lambda_S, perspective=perspective, case=case,
                                  prior_kind=prior_kind)
         outcome = optimize_family(family, scenario, FAST)
@@ -322,15 +319,18 @@ class TestStageOnePruning:
 
     def test_pruned_decisions_equal_full_scan(self, monkeypatch, record_calls):
         # Skipping the sizes that cannot win changes no decision, so
-        # refinement starts from the same grid point. In the last case
+        # refinement starts from the same grid point. In the last two cases
         # patients are so cheap that a public one-atom bound lies within
         # 1e-3 MUSD of the utility, and with one size per block stage 1
         # finds n = 300, 280 and 400 (classical, enrichment, stratified)
-        # only if no size near the best is skipped.
-        cheap = make_scenario(perspective="public", case=CASE1)
-        cheap = replace(cheap, costs=replace(cheap.costs, per_patient=1e-5))
+        # only if no size near the best is skipped. With free patients the
+        # bound exceeds the utility by gain * (1 - P(reject)) alone, below
+        # 1e-6 MUSD near n = 400, so the margin's sign matters too.
+        public = make_scenario(perspective="public", case=CASE1)
         cases = [(scenario, optimizer._BLOCK_SETTINGS) for scenario in _mixed_scenarios()]
-        cases.append((one_atom(cheap, EffectPair(0.6, 0.6)), 1))
+        for per_patient in (1e-5, 0.0):
+            cheap = replace(public, costs=replace(public.costs, per_patient=per_patient))
+            cases.append((one_atom(cheap, EffectPair(0.6, 0.6)), 1))
 
         def decisions():
             for scenario, settings in cases:

@@ -1,6 +1,8 @@
-"""The summary steps of tools/search_audit.py on canned audit records."""
+"""The summary steps of tools/search_audit.py, on canned audit records and
+on the committed seed-1 audit."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -59,3 +61,14 @@ def test_strata_include_high_prevalence_public():
     assert len(drawn) == 16
     assert any(s.lambda_S == 0.95 and s.rewards.perspective == "public" for s in drawn)
     assert [s.lambda_S for _, s in scenarios(1)] == [s.lambda_S for s in drawn[:8]]
+
+
+def test_committed_audit_holds_the_contract():
+    # CI's fresh seed-1 audit must equal this file byte for byte, so the
+    # file carries the contract: its summary is its records' summary, and
+    # no family's search misses more than 1e-8 MUSD of the scan's best.
+    path = os.path.join(os.path.dirname(__file__), "golden", "search_audit_seed1.json")
+    with open(path) as fh:
+        audit = json.load(fh)
+    assert audit["summary"] == summarize(audit["records"])
+    assert audit["summary"]["worst_gap"]["gap"] <= 1e-8
