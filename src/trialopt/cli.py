@@ -198,30 +198,27 @@ def _emit(out_dir, command: str, manifest: RunManifest, tables: dict) -> None:
     print(f"wrote {', '.join(manifest.outputs)} and {manifest_path}")
 
 
-def _outcome_cells(outcome: OptimizationOutcome) -> list:
+def _outcome_cells(outcome: OptimizationOutcome, fields=_FIELDS) -> list:
+    """The design's n, alpha_S and alpha_F, then the named result fields."""
     design = outcome.best_design
     return [design.n, design.alpha_S, outcome.derived_alpha_F,
-            outcome.result.expected_utility, outcome.result.power_any]
+            *(getattr(outcome.result, f) for f in fields)]
+
+
+_OUTCOME_HEADER = ["n", "alpha_S", "alpha_F", *_FIELDS]
 
 
 def _cmd_evaluate(args, scenario: Scenario, grid: GridConfig) -> dict:
     outcome = _outcome(_design_from_args(args), scenario)
-    design = outcome.best_design
-    header = ["design", "n", "alpha_S", "alpha_F", *_FIELDS]
-    rows = [[design.label, design.n, design.alpha_S, outcome.derived_alpha_F,
-             *[getattr(outcome.result, f) for f in _FIELDS]]]
-    return {"evaluate": (header, rows)}
+    rows = [[outcome.best_design.label, *_outcome_cells(outcome)]]
+    return {"evaluate": (["design", *_OUTCOME_HEADER], rows)}
 
 
 def _cmd_optimize(args, scenario: Scenario, grid: GridConfig) -> dict:
     decision = decide(scenario, grid)
-    header = ["family", "selected", "n", "alpha_S", "alpha_F", *_FIELDS]
-    rows = []
-    for family, outcome in decision.outcomes.items():
-        design = outcome.best_design
-        rows.append([design.label, int(family == decision.selected), design.n, design.alpha_S,
-                     outcome.derived_alpha_F, *[getattr(outcome.result, f) for f in _FIELDS]])
-    return {"optimize": (header, rows)}
+    rows = [[outcome.best_design.label, int(family == decision.selected),
+             *_outcome_cells(outcome)] for family, outcome in decision.outcomes.items()]
+    return {"optimize": (["family", "selected", *_OUTCOME_HEADER], rows)}
 
 
 _SWEEP_METRICS = ("n", "alpha_S", "alpha_F", "eu", "power")
@@ -239,7 +236,7 @@ def _cmd_sweep(args, scenario: Scenario, grid: GridConfig) -> dict:
         lam = d.scenario.lambda_S
         cells = [lam]
         for family in TRIAL_KINDS:
-            values = _outcome_cells(d.outcomes[family])
+            values = _outcome_cells(d.outcomes[family], ("expected_utility", "power_any"))
             cells += values
             long_rows += [[lam, family, m, v] for m, v in zip(_SWEEP_METRICS, values)]
         rows.append(cells + [d.best.best_design.label])
@@ -340,47 +337,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable; wins over the file)")
         p.add_argument("--out", default=".", help="output directory")
 
-    def jobs_flag(p):
+    def cell_flags(p):
         p.add_argument("--jobs", type=int, default=1,
                        help=f"worker processes for the cells (1 to {MAX_JOBS}; "
                             "never more than the cells)")
+        p.add_argument("--lambda-grid", default="0.05:0.95:19",
+                       help="'lo:hi:count' or comma list (default 19 points)")
+        p.add_argument("--figures", action="store_true",
+                       help="also write plot-ready long-format CSV")
 
     def design_flags(p):
-        p.add_argument("--design", required=True,
-                       choices=["classical", "stratified", "enrichment", "none"])
+        p.add_argument("--design", required=True, choices=[*TRIAL_KINDS, "none"])
         p.add_argument("--n", type=int, help="per-group sample size")
         p.add_argument("--alpha-s", type=float, dest="alpha_s",
                        help="subgroup significance weight (stratified only)")
 
-    p = sub.add_parser("evaluate", help="expected utility of one design")
-    common(p)
-    design_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
+    def command(name, func, summary, *flag_sets):
+        p = sub.add_parser(name, help=summary)
+        for flags in (common, *flag_sets):
+            flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("optimize", help="optimal design per family plus selection")
-    common(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("sweep", help="per-family optima across prevalences")
-    common(p)
-    jobs_flag(p)
-    p.add_argument("--lambda-grid", default="0.05:0.95:19",
-                   help="'lo:hi:count' or comma list (default 19 points)")
-    p.add_argument("--figures", action="store_true",
-                   help="also write plot-ready long-format CSV")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("contour", help="selected design over (prevalence, delta)")
-    common(p)
-    jobs_flag(p)
-    p.add_argument("--lambda-grid", default="0.05:0.95:19")
+    command("evaluate", _cmd_evaluate, "expected utility of one design", design_flags)
+    command("optimize", _cmd_optimize, "optimal design per family plus selection")
+    command("sweep", _cmd_sweep, "per-family optima across prevalences", cell_flags)
+    p = command("contour", _cmd_contour, "selected design over (prevalence, delta)", cell_flags)
     p.add_argument("--delta-grid", default="0:1:11")
-    p.add_argument("--figures", action="store_true")
-    p.set_defaults(func=_cmd_contour)
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimates for one design")
-    common(p)
-    design_flags(p)
+    p = command("simulate", _cmd_simulate, "Monte Carlo estimates for one design", design_flags)
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[FIXED_PROPORTIONAL, BINOMIAL_RANDOM],
@@ -389,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=UTILITY)
     p.add_argument("--atom", help="simulate a fixed effect pair "
                                   "'delta_S,delta_Sc[,offset]' instead of the prior")
-    p.set_defaults(func=_cmd_simulate)
     return parser
 
 

@@ -72,7 +72,7 @@ from .model import (
     pooled_effect,
     trial_cost,
 )
-from .numerics import _one_sided_critical
+from .numerics import _one_sided_critical, require_finite
 from .testing import _decide, alpha_F_given_alpha_S
 from .utility import classical_variance
 
@@ -116,6 +116,7 @@ class McEstimate:
     replicates: int
 
     def __post_init__(self):
+        require_finite("the Monte Carlo estimate", mean=self.mean, std_error=self.std_error)
         if self.std_error < 0.0:
             raise ValueError("std_error must be >= 0")
 

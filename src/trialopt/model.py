@@ -52,10 +52,21 @@ def _finite(value: float, name: str) -> float:
 # A bool, though an int to Python, is not a count or a size.
 _BOOLS = (bool, np.bool_)
 
+# How far alpha_S may exceed the FWER level alpha, against rounding.
+ALPHA_S_SLACK = 1e-15
+
 
 def is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, _BOOLS)
+
+
+def _positive_integer(value, name: str) -> int:
+    """A size: a finite positive integer, not a bool; 100.0 is 100."""
+    if (value is None or isinstance(value, _BOOLS) or _finite(value, name) < 1
+            or int(value) != value):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -173,10 +184,7 @@ class DesignSpec:
             if self.n is not None or self.alpha_S is not None:
                 raise ValueError("the no-trial option carries no parameters")
             return
-        if (self.n is None or isinstance(self.n, _BOOLS) or _finite(self.n, "n") < 1
-                or int(self.n) != self.n):
-            raise ValueError(f"per-group sample size must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _positive_integer(self.n, "n"))
         if self.kind == STRATIFIED:
             if self.alpha_S is None:
                 raise ValueError("stratified design requires alpha_S; none was given")
@@ -213,7 +221,7 @@ class DesignSpec:
             return
         if self.n < scenario.n_min:
             raise ValueError(f"n={self.n} below the minimal sample size {scenario.n_min}")
-        if self.kind == STRATIFIED and self.alpha_S > scenario.alpha + 1e-15:
+        if self.kind == STRATIFIED and self.alpha_S > scenario.alpha + ALPHA_S_SLACK:
             raise ValueError(f"alpha_S={self.alpha_S} exceeds the FWER level {scenario.alpha}")
 
 
@@ -314,10 +322,7 @@ class Scenario:
         for name in ("tau_S", "tau_Sc"):
             if not (0.0 <= _finite(getattr(self, name), name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if (isinstance(self.n_min, _BOOLS) or int(_finite(self.n_min, "n_min")) != self.n_min
-                or self.n_min < 1):
-            raise ValueError("n_min must be a positive integer")
-        object.__setattr__(self, "n_min", int(self.n_min))
+        object.__setattr__(self, "n_min", _positive_integer(self.n_min, "n_min"))
 
     def with_lambda(self, lambda_S: float) -> "Scenario":
         return replace(self, lambda_S=lambda_S)

@@ -35,6 +35,14 @@ class NumericError(RuntimeError):
     """A numeric computation broke its own contract (exit code 3 in the CLI)."""
 
 
+def require_finite(what: str, **values) -> None:
+    """Every number a result holds is finite: NumericError naming ``what``
+    and each value that is not."""
+    bad = [f"{name} = {float(v)!r}" for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise NumericError(f"{what} is not finite: {', '.join(bad)}")
+
+
 def std_normal_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)

@@ -195,7 +195,7 @@ def _outcome(design: DesignSpec, scenario: Scenario, fields=None) -> Optimizatio
     when the search scored them; otherwise it comes first, so its check of
     the design against the scenario reports a bad design."""
     result = (eu_prior_averaged(design, scenario) if fields is None
-              else result_from_fields(fields))
+              else result_from_fields(fields, design))
     alpha_F = (alpha_F_given_alpha_S(design.alpha_S, scenario.lambda_S, scenario.alpha)
                if design.kind == STRATIFIED else None)
     return OptimizationOutcome(design, result, alpha_F)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import Scenario
+from .model import ALPHA_S_SLACK, Scenario
 from .numerics import SCALAR, NumericError, _one_sided_critical
 
 # Above this correlation the subgroup and pooled statistics are treated as
@@ -69,7 +69,7 @@ def alpha_F_given_alpha_S(alpha_S: float, lambda_S: float, alpha: float = 0.025)
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
-    if not (0.0 <= alpha_S <= alpha + 1e-15):
+    if not (0.0 <= alpha_S <= alpha + ALPHA_S_SLACK):
         raise ValueError(f"alpha_S={alpha_S} outside [0, alpha={alpha}]")
     if not (0.0 < lambda_S < 1.0):
         raise ValueError("lambda_S must lie in (0, 1)")

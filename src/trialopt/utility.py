@@ -43,7 +43,13 @@ from .model import (
     pooled_effect,
     trial_cost,
 )
-from .numerics import NumericError, _one_sided_critical, bivariate_normal_cdf, std_normal_pdf
+from .numerics import (
+    NumericError,
+    _one_sided_critical,
+    bivariate_normal_cdf,
+    require_finite,
+    std_normal_pdf,
+)
 from .testing import _line_geometry, _pieces, _region_lines, alpha_F_given_alpha_S
 
 @dataclass(frozen=True)
@@ -88,6 +94,15 @@ def classical_variance(effects: EffectPair, lambda_S: float, sigma: float,
     return (2.0 * sigma ** 2 + mix) / n
 
 
+def _record(kind: str, n, scenario: Scenario, p_s, p_f, reward_S, reward_F) -> np.ndarray:
+    """The EvaluationResult fields, in order: utility = reward_S + reward_F
+    - cost, power_any the clipped sum of the disjoint approvals, and the
+    cost of the sizes ``n`` filled over the block."""
+    cost = np.full(p_f.shape, trial_cost(kind, n, scenario.costs, scenario.lambda_S))
+    return np.stack((reward_S + reward_F - cost, p_s, p_f,
+                     np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
+
+
 def _single_test(kind: str, atoms, n, scenario: Scenario) -> tuple:
     """(true effect per atom, shaped (len(atoms),) + (1,) * n.ndim, its
     estimate's SE, reward threshold mu, reward scale) of the one z-test of
@@ -106,11 +121,11 @@ def _single_test(kind: str, atoms, n, scenario: Scenario) -> tuple:
 
 
 def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
-    """Evaluation fields of the enrichment (subgroup test, subgroup
+    """The :func:`_record` of the enrichment (subgroup test, subgroup
     approval) or the classical design (pooled test, full approval) for
-    every atom and every size in ``n`` (a float or an array of sizes): an
-    array of shape (7, len(atoms)) + np.shape(n) + (1,) in EvaluationResult
-    field order, from the truncated-normal closed form of the z-test.
+    every atom and every size in ``n`` (a float or an array of sizes),
+    shaped (7, len(atoms)) + np.shape(n) + (1,), from the truncated-normal
+    closed form of the z-test.
     """
     n = np.asarray(n, dtype=float)[..., None]
     delta, se, mu, scale = _single_test(kind, atoms, n, scenario)
@@ -123,11 +138,9 @@ def _single_test_fields(kind: str, atoms, n, scenario: Scenario) -> np.ndarray:
         reward = scale * (delta - mu) * p_reject
     p_reject = np.clip(p_reject, 0.0, 1.0)
     zero = np.zeros(p_reject.shape)
-    p_s, p_f, reward_S, reward_F = ((p_reject, zero, reward, zero) if kind == ENRICHMENT
-                                    else (zero, p_reject, zero, reward))
-    cost = np.full(p_reject.shape, trial_cost(kind, n, scenario.costs, scenario.lambda_S))
-    return np.stack((reward_S + reward_F - cost, p_s, p_f,
-                     np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
+    if kind == ENRICHMENT:
+        return _record(kind, n, scenario, p_reject, zero, reward, zero)
+    return _record(kind, n, scenario, zero, p_reject, zero, reward)
 
 
 def _line_integrals(a, b, lo, hi, alive, moments: bool):
@@ -212,10 +225,9 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
 
 
 def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
-    """Evaluation fields of the stratified design for every atom, every
-    size in ``n`` (a float or an array of sizes) and every alpha_S: an
-    array of shape (7, len(atoms)) + np.shape(n) + (len(alpha_S),) in
-    EvaluationResult field order.
+    """The :func:`_record` of the stratified design for every atom, every
+    size in ``n`` (a float or an array of sizes) and every alpha_S, shaped
+    (7, len(atoms)) + np.shape(n) + (len(alpha_S),).
 
     P(A_F), P(A_S) and the sponsor reward integrals are sums over the
     pieces between region breakpoints, over the whole z_S line, of the
@@ -258,9 +270,7 @@ def _stratified_fields(atoms, n, alpha_S, scenario: Scenario) -> np.ndarray:
     else:
         reward_F = rewards.NrF * gain_F[..., 0] * p_f
         reward_S = lam * rewards.NrS * gain_S[..., 0] * p_s
-    cost = np.full(p_f.shape, trial_cost(STRATIFIED, n[..., None], scenario.costs, lam))
-    return np.stack((reward_S + reward_F - cost, p_s, p_f,
-                     np.clip(p_s + p_f, 0.0, 1.0), reward_S, reward_F, cost))
+    return _record(STRATIFIED, n[..., None], scenario, p_s, p_f, reward_S, reward_F)
 
 
 def _atom_key(kind: str, effects: EffectPair) -> Tuple[float, ...]:
@@ -371,12 +381,15 @@ def eu_prior_averaged(design: DesignSpec, scenario: Scenario) -> EvaluationResul
     design.check_against(scenario)
     if design.kind == NO_TRIAL:
         return _ZERO_RESULT
-    return result_from_fields(grid_row(design.kind, design.n, (design.alpha_S,), scenario)[:, 0])
+    return result_from_fields(grid_row(design.kind, design.n, (design.alpha_S,), scenario)[:, 0],
+                              design)
 
 
-def result_from_fields(fields) -> EvaluationResult:
+def result_from_fields(fields, design: DesignSpec) -> EvaluationResult:
     """The EvaluationResult of one setting's seven ``grid_row`` fields,
-    its three probabilities clamped to [0, 1] against rounding."""
+    its three probabilities clamped to [0, 1] against rounding; a field
+    that is not finite raises NumericError naming it and the design."""
     fields = np.array(fields, dtype=float)
     fields[1:4] = np.clip(fields[1:4], 0.0, 1.0)
+    require_finite(f"the result of {design}", **dict(zip(_FIELDS, fields)))
     return EvaluationResult(*(float(f) for f in fields))

@@ -43,8 +43,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from trialopt.mc_oracle import _CHUNK, _chunk_rng, _estimate, _simulate_batch, _workspace
-from trialopt.model import ENRICHMENT, SPONSOR, STRATIFIED, EffectPair, pooled_effect
-from trialopt.model import trial_cost
+from trialopt.model import ALPHA_S_SLACK, ENRICHMENT, SPONSOR, STRATIFIED, EffectPair
+from trialopt.model import pooled_effect, trial_cost
 from trialopt.numerics import (
     SCALAR,
     NumericError,
@@ -445,7 +445,7 @@ def level_solve(alpha_S: float, lambda_S: float, alpha: float = 0.025) -> float:
     checks and endpoints are the library's."""
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
-    if not (0.0 <= alpha_S <= alpha + 1e-15):
+    if not (0.0 <= alpha_S <= alpha + ALPHA_S_SLACK):
         raise ValueError(f"alpha_S={alpha_S} outside [0, alpha={alpha}]")
     if not (0.0 < lambda_S < 1.0):
         raise ValueError("lambda_S must lie in (0, 1)")

@@ -1,6 +1,7 @@
+import ast
+import collections
 import contextlib
 import dataclasses
-import itertools
 import os
 import signal
 import subprocess
@@ -81,8 +82,6 @@ def _python(*args):
 
 class TestOptimizeCommand:
     def test_manifest_roundtrip_and_outputs(self, config_path, tmp_path):
-        import os
-
         out = tmp_path / "run"
         main(["optimize", "--config", config_path, "--out", str(out)])
         text = (out / "optimize_manifest.json").read_text()
@@ -111,14 +110,10 @@ class TestEvaluateCommand:
         assert len(rows) == 1
         eu = float(rows[0][header.index("expected_utility")])
         # recompute in process: the CSV repr must round-trip exactly
-        from trialopt.model import parse_config_text, scenario_from_mapping
-        from trialopt.model import DesignSpec
-        from trialopt.optimizer import GridConfig
-        from trialopt.utility import eu_prior_averaged
         mapping = parse_config_text(CONFIG_CASE1)
         scenario = scenario_from_mapping(mapping)
         GridConfig.consume_mapping(mapping)
-        want = eu_prior_averaged(DesignSpec.stratified(300, 0.0125), scenario)
+        want = trialopt.eu_prior_averaged(DesignSpec.stratified(300, 0.0125), scenario)
         assert eu == want.expected_utility
 
     def test_negative_zero_alpha_s_is_written_as_zero(self, config_path, tmp_path):
@@ -294,8 +289,6 @@ class TestErrorHandling:
         assert eu == pytest.approx(-6.0, abs=1e-12)
 
     def test_numeric_failure_exit_code(self, config_path, tmp_path, monkeypatch):
-        import trialopt.optimizer as optimizer
-
         def boom(*args, **kwargs):
             raise NumericError("forced")
 
@@ -307,8 +300,6 @@ class TestErrorHandling:
                                                       monkeypatch):
         # Patched before the pool forks, so every worker cell raises; the
         # error must come back through pickling and map to exit code 3.
-        import trialopt.optimizer as optimizer
-
         def boom(*args, **kwargs):
             raise NumericError("forced")
 
@@ -321,7 +312,6 @@ class TestErrorHandling:
         # Every cell warns in its worker: a sweep that succeeds shows the
         # warning once in the parent, and one that fails prints its line
         # alone.
-        import trialopt.optimizer as optimizer
         decide = optimizer.decide
 
         def warning_decide(scenario, grid_config=None):
@@ -606,53 +596,72 @@ prior.kind = strong
 prior.delta = 0.3
 """
 
-_HUGE_REWARDS = ["--set", "reward.NrF=1.7e308", "--set", "reward.NrS=1.7e308",
-                 "--set", "prior.delta=10"]
+# A subgroup reward scale near the largest double: the classical family,
+# paid on NrF, stays finite, and the stratified rewards overflow.
+_HUGE_REWARDS = ["--set", "reward.NrS=1.7e308", "--set", "prior.delta=10"]
 
+_PUBLIC = ["--set", "reward.perspective=public"]
+
+# Every numeric failure: (configuration document, CLI arguments, its line).
 _EXIT_3_REPROS = {
     # a per-patient cost of 1e308 makes every classical size cost inf; the
     # overflow warnings of the failed run never leave main
-    "cost_overflow": (CONFIG_CASE1, ["--set", "cost.per_patient=1e308"],
+    "cost_overflow": (CONFIG_CASE1, ["optimize", "--set", "cost.per_patient=1e308"],
                       "classical: no grid point has a finite expected utility"),
     # rewards overflow to inf in every stratified row: the alpha_S
     # narrowing has no finite spread to stop on
-    "narrowing_overflow": (CONFIG_CASE1, _HUGE_REWARDS,
+    "narrowing_overflow": (CONFIG_CASE1, ["optimize", *_HUGE_REWARDS],
                            "stratified: the alpha_S narrowing at n = 50 met a "
                            "non-finite expected utility"),
     # the stage-1 bound's spread of the reward gap stays finite, so the
     # same rewards reach the narrowing, not a bare OverflowError
-    "bound_overflow": (CONFIG_CASE3_DEFAULT_GRID, _HUGE_REWARDS,
+    "bound_overflow": (CONFIG_CASE3_DEFAULT_GRID, ["optimize", *_HUGE_REWARDS],
                        "stratified: the alpha_S narrowing at n = 50 met a "
                        "non-finite expected utility"),
+    # a written number is finite: a public reward floor near the largest
+    # double makes the reward -inf, and a per-patient cost there makes
+    # every replicate's payoff -inf
+    "evaluate_reward_overflow": (
+        CONFIG_CASE1, ["evaluate", "--design", "classical", "--n", "200", *_PUBLIC,
+                       "--set", "reward.mu_F=1.7e308"],
+        "the result of DesignSpec(kind='classical', n=200, alpha_S=None) is not finite: "
+        "expected_utility = -inf, expected_reward_F = -inf"),
+    "simulate_cost_overflow": (
+        CONFIG_CASE1, ["simulate", "--design", "stratified", "--n", "200", "--alpha-s", "0.01",
+                       "--replicates", "2000", *_PUBLIC, "--set", "cost.per_patient=1.7e308"],
+        "the Monte Carlo estimate is not finite: mean = -inf"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_EXIT_3_REPROS))
 def test_exit_3_prints_its_line_alone(tmp_path, name):
-    # in a process of its own, whose stderr is exactly the one line
-    config, extra, message = _EXIT_3_REPROS[name]
-    config_path = tmp_path / "scenario.cfg"
+    # in a process of its own, whose stderr is exactly the one line, and
+    # which writes no output
+    config, argv, message = _EXIT_3_REPROS[name]
+    config_path, out = tmp_path / "scenario.cfg", tmp_path / "run"
     config_path.write_text(config)
-    proc = _python("-m", "trialopt.cli", "optimize", "--config", str(config_path),
-                   "--out", str(tmp_path), *extra)
+    proc = _python("-m", "trialopt.cli", *argv, "--config", str(config_path), "--out", str(out))
     assert (proc.returncode, proc.stderr) == (3, f"numeric failure: {message}\n")
+    assert not out.exists()
 
 
 def test_successful_run_shows_its_warnings(config_path, tmp_path):
-    # a run that succeeds keeps its warnings: an evaluate whose cost
-    # overflows to inf writes its -inf utility and warns once
+    # a run that succeeds keeps its warnings: a sponsor evaluate whose
+    # reward floor overflows the standardized floor to inf writes its
+    # finite utility, no reward, and warns once
+    argv = ["evaluate", "--config", config_path, "--out", str(tmp_path),
+            "--design", "classical", "--n", "200", "--set", "reward.mu_F=1.7e308"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["evaluate", "--config", config_path, "--out", str(tmp_path),
-                     "--design", "classical", "--n", "200",
-                     "--set", "cost.per_patient=1e308"]) == 0
+        assert main(argv) == 0
     assert [(w.category, str(w.message)) for w in caught] == [
-        (RuntimeWarning, "overflow encountered in multiply")]
+        (RuntimeWarning, "overflow encountered in divide")]
+    header, rows = read_rows(tmp_path / "evaluate.csv")
+    assert rows[0][header.index("expected_reward_F")] == "0.0"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning):
-            main(["evaluate", "--config", config_path, "--out", str(tmp_path),
-                  "--design", "classical", "--n", "200", "--set", "cost.per_patient=1e308"])
+            main(argv)
 
 
 def test_alpha_S_one_ulp_below_alpha_at_tiny_prevalence(config_path, tmp_path):
@@ -708,6 +717,23 @@ def test_outputs_identical_in_every_execution_mode(config_path, tmp_path, comman
         want = (runs["1"] / name).read_bytes()
         assert (runs["2"] / name).read_bytes() == want
         assert (runs["-O"] / name).read_bytes() == want
+
+
+def test_package_holds_nothing_python_O_removes():
+    # python -O drops assert statements and reads __debug__ as False, and
+    # changes nothing else: a package with neither runs the same checks
+    # under -O, so Tier-1 runs once, and the -O run above is the end to
+    # end check
+    package = os.path.dirname(trialopt.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)
+                      or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
 
 
 _GOLDEN_CLI = os.path.join(os.path.dirname(__file__), "golden", "cli")
@@ -902,7 +928,9 @@ grid.alpha_points = 3
 # holds its cap, its cap + 1 and a giant value; the last two must be
 # rejected before any grid is built, as must grid.n_points values with no
 # comma. A lo:hi:count grid at its cap is 10,000 decisions, so the test
-# above accepts that one without running it.
+# above accepts that one without running it. A reward scale or a
+# per-patient cost near the largest double overflows the kernels: a
+# numeric failure.
 _EDGES = ["nan", "inf", "-inf", "-0", "0", "", "x", "1e400"]
 _FUZZ_CONFIG = {
     "lambda_S": ["0.3", "0.95", "1", "1e-300", *_EDGES],
@@ -912,11 +940,11 @@ _FUZZ_CONFIG = {
     "tau_Sc": ["0.5", "1", *_EDGES],
     "n_min": ["60", "1", "3000", "2.5", "1e300", *_EDGES],
     "cost.setup": ["5", "-1", *_EDGES],
-    "cost.per_patient": ["0.1", *_EDGES],
+    "cost.per_patient": ["0.1", "1.7e308", *_EDGES],
     "cost.screening": ["0.005", "1e300", *_EDGES],
     "reward.perspective": ["public", "sponsor", "x", ""],
-    "reward.NrS": ["1e300", "-5", *_EDGES],
-    "reward.NrF": ["10", *_EDGES],
+    "reward.NrS": ["1e300", "1.7e308", "-5", *_EDGES],
+    "reward.NrF": ["10", "1.7e308", *_EDGES],
     "reward.mu_S": ["-1", "1e300", *_EDGES],
     "reward.mu_F": ["0.3", *_EDGES],
     "prior.kind": ["strong", "weak", "x", ""],
@@ -982,24 +1010,29 @@ def _fuzz_case():
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
     # Every drawn run ends within 20 s, whatever its configuration document
     # and flags hold: with exit 0 and its CSV and manifest written, or with
-    # exit 2 or 3 and its one line alone, and no output directory.
+    # exit 2 or 3 and its one line alone, and no output directory. The
+    # draws reach every code.
     hypothesis = pytest.importorskip("hypothesis")
-    runs = itertools.count()
+    codes = []
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150,
                          print_blob=True)
     @hypothesis.given(_fuzz_case())
+    # a full reward scale near the largest double overflows the classical
+    # kernel, whatever the drawn runs hold
+    @hypothesis.example(("optimize", [("reward.NrF", "1.7e308")], []))
     def run(case):
         command, config, flags = case
         lines = [line for line in FUZZ_BASE.splitlines()
                  if line.split("=")[0].strip() not in dict(config)]
         path = tmp_path / "fuzz.cfg"
         path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in config]) + "\n")
-        out = tmp_path / f"out{next(runs)}"
+        out = tmp_path / f"out{len(codes)}"
         argv = [command, "--config", str(path), "--out", str(out),
                 *_FUZZ_DEFAULTS[command], *(token for flag in flags for token in flag)]
         with _deadline():
             code = main(argv)
+        codes.append(code)
         if code == 0:
             capsys.readouterr()
             assert (out / f"{command}.csv").is_file(), argv
@@ -1009,4 +1042,5 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
             assert prefix and _refusal_line(capsys, out).startswith(prefix), argv
 
     run()
+    assert set(codes) == {0, 2, 3}, collections.Counter(codes)
 

@@ -188,25 +188,41 @@ class TestDesignSpec:
         with pytest.raises(ValueError):
             DesignSpec("classical", n=100, alpha_S=0.01)
 
-    def test_integer_n_required(self):
-        # a bool, though an int to Python, is no size
-        for n in (10.5, True, np.True_):
-            with pytest.raises(ValueError, match="positive integer"):
-                DesignSpec("classical", n=n)
-
-    @pytest.mark.parametrize("n", [10 ** 400, math.inf, math.nan])
-    def test_n_beyond_a_double_is_a_value_error(self, n):
-        # an integer too large for a double, like an infinite size, is a
-        # bad value, not an arithmetic overflow
-        with pytest.raises(ValueError, match="finite"):
-            DesignSpec("classical", n=n)
-
     def test_check_against_scenario(self, scenario):
         DesignSpec.classical(50).check_against(scenario)
         with pytest.raises(ValueError):
             DesignSpec.classical(49).check_against(scenario)
         with pytest.raises(ValueError):
             DesignSpec.stratified(100, 0.03).check_against(scenario)
+
+
+# A size is one rule for the per-group n and the scenario's n_min alike.
+_SIZE_FIELDS = {"n": lambda n: DesignSpec("classical", n=n).n,
+                "n_min": lambda n: make_scenario(n_min=n).n_min}
+
+
+@pytest.mark.parametrize("field", sorted(_SIZE_FIELDS))
+@pytest.mark.parametrize("value, error", [
+    # a bool, though an int to Python, is no size
+    (True, "must be a positive integer, got True"),
+    (np.True_, "must be a positive integer, got True"),
+    (0, "must be a positive integer, got 0"),
+    (2.5, "must be a positive integer, got 2.5"),
+    # a non-finite size, or an integer too large for a double, is a bad
+    # value, not an arithmetic overflow
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (10 ** 400, "must be finite, got inf"),
+    (100.0, None),
+], ids=["bool", "numpy_bool", "zero", "fraction", "nan", "inf", "beyond_a_double", "float"])
+def test_one_size_rule(field, value, error):
+    if error is None:
+        size = _SIZE_FIELDS[field](value)
+        assert (size, type(size)) == (100, int)
+    else:
+        with pytest.raises(ValueError) as err:
+            _SIZE_FIELDS[field](value)
+        assert str(err.value) == f"{field} {error}"
 
 
 class TestScenario:
@@ -220,14 +236,10 @@ class TestScenario:
         (lambda: make_scenario(sigma=0.0), "sigma must be positive"),
         (lambda: make_scenario(tau_S=1.5), "tau_S must lie in [0, 1]"),
         (lambda: make_scenario(tau_Sc=-0.1), "tau_Sc must lie in [0, 1]"),
-        (lambda: make_scenario(n_min=50.5), "n_min must be a positive integer"),
-        (lambda: make_scenario(n_min=0), "n_min must be a positive integer"),
-        (lambda: make_scenario(n_min=True), "n_min must be a positive integer"),
         (lambda: CostStructure(setup=-1.0, per_patient=0.05), "cost.setup must be nonnegative"),
         (lambda: RewardStructure("sponsor", 1.0, 1.0, -0.1, 0.1),
          "reward.mu_S must be nonnegative"),
-    ], ids=["sigma", "tau_S", "tau_Sc", "n_min_fraction", "n_min_zero", "n_min_bool",
-            "cost", "reward"])
+    ], ids=["sigma", "tau_S", "tau_Sc", "cost", "reward"])
     def test_domain_error_names_the_field(self, build, message):
         with pytest.raises(ValueError) as err:
             build()

