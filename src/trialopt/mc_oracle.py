@@ -381,7 +381,9 @@ def _accumulate(design, effects_or_prior, scenario, config, value_fns, *,
 def _estimate(s1, s2, total):
     mean = s1 / total
     if total > 1:
-        variance = max(0.0, (s2 - s1 * s1 / total) / (total - 1))
+        # max keeps its first argument when the other is NaN: sums that
+        # overflow give a NaN variance, which the estimate refuses
+        variance = max((s2 - s1 * s1 / total) / (total - 1), 0.0)
         se = math.sqrt(variance / total)
     else:
         se = 0.0

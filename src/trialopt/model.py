@@ -309,8 +309,8 @@ class Scenario:
             raise ValueError(f"lambda_S must lie in (0, 1), got {self.lambda_S}")
         if _finite(self.sigma, "sigma") <= 0.0:
             raise ValueError("sigma must be positive")
-        if not math.isfinite(2.0 * self.sigma * self.sigma):
-            raise ValueError(f"sigma={self.sigma} too large: 2 sigma^2 must be a finite double")
+        if not 0.0 < 2.0 * self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma={self.sigma}: 2 sigma^2 must be a positive finite double")
         for effects, _ in self.prior:
             gap_t, gap_c = effects.treatment_arm_gap, effects.control_arm_gap
             mix = self.lambda_S * (1.0 - self.lambda_S) * (gap_t * gap_t + gap_c * gap_c)

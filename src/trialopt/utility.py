@@ -192,24 +192,19 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     finite_hi, own_lo = np.isfinite(hi), np.isfinite(lo)
     own_lo[shared] = False
     # Each end term is evaluated at the finite upper ends, then the own
-    # lower ends, and read back through k_hi and k_lo, which point past
-    # those values to the closed forms: the +inf upper ends' in order, then
-    # the -inf lower ends'. A shared lower end reads the upper end below.
+    # lower ends, and written back by those masks (a shared end by the one below).
     ends = np.concatenate((np.flatnonzero(finite_hi), np.flatnonzero(own_lo)))
     z = np.concatenate((hi[finite_hi], lo[own_lo]))
-    uppers, tops = np.count_nonzero(finite_hi), np.count_nonzero(~finite_hi)
-    k_hi = np.empty(hi.shape, dtype=np.intp)
-    k_hi[finite_hi] = np.arange(uppers)
-    k_hi[~finite_hi] = z.size + np.arange(tops)
-    k_lo = np.full(lo.shape, z.size + tops)
-    k_lo[own_lo] = np.arange(uppers, z.size)
-    k_lo[shared] = k_hi[shared - 1]
+    uppers = np.count_nonzero(finite_hi)
 
     def spread(values, top, bottom):
         """Per-piece (upper, lower) end terms from their values at z, with
         the closed forms top at +inf and bottom at -inf."""
-        values = np.concatenate((values, np.broadcast_to(top, (tops,)), (bottom,)))
-        return values[k_hi], values[k_lo]
+        upper, lower = np.empty(hi.shape), np.full(lo.shape, bottom)
+        upper[finite_hi], upper[~finite_hi] = values[:uppers], top
+        lower[own_lo] = values[uppers:]
+        lower[shared] = upper[shared - 1]
+        return upper, lower
 
     cdf_hi, cdf_lo = spread(bivariate_normal_cdf(z, y[ends], rho[ends], rho_c[ends]),
                             ndtr(y[~finite_hi]), 0.0)

@@ -9,32 +9,17 @@ import pytest
 # its asserts still run under python -O.
 pytest.register_assert_rewrite("oracles")
 
-from trialopt import (
-    CostStructure,
-    DiscretePrior,
-    EvaluationResult,
-    RewardStructure,
-    Scenario,
-    builtin_prior,
-)
+from trialopt import DiscretePrior, EvaluationResult
 from trialopt.utility import grid_row
-
-# Reward scales of the three reference market cases (MUSD per unit effect).
-CASE1 = dict(Nr=10000.0, biomarker=0.0, screening=0.0)
-CASE2 = dict(Nr=1000.0, biomarker=0.0, screening=0.0)
-CASE3 = dict(Nr=1000.0, biomarker=10.0, screening=0.005)
+from workloads import make_scenario as market_scenario
 
 
-def make_scenario(lambda_S=0.5, perspective="sponsor", case=CASE2,
+def make_scenario(lambda_S=0.5, perspective="sponsor", case=2,
                   prior_kind="weak", delta=0.3, **overrides):
-    costs = CostStructure(setup=1.0, per_patient=0.05,
-                          biomarker=case["biomarker"], screening=case["screening"])
-    rewards = RewardStructure(perspective, NrS=case["Nr"], NrF=case["Nr"],
-                              mu_S=0.1, mu_F=0.1)
-    fields = dict(lambda_S=lambda_S, costs=costs, rewards=rewards,
-                  prior=builtin_prior(prior_kind, delta))
-    fields.update(overrides)
-    return Scenario(**fields)
+    """perfbench's scenario of market case 1, 2 or 3 (``workloads.CASES``),
+    with the given fields replaced."""
+    return replace(market_scenario(lambda_S, perspective, case, prior_kind, delta),
+                   **overrides)
 
 
 def with_rewards(scenario, **kw):

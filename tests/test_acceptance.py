@@ -21,7 +21,7 @@ from trialopt.numerics import bivariate_upper_orthant
 from trialopt.optimizer import GridConfig, optimize_family, sweep_contour, sweep_prevalence
 from trialopt.testing import alpha_F_given_alpha_S
 from trialopt.utility import eu_prior_averaged
-from conftest import CASE1, CASE2, make_scenario, one_atom
+from conftest import make_scenario, one_atom
 
 # Ten swept prevalences: all criterion anchor points (0.05, 0.3, 0.5, 0.7)
 # plus dense coverage of [0.2, 0.8]. The grid tops out at 0.75 because the
@@ -57,7 +57,7 @@ def case1_sweeps():
     """Case 1 weak-prior sweeps for both perspectives, with elapsed times."""
     out = {}
     for perspective in ("sponsor", "public"):
-        scenario = make_scenario(perspective=perspective, case=CASE1)
+        scenario = make_scenario(perspective=perspective, case=1)
         start = time.monotonic()
         decisions = sweep_prevalence(scenario, SWEEP_LAMBDAS)
         out[perspective] = (decisions, time.monotonic() - start)
@@ -67,7 +67,7 @@ def case1_sweeps():
 @pytest.fixture(scope="module")
 def sponsor_anchor_08():
     """Direct sponsor optimizations at lambda_S = 0.8 (criterion 5c endpoint)."""
-    scenario = make_scenario(lambda_S=0.8, case=CASE1)
+    scenario = make_scenario(lambda_S=0.8, case=1)
     return {family: optimize_family(family, scenario)
             for family in ("stratified", "enrichment")}
 
@@ -176,7 +176,7 @@ def test_criterion_6_strong_prior_public_selection():
     with criterion(6, "strong-prior public selection"):
         for lam in (0.05, 0.3, 0.5, 0.7):
             scenario = make_scenario(lambda_S=lam, perspective="public",
-                                     case=CASE2, prior_kind="strong")
+                                     case=2, prior_kind="strong")
             outcomes = {f: optimize_family(f, scenario) for f in FAMILIES}
             if lam == 0.05:
                 assert all(o.result.expected_utility < 0.0
@@ -190,13 +190,13 @@ def test_criterion_7_design_map_rows():
     lambdas = np.linspace(0.05, 0.95, 10)
     deltas = np.linspace(0.0, 1.0, 10)
     with criterion(7, "design-map rows"):
-        sponsor = make_scenario(perspective="sponsor", case=CASE2)
+        sponsor = make_scenario(perspective="sponsor", case=2)
         matrix = sweep_contour(sponsor, lambdas, deltas, CONTOUR_GRID)
         flat = [cell for row in matrix for cell in row]
         assert all(cell.selected != "no_trial" for cell in flat)
         assert all(cell.selected != "enrichment" for cell in flat)
         assert all(cell.best.best_design.n == 50 for cell in matrix[0])  # delta = 0 row
-        public = make_scenario(perspective="public", case=CASE2)
+        public = make_scenario(perspective="public", case=2)
         null_row = sweep_contour(public, lambdas, [0.0], CONTOUR_GRID)[0]
         assert all(cell.selected == "no_trial" for cell in null_row)
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from trialopt.mc_oracle import (
     mc_fwer,
     mc_rejection_probs,
 )
-from trialopt.model import DesignSpec, DiscretePrior, EffectPair, trial_cost
+from trialopt.model import CostStructure, DesignSpec, DiscretePrior, EffectPair, trial_cost
 from trialopt.utility import eu_prior_averaged
 from conftest import make_scenario, one_atom, with_rewards
 from oracles import iid_strata_counts, labelled_estimates
@@ -64,6 +65,15 @@ class TestSimulateTrial:
         assert est.mean == -cost
         assert est.std_error == 0.0
 
+    def test_constant_payoff_rounded_below_zero_has_zero_std_error(self):
+        # twenty payoffs of -1.1: the sums give a variance of -5.6e-16,
+        # rounding's, which reads as a standard error of 0
+        scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
+        scenario = replace(scenario, costs=CostStructure(setup=1.1, per_patient=0.0))
+        est = mc_expected_utility(DesignSpec.classical(80), EffectPair(0.3, 0.0), scenario,
+                                  SimConfig(replicates=20, seed=0))
+        assert est.std_error == 0.0
+
     def test_overwhelming_effect_rejects(self):
         scenario = make_scenario()
         probs = mc_rejection_probs(
@@ -88,13 +98,6 @@ class TestExpectedUtility:
         via_atom = mc_expected_utility(design, atom, scenario, config)
         assert via_prior == via_atom
 
-    def test_oracle_contract_enrichment(self, scenario):
-        atom = EffectPair(0.3, 0.0)
-        design = DesignSpec.enrichment(200)
-        est = mc_expected_utility(design, atom, scenario, SimConfig(replicates=10**6, seed=3))
-        analytic = eu_prior_averaged(design, one_atom(scenario, atom)).expected_utility
-        assert abs(analytic - est.mean) <= 3.0 * est.std_error
-
     def test_prior_draws_atoms_by_weight(self, scenario):
         # mean under the prior must sit between the per-atom means
         config = SimConfig(replicates=200_000, seed=21)
@@ -104,20 +107,6 @@ class TestExpectedUtility:
                     for e, _ in scenario.prior]
         assert min(per_atom) - 1.0 <= est.mean <= max(per_atom) + 1.0
 
-    def test_binomial_mode_runs_and_is_close(self):
-        # report-only robustness mode: no tolerance asserted on the gap
-        scenario = make_scenario(lambda_S=0.5)
-        atom = EffectPair(0.3, 0.15)
-        fixed = mc_expected_utility(DesignSpec.stratified(200, 0.0125), atom,
-                                    scenario, SimConfig(10**5, 17))
-        random_strata = mc_expected_utility(
-            DesignSpec.stratified(200, 0.0125), atom, scenario,
-            SimConfig(10**5, 17, strata_mode=BINOMIAL_RANDOM))
-        print(f"fixed {fixed.mean:.3f}+-{fixed.std_error:.3f}  "
-              f"binomial {random_strata.mean:.3f}+-{random_strata.std_error:.3f}  "
-              f"gap {abs(fixed.mean - random_strata.mean):.3f}")
-        assert math.isfinite(random_strata.mean)
-
     def test_binomial_mode_survives_tiny_prevalence(self):
         # lambda 0.05 at n = 50 leaves a stratum empty in 8% of binomial draws
         scenario = make_scenario(lambda_S=0.05)
@@ -125,18 +114,6 @@ class TestExpectedUtility:
             DesignSpec.stratified(50, 0.0125), EffectPair(0.3, 0.0), scenario,
             SimConfig(20_000, 19, strata_mode=BINOMIAL_RANDOM))
         assert math.isfinite(est.mean)
-
-    def test_classical_binomial_mixture_mode(self):
-        scenario = make_scenario(lambda_S=0.4)
-        atom = EffectPair(0.3, 0.0)
-        design = DesignSpec.classical(200)
-        est = mc_expected_utility(design, atom, scenario,
-                                  SimConfig(10**5, 23, strata_mode=BINOMIAL_RANDOM))
-        analytic = eu_prior_averaged(design, one_atom(scenario, atom)).expected_utility
-        print(f"classical mixture-mode gap: {abs(est.mean - analytic):.3f} "
-              f"(se {est.std_error:.3f})")
-        assert math.isfinite(est.mean)
-
 
 class TestFwer:
     def test_non_null_rejected(self, scenario):

@@ -26,12 +26,11 @@ from trialopt.model import (
     trial_cost,
 )
 from trialopt.optimizer import GridConfig
-from trialopt.utility import classical_variance
+from trialopt.utility import classical_variance, eu_prior_averaged
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-CASE3_COSTS = CostStructure(setup=1.0, per_patient=0.05, biomarker=10.0,
-                            screening=0.005)
+CASE3_COSTS = make_scenario(case=3).costs
 
 
 class TestEffectPair:
@@ -244,6 +243,14 @@ class TestScenario:
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("sigma", [1e-160, 9.4e153])
+    def test_sigma_beside_the_refused_ones_is_accepted(self, sigma):
+        # 2 sigma^2 is about 2e-320, a subnormal, or 1.77e308, just below
+        # the largest double: a positive finite variance, which the
+        # classical kernel takes
+        result = eu_prior_averaged(DesignSpec.classical(100), make_scenario(sigma=sigma))
+        assert math.isfinite(result.expected_utility)
 
     def test_perspective_validated(self):
         with pytest.raises(ValueError):

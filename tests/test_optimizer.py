@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from trialopt import optimizer, utility
 from trialopt.model import DesignSpec, DiscretePrior, EffectPair
@@ -22,7 +23,7 @@ from trialopt.optimizer import (
     sweep_prevalence,
 )
 from trialopt.utility import eu_prior_averaged, grid_row
-from conftest import CASE1, CASE3, make_scenario, one_atom, with_rewards
+from conftest import make_scenario, one_atom, with_rewards
 
 # Coarse grid keeps optimizer tests quick; refinement recovers precision.
 FAST = GridConfig(
@@ -72,20 +73,6 @@ class TestOptimizeFamily:
         with pytest.raises(NumericError, match=f"^{family}: no grid point has a finite"):
             optimize_family(family, make_scenario(), FAST)
 
-    def test_classical_matches_exhaustive_scan(self):
-        # Independent oracle: every integer n in [50, 2000] via closed form.
-        from trialopt.model import DiscretePrior, EffectPair
-        scenario = make_scenario(perspective="public").with_prior(
-            DiscretePrior(((EffectPair(0.3, 0.3), 1.0),)))
-        best_n, best_eu = None, -math.inf
-        for n in range(50, 2001):
-            eu = eu_prior_averaged(DesignSpec.classical(n), scenario).expected_utility
-            if eu > best_eu:
-                best_n, best_eu = n, eu
-        outcome = optimize_family("classical", scenario, FAST)
-        assert outcome.result.expected_utility >= best_eu * (1.0 - 1e-3)
-        assert abs(outcome.best_design.n - best_n) <= 2
-
     def test_refinement_never_loses(self):
         scenario = make_scenario(lambda_S=0.35)
         grid_eu, *_ = optimizer._grid_best("stratified", scenario, FAST)
@@ -94,9 +81,9 @@ class TestOptimizeFamily:
 
     @pytest.mark.parametrize("family", ["classical", "stratified", "enrichment"])
     @pytest.mark.parametrize("lambda_S,perspective,case,prior_kind", [
-        (0.35, "sponsor", CASE1, "weak"),
-        (0.6, "public", CASE3, "strong"),
-        (0.8, "sponsor", CASE3, "strong"),
+        (0.35, "sponsor", 1, "weak"),
+        (0.6, "public", 3, "strong"),
+        (0.8, "sponsor", 3, "strong"),
     ])
     def test_matches_integer_scans(self, family, lambda_S, perspective, case, prior_kind):
         # Compares with integer scans: every n the refinement can reach for
@@ -134,8 +121,8 @@ class TestSizeBlocks:
     # grid in one call must decide exactly alike.
     @pytest.mark.parametrize("settings", [1, 10 ** 9])
     def test_block_cap_never_shows(self, monkeypatch, settings):
-        scenarios = [make_scenario(lambda_S=0.35, case=CASE1),
-                     make_scenario(lambda_S=0.6, perspective="public", case=CASE3,
+        scenarios = [make_scenario(lambda_S=0.35, case=1),
+                     make_scenario(lambda_S=0.6, perspective="public", case=3,
                                    prior_kind="strong")]
         want = [optimizer.decide(s) for s in scenarios]
         monkeypatch.setattr(optimizer, "_BLOCK_SETTINGS", settings)
@@ -269,7 +256,7 @@ def _bound_domain():
             ({}, {"NrS": 0.0}, {"NrF": 0.0}, {"mu_S": 0.0, "mu_F": 0.0}),
             (0.0, 0.6), (0.0, 0.8)):
         scenario = with_rewards(make_scenario(lambda_S=lam, perspective=perspective,
-                                              case=CASE1, delta=delta), **rewards)
+                                              case=1, delta=delta), **rewards)
         yield scenario.with_prior(DiscretePrior(tuple(
             (EffectPair(e.delta_S, e.delta_Sc, offset), w) for e, w in scenario.prior)))
 
@@ -287,18 +274,18 @@ def _mixed_scenarios():
     cell, zero rewards, and a spread of prevalences, perspectives, market
     cases and priors."""
     return [
-        make_scenario(lambda_S=0.95, perspective="public", case=CASE1, delta=0.6),
+        make_scenario(lambda_S=0.95, perspective="public", case=1, delta=0.6),
         make_scenario(lambda_S=0.5, perspective="public", delta=0.0),
         with_rewards(make_scenario(), NrS=0.0, NrF=0.0),
-        make_scenario(lambda_S=0.05, case=CASE1, prior_kind="strong", delta=1.0),
-        make_scenario(lambda_S=0.3, case=CASE3, delta=0.15),
-        make_scenario(lambda_S=0.7, perspective="public", case=CASE3,
+        make_scenario(lambda_S=0.05, case=1, prior_kind="strong", delta=1.0),
+        make_scenario(lambda_S=0.3, case=3, delta=0.15),
+        make_scenario(lambda_S=0.7, perspective="public", case=3,
                       prior_kind="strong", delta=0.4),
-        make_scenario(lambda_S=0.95, case=CASE1, delta=0.6),
-        make_scenario(lambda_S=0.35, perspective="public", case=CASE1, delta=0.3),
+        make_scenario(lambda_S=0.95, case=1, delta=0.6),
+        make_scenario(lambda_S=0.35, perspective="public", case=1, delta=0.3),
         make_scenario(lambda_S=0.6, prior_kind="strong", delta=0.3),
         make_scenario(lambda_S=0.8, perspective="public", delta=1.0),
-        make_scenario(lambda_S=0.2, case=CASE3, prior_kind="strong", delta=0.0),
+        make_scenario(lambda_S=0.2, case=3, prior_kind="strong", delta=0.0),
         with_rewards(make_scenario(lambda_S=0.45, perspective="public"),
                      mu_S=0.0, mu_F=0.0),
     ]
@@ -326,7 +313,7 @@ class TestStageOnePruning:
         # only if no size near the best is skipped. With free patients the
         # bound exceeds the utility by gain * (1 - P(reject)) alone, below
         # 1e-6 MUSD near n = 400, so the margin's sign matters too.
-        public = make_scenario(perspective="public", case=CASE1)
+        public = make_scenario(perspective="public", case=1)
         cases = [(scenario, optimizer._BLOCK_SETTINGS) for scenario in _mixed_scenarios()]
         for per_patient in (1e-5, 0.0):
             cheap = replace(public, costs=replace(public.costs, per_patient=per_patient))
@@ -425,7 +412,7 @@ class TestBimodalRow:
     # n = 200 stage-1 row has two alpha_S peaks: 3847.20658 at index 10
     # and 3847.22259 at index 19. Refinement narrows only around the best
     # grid point, so nothing near the other peak may beat its optimum.
-    SCENARIO = dict(lambda_S=0.95, perspective="public", case=CASE1,
+    SCENARIO = dict(lambda_S=0.95, perspective="public", case=1,
                     prior_kind="weak", delta=0.6)
 
     def test_stage_one_keeps_the_higher_peak(self):
@@ -450,14 +437,8 @@ class TestBimodalRow:
 
 
 class TestSelectDesign:
-    def test_zero_rewards_select_no_trial(self):
-        scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
-        outcome = select_design(scenario, FAST)
-        assert outcome.best_design.kind == "no_trial"
-        assert outcome.result.expected_utility == 0.0
-
     def test_case1_sponsor_midrange_prefers_stratified(self):
-        scenario = make_scenario(lambda_S=0.5, case=CASE1)
+        scenario = make_scenario(lambda_S=0.5, case=1)
         outcome = select_design(scenario, FAST)
         assert outcome.best_design.kind == "stratified"
 
@@ -472,7 +453,7 @@ class TestSelectDesign:
 
 class TestSweeps:
     def test_single_point_sweep_matches_select(self):
-        scenario = make_scenario(case=CASE1)
+        scenario = make_scenario(case=1)
         decisions = sweep_prevalence(scenario, [0.5], FAST)
         assert len(decisions) == 1
         decision = decisions[0]
@@ -485,15 +466,6 @@ class TestSweeps:
     def test_lambda_clamped_to_sweep_range(self):
         decisions = sweep_prevalence(make_scenario(), [0.01, 0.99], FAST)
         assert [d.scenario.lambda_S for d in decisions] == [0.05, 0.95]
-
-    def test_contour_single_cell(self):
-        scenario = make_scenario(perspective="public")
-        matrix = sweep_contour(scenario, [0.5], [0.3], FAST)
-        assert len(matrix) == 1 and len(matrix[0]) == 1
-        cell = matrix[0][0]
-        assert isinstance(cell, Decision)
-        direct = select_design(scenario.with_lambda(0.5), FAST)
-        assert cell.selected == direct.best_design.kind
 
     def test_contour_zero_rewards_cell_is_no_trial(self):
         scenario = with_rewards(make_scenario(), NrS=0.0, NrF=0.0)
@@ -642,15 +614,13 @@ class TestSectionMax:
                     self.check(shape, lo, hi)
 
     def test_wide_unimodal_windows_match_brute_force(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        from hypothesis import strategies as st
-
-        @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                             max_examples=150, print_blob=True)
-        @hypothesis.given(lo=st.integers(0, 3000), width=st.integers(0, 6000),
-                          peak=st.floats(0.0, 1.0), top=st.integers(0, 3),
-                          rise=st.integers(1, 9), fall=st.integers(1, 9),
-                          powers=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+        @seed(3)
+        @settings(derandomize=False, database=None, deadline=None, max_examples=150,
+                  print_blob=True)
+        @given(lo=st.integers(0, 3000), width=st.integers(0, 6000),
+               peak=st.floats(0.0, 1.0), top=st.integers(0, 3),
+               rise=st.integers(1, 9), fall=st.integers(1, 9),
+               powers=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
         def run(lo, width, peak, top, rise, fall, powers):
             hi = lo + width
             start = lo + round(peak * width)

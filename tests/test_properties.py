@@ -4,30 +4,29 @@ design family rejects with more than probability alpha at the global null,
 and every family's analytic utility and approval probabilities agree with
 the Monte Carlo oracle's in fixed strata mode.
 
-Runs under a derandomized hypothesis profile, so every run draws the same
-examples and the suite stays deterministic.
+Each property draws from a fixed, named seed, so every run draws the same
+examples, and an edit to a test's body leaves its draws as they were (a
+derandomized profile would seed them from the body's source).
 """
 
 import math
 
-import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+from scipy.special import ndtr
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from trialopt.mc_oracle import SimConfig, mc_expected_utility, mc_rejection_probs
+from trialopt.model import CLASSICAL, ENRICHMENT, SPONSOR, STRATIFIED
+from trialopt.model import DesignSpec, DiscretePrior, EffectPair, pooled_effect
+from trialopt.utility import _FIELDS, classical_variance, eu_prior_averaged, grid_row
+from conftest import atom_result, make_scenario
+from oracles import adaptive_stratified, assert_matches_oracle
 
-from scipy.special import ndtr  # noqa: E402
-
-from trialopt.mc_oracle import SimConfig, mc_expected_utility, mc_rejection_probs  # noqa: E402
-from trialopt.model import CLASSICAL, ENRICHMENT, SPONSOR, STRATIFIED  # noqa: E402
-from trialopt.model import DesignSpec, DiscretePrior, EffectPair, pooled_effect  # noqa: E402
-from trialopt.utility import _FIELDS, classical_variance, eu_prior_averaged, grid_row  # noqa: E402
-from conftest import CASE1, atom_result, make_scenario  # noqa: E402
-from oracles import adaptive_stratified, assert_matches_oracle  # noqa: E402
-
-settings.register_profile("trialopt-seeded", derandomize=True, database=None,
+settings.register_profile("trialopt-seeded", derandomize=False, database=None,
                           deadline=None, max_examples=80, print_blob=True)
+SEED = 20260810
 
 
+@seed(SEED)
 @settings(settings.get_profile("trialopt-seeded"))
 @given(
     lam=st.floats(0.001, 0.999),
@@ -41,7 +40,7 @@ settings.register_profile("trialopt-seeded", derandomize=True, database=None,
 )
 def test_closed_form_matches_oracle(lam, n, alpha_share, tau_S, tau_Sc, delta_Sc,
                                     predictive, perspective):
-    scenario = make_scenario(lambda_S=lam, perspective=perspective, case=CASE1,
+    scenario = make_scenario(lambda_S=lam, perspective=perspective, case=1,
                              tau_S=tau_S, tau_Sc=tau_Sc)
     atom = EffectPair(delta_Sc + predictive, delta_Sc)
     alpha_S = alpha_share * scenario.alpha
@@ -50,6 +49,7 @@ def test_closed_form_matches_oracle(lam, n, alpha_share, tau_S, tau_Sc, delta_Sc
     assert_matches_oracle(got, adaptive_stratified(atom, n, alpha_S, scenario))
 
 
+@seed(SEED)
 @settings(settings.get_profile("trialopt-seeded"))
 @given(
     lam=st.floats(0.01, 0.99),
@@ -101,6 +101,7 @@ def _utility_se_floor(kind, atom, n, scenario, exact):
     return math.sqrt(max(0.0, second - mean * mean) / MC_REPS)
 
 
+@seed(SEED)
 @settings(settings.get_profile("trialopt-seeded"), max_examples=120)
 @given(
     lam=st.floats(0.01, 0.99),
@@ -113,15 +114,21 @@ def _utility_se_floor(kind, atom, n, scenario, exact):
     offset=st.floats(-0.5, 0.5),
     perspective=st.sampled_from(["sponsor", "public"]),
     kind=st.sampled_from([CLASSICAL, STRATIFIED, ENRICHMENT]),
+    case=st.sampled_from([1, 2, 3]),
 )
+# a classical and a stratified sponsor design of market case 1
+@example(lam=0.5, n=300, alpha_share=0.0, tau_S=0.3, tau_Sc=0.3, delta_Sc=0.15,
+         predictive=0.15, offset=0.0, perspective="sponsor", kind=CLASSICAL, case=1)
+@example(lam=0.5, n=300, alpha_share=0.5, tau_S=0.3, tau_Sc=0.3, delta_Sc=0.3,
+         predictive=0.0, offset=0.0, perspective="sponsor", kind=STRATIFIED, case=1)
 def test_analytic_matches_monte_carlo(lam, n, alpha_share, tau_S, tau_Sc, delta_Sc,
-                                      predictive, offset, perspective, kind):
+                                      predictive, offset, perspective, kind, case):
     # Within 4 SE, where an estimate's SE is the larger of the simulation's
     # own and a lower bound on the true one from the analytic result (the
     # binomial SE for a probability), plus the rounding of a mean of
     # 2e5 equal values.
     atom = EffectPair(delta_Sc + predictive, delta_Sc, offset)
-    scenario = make_scenario(lambda_S=lam, perspective=perspective, tau_S=tau_S,
+    scenario = make_scenario(lambda_S=lam, perspective=perspective, case=case, tau_S=tau_S,
                              tau_Sc=tau_Sc, prior=DiscretePrior(((atom, 1.0),)))
     alpha_S = alpha_share * scenario.alpha if kind == STRATIFIED else None
     design = DesignSpec(kind, n=n, alpha_S=alpha_S)
