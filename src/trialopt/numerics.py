@@ -3,8 +3,18 @@ bivariate normal, a density silent on overflow and the one-sided critical
 value. The plain normal CDF and quantile are scipy's ``ndtr`` and
 ``ndtri``, called directly.
 
-All functions are pure and deterministic. Nothing here integrates
-numerically: the expected utilities are closed forms in these functions.
+All functions are pure and deterministic. The expected utilities are
+closed forms in these functions; the one quadrature here is a fixed
+Gauss-Legendre rule over an angle, inside the bivariate normal CDF.
+
+The bivariate normal CDF has two forms. :func:`bivariate_normal_cdf`
+(Owen's T) takes a correlation per element and serves the orthant and
+the level solve. The stratified kernel's calls share one correlation
+each, and :func:`bivariate_normal_cdf_fixed_rho` takes them: the exact
+product at rho = 0, Genz's Gauss-Legendre form below |rho| = 0.925, at
+about a third of Owen's cost per element, and Owen's form above. The two
+forms agree within 1e-15 absolute, and both lie within 1.4e-16 of a
+40-digit reference on 200 seeded points.
 
 Arrays go through scipy.special's ufuncs. The level solve's scalar calls
 (:func:`_one_sided_critical`, and the Owen's form that
@@ -88,10 +98,79 @@ def bivariate_normal_cdf(x, y, rho, rho_c):
 
 def _owen_cdf(x, y, rho, rho_c):
     """Owen's form of the bivariate normal CDF for finite nonzero x, y."""
-    return (0.5 * (ndtr(x) + ndtr(y))
-            - owens_t(x, (y - rho * x) / (x * rho_c))
-            - owens_t(y, (x - rho * y) / (y * rho_c))
-            - 0.5 * (x * y < 0.0))
+    # A ratio that overflows (x near 1e-300, y near 1e300) is +-inf, the
+    # limit owens_t takes.
+    with np.errstate(over="ignore"):
+        return (0.5 * (ndtr(x) + ndtr(y))
+                - owens_t(x, (y - rho * x) / (x * rho_c))
+                - owens_t(y, (x - rho * y) / (y * rho_c))
+                # the signs, not x * y, which can overflow or underflow to -0.0
+                - 0.5 * ((x < 0.0) != (y < 0.0)))
+
+
+# The nonnegative halves of the 12- and 20-point Gauss-Legendre rules on
+# [-1, 1] (nodes, then weights; the rules are symmetric), as numpy's
+# leggauss gives them, each with the |rho| below which Genz's BVNU uses it.
+# Genz's 6-point rule below |rho| = 0.3 is left out: the 12-point rule is
+# at least as accurate there, and no benchmark workload draws lambda_S
+# below 0.09 to show the 6-point rule faster.
+_GAUSS_LEGENDRE = (
+    (0.75,
+     (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+      0.9041172563704748, 0.9815606342467192),
+     (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+      0.10693932599531907, 0.04717533638651141)),
+    (0.925,
+     (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+      0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+      0.9639719272779138, 0.993128599185095),
+     (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+      0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+      0.040601429800386446, 0.017614007139150893)),
+)
+
+# Beyond this bound the CDF is saturated in double precision: Phi(-40) is
+# about 4e-350, below the smallest double.
+_SATURATED = 40.0
+
+
+def bivariate_normal_cdf_fixed_rho(x, y, rho: float, rho_c: float):
+    """P(X <= x, Y <= y) for a standard bivariate normal with correlation
+    rho, elementwise over arrays x and y of finite values at one scalar
+    rho in (-1, 1); rho_c = sqrt(1 - rho^2).
+
+    rho = 0 is the exact product Phi(x) Phi(y). Below |rho| = 0.925 it is
+    the Drezner-Wesolowsky form as Genz's BVNU evaluates it (Genz 2004,
+    Statist. Comput. 14:251-260): Phi(x) Phi(y) plus the integral over
+    theta in [0, asin rho] of exp(-(x^2 + y^2 - 2 x y sin theta) /
+    (2 cos^2 theta)) / (2 pi), by the 12-point Gauss-Legendre rule below
+    |rho| = 0.75 and the 20-point rule above, with x and y clipped to the
+    saturated range [-40, 40] so that no square overflows. The rule runs
+    one node at a time, so its temporaries have the inputs' size and each
+    element's value does not depend on the others. At |rho| >= 0.925,
+    Genz's own switch point, it is :func:`bivariate_normal_cdf` (Owen's
+    form), which is also the test oracle of the rule.
+    """
+    if rho == 0.0:
+        return ndtr(x) * ndtr(y)
+    if abs(rho) >= _GAUSS_LEGENDRE[-1][0]:
+        return bivariate_normal_cdf(x, y, rho, rho_c)
+    nodes, weights = next((t, w) for bound, t, w in _GAUSS_LEGENDRE if abs(rho) < bound)
+    x = np.clip(x, -_SATURATED, _SATURATED)
+    y = np.clip(y, -_SATURATED, _SATURATED)
+    xy, half_sq = x * y, 0.5 * (x * x + y * y)
+    half = 0.5 * math.asin(rho)
+    total, term, spare = np.zeros(xy.shape), np.empty(xy.shape), np.empty(xy.shape)
+    for t, w in zip(nodes, weights):
+        for sn in (math.sin(half * (1.0 - t)), math.sin(half * (1.0 + t))):
+            # exp((sn x y - (x^2 + y^2) / 2) / (1 - sn^2)), times the weight
+            scale = 1.0 / (1.0 - sn * sn)
+            np.subtract(np.multiply(xy, sn * scale, out=term),
+                        np.multiply(half_sq, scale, out=spare), out=term)
+            np.exp(term, out=term)
+            term *= w
+            total += term
+    return total * (half / (2.0 * math.pi)) + ndtr(x) * ndtr(y)
 
 
 def bivariate_upper_orthant(h: float, k: float, rho: float) -> float:

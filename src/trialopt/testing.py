@@ -226,6 +226,11 @@ def _region_lines(geom: _Geometry, z_S, sponsor: bool):
     # at level alpha_F.
     a_s = np.where(gate_by_z, -np.inf, pooled_alpha_F / geom.sq_lamc)
     b_s = np.where(gate_by_z, 0.0, geom.pooled_slope)
+    # Line 1 never lies above line 0, and off the gate it often equals it:
+    # an empty slice. The comparison kills those pieces. It is for speed:
+    # without it the results are the same, but the zero-width slices reach
+    # the CDF, and the decisions of optimize seed 11 ran 4% slower (13.7
+    # against 13.1 ms each, 2 vCPUs).
     alive_s = (t_S >= geom.crit_alpha) & (
         a_s + b_s * z_S < np.where(alive_f, a_f + b_f * z_S, np.inf))
     lines = [(alive_f, a_f, b_f), (alive_s, a_s, b_s)]

@@ -7,7 +7,9 @@ breakpoints of the region geometry from :mod:`trialopt.testing`, every
 region bound in z_Sc is one straight line a + b z_S, so each probability
 and reward integral over z_S is a sum of bivariate-normal and
 normal-density terms. The bivariate-normal CDF is evaluated once per
-distinct (line, breakpoint), in one call per kernel call: adjacent pieces
+distinct (line, breakpoint), in one call per line slope, each at the one
+correlation its lines share (Genz's Gauss-Legendre form, see
+:func:`trialopt.numerics.bivariate_normal_cdf_fixed_rho`): adjacent pieces
 on the same line share their common end, the infinite ends are closed
 forms, A_S's upper bound is read from the A_F line it equals, and the
 sponsor's floor line is integrated only where it differs from A_F's.
@@ -46,7 +48,7 @@ from .model import (
 from .numerics import (
     NumericError,
     _one_sided_critical,
-    bivariate_normal_cdf,
+    bivariate_normal_cdf_fixed_rho,
     require_finite,
     std_normal_pdf,
 )
@@ -160,13 +162,13 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     for J1. The alive (line, piece) slots are picked once, by their flat
     index, and every pass after that runs on those slots alone. Every
     term is computed once per distinct (line, breakpoint), the CDF in one
-    call: at the upper end of every piece, and at a lower end only where
-    the piece below is not alive on the same (a, b). The infinite ends
-    are closed forms (the CDF is 0 at -inf and Phi(-a / s) at +inf,
-    Phi(s (z + m)) is 0 and 1, the edge 0), so the CDF sees no limit in
-    x. Each piece's difference is taken from the same values as when
-    every end is evaluated on its own, so the results are the same bit
-    for bit.
+    call per slope b, at its correlation b / s: at the upper end of every
+    piece, and at a lower end only where the piece below is not alive on
+    the same (a, b). The infinite ends are closed forms (the CDF is 0 at
+    -inf and Phi(-a / s) at +inf, Phi(s (z + m)) is 0 and 1, the edge 0),
+    so the CDF sees no limit in x. Each piece's difference is taken from
+    the same values as when every end is evaluated on its own, so the
+    results are the same bit for bit.
     """
     out = np.zeros((3, alive.size))
     flat = np.flatnonzero(alive)
@@ -188,7 +190,7 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
     s = np.sqrt(1.0 + b * b)
     # (Z, W) independent: P(Z <= z, W > a + b Z) = P(Z <= z, Y <= -a / s)
     # with Y = (b Z - W) / s, standard normal at correlation b / s with Z.
-    y, rho, rho_c = -a / s, b / s, 1.0 / s
+    y = -a / s
     finite_hi, own_lo = np.isfinite(hi), np.isfinite(lo)
     own_lo[shared] = False
     # Each end term is evaluated at the finite upper ends, then the own
@@ -206,8 +208,14 @@ def _line_integrals(a, b, lo, hi, alive, moments: bool):
         lower[shared] = upper[shared - 1]
         return upper, lower
 
-    cdf_hi, cdf_lo = spread(bivariate_normal_cdf(z, y[ends], rho[ends], rho_c[ends]),
-                            ndtr(y[~finite_hi]), 0.0)
+    # Every line of one slope has one correlation: one CDF call per slope.
+    b_ends, y_ends, cdf = b[ends], y[ends], np.empty(z.shape)
+    for slope in np.unique(b_ends):
+        group = b_ends == slope
+        s_group = math.sqrt(1.0 + slope * slope)
+        cdf[group] = bivariate_normal_cdf_fixed_rho(z[group], y_ends[group],
+                                                    slope / s_group, 1.0 / s_group)
+    cdf_hi, cdf_lo = spread(cdf, ndtr(y[~finite_hi]), 0.0)
     out[0, flat] = cdf_hi - cdf_lo
     if moments:
         m = a * b / (s * s)

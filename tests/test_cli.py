@@ -2,6 +2,7 @@ import ast
 import collections
 import contextlib
 import dataclasses
+import math
 import os
 import signal
 import subprocess
@@ -123,6 +124,17 @@ class TestEvaluateCommand:
                      "--n", "100", "--alpha-s", "-0", "--out", str(tmp_path)]) == 0
         header, rows = read_rows(tmp_path / "evaluate.csv")
         assert rows[0][header.index("alpha_S")] == "0.0"
+
+    def test_tiny_sigma_runs_without_warnings(self, config_path, tmp_path):
+        # sigma = 1e-160 puts the CDF's bounds near 1e160, where x * y and
+        # x * x overflow; the fixed-rho CDF clips them to its saturated range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", config_path, "--design", "stratified",
+                         "--n", "100", "--alpha-s", "0.0125", "--set", "sigma=1e-160",
+                         "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "evaluate.csv")
+        assert all(math.isfinite(float(v)) for v in rows[0][1:])
 
     def test_level_condition_failure_exits_3(self, config_path, tmp_path, capsys,
                                              broken_orthant):

@@ -15,7 +15,9 @@ from trialopt.numerics import (
     SCALAR,
     NumericError,
     _one_sided_critical,
+    _GAUSS_LEGENDRE,
     bivariate_normal_cdf,
+    bivariate_normal_cdf_fixed_rho,
     bivariate_upper_orthant,
     std_normal_pdf,
 )
@@ -257,6 +259,48 @@ class TestBivariateCdf:
         for args in [(0.0, 0.4, 0.3, math.sqrt(0.91)), (0.2, 0.0, -0.3, math.sqrt(0.91)),
                      (0.0, 0.0, 0.3, math.sqrt(0.91)), (0.2, 0.4, 0.3, math.sqrt(0.91))]:
             self.assert_against_conditioning(*args[:3], bivariate_normal_cdf(*args))
+
+    def test_half_plane_term_reads_the_signs(self):
+        # x * y of 1e-200 and -1e-200 underflows to -0.0, which is not < 0;
+        # the values are those of the (0, 0) limit, 1/4 + asin(rho) / (2 pi)
+        assert bivariate_upper_orthant(1e-200, -1e-200, -0.5) == pytest.approx(1.0 / 6.0,
+                                                                             abs=1e-15)
+        assert bivariate_normal_cdf(-1e-200, 1e-200, -math.sqrt(0.3), math.sqrt(0.7)) == (
+            pytest.approx(0.25 + math.asin(-math.sqrt(0.3)) / (2.0 * math.pi), abs=1e-15))
+
+    def test_gauss_legendre_tables_are_numpys(self):
+        for _, nodes, weights in _GAUSS_LEGENDRE:
+            x, w = np.polynomial.legendre.leggauss(2 * len(nodes))
+            assert (tuple(x[len(nodes):]), tuple(w[len(nodes):])) == (nodes, weights)
+
+    # Every |rho| band of the fixed-rho CDF: the exact product, the 12- and
+    # 20-point rules, and Owen's form from 0.925 on. Each rule's band is
+    # checked at a random |rho| and just below its upper bound, where the
+    # rule is weakest; Owen's band at its switch point too.
+    @pytest.mark.parametrize("band", [(0.0, 0.0), (0.0, 0.75), (0.75, 0.925),
+                                      (0.925, 0.9999)])
+    def test_fixed_rho_against_owen(self, band):
+        rng = np.random.default_rng(round(1e4 * band[1]))
+        edge = np.array([0.0, 1e-300, -1e-300, 1e160, -1e160, 1e300, -1e300, 40.0, -40.0])
+        inner = rng.uniform(-8.0, 8.0, edge.size)
+        x = np.concatenate((rng.uniform(-40.0, 40.0, 2000), rng.uniform(-8.0, 8.0, 2000),
+                            np.repeat(edge, edge.size), edge, inner))
+        y = np.concatenate((rng.uniform(-40.0, 40.0, 2000), rng.uniform(-8.0, 8.0, 2000),
+                            np.tile(edge, edge.size), inner, edge))
+        ends = [band[0] if band[0] == 0.925 else float(np.nextafter(band[1], 0.0))]
+        for rho in [sign * r for r in [float(rng.uniform(*band))] + ends for sign in (1.0, -1.0)]:
+            rho_c = math.sqrt((1.0 - rho) * (1.0 + rho))
+            got = bivariate_normal_cdf_fixed_rho(x, y, rho, rho_c)
+            if rho == 0.0:
+                assert got.tolist() == (special.ndtr(x) * special.ndtr(y)).tolist()
+            elif abs(rho) >= 0.925:
+                assert got.tolist() == bivariate_normal_cdf(x, y, rho, rho_c).tolist()
+            else:
+                want = bivariate_normal_cdf(x, y, rho, rho_c)
+                assert np.max(np.abs(got - want)) <= 1e-15
+            # each element's value is its own, whatever the others
+            assert got[::7].tolist() == bivariate_normal_cdf_fixed_rho(
+                x[::7], y[::7], rho, rho_c).tolist()
 
 
 def gk_integral(f, lo, hi, abs_tol, breakpoints=(), max_segments=2048):

@@ -303,7 +303,7 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
     sizes, and with ``sponsor`` random estimate floors. Yields, per
     setting, membership of A_F and A_S read off _region_lines, the same
     from reject_stratified with the floors, and the lines at the kernel's
-    piece abscissae plus random points."""
+    piece abscissae plus random points, with those abscissae."""
     lam = float(rng.uniform(0.01, 0.99))
     scenario = make_scenario(lambda_S=lam, tau_S=tau_S, tau_Sc=tau_Sc)
     for alpha_S in (0.0, float(rng.uniform(0.0, 0.025)), 0.025):
@@ -322,7 +322,8 @@ def region_domain(rng, tau_S, tau_Sc, sponsor):
                 want[0] &= pooled_effect(effects, lam) + geom.se_F * (
                     geom.sq_lam * z_S + geom.sq_lamc * z_Sc) > mu_F
                 want[1] &= effects.delta_S + geom.se_S * z_S > mu_S
-            yield region_members(geom, z_S, z_Sc, sponsor), want, _region_lines(geom, z_S, sponsor)
+            yield (region_members(geom, z_S, z_Sc, sponsor), want, z_S,
+                   _region_lines(geom, z_S, sponsor))
 
 
 def assert_pieces_equal_concatenated(geom):
@@ -481,7 +482,7 @@ class TestRegionSlices:
         rng = np.random.default_rng(round(100 * tau_S + 10 * tau_Sc))
         bounded = 0
         for _ in range(8):
-            for got, want, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, False):
+            for got, want, _, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, False):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
                 assert len(alive) == 2 and np.array_equal(alive_S, alive[1])
@@ -496,7 +497,7 @@ class TestRegionSlices:
         rng = np.random.default_rng(41)
         cut = 0
         for tau_S, tau_Sc in itertools.product(TAUS, repeat=2):
-            for got, want, (alive, _, _, _) in region_domain(rng, tau_S, tau_Sc, True):
+            for got, want, _, (alive, _, _, _) in region_domain(rng, tau_S, tau_Sc, True):
                 assert np.array_equal(got[0], want[0])
                 assert not np.any(alive[2] & ~alive[0])
                 cut += np.count_nonzero(alive[2])
@@ -510,12 +511,25 @@ class TestRegionSlices:
         rng = np.random.default_rng(43)
         cut = 0
         for tau_S, tau_Sc in itertools.product(TAUS, repeat=2):
-            for got, want, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, True):
+            for got, want, _, (alive, _, _, alive_S) in region_domain(rng, tau_S, tau_Sc, True):
                 assert np.array_equal(got[1], want[1])
                 assert not np.any(alive_S & ~alive[1])
                 cut += np.count_nonzero(alive[1] & ~alive_S)
         # the floor cuts A_S somewhere
         assert cut > 0
+
+    def test_no_zero_width_A_S_slice(self):
+        # Line 1 never lies above line 0, and where it equals it A_S's
+        # slice is empty: line 1 is dead there, so no zero-width slice
+        # reaches the kernel's CDF.
+        rng = np.random.default_rng(47)
+        equal = 0
+        for tau_S, tau_Sc in itertools.product(TAUS, repeat=2):
+            for _, _, z_S, (alive, a, b, _) in region_domain(rng, tau_S, tau_Sc, False):
+                same = alive[0] & (a[1] + b[1] * z_S == a[0] + b[0] * z_S)
+                assert not np.any(same & alive[1])
+                equal += np.count_nonzero(same)
+        assert equal > 0
 
     def test_slice_bound(self, scenario):
         # every slice is one interval in z_Sc, and A_F's reaches +inf

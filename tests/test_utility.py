@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trialopt import utility
+from trialopt import numerics, utility
 from trialopt.model import DesignSpec, EffectPair, trial_cost
 from trialopt.numerics import NumericError
 from trialopt.optimizer import optimize_family
@@ -304,18 +304,32 @@ class TestLineIntegrals:
 class TestCdfSharing:
     # A default-grid stratified optimize_family; the per-piece kernel this
     # replaced passed the CDF 133,200 elements (12,412 with infinite x) on
-    # the sponsor scenario and 63,296 (8,472) on the public one.
-    @pytest.mark.parametrize("perspective, per_piece", [("sponsor", 133_200),
-                                                        ("public", 63_296)])
-    def test_one_cdf_call_per_kernel_call(self, record_calls, perspective, per_piece):
-        cdf_calls = record_calls(utility, "bivariate_normal_cdf", lambda x, y, rho, rho_c: (
-            np.broadcast(x, y, rho, rho_c).size, int(np.count_nonzero(np.isinf(x)))))
+    # the sponsor scenario and 63,296 (8,472) on the public one, both at
+    # lambda_S = 0.5. At lambda_S = 0.9 the pooled lines' correlation,
+    # -sqrt(0.9), lies beyond Owen's switch point, 0.925.
+    @pytest.mark.parametrize("perspective, lam, per_piece", [("sponsor", 0.5, 133_200),
+                                                             ("public", 0.5, 63_296),
+                                                             ("sponsor", 0.9, None)])
+    def test_one_cdf_call_per_kernel_call(self, record_calls, perspective, lam, per_piece):
+        cdf_calls = record_calls(utility, "bivariate_normal_cdf_fixed_rho",
+                                 lambda x, y, rho, rho_c: (
+                                     np.size(x), rho, int(np.count_nonzero(np.isinf(x)))))
+        owen_rhos = record_calls(numerics, "owens_t", lambda h, a: abs(cdf_calls[-1][1]))
         kernel_calls = record_calls(utility, "_stratified_fields", lambda *args: len(cdf_calls))
-        optimize_family("stratified", make_scenario(perspective=perspective))
+        optimize_family("stratified", make_scenario(lambda_S=lam, perspective=perspective))
         kernel_calls.append(len(cdf_calls))
-        assert set(np.diff(kernel_calls)) == {1}
-        assert sum(infinite for _, infinite in cdf_calls) == 0
-        assert sum(size for size, _ in cdf_calls) < per_piece / 2
+        # one call per slope group: the constant lines and the pooled ones
+        pooled = -math.sqrt(lam)
+        for start, end in zip(kernel_calls[:-1], kernel_calls[1:]):
+            rhos = [rho for _, rho, _ in cdf_calls[start:end]]
+            assert 1 <= len(rhos) == len(set(rhos)) <= 2
+            assert all(rho == 0.0 or rho == pytest.approx(pooled, abs=1e-15) for rho in rhos)
+        assert sum(infinite for _, _, infinite in cdf_calls) == 0
+        if per_piece is not None:
+            assert sum(size for size, _, _ in cdf_calls) < per_piece / 2
+        # Owen's T only at and beyond the switch point, and there it is used
+        assert all(rho >= 0.925 for rho in owen_rhos)
+        assert bool(owen_rhos) == (math.sqrt(lam) >= 0.925)
 
     @pytest.mark.parametrize("perspective", ["sponsor", "public"])
     def test_one_region_lines_call_per_kernel_call(self, record_calls, perspective):

@@ -7,7 +7,11 @@ alpha_S in {0, alpha/2, alpha}. The atoms take turns over a mixed, a
 null, a qualitative and a prognostic one. The values were captured from
 the per-atom evaluation functions the library had before
 ``eu_prior_averaged`` with a one-atom prior took their place, which must
-reproduce them exactly; ``==`` lets only the sign of a zero differ.
+reproduce them exactly; ``==`` lets only the sign of a zero differ. The
+stratified entries were re-captured when the kernel's CDF moved from
+Owen's form to Genz's Gauss-Legendre form below |rho| = 0.925: each of
+the 36 moved by rounding only, at most 2.3e-13 MUSD and 2.3e-16 on
+probabilities.
 """
 
 import pytest
@@ -84,113 +88,113 @@ GOLDEN = {
         48.976583389280364, 0.0, 0.9998438892618691, 0.9998438892618691,
         0.0, 149.97658338928036, 101.0),
     "stratified/sponsor/case1/n=50/alpha_S=0/atom0": (
-        491.7779163743049, 0.005022462173399633, 0.12067380268842223, 0.12569626486182187,
-        17.920039243794243, 479.85787713051064, 6.0),
+        491.7779163743049, 0.005022462173399536, 0.1206738026884223, 0.12569626486182184,
+        17.920039243794175, 479.8578771305107, 6.0),
     "stratified/sponsor/case1/n=50/alpha_S=alpha/2/atom1": (
-        74.98136847303032, 0.009134741525929635, 0.014006102424578781, 0.023140843950508416,
-        24.671692684426556, 56.309675788603755, 6.0),
+        74.98136847303034, 0.009134741525929677, 0.014006102424578726, 0.023140843950508402,
+        24.67169268442654, 56.309675788603805, 6.0),
     "stratified/sponsor/case1/n=50/alpha_S=alpha/atom2": (
-        751.5252829838732, 0.2271135105755293, 0.037611419258838596, 0.2647249298343679,
-        606.1121707428689, 151.4131122410044, 6.0),
+        751.5252829838731, 0.22711351057552917, 0.037611419258838735, 0.2647249298343679,
+        606.1121707428688, 151.41311224100437, 6.0),
     "stratified/sponsor/case1/n=137/alpha_S=0/atom3": (
-        1175.6615023606078, 0.004184971255642378, 0.4852998336377851, 0.4894848048934275,
-        8.429787943049242, 1181.9317144175586, 14.700000000000001),
+        1175.6615023606078, 0.0041849712556424334, 0.48529983363778506, 0.4894848048934275,
+        8.429787943049272, 1181.9317144175586, 14.700000000000001),
     "stratified/sponsor/case1/n=137/alpha_S=alpha/2/atom0": (
-        667.3215998015044, 0.10244574159875647, 0.22433752872248597, 0.32678327032124244,
-        168.64421878532607, 513.3773810161783, 14.700000000000001),
+        667.3215998015044, 0.10244574159875655, 0.22433752872248597, 0.32678327032124255,
+        168.6442187853261, 513.3773810161783, 14.700000000000001),
     "stratified/sponsor/case1/n=137/alpha_S=alpha/atom1": (
-        21.882949746578973, 0.019327607239236544, 0.005672392760763478, 0.025000000000000022,
-        25.265429973878227, 11.31751977270075, 14.700000000000001),
+        21.882949746579023, 0.01932760723923662, 0.005672392760763402, 0.025000000000000022,
+        25.265429973878202, 11.317519772700825, 14.700000000000001),
     "stratified/sponsor/case1/n=1000/alpha_S=0/atom2": (
-        623.0705810487584, 0.5331838058340939, 0.009976555207914788, 0.5431603610420086,
-        715.227321623238, 8.84325942552039, 101.0),
+        623.0705810487585, 0.533183805834094, 0.00997655520791476, 0.5431603610420087,
+        715.2273216232381, 8.843259425520396, 101.0),
     "stratified/sponsor/case1/n=1000/alpha_S=alpha/2/atom3": (
-        1397.2036466357226, 3.165989772868638e-05, 0.997065492406054, 0.9970971523037827,
-        0.01804338007259408, 1498.18560325565, 101.0),
+        1397.2036466357224, 3.165989772849209e-05, 0.9970654924060541, 0.9970971523037826,
+        0.018043380072492083, 1498.18560325565, 101.0),
     "stratified/sponsor/case1/n=1000/alpha_S=alpha/atom0": (
-        661.0394512604855, 0.10086683553606521, 0.876846720941097, 0.9777135564771622,
-        70.82832630697912, 691.2111249535064, 101.0),
+        661.0394512604853, 0.10086683553606499, 0.8768467209410972, 0.9777135564771622,
+        70.82832630697898, 691.2111249535063, 101.0),
     "stratified/sponsor/case3/n=50/alpha_S=0/atom1": (
-        -8.608247887033968, 0.00040282182062195693, 0.020833326940583263, 0.02123614876120522,
-        0.13794724367804664, 7.753804869287984, 16.5),
+        -8.608247887033981, 0.0004028218206219708, 0.020833326940583367, 0.021236148761205338,
+        0.13794724367804617, 7.753804869287973, 16.5),
     "stratified/sponsor/case3/n=50/alpha_S=alpha/2/atom2": (
-        46.19103227977497, 0.15188154146166932, 0.04447095196215961, 0.19635249342382893,
+        46.19103227977497, 0.15188154146166927, 0.044470951962159624, 0.19635249342382888,
         44.598242347626886, 18.092789932148087, 16.5),
     "stratified/sponsor/case3/n=50/alpha_S=alpha/atom3": (
-        25.156211852531193, 0.04310097294514137, 0.06804543353143266, 0.11114640647657403,
-        10.66149319520398, 30.994718657327212, 16.5),
+        25.156211852531186, 0.043100972945141425, 0.06804543353143261, 0.11114640647657403,
+        10.661493195203983, 30.994718657327205, 16.5),
     "stratified/sponsor/case3/n=137/alpha_S=0/atom0": (
-        34.90183788619077, 0.016629136748686935, 0.26574077719066463, 0.28236991393935157,
-        3.478556256744084, 57.493281629446685, 26.07),
+        34.90183788619077, 0.016629136748687018, 0.2657407771906645, 0.2823699139393515,
+        3.4785562567440897, 57.49328162944668, 26.07),
     "stratified/sponsor/case3/n=137/alpha_S=alpha/2/atom1": (
-        -21.858775748941515, 0.009134741525929635, 0.014006102424578781, 0.023140843950508416,
-        1.3639029806875356, 2.8473212703709496, 26.07),
+        -21.85877574894151, 0.009134741525929677, 0.014006102424578726, 0.023140843950508402,
+        1.3639029806875342, 2.8473212703709554, 26.07),
     "stratified/sponsor/case3/n=137/alpha_S=alpha/atom2": (
-        76.99238930276778, 0.5361233217543203, 0.06003986160793406, 0.5961631833622544,
+        76.99238930276778, 0.5361233217543203, 0.0600398616079341, 0.5961631833622544,
         90.11490747474228, 12.947481828025483, 26.07),
     "stratified/sponsor/case3/n=1000/alpha_S=0/atom3": (
-        28.82004617021039, 2.222310260024951e-05, 0.9971802692440962, 0.9972024923466964,
-        0.0014858446453843855, 149.81856032556502, 121.0),
+        28.82004617021039, 2.2223102600166245e-05, 0.9971802692440963, 0.9972024923466964,
+        0.001485844645380014, 149.81856032556502, 121.0),
     "stratified/sponsor/case3/n=1000/alpha_S=alpha/2/atom0": (
-        -44.45631651122973, 0.09733399967853124, 0.8889354913231511, 0.9862694910016823,
-        7.009639985616145, 69.53404350315412, 121.0),
+        -44.456316511229744, 0.09733399967853104, 0.8889354913231513, 0.9862694910016824,
+        7.009639985616131, 69.53404350315412, 121.0),
     "stratified/sponsor/case3/n=1000/alpha_S=alpha/atom1": (
-        -120.41706045358256, 0.019327607239236544, 0.005672392760763478, 0.025000000000000022,
-        0.5090799294821943, 0.07385961693524214, 121.0),
+        -120.41706045358256, 0.01932760723923662, 0.005672392760763402, 0.025000000000000022,
+        0.5090799294821917, 0.07385961693524407, 121.0),
     "stratified/public/case1/n=50/alpha_S=0/atom2": (
-        3.8791474808219846, 0.01143608248071766, 0.055067380774095266, 0.06650346325481293,
-        14.009201038879134, -4.130053558057149, 6.0),
+        3.879147480821878, 0.011436082480717577, 0.05506738077409534, 0.06650346325481292,
+        14.009201038879032, -4.1300535580571545, 6.0),
     "stratified/public/case1/n=50/alpha_S=alpha/2/atom3": (
-        254.23036071962724, 0.02278745723851816, 0.16551129711293683, 0.188298754351455,
-        11.963415050222034, 248.26694566940523, 6.0),
+        254.23036071962719, 0.022787457238518133, 0.16551129711293677, 0.1882987543514549,
+        11.96341505022202, 248.26694566940515, 6.0),
     "stratified/public/case1/n=50/alpha_S=alpha/atom0": (
-        93.21525715717809, 0.08772343164922841, 0.05401265000388317, 0.14173608165311158,
-        61.406402154459876, 37.808855002718204, 6.0),
+        93.21525715717809, 0.08772343164922831, 0.054012650003883264, 0.14173608165311158,
+        61.40640215445981, 37.808855002718275, 6.0),
     "stratified/public/case1/n=137/alpha_S=0/atom1": (
-        -35.67431457780095, 0.00040282182062195693, 0.020833326940583263, 0.02123614876120522,
-        -0.14098763721768492, -20.833326940583262, 14.700000000000001),
+        -35.67431457780106, 0.0004028218206219708, 0.020833326940583367, 0.021236148761205338,
+        -0.14098763721768978, -20.83332694058337, 14.700000000000001),
     "stratified/public/case1/n=137/alpha_S=alpha/2/atom2": (
-        509.2542620734791, 0.43149507430818795, 0.06169605272068238, 0.49319112702887036,
-        528.5814660275303, -4.627203954051183, 14.700000000000001),
+        509.25426207347897, 0.4314950743081879, 0.06169605272068239, 0.4931911270288703,
+        528.5814660275302, -4.627203954051184, 14.700000000000001),
     "stratified/public/case1/n=137/alpha_S=alpha/atom3": (
-        294.07213115771333, 0.038554962707628426, 0.1923538504908056, 0.23090881319843404,
-        20.241355421504924, 288.5307757362084, 14.700000000000001),
+        294.0721311577132, 0.03855496270762854, 0.1923538504908055, 0.23090881319843404,
+        20.24135542150498, 288.5307757362082, 14.700000000000001),
     "stratified/public/case1/n=1000/alpha_S=0/atom0": (
-        575.9830761905415, 0.07476952266754144, 0.8923491576046609, 0.9671186802722024,
-        52.338665867279005, 624.6444103232625, 101.0),
+        575.9830761905414, 0.07476952266754133, 0.8923491576046609, 0.9671186802722023,
+        52.33866586727893, 624.6444103232625, 101.0),
     "stratified/public/case1/n=1000/alpha_S=alpha/2/atom1": (
-        -118.20326195865415, 0.009134741525929635, 0.014006102424578781, 0.023140843950508416,
-        -3.1971595340753725, -14.006102424578781, 101.0),
+        -118.20326195865411, 0.009134741525929677, 0.014006102424578726, 0.023140843950508402,
+        -3.1971595340753867, -14.006102424578726, 101.0),
     "stratified/public/case1/n=1000/alpha_S=alpha/atom2": (
-        1110.9905846346758, 0.9899908752272473, 0.009976500249362412, 0.9999673754766096,
-        1212.738822153378, -0.7482375187021816, 101.0),
+        1110.9905846346758, 0.9899908752272473, 0.009976500249362452, 0.9999673754766097,
+        1212.738822153378, -0.7482375187021846, 101.0),
     "stratified/public/case3/n=50/alpha_S=0/atom3": (
-        14.601412558660531, 0.0027133149281363123, 0.20639309016622248, 0.2091064050943588,
-        0.1424490337271564, 30.958963524933374, 16.5),
+        14.60141255866052, 0.0027133149281363678, 0.2063930901662224, 0.20910640509435877,
+        0.1424490337271593, 30.95896352493336, 16.5),
     "stratified/public/case3/n=50/alpha_S=alpha/2/atom0": (
-        -6.399876587623133, 0.05063969976089727, 0.09364777755877227, 0.14428747731966954,
-        3.544778983262809, 6.555344429114057, 16.5),
+        -6.399876587623144, 0.0506396997608972, 0.0936477775587722, 0.1442874773196694,
+        3.544778983262804, 6.555344429114053, 16.5),
     "stratified/public/case3/n=50/alpha_S=alpha/atom1": (
-        -17.743705529449628, 0.019327607239236544, 0.005672392760763478, 0.025000000000000022,
-        -0.676466253373279, -0.5672392760763478, 16.5),
+        -17.74370552944962, 0.01932760723923662, 0.005672392760763402, 0.025000000000000022,
+        -0.6764662533732817, -0.5672392760763402, 16.5),
     "stratified/public/case3/n=137/alpha_S=0/atom2": (
-        -20.70199251377022, 0.047989628620926816, 0.06809626931116744, 0.11608589793209426,
-        5.878729506063534, -0.5107220198337563, 26.07),
+        -20.70199251377022, 0.047989628620926816, 0.06809626931116741, 0.11608589793209423,
+        5.878729506063534, -0.5107220198337561, 26.07),
     "stratified/public/case3/n=137/alpha_S=alpha/2/atom3": (
-        39.352409324495405, 0.021765185423674727, 0.42853158059834995, 0.4502967660220247,
-        1.1426722347429232, 64.27973708975249, 26.07),
+        39.35240932449539, 0.021765185423674727, 0.42853158059834984, 0.45029676602202456,
+        1.1426722347429232, 64.27973708975247, 26.07),
     "stratified/public/case3/n=137/alpha_S=alpha/atom0": (
-        -4.250960642432375, 0.15650522646471382, 0.15519533578625228, 0.3117005622509661,
-        10.955365852529967, 10.863673505037656, 26.07),
+        -4.250960642432375, 0.15650522646471393, 0.15519533578625216, 0.3117005622509661,
+        10.955365852529976, 10.86367350503765, 26.07),
     "stratified/public/case3/n=1000/alpha_S=0/atom1": (
-        -123.09743145778009, 0.00040282182062195693, 0.020833326940583263, 0.02123614876120522,
-        -0.014098763721768492, -2.0833326940583263, 121.0),
+        -123.0974314577801, 0.0004028218206219708, 0.020833326940583367, 0.021236148761205338,
+        -0.014098763721768978, -2.0833326940583365, 121.0),
     "stratified/public/case3/n=1000/alpha_S=alpha/2/atom2": (
-        0.19047085508546502, 0.9899207649282544, 0.00997637981675844, 0.9998971447450129,
-        121.26529370371115, -0.07482284862568836, 121.0),
+        0.19047085508546502, 0.9899207649282544, 0.009976379816758425, 0.9998971447450129,
+        121.26529370371115, -0.07482284862568826, 121.0),
     "stratified/public/case3/n=1000/alpha_S=alpha/atom3": (
-        15.65304386482029, 3.9758625115515756e-05, 0.9110063769133449, 0.9110461355384604,
-        0.002087327818564577, 136.65095653700172, 121.0),
+        15.65304386482029, 3.975862511529371e-05, 0.9110063769133451, 0.9110461355384604,
+        0.00208732781855292, 136.65095653700175, 121.0),
     "enrichment/sponsor/case1/n=50/atom0": (
         471.1670908072909, 0.32277103595631684, 0.0, 0.32277103595631684,
         477.1670908072909, 0.0, 6.0),
